@@ -108,12 +108,12 @@ class BenchReport {
     {
       std::lock_guard<std::mutex> lock(fingerprint_mutex_);
       // Benches that never run a Testbed (trace analyses, the kernel
-      // microbenchmarks) still stamp the kernel-level defaults: nodes=0
-      // marks "no cluster" while queue/settle/seed stay meaningful.
-      if (!fingerprint_.has_value()) fingerprint_ = ConfigFingerprint{};
-      out << "  \"fingerprint\": ";
-      fingerprint_->write_json(out, 2);
-      out << ",\n";
+      // microbenchmarks) have no cluster to describe and omit the block.
+      if (fingerprint_.has_value()) {
+        out << "  \"fingerprint\": ";
+        fingerprint_->write_json(out, 2);
+        out << ",\n";
+      }
     }
     out << "  \"wall_seconds\": " << wall << ",\n";
     out << "  \"kernel_events\": " << kernel_events_.load() << ",\n";

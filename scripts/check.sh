@@ -5,7 +5,7 @@
 #   scripts/check.sh            # sanitized build + all tests
 #   scripts/check.sh tier1      # sanitized build + fast tier only
 #   scripts/check.sh tiering    # N-tier hierarchy / migration-policy suite
-#   scripts/check.sh kernel     # event-queue differential + fuzz suite
+#   scripts/check.sh kernel     # event-queue + bandwidth differential suite
 #   scripts/check.sh metrics    # metrics-plane suite (instruments, RunReport
 #                               # determinism, trace inertness, CSV export)
 #

@@ -12,10 +12,6 @@ ResourceManager::ResourceManager(Simulator& sim, ClusterConfig config)
   nodes_.reserve(config_.node_count);
   heartbeats_.reserve(config_.node_count);
   last_beat_.resize(config_.node_count, SimTime::zero());
-  if (config_.batch_heartbeats) {
-    heartbeat_cohort_ = std::make_unique<PeriodicCohort>(sim_);
-    heartbeat_members_.resize(config_.node_count, 0);
-  }
   for (std::size_t i = 0; i < config_.node_count; ++i) {
     const NodeId id(static_cast<std::int64_t>(i));
     nodes_.push_back(std::make_unique<NodeManager>(id, config_.slots_per_node));
@@ -24,15 +20,9 @@ ResourceManager::ResourceManager(Simulator& sim, ClusterConfig config)
     const Duration offset =
         config_.heartbeat_interval *
         (static_cast<double>(i + 1) / static_cast<double>(config_.node_count));
-    if (config_.batch_heartbeats) {
-      heartbeat_members_[i] = heartbeat_cohort_->add(
-          offset, config_.heartbeat_interval,
-          [this, id] { send_heartbeat(id); });
-    } else {
-      heartbeats_.push_back(std::make_unique<PeriodicTask>(
-          sim_, offset, config_.heartbeat_interval,
-          [this, id] { send_heartbeat(id); }));
-    }
+    heartbeats_.push_back(std::make_unique<PeriodicTask>(
+        sim_, offset, config_.heartbeat_interval,
+        [this, id] { send_heartbeat(id); }));
   }
   if (config_.enable_failure_detection) {
     liveness_monitor_ = std::make_unique<PeriodicTask>(
@@ -82,29 +72,16 @@ void ResourceManager::set_node_alive(NodeId node, bool alive) {
 void ResourceManager::halt_heartbeat(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < config_.node_count);
-  const auto i = static_cast<std::size_t>(node.value());
-  if (config_.batch_heartbeats) {
-    heartbeat_cohort_->remove(heartbeat_members_[i]);
-    heartbeat_members_[i] = 0;
-  } else {
-    heartbeats_[i].reset();
-  }
+  heartbeats_[static_cast<std::size_t>(node.value())].reset();
 }
 
 void ResourceManager::resume_heartbeat(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < config_.node_count);
-  const auto i = static_cast<std::size_t>(node.value());
-  if (config_.batch_heartbeats) {
-    heartbeat_members_[i] =
-        heartbeat_cohort_->add(config_.heartbeat_interval,
-                               config_.heartbeat_interval,
-                               [this, node] { send_heartbeat(node); });
-  } else {
-    heartbeats_[i] = std::make_unique<PeriodicTask>(
-        sim_, config_.heartbeat_interval, config_.heartbeat_interval,
-        [this, node] { send_heartbeat(node); });
-  }
+  heartbeats_[static_cast<std::size_t>(node.value())] =
+      std::make_unique<PeriodicTask>(
+          sim_, config_.heartbeat_interval, config_.heartbeat_interval,
+          [this, node] { send_heartbeat(node); });
 }
 
 void ResourceManager::send_heartbeat(NodeId node) {

@@ -40,11 +40,6 @@ struct ClusterConfig {
   bool enable_failure_detection = false;
   Duration liveness_timeout = Duration::seconds(12.0);  ///< ~4 missed beats.
   Duration liveness_check_interval = Duration::seconds(1.0);
-  /// Drive all NodeManager heartbeats through one PeriodicCohort event
-  /// instead of one PeriodicTask each. Tick times are identical; only
-  /// same-microsecond event interleaving can differ, so this is opt-in
-  /// under pinned traces (see PeriodicCohort).
-  bool batch_heartbeats = false;
 };
 
 /// A granted container: the slot's node plus a unique id so a release after
@@ -132,11 +127,9 @@ class ResourceManager : public JobLivenessOracle {
   TraceRecorder* trace_ = nullptr;
   RpcRouter* router_ = nullptr;
   std::vector<std::unique_ptr<NodeManager>> nodes_;
-  // Unbatched: one PeriodicTask per node. Batched: one cohort, one member
-  // id per node (0 while the node's heartbeat is halted).
+  // One per node, index == NodeId value; null while the node's heartbeat is
+  // halted.
   std::vector<std::unique_ptr<PeriodicTask>> heartbeats_;
-  std::unique_ptr<PeriodicCohort> heartbeat_cohort_;
-  std::vector<PeriodicCohort::MemberId> heartbeat_members_;
   std::unique_ptr<PeriodicTask> liveness_monitor_;  // only when detection on
 
   struct QueuedRequest {

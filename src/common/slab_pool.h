@@ -1,10 +1,10 @@
 // Slab/arena allocation for the simulation kernel's hot paths.
 //
 // The kernel's steady state recycles the same objects over and over: event
-// slots, spilled callback captures, ladder-queue bucket entries. A general
-// heap allocator pays lock/metadata cost on every one of those operations
-// and scatters them across the address space. This header provides the two
-// shapes the kernel needs instead:
+// slots and spilled callback captures. A general heap allocator pays
+// lock/metadata cost on every one of those operations and scatters them
+// across the address space. This header provides the two shapes the kernel
+// needs instead:
 //
 //   - SlabPool: fixed-size blocks carved out of large chunks, recycled
 //     through a free list. Steady state is a two-instruction pop/push; the

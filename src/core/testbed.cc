@@ -29,11 +29,6 @@ Testbed::Testbed(TestbedConfig config)
     config_.cluster.liveness_timeout = config_.detector.liveness_timeout;
     config_.cluster.liveness_check_interval = config_.detector.check_interval;
   }
-  if (config_.batch_periodics) {
-    config_.cluster.batch_heartbeats = true;
-    config_.detector.batch_heartbeats = true;
-    config_.integrity.batch_scrub_ticks = true;
-  }
 
   if (config_.enable_trace || config_.check_invariants) {
     trace_ = std::make_unique<TraceRecorder>();
@@ -758,12 +753,6 @@ bool Testbed::run_workload_to(std::vector<ScheduledJob> jobs,
 
 ConfigFingerprint Testbed::fingerprint() const {
   ConfigFingerprint fp;
-  fp.queue_backend = sim_.queue_backend();
-  // The testbed builds every bandwidth channel with the constructor default;
-  // the knob is not plumbed through TestbedConfig (yet), so record it as the
-  // constant it is rather than omitting it from the identity.
-  fp.settle_mode = "per_op";
-  fp.batch_periodics = config_.batch_periodics;
   fp.seed = config_.seed;
   fp.nodes = static_cast<int>(datanodes_.size());
   fp.replication = config_.replication;

@@ -150,12 +150,6 @@ struct TestbedConfig {
   TieringConfig tiering;
   /// Routed control plane + partition-severed transfers (default off).
   ControlPlaneConfig control_plane;
-  /// Batches every periodic cohort (RM heartbeats, detector heartbeats,
-  /// scrub ticks) through one repeating kernel event each instead of one
-  /// event per node (see PeriodicCohort). Tick times are identical; the
-  /// interleaving of same-microsecond events can differ, so this is off by
-  /// default to keep pinned traces bit-identical.
-  bool batch_periodics = false;
   /// Wires the MetricsRegistry through every component and turns on kernel
   /// self-profiling. Recording is purely passive (no events, no RNG, no
   /// wall clock), so traces are bit-identical either way — metrics_test

@@ -12,10 +12,6 @@ FailureDetector::FailureDetector(Simulator& sim, NameNode& namenode,
   IGNEM_CHECK(n > 0);
   suspected_.resize(n, false);
   heartbeats_.reserve(n);
-  if (config_.batch_heartbeats) {
-    heartbeat_cohort_ = std::make_unique<PeriodicCohort>(sim_);
-    heartbeat_members_.resize(n, 0);
-  }
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id(static_cast<std::int64_t>(i));
     // Stagger first beats across one interval, like the RM's NodeManager
@@ -23,14 +19,9 @@ FailureDetector::FailureDetector(Simulator& sim, NameNode& namenode,
     const Duration offset = config_.heartbeat_interval *
                             (static_cast<double>(i + 1) /
                              static_cast<double>(n));
-    if (config_.batch_heartbeats) {
-      heartbeat_members_[i] = heartbeat_cohort_->add(
-          offset, config_.heartbeat_interval, [this, id] { send_beat(id); });
-    } else {
-      heartbeats_.push_back(std::make_unique<PeriodicTask>(
-          sim_, offset, config_.heartbeat_interval,
-          [this, id] { send_beat(id); }));
-    }
+    heartbeats_.push_back(std::make_unique<PeriodicTask>(
+        sim_, offset, config_.heartbeat_interval,
+        [this, id] { send_beat(id); }));
   }
   monitor_ = std::make_unique<PeriodicTask>(
       sim_, config_.check_interval, config_.check_interval,
@@ -130,38 +121,23 @@ void FailureDetector::check() {
 void FailureDetector::halt_heartbeat(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < namenode_.node_count());
-  const auto i = static_cast<std::size_t>(node.value());
-  if (config_.batch_heartbeats) {
-    heartbeat_cohort_->remove(heartbeat_members_[i]);
-    heartbeat_members_[i] = 0;
-  } else {
-    heartbeats_[i].reset();
-  }
+  heartbeats_[static_cast<std::size_t>(node.value())].reset();
 }
 
 void FailureDetector::resume_heartbeat(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < namenode_.node_count());
-  const auto i = static_cast<std::size_t>(node.value());
   if (heartbeat_running(node)) return;  // already beating
-  if (config_.batch_heartbeats) {
-    heartbeat_members_[i] =
-        heartbeat_cohort_->add(config_.heartbeat_interval,
-                               config_.heartbeat_interval,
-                               [this, node] { send_beat(node); });
-  } else {
-    heartbeats_[i] = std::make_unique<PeriodicTask>(
-        sim_, config_.heartbeat_interval, config_.heartbeat_interval,
-        [this, node] { send_beat(node); });
-  }
+  heartbeats_[static_cast<std::size_t>(node.value())] =
+      std::make_unique<PeriodicTask>(
+          sim_, config_.heartbeat_interval, config_.heartbeat_interval,
+          [this, node] { send_beat(node); });
 }
 
 bool FailureDetector::heartbeat_running(NodeId node) const {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < namenode_.node_count());
-  const auto i = static_cast<std::size_t>(node.value());
-  if (config_.batch_heartbeats) return heartbeat_members_[i] != 0;
-  return heartbeats_[i] != nullptr;
+  return heartbeats_[static_cast<std::size_t>(node.value())] != nullptr;
 }
 
 }  // namespace ignem

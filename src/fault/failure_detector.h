@@ -34,10 +34,6 @@ struct FailureDetectorConfig {
   /// compress it to keep experiments short).
   Duration liveness_timeout = Duration::seconds(12.0);
   Duration check_interval = Duration::seconds(1.0);
-  /// Drive all DataNode heartbeats through one PeriodicCohort event instead
-  /// of one PeriodicTask each (see PeriodicCohort for the equivalence and
-  /// why it is opt-in under pinned traces).
-  bool batch_heartbeats = false;
   /// Suspicion grace window: a node silent past liveness_timeout is first
   /// marked *suspect* (kNodeSuspect, once per silence episode) and only
   /// declared dead once the silence exceeds liveness_timeout + grace. A
@@ -124,11 +120,9 @@ class FailureDetector {
   FailureDetectorConfig config_;
   TraceRecorder* trace_ = nullptr;
   RpcRouter* router_ = nullptr;
-  // Unbatched: one PeriodicTask per node. Batched: one cohort, one member
-  // id per node (0 while the node's heartbeat is halted).
-  std::vector<std::unique_ptr<PeriodicTask>> heartbeats_;  // index == node
-  std::unique_ptr<PeriodicCohort> heartbeat_cohort_;
-  std::vector<PeriodicCohort::MemberId> heartbeat_members_;
+  // One per node, index == NodeId value; null while the node's heartbeat is
+  // halted.
+  std::vector<std::unique_ptr<PeriodicTask>> heartbeats_;
   std::unique_ptr<PeriodicTask> monitor_;
   std::function<void(NodeId)> on_node_dead_;
   std::function<void(NodeId)> on_node_rejoined_;

@@ -31,11 +31,6 @@ struct IntegrityConfig {
   /// hashes hold.
   Duration checksum_cost_per_gib = Duration::zero();
 
-  /// Drive scrub ticks through one PeriodicCohort event instead of one
-  /// PeriodicTask per DataNode (see PeriodicCohort; opt-in under pinned
-  /// traces).
-  bool batch_scrub_ticks = false;
-
   /// Cluster-wide scrub-read budget in bytes/sec (token bucket shared by
   /// every node's scanner). A tick whose block does not conform is skipped
   /// — the cursor stays put and the block is retried next interval — so

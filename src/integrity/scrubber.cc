@@ -14,23 +14,17 @@ Scrubber::Scrubber(Simulator& sim, NameNode& namenode, IntegrityConfig config)
   }
   const std::size_t n = namenode_.node_count();
   cursors_.assign(n, BlockId::invalid());
-  if (config.batch_scrub_ticks) cohort_ = std::make_unique<PeriodicCohort>(sim);
   tasks_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Duration offset =
         config.scrub_interval * (static_cast<double>(i + 1) /
                                  static_cast<double>(n));
-    if (cohort_ != nullptr) {
-      cohort_->add(offset, config.scrub_interval, [this, i] { tick(i); });
-    } else {
-      tasks_.push_back(std::make_unique<PeriodicTask>(
-          sim, offset, config.scrub_interval, [this, i] { tick(i); }));
-    }
+    tasks_.push_back(std::make_unique<PeriodicTask>(
+        sim, offset, config.scrub_interval, [this, i] { tick(i); }));
   }
 }
 
 void Scrubber::stop() {
-  if (cohort_ != nullptr) cohort_->stop();
   for (auto& task : tasks_) task->stop();
 }
 

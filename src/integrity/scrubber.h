@@ -53,7 +53,6 @@ class Scrubber {
   NameNode& namenode_;
   std::unique_ptr<RateLimiter> limiter_;  // set when scrub_rate_limit > 0
   std::vector<std::unique_ptr<PeriodicTask>> tasks_;
-  std::unique_ptr<PeriodicCohort> cohort_;  // set when batch_scrub_ticks
   std::vector<BlockId> cursors_;  // last block scanned per node
   ScrubberStats stats_;
 };

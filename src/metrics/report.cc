@@ -88,11 +88,9 @@ std::string json_quote(const std::string& s) {
 
 std::string ConfigFingerprint::canonical() const {
   std::ostringstream os;
-  os << "batch_periodics=" << bool_json(batch_periodics)
-     << " fault_tolerance=" << bool_json(fault_tolerance)
-     << " nodes=" << nodes << " queue_backend=" << queue_backend
-     << " replication=" << replication << " scrubber=" << bool_json(scrubber)
-     << " seed=" << seed << " settle_mode=" << settle_mode
+  os << "fault_tolerance=" << bool_json(fault_tolerance)
+     << " nodes=" << nodes << " replication=" << replication
+     << " scrubber=" << bool_json(scrubber) << " seed=" << seed
      << " storage_media=" << storage_media << " tier_count=" << tier_count
      << " tier_policy=" << tier_policy;
   return os.str();
@@ -107,9 +105,6 @@ void ConfigFingerprint::write_json(std::ostream& os, int indent) const {
     pad(os, indent + 2);
     os << '"' << key << "\": " << value << (last ? "\n" : ",\n");
   };
-  field("queue_backend", json_quote(queue_backend));
-  field("settle_mode", json_quote(settle_mode));
-  field("batch_periodics", bool_json(batch_periodics));
   field("seed", std::to_string(seed));
   field("nodes", std::to_string(nodes));
   field("replication", std::to_string(replication));

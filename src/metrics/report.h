@@ -24,14 +24,11 @@
 
 namespace ignem {
 
-/// Identifies the knobs that shape a run's event stream: kernel backend and
-/// batching choices, cluster shape, seed, and storage/tiering/fault
-/// configuration. Stamped into every RunReport and BENCH_*.json so a result
-/// can never be compared against the wrong configuration silently.
+/// Identifies the knobs that shape a run's event stream: cluster shape, seed,
+/// and storage/tiering/fault configuration. Stamped into every RunReport and
+/// every Testbed bench's BENCH_*.json so a result can never be compared
+/// against the wrong configuration silently.
 struct ConfigFingerprint {
-  std::string queue_backend = "ladder";  ///< Simulator::queue_backend().
-  std::string settle_mode = "per_op";    ///< SharedBandwidthResource mode.
-  bool batch_periodics = false;
   std::uint64_t seed = 0;
   int nodes = 0;
   int replication = 0;

@@ -1,11 +1,7 @@
-// Self-rescheduling periodic callback (heartbeats, monitors) and a batched
-// cohort that drives many members through one kernel event.
+// Self-rescheduling periodic callback (heartbeats, monitors).
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "common/units.h"
@@ -58,126 +54,6 @@ class PeriodicTask {
   Tick tick_;
   EventHandle handle_ = EventHandle::invalid();
   bool running_ = true;
-};
-
-/// Batches N periodic members behind ONE live kernel event: the cohort
-/// keeps members ordered by next due time and schedules a single event at
-/// the earliest one; firing runs every member due at that instant and
-/// re-arms. A 1000-node cluster's heartbeats then hold one slot in the
-/// event queue instead of a thousand.
-///
-/// Tick times are identical to N individual PeriodicTasks (each member
-/// fires at initial_delay, initial_delay + period, ...), and like
-/// PeriodicTask a member is re-armed *before* its tick runs, so a tick
-/// removing and re-adding itself behaves the same. What can differ is
-/// event-queue interleaving: members due at the same microsecond run
-/// back-to-back inside one event (in re-arm order) instead of as separate
-/// events threaded among unrelated ones. Under pinned traces, batching is
-/// therefore opt-in (TestbedConfig::batch_periodics).
-class PeriodicCohort {
- public:
-  using Tick = std::function<void()>;
-  using MemberId = std::uint64_t;
-
-  explicit PeriodicCohort(Simulator& sim) : sim_(sim) {}
-
-  ~PeriodicCohort() { stop(); }
-
-  PeriodicCohort(const PeriodicCohort&) = delete;
-  PeriodicCohort& operator=(const PeriodicCohort&) = delete;
-
-  /// Registers a member: first tick after `initial_delay`, then every
-  /// `period`. Safe to call from inside a member's tick.
-  MemberId add(Duration initial_delay, Duration period, Tick tick) {
-    IGNEM_CHECK(period > Duration::zero());
-    const MemberId id = next_id_++;
-    Member member{period, std::move(tick), sim_.now() + initial_delay,
-                  next_seq_++};
-    due_.emplace(DueKey{member.next_due, member.seq}, id);
-    members_.emplace(id, std::move(member));
-    schedule_next();
-    return id;
-  }
-
-  /// Unregisters a member; its remaining ticks never fire. Returns false if
-  /// the id was already removed. Safe to call from inside any tick,
-  /// including the member's own.
-  bool remove(MemberId id) {
-    const auto it = members_.find(id);
-    if (it == members_.end()) return false;
-    due_.erase(DueKey{it->second.next_due, it->second.seq});
-    members_.erase(it);
-    schedule_next();
-    return true;
-  }
-
-  /// Drops every member and the pending event. Idempotent.
-  void stop() {
-    if (handle_.valid()) {
-      sim_.cancel(handle_);
-      handle_ = EventHandle::invalid();
-    }
-    due_.clear();
-    members_.clear();
-  }
-
-  std::size_t size() const { return members_.size(); }
-  bool contains(MemberId id) const { return members_.count(id) != 0; }
-
- private:
-  struct Member {
-    Duration period;
-    Tick tick;
-    SimTime next_due;
-    std::uint64_t seq;  ///< FIFO tiebreak among members due at one instant.
-  };
-  using DueKey = std::pair<SimTime, std::uint64_t>;
-
-  void fire() {
-    handle_ = EventHandle::invalid();
-    const SimTime now = sim_.now();
-    while (!due_.empty() && due_.begin()->first.first <= now) {
-      const MemberId id = due_.begin()->second;
-      due_.erase(due_.begin());
-      Member& member = members_.find(id)->second;
-      member.next_due = now + member.period;
-      member.seq = next_seq_++;
-      due_.emplace(DueKey{member.next_due, member.seq}, id);
-      // Re-armed before running, mirroring PeriodicTask::fire; the tick may
-      // remove this very member (or any other) and `member` is not touched
-      // afterwards.
-      member.tick();
-    }
-    schedule_next();
-  }
-
-  /// (Re)schedules the cohort event at the earliest due time, if it is not
-  /// already there. Idempotent; cheap when nothing changed.
-  void schedule_next() {
-    if (due_.empty()) {
-      if (handle_.valid()) {
-        sim_.cancel(handle_);
-        handle_ = EventHandle::invalid();
-      }
-      return;
-    }
-    const SimTime front = due_.begin()->first.first;
-    if (handle_.valid()) {
-      if (scheduled_for_ == front) return;
-      sim_.cancel(handle_);
-    }
-    scheduled_for_ = front;
-    handle_ =
-        sim_.schedule_at(front, [this] { fire(); }, EventClass::kPeriodic);
-  }
-
-  Simulator& sim_;
-  std::unordered_map<MemberId, Member> members_;
-  std::map<DueKey, MemberId> due_;
-  EventHandle handle_ = EventHandle::invalid();
-  SimTime scheduled_for_ = SimTime::zero();
-  MemberId next_id_ = 1;
-  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace ignem

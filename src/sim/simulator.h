@@ -97,13 +97,6 @@ class Simulator {
   bool profiling_enabled() const { return profiling_; }
   const KernelProfile& profile() const { return profile_; }
 
-  /// Name of the active event-queue backend ("ladder" or "heap"), for
-  /// config fingerprints.
-  const char* queue_backend() const {
-    return queue_.backend() == EventQueue::Backend::kLadder ? "ladder"
-                                                            : "heap";
-  }
-
  private:
   SimTime now_ = SimTime::zero();
   EventQueue queue_;

@@ -9,31 +9,17 @@
 //     aggregate(n) = seq_bw / (1 + degradation * (n - 1))
 //     per_stream(n) = min(aggregate(n) / n, per_stream_cap)
 //
-// Fair sharing means every active stream progresses at the same per-stream
-// rate, so a transfer-set change does not need to touch every transfer.
-// Instead, each settle appends the bytes progressed per stream to a log and
-// advances a virtual clock (vtime_ = running sum of the log) — O(1). Each
-// transfer is keyed in a credit-ordered set by vtime-at-last-sync plus its
-// remaining bytes; starts and aborts are O(log n) set updates. A transfer's
-// *exact* remaining (the same clamped subtraction chain the event-time
-// arithmetic has always used, so event timestamps are bit-identical to the
-// historical per-transfer model) is recovered lazily by replaying its
-// missed log slice — and only transfers whose credit sits within a small,
-// error-bound-derived slack of the minimum ever replay. The earliest
-// finisher is always among those candidates; its completion event is
-// (re)scheduled whenever the set changes. The old implementation walked all
-// n transfers on every change, which went quadratic exactly in the
-// high-concurrency bursts the paper's Fig. 1 contention collapse is about
-// (see docs/PERF.md for the design and the equivalence argument — goldens
-// are bit-identical).
+// Every transfer-set change (start, abort, completion) first settles the
+// channel: the per-stream progress since the last change is subtracted from
+// every active transfer, clamped at zero. The earliest finisher then decides
+// when the single pending completion event fires. Each change costs O(n) in
+// the channel's active transfers; real channels carry a handful of streams
+// (see docs/PERF.md), where this plain loop is the cheapest form.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -71,25 +57,8 @@ class SharedBandwidthResource {
  public:
   using Callback = SmallFunction;
 
-  /// How transfer-set changes propagate to the completion event.
-  ///
-  ///   - kPerOp (default): every start/abort cancels and reschedules the
-  ///     completion event immediately — the historical behavior. Event
-  ///     sequence numbers are allocated exactly as they always were, so
-  ///     pinned trace hashes stay bit-identical.
-  ///   - kEpoch: a start/abort burst at one timestamp marks the epoch dirty
-  ///     and schedules a single zero-delay flush; the flush derives the next
-  ///     completion once for the whole burst. Settle-log math, completion
-  ///     times, and callback order are bit-identical to kPerOp (the
-  ///     differential suite proves it); only the *interleaving* of the
-  ///     completion event among unrelated events at the exact same
-  ///     microsecond can differ, which is why it is opt-in rather than the
-  ///     default under pinned traces.
-  enum class SettleMode { kPerOp, kEpoch };
-
   SharedBandwidthResource(Simulator& sim, std::string name,
-                          BandwidthProfile profile,
-                          SettleMode settle_mode = SettleMode::kPerOp);
+                          BandwidthProfile profile);
 
   SharedBandwidthResource(const SharedBandwidthResource&) = delete;
   SharedBandwidthResource& operator=(const SharedBandwidthResource&) = delete;
@@ -102,12 +71,10 @@ class SharedBandwidthResource {
   /// if the transfer already completed or was never started.
   bool abort(TransferHandle handle);
 
-  /// Exact unserved bytes of an in-flight transfer (rounded up to whole
-  /// bytes), or -1 when the handle is unknown (completed or aborted).
-  /// Settles the channel and replays this transfer's missed log slice —
-  /// the same clamped chain event times derive from — without scheduling
-  /// anything, so callers (partition severing) can account partial
-  /// progress at the cut instant.
+  /// Unserved bytes of an in-flight transfer (rounded up to whole bytes),
+  /// or -1 when the handle is unknown (completed or aborted). Settles the
+  /// channel without scheduling anything, so callers (partition severing)
+  /// can account partial progress at the cut instant.
   std::int64_t remaining_bytes(TransferHandle handle);
 
   std::size_t active_transfers() const { return transfers_.size(); }
@@ -131,59 +98,22 @@ class SharedBandwidthResource {
 
  private:
   struct Transfer {
-    double remaining;      ///< Exact remaining bytes as of settle_log_[log_pos).
-    std::size_t log_pos;   ///< First settle-log entry not yet applied.
-    double credit;         ///< Set key: vtime at last sync + remaining.
+    std::uint64_t id;
+    double remaining;  ///< Unserved bytes as of last_update_.
     Bytes total_bytes;
     Callback on_complete;
   };
 
-  /// Advances the virtual clock by the per-stream progress since
-  /// last_update_ and appends it to the settle log. O(1): individual
-  /// transfers are never touched.
+  /// The active transfer with `handle`'s id, or transfers_.end().
+  std::vector<Transfer>::iterator find(TransferHandle handle);
+
+  /// Subtracts the per-stream progress since last_update_ from every active
+  /// transfer (clamped at zero).
   void settle();
 
-  /// Replays the transfer's missed settle-log slice (the exact clamped
-  /// subtraction chain) and refreshes its credit key. Returns true if any
-  /// log entries were applied.
-  bool sync(std::map<std::uint64_t, Transfer>::iterator it);
-
-  /// Syncs every transfer whose credit is within `limit`; loops until no
-  /// replay occurs (syncing nudges credits by far less than the slack).
-  void sync_through(double limit);
-
-  /// Exact minimum remaining bytes over the set — syncs the slack band
-  /// around the smallest credit and compares exact values.
-  double exact_min_remaining();
-
-  /// Upper bound on how far a stale credit can drift from the transfer's
-  /// exact remaining, in bytes. Candidates for minimum / drain are selected
-  /// with this much slack, then compared exactly.
-  double slack_bytes() const;
-
-  /// Clears the virtual clock and settle log when the channel goes idle.
-  void reset_idle();
-
-  /// Emits kBandwidthChange reflecting the current transfer set.
-  void emit_change();
-
-  /// Cancels the pending completion event, if any.
-  void cancel_pending();
-
-  /// Derives the earliest completion from the current set and schedules it.
-  void schedule_completion();
-
-  /// Re-derives rates and (re)schedules the next completion event; the
-  /// legacy per-op path, still used by on_completion_event().
+  /// Emits the set change, then (re)schedules the completion event at the
+  /// earliest finisher.
   void reschedule();
-
-  /// Epoch coalescing: start()/abort() mark the epoch dirty and schedule one
-  /// zero-delay flush instead of rescheduling per call, so a burst of N
-  /// same-timestamp set changes pays for one completion derivation, not N.
-  /// Trace events are emitted inline at each change, so the trace stream is
-  /// identical to the per-op path's.
-  void request_flush();
-  void flush_epoch();
 
   /// Fires when the earliest transfer should have drained.
   void on_completion_event();
@@ -193,25 +123,14 @@ class SharedBandwidthResource {
   Simulator& sim_;
   std::string name_;
   BandwidthProfile profile_;
-  SettleMode settle_mode_;
   TraceRecorder* trace_ = nullptr;
   NodeId trace_node_;
 
-  std::map<std::uint64_t, Transfer> transfers_;           // id -> transfer
-  std::set<std::pair<double, std::uint64_t>> by_credit_;  // (credit, id)
-  /// Per-settle per-stream progress since the channel went idle; entry k is
-  /// what the historical model subtracted from every transfer at settle k.
-  std::vector<double> settle_log_;
-  /// Running sum of settle_log_ — per-stream service since idle.
-  double vtime_ = 0.0;
+  /// Active transfers in start (= id) order, the order callbacks fire in.
+  std::vector<Transfer> transfers_;
   std::uint64_t next_id_ = 1;
   SimTime last_update_ = SimTime::zero();
   EventHandle pending_event_ = EventHandle::invalid();
-  /// True between a set mutation and its same-timestamp flush event. Never
-  /// spans timestamps: the flush is zero-delay, so it fires before the clock
-  /// advances.
-  bool epoch_dirty_ = false;
-  EventHandle flush_event_ = EventHandle::invalid();
 
   Bytes bytes_completed_ = 0;
   // Busy-time accounting: accumulated whenever >=1 transfer is active.

@@ -1,10 +1,10 @@
 // Kernel-rewrite regression: pinned trace hashes for every RunMode.
 //
-// The hashes below were captured from the pre-rewrite kernel (PR 1 state:
-// priority_queue + tombstone EventQueue, settle-all-transfers bandwidth
-// model) at seed 42. The indexed-heap EventQueue and the virtual-time
-// processor-sharing bandwidth model must reproduce these traces *exactly* —
-// same event times, same ordering, same rates — or this suite fails. Unlike
+// The hashes below were captured at seed 42 from the original kernel
+// (priority_queue + tombstone EventQueue, settle-all-transfers bandwidth
+// model). The indexed-heap EventQueue and the current settle-all bandwidth
+// loop must reproduce these traces *exactly* — same event times, same
+// ordering, same rates — or this suite fails. Unlike
 // determinism_test (which only proves run-to-run stability of whatever the
 // current build does), these constants anchor behavior across kernel
 // implementations.
@@ -159,37 +159,6 @@ TEST(KernelRegression, ExplicitTwoTierGoogleMatchesPinnedHashes) {
         << ": explicit two-tier TierHierarchy diverged from the legacy "
            "storage layout on the Google trace";
   }
-}
-
-// Batched periodics (PeriodicCohort heartbeats + scrub ticks) must not move
-// any physics: every tick still fires at the same simulated time, so job
-// and read timings are identical. Only same-microsecond event *interleaving*
-// may differ (the cohort consumes different event seqs), which is why the
-// knob is opt-in and this test compares timing metrics rather than the raw
-// trace hash.
-TEST(KernelRegression, BatchedPeriodicsPreservePhysics) {
-  TestbedConfig base = pinned_config(RunMode::kIgnem);
-  base.integrity.enable_scrubber = true;
-  base.integrity.scrub_interval = Duration::seconds(2);
-  TestbedConfig batched = base;
-  batched.batch_periodics = true;
-
-  Testbed plain(base);
-  plain.run_workload(build_swim_workload(plain, pinned_swim()));
-  Testbed cohort(batched);
-  cohort.run_workload(build_swim_workload(cohort, pinned_swim()));
-
-  const RunMetrics& a = plain.metrics();
-  const RunMetrics& b = cohort.metrics();
-  EXPECT_EQ(a.jobs().size(), b.jobs().size());
-  for (std::size_t i = 0; i < a.jobs().size(); ++i) {
-    EXPECT_EQ(a.jobs()[i].end.count_micros(), b.jobs()[i].end.count_micros())
-        << "job " << i << " finished at a different time under "
-           "batch_periodics";
-  }
-  EXPECT_DOUBLE_EQ(a.mean_job_duration_seconds(),
-                   b.mean_job_duration_seconds());
-  EXPECT_DOUBLE_EQ(a.mean_block_read_seconds(), b.mean_block_read_seconds());
 }
 
 // A nonzero checksum verification cost must visibly slow reads (it defers

@@ -213,7 +213,7 @@ TEST(Fingerprint, HashFollowsCanonicalText) {
   // The canonical form names every identity-bearing knob.
   EXPECT_NE(a.canonical().find("seed=42"), std::string::npos);
   EXPECT_NE(a.canonical().find("nodes=8"), std::string::npos);
-  EXPECT_NE(a.canonical().find("queue_backend=ladder"), std::string::npos);
+  EXPECT_NE(a.canonical().find("scrubber=false"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
