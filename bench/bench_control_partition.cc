@@ -1,11 +1,11 @@
 // Control-plane partition bench: the cluster loses its brain mid-run.
 // A 2-rack, 8-server Ignem testbed runs the SWIM workload with the routed
-// control plane and transfer severing armed; 60 s in, the *control node's
-// own rack* is cut off for 30 s. Every node outside it loses heartbeats,
-// container grants, migration commands, and repair orders at once — the
-// beats really drop at the router, nothing is faked — and in-flight
-// transfers crossing the cut abort with partial-progress refunds. Measured
-// against a fault-free routed reference:
+// control plane armed; 60 s in, the *control node's own rack* is cut off
+// for 30 s. Every node outside it loses heartbeats, container grants,
+// migration commands, and repair orders at once — the beats really drop at
+// the router, nothing is faked — and in-flight transfers crossing the cut
+// abort with partial-progress refunds. Measured against a fault-free
+// routed reference:
 //   - makespan overhead of the brain-cut
 //   - RPC plane traffic: retries, timeouts, dropped heartbeats
 //   - false-dead declarations attributed to the severed control link
@@ -33,8 +33,7 @@ TestbedConfig control_testbed() {
   config.detector.suspicion_grace = Duration::seconds(2.0);
   config.replication_rate_limit = mib_per_sec(64);
   config.replication_burst = 128 * kMiB;
-  config.control_plane.routed = true;
-  config.control_plane.sever_transfers = true;
+  config.routed_control_plane = true;
   // The sever gate cross-checks the counter against kTransferSevered trace
   // events, so the recorder must be live.
   config.enable_trace = true;

@@ -24,11 +24,13 @@ ResourceManager::ResourceManager(Simulator& sim, ClusterConfig config)
         sim_, offset, config_.heartbeat_interval,
         [this, id] { send_heartbeat(id); }));
   }
-  if (config_.enable_failure_detection) {
-    liveness_monitor_ = std::make_unique<PeriodicTask>(
-        sim_, config_.liveness_check_interval, config_.liveness_check_interval,
-        [this] { check_liveness(); });
-  }
+}
+
+void ResourceManager::monitor_liveness() {
+  IGNEM_CHECK(liveness_monitor_ == nullptr);
+  liveness_monitor_ = std::make_unique<PeriodicTask>(
+      sim_, kLivenessCheckInterval, kLivenessCheckInterval,
+      [this] { check_liveness(); });
 }
 
 void ResourceManager::register_job(JobId job) {
@@ -113,7 +115,7 @@ void ResourceManager::check_liveness() {
   for (std::size_t i = 0; i < last_beat_.size(); ++i) {
     const NodeId node(static_cast<std::int64_t>(i));
     if (dead_marked_.contains(node)) continue;
-    if (now - last_beat_[i] > config_.liveness_timeout) {
+    if (now - last_beat_[i] > kLivenessTimeout) {
       declare_node_dead(node);
     }
   }

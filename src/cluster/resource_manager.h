@@ -20,6 +20,7 @@
 #include "cluster/node_manager.h"
 #include "common/ids.h"
 #include "common/units.h"
+#include "net/control_plane.h"
 #include "net/rpc.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
@@ -33,13 +34,6 @@ struct ClusterConfig {
   Duration locality_delay = Duration::seconds(3.0);
   /// Container launch overhead: binary shipping + JVM warm-up (§II-C1).
   Duration container_launch = Duration::seconds(1.0);
-  /// Missed-heartbeat failure detection (off by default so fault-free runs
-  /// schedule no extra events and stay bit-identical). When on, a liveness
-  /// monitor declares a node dead after `liveness_timeout` without a beat,
-  /// frees its slots, and fires `on_lost` for every container it ran.
-  bool enable_failure_detection = false;
-  Duration liveness_timeout = Duration::seconds(12.0);  ///< ~4 missed beats.
-  Duration liveness_check_interval = Duration::seconds(1.0);
 };
 
 /// A granted container: the slot's node plus a unique id so a release after
@@ -83,6 +77,14 @@ class ResourceManager : public JobLivenessOracle {
 
   /// Node failure support: a dead node stops heartbeating and loses slots.
   void set_node_alive(NodeId node, bool alive);
+
+  /// Starts missed-heartbeat failure detection: every
+  /// kLivenessCheckInterval a monitor declares dead each node silent for
+  /// kLivenessTimeout, frees its slots, and fires `on_lost` for every
+  /// container it ran. Off until called, so fault-free runs schedule no
+  /// extra events; call right after construction so the monitor's events
+  /// keep their place in the queue.
+  void monitor_liveness();
 
   /// Crash support: stops / restarts the modeled NodeManager heartbeat so
   /// the liveness monitor sees the silence (and the rejoin).
@@ -130,7 +132,7 @@ class ResourceManager : public JobLivenessOracle {
   // One per node, index == NodeId value; null while the node's heartbeat is
   // halted.
   std::vector<std::unique_ptr<PeriodicTask>> heartbeats_;
-  std::unique_ptr<PeriodicTask> liveness_monitor_;  // only when detection on
+  std::unique_ptr<PeriodicTask> liveness_monitor_;  // see monitor_liveness
 
   struct QueuedRequest {
     ContainerRequest request;

@@ -5,9 +5,9 @@
 namespace ignem {
 
 HotDataPromoter::HotDataPromoter(Simulator& sim, DataNode& datanode,
-                                 HotDataConfig config)
-    : sim_(sim), datanode_(datanode), config_(config) {
-  IGNEM_CHECK(config.promote_threshold >= 1);
+                                 int promote_threshold)
+    : sim_(sim), datanode_(datanode), promote_threshold_(promote_threshold) {
+  IGNEM_CHECK(promote_threshold_ >= 1);
   datanode_.set_read_listener(this);
 }
 
@@ -18,13 +18,13 @@ void HotDataPromoter::on_block_read(NodeId node, BlockId block, JobId) {
     return;
   }
   const int count = ++access_counts_[block];
-  if (count < config_.promote_threshold) return;
+  if (count < promote_threshold_) return;
   if (promotion_in_flight_[block]) return;
   promotion_in_flight_[block] = true;
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kHotPromote, datanode_.id(), block,
                  JobId::invalid(), datanode_.block_size(block), count,
-                 static_cast<double>(config_.promote_threshold));
+                 static_cast<double>(promote_threshold_));
   }
   promote(block, datanode_.block_size(block));
 }

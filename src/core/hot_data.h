@@ -21,10 +21,8 @@
 
 namespace ignem {
 
-struct HotDataConfig {
-  /// Reads after which a block counts as hot (frequency threshold).
-  int promote_threshold = 2;
-};
+/// Reads after which a block counts as hot (frequency threshold).
+inline constexpr int kHotPromoteThreshold = 2;
 
 struct HotDataStats {
   std::uint64_t promotions = 0;
@@ -35,7 +33,8 @@ struct HotDataStats {
 /// Per-node promotion engine; plugs into the DataNode's read hook.
 class HotDataPromoter : public BlockReadListener {
  public:
-  HotDataPromoter(Simulator& sim, DataNode& datanode, HotDataConfig config);
+  HotDataPromoter(Simulator& sim, DataNode& datanode,
+                  int promote_threshold = kHotPromoteThreshold);
 
   HotDataPromoter(const HotDataPromoter&) = delete;
   HotDataPromoter& operator=(const HotDataPromoter&) = delete;
@@ -59,7 +58,7 @@ class HotDataPromoter : public BlockReadListener {
 
   Simulator& sim_;
   DataNode& datanode_;
-  HotDataConfig config_;
+  int promote_threshold_;
   TraceRecorder* trace_ = nullptr;
 
   std::unordered_map<BlockId, int> access_counts_;

@@ -25,10 +25,6 @@ struct IgnemConfig {
   /// 256 MB readers; we default to 16 GiB on 128 GB nodes.
   Bytes slave_memory_capacity = 16 * kGiB;
 
-  /// Occupancy fraction at which a slave queries the scheduler for job
-  /// liveness and reaps references of dead jobs (§III-A4).
-  double cleanup_occupancy_threshold = 0.8;
-
   QueueOrder policy = QueueOrder::kSmallestJobFirst;
 
   /// Per-slave ceiling on migration throughput. The mmap+mlock page-in path
@@ -46,18 +42,19 @@ struct IgnemConfig {
   /// and disk bandwidth for task-placement flexibility. Exposed for the
   /// replica-count ablation.
   int replicas_to_migrate = 1;
-
-  /// One-way latency of a master<->slave or client->master RPC. Commands are
-  /// batched per slave, so a request costs O(1) RPCs per slave (§III-A6).
-  Duration rpc_latency = Duration::millis(1);
-
-  /// Fault tolerance: when a migration's source or destination node dies
-  /// mid-transfer the master reroutes it to a surviving replica, delayed by
-  /// capped exponential backoff — attempt n waits min(base * 2^(n-1), cap)
-  /// — and drops the migration for good after `max_migration_retries`.
-  Duration retry_backoff_base = Duration::millis(100);
-  Duration retry_backoff_cap = Duration::seconds(5.0);
-  int max_migration_retries = 4;
 };
+
+/// Occupancy fraction at which a slave queries the scheduler for job
+/// liveness and reaps references of dead jobs (§III-A4).
+inline constexpr double kCleanupOccupancyThreshold = 0.8;
+
+/// Fault tolerance (§III-A5): when a migration's source or destination node
+/// dies mid-transfer the master reroutes it to a surviving replica, delayed
+/// by capped exponential backoff — attempt n waits min(base * 2^(n-1), cap)
+/// — and drops the migration for good after kMaxMigrationRetries. Master
+/// and slave RPCs cost kRpcLatency per hop (net/control_plane.h).
+inline constexpr Duration kRetryBackoffBase = Duration::millis(100);
+inline constexpr Duration kRetryBackoffCap = Duration::seconds(5.0);
+inline constexpr int kMaxMigrationRetries = 4;
 
 }  // namespace ignem

@@ -21,7 +21,7 @@ void IgnemMaster::register_slave(IgnemSlave* slave) {
 void IgnemMaster::request(const MigrationRequest& request) {
   if (failed_) return;  // clients retry against the restarted master
   // Client -> master RPC.
-  sim_.schedule(config_.rpc_latency,
+  sim_.schedule(kRpcLatency,
                 [this, request] {
                   if (!failed_) process(request);
                 },
@@ -116,7 +116,7 @@ void IgnemMaster::send_evict_batch(NodeId node, JobId job,
         job, blocks);
   };
   if (router_ == nullptr) {
-    sim_.schedule(config_.rpc_latency, std::move(deliver), EventClass::kRpc);
+    sim_.schedule(kRpcLatency, std::move(deliver), EventClass::kRpc);
     return;
   }
   router_->call(
@@ -130,7 +130,7 @@ void IgnemMaster::send_evict_batch(NodeId node, JobId job,
         const DataNode* dn = namenode_.datanode(node);
         if (dn == nullptr || !dn->alive()) return;
         ++stats_.rpc_evict_retries;
-        sim_.schedule(config_.retry_backoff_cap,
+        sim_.schedule(kRetryBackoffCap,
                       [this, node, job, blocks = std::move(blocks)]() mutable {
                         if (failed_) return;
                         send_evict_batch(node, job, std::move(blocks));
@@ -158,7 +158,7 @@ bool IgnemMaster::reroute_away(
   const auto [job, block] = key;
   const int attempt = ++retries_[key];
   NodeId replacement = NodeId::invalid();
-  if (attempt <= config_.max_migration_retries) {
+  if (attempt <= kMaxMigrationRetries) {
     // A surviving replica not already chosen, whose process and disk are
     // actually up (the namespace may still list undetected crashes).
     // live_locations also excludes corrupt-marked replicas.
@@ -178,9 +178,9 @@ bool IgnemMaster::reroute_away(
     return targets.empty();
   }
   const Duration backoff =
-      std::min(config_.retry_backoff_base *
+      std::min(kRetryBackoffBase *
                    static_cast<double>(std::int64_t{1} << (attempt - 1)),
-               config_.retry_backoff_cap);
+               kRetryBackoffCap);
   PendingMigration command;
   command.block = block;
   command.bytes = namenode_.block(block).size;
@@ -208,7 +208,7 @@ void IgnemMaster::send_migrate_batches(
           ->handle_migrate_batch(batch);
     };
     if (router_ == nullptr) {
-      sim_.schedule(config_.rpc_latency, std::move(deliver), EventClass::kRpc);
+      sim_.schedule(kRpcLatency, std::move(deliver), EventClass::kRpc);
       continue;
     }
     // Routed: a cut that outlives the deadline+retry budget drops the
@@ -282,7 +282,7 @@ void IgnemMaster::on_node_rejoin(NodeId node) {
         }
   };
   if (router_ == nullptr) {
-    sim_.schedule(config_.rpc_latency, std::move(exchange), EventClass::kRpc);
+    sim_.schedule(kRpcLatency, std::move(exchange), EventClass::kRpc);
     return;
   }
   // Routed: the block report travels slave -> control node. A drop is

@@ -66,7 +66,7 @@ class IgnemMaster : public MigrationService {
 
   /// Failure-detection hook: `node` was declared dead. Every migration whose
   /// chosen slave sat there is rerouted to a surviving replica, delayed by
-  /// capped exponential backoff; after `max_migration_retries` reroutes the
+  /// capped exponential backoff; after `kMaxMigrationRetries` reroutes the
   /// migration is dropped for good (the job falls back to disk reads).
   void on_node_failure(NodeId node);
 

@@ -99,7 +99,7 @@ void IgnemSlave::maybe_start() {
               ? 1.0
               : static_cast<double>(cache.used()) /
                     static_cast<double>(cache.capacity());
-      if (occupancy >= config_.cleanup_occupancy_threshold) {
+      if (occupancy >= kCleanupOccupancyThreshold) {
         cleanup_dead_jobs();
       }
       if (cache.available() < state.bytes) {

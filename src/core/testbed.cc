@@ -23,12 +23,6 @@ Testbed::Testbed(TestbedConfig config)
     : config_(config), rng_(config.seed) {
   const std::size_t n = config_.cluster.node_count;
   IGNEM_CHECK(n > 0);
-  // The RM reads this at construction, so force it before building the RM.
-  if (config_.fault_tolerance) {
-    config_.cluster.enable_failure_detection = true;
-    config_.cluster.liveness_timeout = config_.detector.liveness_timeout;
-    config_.cluster.liveness_check_interval = config_.detector.check_interval;
-  }
 
   if (config_.enable_trace || config_.check_invariants) {
     trace_ = std::make_unique<TraceRecorder>();
@@ -44,8 +38,6 @@ Testbed::Testbed(TestbedConfig config)
                                          config_.block_size,
                                          config_.rack_count);
   namenode_->set_trace(trace_.get());
-  const DeviceProfile primary =
-      config_.primary_profile.value_or(profile_for(config_.storage_media));
   // An explicit two-tier stack under UpwardOnHeat is bit-identical to the
   // legacy layout, so tier events only join the stream when the hierarchy
   // or the policy actually diverges from it.
@@ -57,16 +49,11 @@ Testbed::Testbed(TestbedConfig config)
     tier_policy_ = make_tier_policy(config_.tiering.policy,
                                     config_.tiering.cold_after);
   }
+  const std::vector<TierSpec> tiers = tier_specs();
   for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id(static_cast<std::int64_t>(i));
-    if (tiered) {
-      datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, id, config_.tiering.tiers, rng_.fork(100 + i)));
-    } else {
-      datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, id, primary, config_.cache_capacity_per_node,
-          rng_.fork(100 + i)));
-    }
+    datanodes_.push_back(std::make_unique<DataNode>(
+        sim_, NodeId(static_cast<std::int64_t>(i)), tiers,
+        rng_.fork(100 + i)));
     if (tier_policy_ != nullptr) {
       datanodes_.back()->set_migration_policy(tier_policy_.get());
     }
@@ -92,24 +79,13 @@ Testbed::Testbed(TestbedConfig config)
   config_.network.rack_count = config_.rack_count;
   network_ = std::make_unique<Network>(sim_, n, config_.network);
   network_->set_trace(trace_.get());
-  if (config_.control_plane.sever_transfers) {
-    network_->set_sever_transfers(true);
-    if (config_.enable_metrics) network_->set_metrics_registry(&registry_);
-  }
-  if (config_.control_plane.routed) {
-    RpcConfig rpc;
-    rpc.control_node = config_.control_plane.control_node;
-    rpc.latency = config_.ignem.rpc_latency;
-    rpc.deadline = config_.control_plane.rpc_deadline;
-    rpc.max_retries = config_.control_plane.rpc_max_retries;
-    rpc.backoff_base = config_.control_plane.rpc_backoff_base;
-    rpc.backoff_cap = config_.control_plane.rpc_backoff_cap;
-    IGNEM_CHECK(static_cast<std::size_t>(rpc.control_node.value()) < n);
-    rpc_router_ = std::make_unique<RpcRouter>(sim_, *network_, rpc);
+  if (config_.routed_control_plane) {
+    rpc_router_ = std::make_unique<RpcRouter>(sim_, *network_, RpcConfig{});
     rpc_router_->set_trace(trace_.get());
   }
   hb_suppress_depth_.assign(n, 0);
   rm_ = std::make_unique<ResourceManager>(sim_, config_.cluster);
+  if (config_.fault_tolerance) rm_->monitor_liveness();
   rm_->set_trace(trace_.get());
   rm_->set_rpc_router(rpc_router_.get());
   dfs_ = std::make_unique<DfsClient>(sim_, *namenode_, *network_, &metrics_);
@@ -149,8 +125,8 @@ Testbed::Testbed(TestbedConfig config)
     }
     case RunMode::kHotDataPromotion: {
       for (std::size_t i = 0; i < n; ++i) {
-        promoters_.push_back(std::make_unique<HotDataPromoter>(
-            sim_, *datanodes_[i], config_.hot_data));
+        promoters_.push_back(
+            std::make_unique<HotDataPromoter>(sim_, *datanodes_[i]));
         promoters_.back()->set_trace(trace_.get());
       }
       break;
@@ -220,15 +196,14 @@ Testbed::Testbed(TestbedConfig config)
         sim_, config_.memory_sample_period, [this] { sample_memory(); });
   }
 
-  if (config_.enable_metrics) {
-    // All recording below is passive: no events scheduled, no RNG consumed,
-    // so traces are bit-identical with metrics on or off (metrics_test pins
-    // this). Time series piggyback on the existing memory sampler rather
-    // than adding a periodic event of their own.
-    sim_.enable_profiling();
-    dfs_->set_metrics_registry(&registry_);
-    if (detector_ != nullptr) detector_->set_metrics_registry(&registry_);
-  }
+  // All recording below is passive: no events scheduled, no RNG consumed,
+  // so the pinned trace hashes (recorded before metrics existed) hold. Time
+  // series piggyback on the existing memory sampler rather than adding a
+  // periodic event of their own.
+  sim_.enable_profiling();
+  dfs_->set_metrics_registry(&registry_);
+  network_->set_metrics_registry(&registry_);
+  if (detector_ != nullptr) detector_->set_metrics_registry(&registry_);
 }
 
 Testbed::~Testbed() = default;
@@ -367,7 +342,6 @@ void Testbed::sample_memory() {
   }
   for (const auto& slave : slaves_) total_queue_depth += slave->queue_depth();
 
-  if (!config_.enable_metrics) return;
   const Duration w = config_.memory_sample_period;
   const SimTime now = sim_.now();
   registry_.series("ignem.locked_bytes", w)
@@ -773,18 +747,7 @@ RunReport Testbed::build_run_report(const std::string& name) {
   report.fingerprint = fingerprint();
   report.registry = &registry_;
 
-  if (sim_.profiling_enabled()) {
-    report.has_kernel = true;
-    report.kernel = sim_.profile();
-    const KernelAllocCounters now = kernel_alloc_counters();
-    const KernelAllocCounters& base = report.kernel.alloc_at_enable;
-    report.alloc_deltas.heap_allocs = now.heap_allocs - base.heap_allocs;
-    report.alloc_deltas.heap_frees = now.heap_frees - base.heap_frees;
-    report.alloc_deltas.pool_hits = now.pool_hits - base.pool_hits;
-    report.alloc_deltas.chunk_carves = now.chunk_carves - base.chunk_carves;
-    report.alloc_deltas.container_growths =
-        now.container_growths - base.container_growths;
-  }
+  report.kernel = sim_.profile();
 
   // Mirror every component's cumulative stats into named counters so the
   // registry (and therefore the JSON) is the one place they all appear.
@@ -809,13 +772,14 @@ RunReport Testbed::build_run_report(const std::string& name) {
   registry_.counter("replication.bytes_repaired")
       .set(static_cast<std::uint64_t>(r.bytes_repaired));
 
+  registry_.counter("net.transfers_severed")
+      .set(network_->transfers_severed());
   if (detector_ != nullptr) {
     registry_.counter("detector.false_dead_total")
         .set(detector_->false_dead_total());
   }
 
-  // Control-plane instruments exist only when the knobs are on, so the
-  // default configuration's report bytes are unchanged.
+  // Control-plane instruments exist only in routed mode.
   if (rpc_router_ != nullptr) {
     const RpcStats& rpc = rpc_router_->stats();
     registry_.counter("rpc.calls_total").set(rpc.calls);
@@ -829,10 +793,6 @@ RunReport Testbed::build_run_report(const std::string& name) {
       registry_.counter("detector.false_dead_control_cut")
           .set(detector_->false_dead_control_total());
     }
-  }
-  if (config_.control_plane.sever_transfers) {
-    registry_.counter("net.transfers_severed")
-        .set(network_->transfers_severed());
   }
 
   const IntegrityStats& integ = integrity_->stats();

@@ -75,31 +75,6 @@ struct TieringConfig {
   Duration age_check_period = Duration::seconds(5.0);
 };
 
-/// Control-plane fault domain (see docs/FAULTS.md "Control-plane
-/// partitions"). Default-off: the masters stay outside the fabric and every
-/// control exchange is a direct call, the historical bit-identical model.
-struct ControlPlaneConfig {
-  /// Routes every master<->slave control RPC (heartbeats, container grants,
-  /// migration/evict commands, repair orders, rejoin block reports) through
-  /// the RpcRouter: one latency per attempt, delivered only when the
-  /// reachability matrix permits, deadline + capped-backoff retries with
-  /// typed outcomes. A partition can then isolate the control node itself.
-  bool routed = false;
-  /// Rack-resident home of the NameNode/RM/IgnemMaster when routed; cutting
-  /// this node's rack cuts the cluster off from its brain.
-  NodeId control_node = NodeId(0);
-  /// Reliable-call retry envelope (per-attempt latency reuses
-  /// IgnemConfig::rpc_latency so routed and direct calls price one hop the
-  /// same way).
-  Duration rpc_deadline = Duration::seconds(2.0);
-  int rpc_max_retries = 4;
-  Duration rpc_backoff_base = Duration::millis(100);
-  Duration rpc_backoff_cap = Duration::seconds(2.0);
-  /// Partition cuts abort in-flight transfers crossing them, with partial
-  /// progress refunded (see Network::sever_partitioned_transfers).
-  bool sever_transfers = false;
-};
-
 struct TestbedConfig {
   RunMode mode = RunMode::kHdfs;
   ClusterConfig cluster;
@@ -116,7 +91,6 @@ struct TestbedConfig {
   Bytes block_size = kDefaultBlockSize;
   /// Racks for HDFS-style placement; 1 = flat (the paper's 8-node testbed).
   int rack_count = 1;
-  HotDataConfig hot_data;  ///< Used in kHotDataPromotion mode.
   std::uint64_t seed = 42;
   /// Period of the per-node migration-memory sampler (Fig. 7); zero disables.
   Duration memory_sample_period = Duration::seconds(1.0);
@@ -131,7 +105,7 @@ struct TestbedConfig {
   /// because the detection heartbeats change the dispatched-event count and
   /// would break bit-identical fault-free traces.
   bool fault_tolerance = false;
-  /// Detection timings, used when fault_tolerance is set.
+  /// Detector suspicion grace, used when fault_tolerance is set.
   FailureDetectorConfig detector;
   /// Data-integrity plane (checksummed reads, scrubbing, corrupt-replica
   /// repair). Read-path verification is always wired but only acts on
@@ -148,13 +122,15 @@ struct TestbedConfig {
   Bytes replication_burst = 256 * kMiB;
   /// N-tier storage hierarchy + migration policy (see TieringConfig).
   TieringConfig tiering;
-  /// Routed control plane + partition-severed transfers (default off).
-  ControlPlaneConfig control_plane;
-  /// Wires the MetricsRegistry through every component and turns on kernel
-  /// self-profiling. Recording is purely passive (no events, no RNG, no
-  /// wall clock), so traces are bit-identical either way — metrics_test
-  /// pins that. On by default; the per-record cost is a few field updates.
-  bool enable_metrics = true;
+  /// Control-plane fault domain (see docs/FAULTS.md "Control-plane
+  /// partitions"): places the NameNode/RM/IgnemMaster on node 0's rack and
+  /// routes every master<->slave control RPC (heartbeats, container grants,
+  /// migration/evict commands, repair orders, rejoin block reports) through
+  /// the RpcRouter — one latency per attempt, delivered only when the
+  /// reachability matrix permits, deadline + capped-backoff retries with
+  /// typed outcomes. A partition can then isolate the masters themselves.
+  /// Off by default: every control exchange is a direct call.
+  bool routed_control_plane = false;
 };
 
 /// A job plus its arrival offset from workload start.
@@ -238,8 +214,7 @@ class Testbed : public FaultTarget {
 
   Simulator& sim() { return sim_; }
   RunMetrics& metrics() { return metrics_; }
-  /// The run's instrument registry (always present; components only record
-  /// into it when config.enable_metrics wired them up).
+  /// The run's instrument registry, wired through every component.
   MetricsRegistry& metrics_registry() { return registry_; }
   const MetricsRegistry& metrics_registry() const { return registry_; }
   NameNode& namenode() { return *namenode_; }
@@ -253,7 +228,7 @@ class Testbed : public FaultTarget {
   ReplicationManager& replication_manager() { return *replication_manager_; }
   /// Null unless config.fault_tolerance was set.
   FailureDetector* failure_detector() { return detector_.get(); }
-  /// Null unless config.control_plane.routed was set.
+  /// Null unless config.routed_control_plane was set.
   RpcRouter* rpc_router() { return rpc_router_.get(); }
   IntegrityManager& integrity_manager() { return *integrity_; }
   /// Null unless config.integrity.enable_scrubber was set.
@@ -329,7 +304,7 @@ class Testbed : public FaultTarget {
   std::vector<std::unique_ptr<DataNode>> datanodes_;
   std::unique_ptr<NameNode> namenode_;
   std::unique_ptr<Network> network_;
-  /// Routed control-plane RPCs (null when control_plane.routed is off —
+  /// Routed control-plane RPCs (null when routed_control_plane is off —
   /// components then keep their historical direct-call paths).
   std::unique_ptr<RpcRouter> rpc_router_;
   std::unique_ptr<ResourceManager> rm_;

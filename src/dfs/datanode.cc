@@ -5,13 +5,9 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/fnv.h"
 
 namespace ignem {
-
-DataNode::DataNode(Simulator& sim, NodeId id, DeviceProfile primary_profile,
-                   Bytes cache_capacity, Rng rng)
-    : DataNode(sim, id, two_tier_specs(primary_profile, cache_capacity),
-               rng) {}
 
 DataNode::DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers,
                    Rng rng)
@@ -40,16 +36,9 @@ void DataNode::add_block(BlockId block, Bytes size) {
 std::uint64_t DataNode::expected_checksum(BlockId block, Bytes size) {
   // FNV-1a over the block identity and size — a stand-in for a content
   // digest that every clean replica agrees on.
-  std::uint64_t hash = 14695981039346656037ULL;
-  const auto mix = [&hash](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (i * 8)) & 0xff;
-      hash *= 1099511628211ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(block.value()));
-  mix(static_cast<std::uint64_t>(size));
-  return hash;
+  const std::uint64_t h =
+      fnv1a_word(kFnvOffset, static_cast<std::uint64_t>(block.value()));
+  return fnv1a_word(h, static_cast<std::uint64_t>(size));
 }
 
 std::uint64_t DataNode::stored_checksum(BlockId block) const {

@@ -62,12 +62,8 @@ class DataNode {
   using CorruptionReporter =
       std::function<void(NodeId, BlockId, bool, CorruptionSource)>;
 
-  /// Legacy two-tier layout: a RAM locked pool of `cache_capacity` over the
-  /// primary device. Bit-identical to the pre-TierHierarchy DataNode.
-  DataNode(Simulator& sim, NodeId id, DeviceProfile primary_profile,
-           Bytes cache_capacity, Rng rng);
-
-  /// General N-tier layout; `tiers` ordered fastest to home (last).
+  /// `tiers` ordered fastest to home (last); two_tier_specs() gives the
+  /// paper's layout, a RAM locked pool over the primary device.
   DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers, Rng rng);
 
   DataNode(const DataNode&) = delete;

@@ -35,12 +35,13 @@ void NameNode::record_heartbeat(NodeId id, SimTime now) {
   last_heartbeat_[static_cast<std::size_t>(id.value())] = now;
 }
 
-std::vector<NodeId> NameNode::expired_nodes(SimTime now) const {
+std::vector<NodeId> NameNode::expired_nodes(SimTime now,
+                                            Duration timeout) const {
   std::vector<NodeId> out;
   for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
     const NodeId id(static_cast<std::int64_t>(i));
     if (dead_nodes_.contains(id)) continue;
-    if (now - last_heartbeat_[i] > liveness_timeout_) out.push_back(id);
+    if (now - last_heartbeat_[i] > timeout) out.push_back(id);
   }
   return out;
 }

@@ -85,8 +85,6 @@ class NameNode {
   /// FailureDetector feeds DataNode heartbeats in and periodically asks
   /// which nodes have gone silent. The NameNode itself stays sim-passive —
   /// it only bookkeeps; the detector drives detection and recovery.
-  void set_liveness_timeout(Duration timeout) { liveness_timeout_ = timeout; }
-  Duration liveness_timeout() const { return liveness_timeout_; }
   void record_heartbeat(NodeId id, SimTime now);
 
   /// Time of the node's most recent heartbeat (zero before the first one).
@@ -95,10 +93,10 @@ class NameNode {
     return last_heartbeat_.at(static_cast<std::size_t>(id.value()));
   }
 
-  /// Nodes not yet marked dead whose last heartbeat is older than the
-  /// liveness timeout at `now`. A node that has never beaten counts from
-  /// its registration time.
-  std::vector<NodeId> expired_nodes(SimTime now) const;
+  /// Nodes not yet marked dead whose last heartbeat is older than
+  /// `timeout` at `now`. A node that has never beaten counts from its
+  /// registration time.
+  std::vector<NodeId> expired_nodes(SimTime now, Duration timeout) const;
 
   Bytes block_size() const { return block_size_; }
   std::size_t file_count() const { return files_.size(); }
@@ -136,7 +134,6 @@ class NameNode {
 
   std::vector<DataNode*> nodes_;                  // index == NodeId value
   std::vector<SimTime> last_heartbeat_;           // index == NodeId value
-  Duration liveness_timeout_ = Duration::seconds(12);
   std::unordered_set<NodeId> dead_nodes_;
   std::unordered_map<FileId, FileInfo> files_;
   std::unordered_map<std::string, FileId> paths_;

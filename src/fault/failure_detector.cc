@@ -7,7 +7,6 @@ namespace ignem {
 FailureDetector::FailureDetector(Simulator& sim, NameNode& namenode,
                                  FailureDetectorConfig config)
     : sim_(sim), namenode_(namenode), config_(config) {
-  namenode_.set_liveness_timeout(config_.liveness_timeout);
   const std::size_t n = namenode_.node_count();
   IGNEM_CHECK(n > 0);
   suspected_.resize(n, false);
@@ -16,15 +15,15 @@ FailureDetector::FailureDetector(Simulator& sim, NameNode& namenode,
     const NodeId id(static_cast<std::int64_t>(i));
     // Stagger first beats across one interval, like the RM's NodeManager
     // heartbeats, so beats never synchronize cluster-wide.
-    const Duration offset = config_.heartbeat_interval *
+    const Duration offset = kDataNodeHeartbeatInterval *
                             (static_cast<double>(i + 1) /
                              static_cast<double>(n));
     heartbeats_.push_back(std::make_unique<PeriodicTask>(
-        sim_, offset, config_.heartbeat_interval,
+        sim_, offset, kDataNodeHeartbeatInterval,
         [this, id] { send_beat(id); }));
   }
   monitor_ = std::make_unique<PeriodicTask>(
-      sim_, config_.check_interval, config_.check_interval,
+      sim_, kLivenessCheckInterval, kLivenessCheckInterval,
       [this] { check(); });
 }
 
@@ -56,11 +55,11 @@ void FailureDetector::beat(NodeId node) {
 
 void FailureDetector::check() {
   const SimTime now = sim_.now();
-  for (const NodeId node : namenode_.expired_nodes(now)) {
+  for (const NodeId node : namenode_.expired_nodes(now, kLivenessTimeout)) {
     const Duration silence = now - namenode_.last_heartbeat(node);
     const auto i = static_cast<std::size_t>(node.value());
     if (config_.suspicion_grace > Duration::zero() &&
-        silence <= config_.liveness_timeout + config_.suspicion_grace) {
+        silence <= kLivenessTimeout + config_.suspicion_grace) {
       // Inside the grace window: flag the node suspect (once per silence
       // episode) instead of triggering the full recovery machinery. A
       // partition that heals in time never costs a re-replication storm.
@@ -83,7 +82,6 @@ void FailureDetector::check() {
       // fault. Count the false declaration; recovery proceeds regardless
       // (the detector cannot distinguish, that is the point).
       ++false_dead_total_;
-      if (false_dead_counter_ != nullptr) false_dead_counter_->add(1);
       // In routed mode the cause is observable: a node declared dead while
       // its *control* link is cut was killed by the partition, not by any
       // node fault. detail = 1 marks these in the trace.
@@ -91,9 +89,6 @@ void FailureDetector::check() {
       if (router_ != nullptr &&
           !router_->can_reach(node, router_->control_node())) {
         ++false_dead_control_total_;
-        if (false_dead_control_counter_ != nullptr) {
-          false_dead_control_counter_->add(1);
-        }
         cause = 1;
       }
       if (trace_ != nullptr) {
@@ -130,7 +125,7 @@ void FailureDetector::resume_heartbeat(NodeId node) {
   if (heartbeat_running(node)) return;  // already beating
   heartbeats_[static_cast<std::size_t>(node.value())] =
       std::make_unique<PeriodicTask>(
-          sim_, config_.heartbeat_interval, config_.heartbeat_interval,
+          sim_, kDataNodeHeartbeatInterval, kDataNodeHeartbeatInterval,
           [this, node] { send_beat(node); });
 }
 

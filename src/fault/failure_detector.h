@@ -21,6 +21,7 @@
 #include "common/units.h"
 #include "dfs/namenode.h"
 #include "metrics/registry.h"
+#include "net/control_plane.h"
 #include "net/rpc.h"
 #include "obs/trace_recorder.h"
 #include "sim/periodic.h"
@@ -28,15 +29,13 @@
 
 namespace ignem {
 
+/// Beats every kDataNodeHeartbeatInterval, scanned every
+/// kLivenessCheckInterval, dead after kLivenessTimeout of silence
+/// (net/control_plane.h).
 struct FailureDetectorConfig {
-  Duration heartbeat_interval = Duration::seconds(3.0);  ///< HDFS default.
-  /// Declared dead after this much silence (HDFS uses ~10 min; simulations
-  /// compress it to keep experiments short).
-  Duration liveness_timeout = Duration::seconds(12.0);
-  Duration check_interval = Duration::seconds(1.0);
-  /// Suspicion grace window: a node silent past liveness_timeout is first
+  /// Suspicion grace window: a node silent past kLivenessTimeout is first
   /// marked *suspect* (kNodeSuspect, once per silence episode) and only
-  /// declared dead once the silence exceeds liveness_timeout + grace. A
+  /// declared dead once the silence exceeds kLivenessTimeout + grace. A
   /// beat inside the window clears the suspicion with no recovery storm.
   /// Zero (the default) keeps the legacy declare-on-first-expiry behaviour
   /// and its traces bit-identical.
@@ -71,28 +70,18 @@ class FailureDetector {
   /// Routes DataNode heartbeats through the control node as datagrams: a
   /// cut control link drops beats, so silence arises from the topology
   /// itself instead of Testbed-side suppression, and a heal resumes beats
-  /// (clearing suspicion) with no extra machinery. Must be wired before
-  /// set_metrics_registry. Null — the default — keeps direct beats.
+  /// (clearing suspicion) with no extra machinery. Null — the default —
+  /// keeps direct beats.
   void set_rpc_router(RpcRouter* router) { router_ = router; }
 
   /// Wires the detection-latency histogram ("fault.detection_latency_us":
   /// silence duration — now minus the dead node's last heartbeat — at the
-  /// moment of declaration) and the "detector.false_dead_total" counter.
-  /// Null disables; recording is passive.
+  /// moment of declaration). Null disables; recording is passive.
   void set_metrics_registry(MetricsRegistry* registry) {
     detection_latency_ =
         registry == nullptr
             ? nullptr
             : &registry->histogram("fault.detection_latency_us");
-    false_dead_counter_ =
-        registry == nullptr ? nullptr
-                            : &registry->counter("detector.false_dead_total");
-    // Only materialized in routed mode: creating the instrument otherwise
-    // would change metric-enabled run reports that predate the router.
-    false_dead_control_counter_ =
-        registry == nullptr || router_ == nullptr
-            ? nullptr
-            : &registry->counter("detector.false_dead_control_cut");
   }
 
   /// Declarations of death whose target process was in fact alive — the
@@ -127,8 +116,6 @@ class FailureDetector {
   std::function<void(NodeId)> on_node_dead_;
   std::function<void(NodeId)> on_node_rejoined_;
   HistogramMetric* detection_latency_ = nullptr;
-  Counter* false_dead_counter_ = nullptr;
-  Counter* false_dead_control_counter_ = nullptr;
   std::uint64_t false_dead_total_ = 0;
   std::uint64_t false_dead_control_total_ = 0;
   std::vector<bool> suspected_;  // index == node; only set under grace > 0

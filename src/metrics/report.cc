@@ -6,21 +6,11 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/fnv.h"
+
 namespace ignem {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = kFnvOffset;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::string hex64(std::uint64_t v) {
   char buf[19];
@@ -96,7 +86,9 @@ std::string ConfigFingerprint::canonical() const {
   return os.str();
 }
 
-std::uint64_t ConfigFingerprint::hash() const { return fnv1a(canonical()); }
+std::uint64_t ConfigFingerprint::hash() const {
+  return fnv1a(canonical(), kFnvTraceOffset);
+}
 
 void ConfigFingerprint::write_json(std::ostream& os, int indent) const {
   os << "{\n";
@@ -126,23 +118,22 @@ void RunReport::write_json(std::ostream& os) const {
   fingerprint.write_json(os, 2);
   os << ",\n";
 
-  if (has_kernel) {
-    os << "  \"kernel\": {\n";
-    os << "    \"events_dispatched\": " << kernel.events_dispatched << ",\n";
-    os << "    \"max_pending\": " << kernel.max_pending << ",\n";
-    os << "    \"mean_pending\": " << format_json_double(kernel.mean_pending())
-       << ",\n";
-    for (std::size_t i = 0; i < kEventClassCount; ++i) {
-      os << "    \"class." << event_class_name(static_cast<EventClass>(i))
-         << "\": " << kernel.class_counts[i] << ",\n";
-    }
-    os << "    \"alloc.heap_allocs\": " << alloc_deltas.heap_allocs << ",\n";
-    os << "    \"alloc.heap_frees\": " << alloc_deltas.heap_frees << ",\n";
-    os << "    \"alloc.pool_hits\": " << alloc_deltas.pool_hits << ",\n";
-    os << "    \"alloc.chunk_carves\": " << alloc_deltas.chunk_carves << ",\n";
-    os << "    \"alloc.container_growths\": " << alloc_deltas.container_growths
-       << "\n  },\n";
+  os << "  \"kernel\": {\n";
+  os << "    \"events_dispatched\": " << kernel.events_dispatched << ",\n";
+  os << "    \"max_pending\": " << kernel.max_pending << ",\n";
+  os << "    \"mean_pending\": " << format_json_double(kernel.mean_pending())
+     << ",\n";
+  for (std::size_t i = 0; i < kEventClassCount; ++i) {
+    os << "    \"class." << event_class_name(static_cast<EventClass>(i))
+       << "\": " << kernel.class_counts[i] << ",\n";
   }
+  const KernelAllocCounters& alloc = kernel.alloc;
+  os << "    \"alloc.heap_allocs\": " << alloc.heap_allocs << ",\n";
+  os << "    \"alloc.heap_frees\": " << alloc.heap_frees << ",\n";
+  os << "    \"alloc.pool_hits\": " << alloc.pool_hits << ",\n";
+  os << "    \"alloc.chunk_carves\": " << alloc.chunk_carves << ",\n";
+  os << "    \"alloc.container_growths\": " << alloc.container_growths
+     << "\n  },\n";
 
   if (registry != nullptr) {
     os << "  \"counters\": {";

@@ -48,18 +48,15 @@ struct ConfigFingerprint {
   void write_json(std::ostream& os, int indent) const;
 };
 
-/// The end-of-run structured report. Build one (Testbed::build_run_report or
-/// by hand in a bench), then write_json() it to REPORT_<name>.json.
+/// The end-of-run structured report. Build one with
+/// Testbed::build_run_report, then write_json() it to REPORT_<name>.json.
 struct RunReport {
   std::string name;
   std::string mode;  ///< run_mode_name(); empty for non-testbed runs.
   ConfigFingerprint fingerprint;
 
-  /// Kernel self-profile (present when the simulator ran with profiling).
-  bool has_kernel = false;
+  /// Kernel self-profile.
   KernelProfile kernel;
-  /// Allocator-counter deltas over the profiled window.
-  KernelAllocCounters alloc_deltas{};
 
   /// Headline numbers (job durations, hit fractions) in insertion order.
   std::vector<std::pair<std::string, double>> summary;

@@ -52,9 +52,25 @@ void Network::set_metrics_registry(MetricsRegistry* registry) {
       registry == nullptr ? nullptr : &registry->histogram("net.severed_bytes");
 }
 
-void Network::transfer(NodeId src, NodeId dst, Bytes bytes,
-                       Callback on_complete) {
-  transfer(src, dst, bytes, std::move(on_complete), nullptr);
+std::uint32_t Network::track(NodeId src, NodeId dst) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(flights_.size());
+    flights_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  InFlight& f = flights_[slot];
+  f.seq = next_seq_++;
+  f.src = src;
+  f.dst = dst;
+  return slot;
+}
+
+void Network::release(std::uint32_t slot) {
+  flights_[slot] = InFlight{};
+  free_slots_.push_back(slot);
 }
 
 void Network::transfer(NodeId src, NodeId dst, Bytes bytes,
@@ -70,177 +86,124 @@ void Network::transfer(NodeId src, NodeId dst, Bytes bytes,
   // Cross-rack traffic also traverses the source rack's oversubscribed
   // uplink when the profile models one: NIC first (per-node egress), then
   // the shared uplink channel in series. Intra-rack (or uplink-less)
-  // fabrics keep the historical single-resource path.
+  // fabrics use the source NIC alone.
   const bool via_uplink =
       has_rack_uplinks() && !topology_.same_rack(src, dst);
-  if (sever_ && on_severed != nullptr) {
-    start_severable(src, dst, bytes, via_uplink, std::move(on_complete),
-                    std::move(on_severed));
+  const std::uint32_t slot = track(src, dst);
+  InFlight& f = flights_[slot];
+  f.bytes = bytes;
+  f.on_complete = std::move(on_complete);
+  f.on_severed = std::move(on_severed);
+  sim_.schedule(profile_.rtt,
+                [this, slot, via_uplink] { start_stream(slot, via_uplink); },
+                EventClass::kTransfer);
+}
+
+void Network::start_stream(std::uint32_t slot, bool via_uplink) {
+  InFlight& f = flights_[slot];
+  if (!reachable(f.src, f.dst)) {
+    // The cut landed during the propagation delay: nothing moved.
+    record_severed(f.dst, f.src.value(), f.bytes, 0);
+    Callback severed = std::move(f.on_severed);
+    release(slot);
+    if (severed != nullptr) severed();
     return;
   }
-  sim_.schedule(profile_.rtt,
-                [this, src, bytes, via_uplink,
-                 cb = std::move(on_complete)]() mutable {
-                  if (!via_uplink) {
-                    nic(src).start(bytes, std::move(cb));
-                    return;
-                  }
-                  const int rack = topology_.rack_of(src);
-                  nic(src).start(bytes,
-                                 [this, rack, bytes, cb = std::move(cb)]() mutable {
-                                   rack_uplink(rack).start(bytes, std::move(cb));
-                                 });
-                },
-                EventClass::kTransfer);
+  f.resource = &nic(f.src);
+  f.final_stage = !via_uplink;
+  if (!via_uplink) {
+    f.handle = f.resource->start(f.bytes, [this, slot] { finish(slot); });
+    return;
+  }
+  f.handle = f.resource->start(f.bytes, [this, slot] {
+    // NIC leg drained; hop onto the shared uplink. The flight is still
+    // tracked (a sever would have aborted this callback).
+    InFlight& fl = flights_[slot];
+    fl.resource = &rack_uplink(topology_.rack_of(fl.src));
+    fl.final_stage = true;
+    fl.handle = fl.resource->start(fl.bytes, [this, slot] { finish(slot); });
+  });
 }
 
-void Network::start_severable(NodeId src, NodeId dst, Bytes bytes,
-                              bool via_uplink, Callback on_complete,
-                              Callback on_severed) {
-  sim_.schedule(
-      profile_.rtt,
-      [this, src, dst, bytes, via_uplink, cb = std::move(on_complete),
-       sev = std::move(on_severed)]() mutable {
-        if (!reachable(src, dst)) {
-          // The cut landed during the propagation delay: nothing moved.
-          record_severed(dst, src.value(), bytes, 0);
-          sev();
-          return;
-        }
-        const std::uint64_t id = next_flight_id_++;
-        InFlight flight;
-        flight.src = src;
-        flight.dst = dst;
-        flight.bytes = bytes;
-        flight.resource = &nic(src);
-        flight.final_stage = !via_uplink;
-        flight.on_severed = std::move(sev);
-        auto [it, inserted] = flights_.emplace(id, std::move(flight));
-        InFlight& f = it->second;
-        if (!via_uplink) {
-          f.handle = f.resource->start(bytes, [this, id,
-                                               cb = std::move(cb)]() mutable {
-            flights_.erase(id);
-            cb();
-          });
-          return;
-        }
-        const int rack = topology_.rack_of(src);
-        f.handle = f.resource->start(
-            bytes, [this, id, rack, bytes, cb = std::move(cb)]() mutable {
-              // NIC leg drained; hop onto the shared uplink. The flight is
-              // still registered (a sever would have aborted this callback).
-              InFlight& fl = flights_.at(id);
-              fl.resource = &rack_uplink(rack);
-              fl.final_stage = true;
-              fl.handle =
-                  fl.resource->start(bytes, [this, id,
-                                             cb = std::move(cb)]() mutable {
-                    flights_.erase(id);
-                    cb();
-                  });
-            });
-      },
-      EventClass::kTransfer);
-}
-
-void Network::ingress_transfer(NodeId dst, Bytes bytes, Callback on_complete) {
-  IGNEM_CHECK(bytes >= 0);
-  sim_.schedule(profile_.rtt,
-                [this, dst, bytes, cb = std::move(on_complete)]() mutable {
-                  nic(dst).start(bytes, std::move(cb));
-                },
-                EventClass::kTransfer);
+void Network::finish(std::uint32_t slot) {
+  InFlight& f = flights_[slot];
+  if (f.ingress) {
+    IngressCallback done = std::move(f.on_ingress);
+    const Bytes arrived = f.bytes;
+    std::vector<IngressShare> unserved = std::move(f.unserved);
+    release(slot);
+    done(arrived, std::move(unserved));
+    return;
+  }
+  Callback done = std::move(f.on_complete);
+  release(slot);
+  done();
 }
 
 void Network::ingress_transfer(NodeId dst, std::vector<IngressShare> shares,
                                IngressCallback on_done) {
-  sim_.schedule(
-      profile_.rtt,
-      [this, dst, shares = std::move(shares),
-       cb = std::move(on_done)]() mutable {
-        // Gate each contributing share at stream start; admitted bytes move
-        // as one receiver-NIC stream (the fan-in chokepoint), blocked ones
-        // go straight back to the caller for retry after the heal.
-        Bytes admitted = 0;
-        std::vector<IngressShare> live;
-        std::vector<IngressShare> blocked;
-        for (IngressShare& share : shares) {
-          if (share.bytes <= 0) continue;
-          if (reachable(share.source, dst)) {
-            admitted += share.bytes;
-            live.push_back(share);
-          } else {
-            blocked.push_back(share);
-          }
-        }
-        if (admitted == 0) {
-          if (blocked.empty()) {
-            // Nothing to move at all: run the zero-byte stream the legacy
-            // overload would have, so the event sequence is unchanged.
-            nic(dst).start(0, [cb = std::move(cb)]() mutable {
-              cb(0, {});
-            });
-          } else {
-            cb(0, std::move(blocked));
-          }
-          return;
-        }
-        if (!sever_) {
-          nic(dst).start(admitted,
-                         [cb = std::move(cb), admitted,
-                          blocked = std::move(blocked)]() mutable {
-                           cb(admitted, std::move(blocked));
-                         });
-          return;
-        }
-        const std::uint64_t id = next_flight_id_++;
-        InFlight flight;
-        flight.src = dst;
-        flight.dst = dst;
-        flight.bytes = admitted;
-        flight.resource = &nic(dst);
-        flight.ingress = true;
-        flight.shares = std::move(live);
-        flight.unserved = std::move(blocked);
-        flight.on_ingress = std::move(cb);
-        auto [it, inserted] = flights_.emplace(id, std::move(flight));
-        InFlight& f = it->second;
-        f.handle = f.resource->start(admitted, [this, id]() mutable {
-          auto fit = flights_.find(id);
-          IngressCallback done = std::move(fit->second.on_ingress);
-          const Bytes arrived = fit->second.bytes;
-          std::vector<IngressShare> unserved = std::move(fit->second.unserved);
-          flights_.erase(fit);
-          done(arrived, std::move(unserved));
-        });
-      },
-      EventClass::kTransfer);
+  const std::uint32_t slot = track(dst, dst);
+  InFlight& f = flights_[slot];
+  f.ingress = true;
+  f.shares = std::move(shares);
+  f.on_ingress = std::move(on_done);
+  sim_.schedule(profile_.rtt, [this, slot] { start_ingress_stream(slot); },
+                EventClass::kTransfer);
+}
+
+void Network::start_ingress_stream(std::uint32_t slot) {
+  // Gate each contributing share at stream start; admitted bytes move as
+  // one receiver-NIC stream (the fan-in chokepoint), blocked ones go
+  // straight back to the caller for retry after the heal.
+  InFlight& f = flights_[slot];
+  std::vector<IngressShare> live;
+  for (IngressShare& share : f.shares) {
+    if (share.bytes <= 0) continue;
+    if (reachable(share.source, f.dst)) {
+      f.bytes += share.bytes;
+      live.push_back(share);
+    } else {
+      f.unserved.push_back(share);
+    }
+  }
+  f.shares = std::move(live);
+  if (f.bytes == 0 && !f.unserved.empty()) {
+    IngressCallback done = std::move(f.on_ingress);
+    std::vector<IngressShare> unserved = std::move(f.unserved);
+    release(slot);
+    done(0, std::move(unserved));
+    return;
+  }
+  // A fan-in with nothing to move still runs its zero-byte stream: the
+  // pinned traces count that completion event.
+  f.resource = &nic(f.dst);
+  f.handle = f.resource->start(f.bytes, [this, slot] { finish(slot); });
 }
 
 void Network::sever_partitioned_transfers() {
-  if (!sever_ || flights_.empty()) return;
-  std::vector<std::uint64_t> victims;
-  for (const auto& [id, f] : flights_) {
-    if (f.ingress) {
-      for (const IngressShare& share : f.shares) {
-        if (!reachable(share.source, f.dst)) {
-          victims.push_back(id);
-          break;
-        }
-      }
-    } else if (!reachable(f.src, f.dst)) {
-      victims.push_back(id);
-    }
+  std::vector<std::uint32_t> victims;
+  for (std::uint32_t slot = 0; slot < flights_.size(); ++slot) {
+    const InFlight& f = flights_[slot];
+    if (f.resource == nullptr) continue;  // free, or not yet streaming
+    const bool cut =
+        f.ingress ? std::any_of(f.shares.begin(), f.shares.end(),
+                                [this, &f](const IngressShare& share) {
+                                  return !reachable(share.source, f.dst);
+                                })
+                  : !reachable(f.src, f.dst);
+    if (cut) victims.push_back(slot);
   }
+  std::sort(victims.begin(), victims.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return flights_[a].seq < flights_[b].seq;
+            });
   // Collect callbacks before firing any: a severed-callback may start new
   // transfers (retries) on this network.
   std::vector<std::function<void()>> fire;
   fire.reserve(victims.size());
-  for (const std::uint64_t id : victims) {
-    auto it = flights_.find(id);
-    InFlight f = std::move(it->second);
-    flights_.erase(it);
+  for (const std::uint32_t slot : victims) {
+    InFlight f = std::move(flights_[slot]);
+    release(slot);
     const std::int64_t stage_remaining = f.resource->remaining_bytes(f.handle);
     IGNEM_CHECK(stage_remaining >= 0);
     const bool aborted = f.resource->abort(f.handle);
@@ -272,7 +235,7 @@ void Network::sever_partitioned_transfers() {
       });
     } else {
       record_severed(f.dst, f.src.value(), refunded, progressed);
-      fire.push_back(std::move(f.on_severed));
+      if (f.on_severed != nullptr) fire.push_back(std::move(f.on_severed));
     }
   }
   for (auto& callback : fire) callback();

@@ -9,16 +9,13 @@
 // nearly as fast as local ones.
 //
 // Partition semantics: read paths consult `reachable` before choosing a
-// source, fan-in ingress gates each contributing share at stream start, and
-// — when `set_sever_transfers(true)` — transfers already moving when a cut
-// lands are aborted at the cut with partial-progress accounting (the
-// unserved remainder is refunded: the completion callback never fires and
-// no replica/byte totals count it). Severing is default-off so pinned trace
-// hashes stay bit-identical.
+// source, every transfer re-checks reachability when its stream starts, and
+// transfers already moving when a cut lands are aborted at the cut with
+// partial-progress accounting (the unserved remainder is refunded: the
+// completion callback never fires and no replica/byte totals count it).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -76,33 +73,23 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Moves `bytes` from `src` to `dst`. Local (src == dst) transfers bypass
-  /// the NIC and complete after a single memcpy-scale delay.
-  void transfer(NodeId src, NodeId dst, Bytes bytes, Callback on_complete);
-
-  /// As above, but severable: with `set_sever_transfers(true)`, a partition
-  /// cut landing between src and dst mid-flight aborts the transfer at the
-  /// cut — `on_severed` fires (exactly once, instead of on_complete) and
-  /// the unserved remainder is refunded: it never counts toward byte
-  /// totals, and kTransferSevered records the split. With severing off the
-  /// callback is ignored and the call is identical to the plain overload.
+  /// the NIC and complete after a single memcpy-scale delay. A partition
+  /// cut between src and dst before or during the stream severs the
+  /// transfer: `on_severed` fires (exactly once, instead of on_complete;
+  /// null when the caller has no retry to make) and the unserved remainder
+  /// is refunded — it never counts toward byte totals, and
+  /// kTransferSevered records the split.
   void transfer(NodeId src, NodeId dst, Bytes bytes, Callback on_complete,
-                Callback on_severed);
+                Callback on_severed = nullptr);
 
   /// A fan-in transfer (e.g. shuffle) limited by the *destination* NIC:
   /// data arrives from many senders at once, so the receiver is the shared
-  /// chokepoint. This legacy form has no sender identities and therefore
-  /// cannot be partition-gated; callers that shuffle across racks use the
-  /// share-based overload below.
-  void ingress_transfer(NodeId dst, Bytes bytes, Callback on_complete);
-
-  /// Reachability-gated fan-in: when the stream starts (one RTT after the
-  /// call) each share is admitted only if its source can currently reach
-  /// `dst`; admitted bytes move as one receiver-NIC stream and blocked
-  /// shares come back in `unserved`. When severing is on, a cut that
-  /// blocks any admitted source mid-stream aborts the stream: bytes served
-  /// so far are attributed to shares in order and the rest is refunded via
-  /// `unserved`. Fully connected, this is event-identical to the legacy
-  /// overload.
+  /// chokepoint. When the stream starts (one RTT after the call) each share
+  /// is admitted only if its source can currently reach `dst`; admitted
+  /// bytes move as one receiver-NIC stream and blocked shares come back in
+  /// `unserved`. A cut that blocks any admitted source mid-stream severs
+  /// the stream: bytes served so far are attributed to shares in order and
+  /// the rest is refunded via `unserved`.
   void ingress_transfer(NodeId dst, std::vector<IngressShare> shares,
                         IngressCallback on_done);
 
@@ -122,16 +109,9 @@ class Network {
     return reachability_.reachable(src, dst);
   }
 
-  /// Arms partition severing: in-flight transfers started through the
-  /// severable overloads abort when a cut lands across them. Default off —
-  /// cuts then only affect transfers started afterwards, the historical
-  /// behaviour.
-  void set_sever_transfers(bool on) { sever_ = on; }
-  bool sever_transfers_enabled() const { return sever_; }
-
-  /// Aborts every tracked in-flight transfer the matrix now blocks. The
-  /// fault plane calls this after applying a cut; heals need nothing (new
-  /// transfers simply pass the gate again). No-op when severing is off.
+  /// Aborts every in-flight stream the matrix now blocks. The fault plane
+  /// calls this after applying a cut; heals need nothing (new transfers
+  /// simply pass the gate again).
   void sever_partitioned_transfers();
 
   /// Lifetime count of severed transfers (fan-ins count once per stream).
@@ -139,8 +119,7 @@ class Network {
 
   /// Emits kTransferSevered events; safe to leave null.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
-  /// Arms the net.severed_bytes histogram (refunded bytes per sever). Only
-  /// wired when severing is on so knob-off run reports are unchanged.
+  /// Arms the net.severed_bytes histogram (refunded bytes per sever).
   void set_metrics_registry(MetricsRegistry* registry);
 
   /// The shared uplink channel of `rack`. Only valid when the profile set
@@ -149,27 +128,36 @@ class Network {
   bool has_rack_uplinks() const { return !uplinks_.empty(); }
 
  private:
-  /// One severable transfer with a live stream on some channel. Flights
-  /// only exist while severing is armed and the stream is active (the RTT
-  /// leg re-checks reachability when it fires, so it needs no tracking).
+  /// One cross-node transfer, from the call until it completes or is
+  /// severed. Slots are recycled, so tracking a transfer allocates nothing
+  /// once the table has grown to the peak number in flight.
   struct InFlight {
+    std::uint64_t seq = 0;  ///< Call order; sever callbacks fire in it.
     NodeId src;  ///< Sender (fan-ins: the destination, stream owner).
     NodeId dst;
     Bytes bytes = 0;  ///< Stream total (fan-ins: admitted bytes).
-    SharedBandwidthResource* resource = nullptr;  ///< Current stage.
+    /// Channel of the current stage; null during the propagation delay
+    /// (the stream start re-checks reachability, so cuts skip it).
+    SharedBandwidthResource* resource = nullptr;
     TransferHandle handle;
     /// True once the stream is on its last serial stage; partial progress
     /// only counts as delivered there (earlier legs never crossed the cut).
     bool final_stage = true;
     bool ingress = false;
-    Callback on_severed;                    ///< Point-to-point flights.
-    std::vector<IngressShare> shares;       ///< Fan-in: admitted shares.
-    std::vector<IngressShare> unserved;     ///< Fan-in: blocked at start.
+    Callback on_complete;                ///< Point-to-point flights.
+    Callback on_severed;
+    std::vector<IngressShare> shares;    ///< Fan-in: admitted shares.
+    std::vector<IngressShare> unserved;  ///< Fan-in: blocked at start.
     IngressCallback on_ingress;
   };
 
-  void start_severable(NodeId src, NodeId dst, Bytes bytes, bool via_uplink,
-                       Callback on_complete, Callback on_severed);
+  /// Claims a slot for a new flight from src to dst.
+  std::uint32_t track(NodeId src, NodeId dst);
+  /// Resets `slot` and returns it to the free list.
+  void release(std::uint32_t slot);
+  void start_stream(std::uint32_t slot, bool via_uplink);
+  void start_ingress_stream(std::uint32_t slot);
+  void finish(std::uint32_t slot);
   /// Records one sever (trace + counters) of `refunded` unserved bytes;
   /// detail = source node id, or -1 for fan-in streams.
   void record_severed(NodeId dst, std::int64_t detail, Bytes refunded,
@@ -182,9 +170,9 @@ class Network {
   std::vector<std::unique_ptr<SharedBandwidthResource>> nics_;
   std::vector<std::unique_ptr<SharedBandwidthResource>> uplinks_;
 
-  bool sever_ = false;
-  std::map<std::uint64_t, InFlight> flights_;
-  std::uint64_t next_flight_id_ = 1;
+  std::vector<InFlight> flights_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t transfers_severed_ = 0;
   TraceRecorder* trace_ = nullptr;
   HistogramMetric* severed_bytes_ = nullptr;

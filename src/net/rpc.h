@@ -13,9 +13,10 @@
 // running on cached/local data, migrations queue, repairs pause) instead of
 // operating on ghost state across the cut.
 //
-// The router only exists when TestbedConfig::control_plane.routed is on;
+// The router only exists when TestbedConfig::routed_control_plane is on;
 // components keep their historical direct-call paths when it is absent, so
-// default-off runs are event-for-event identical.
+// default-off runs are event-for-event identical. The Testbed routes with
+// RpcConfig's defaults.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 
 #include "common/ids.h"
 #include "common/units.h"
+#include "net/control_plane.h"
 #include "net/network.h"
 #include "obs/trace_recorder.h"
 #include "sim/simulator.h"
@@ -42,7 +44,7 @@ struct RpcConfig {
   /// Where the NameNode/RM/IgnemMaster live; one endpoint of every call.
   NodeId control_node = NodeId(0);
   /// One-way latency paid by every attempt.
-  Duration latency = Duration::millis(1);
+  Duration latency = kRpcLatency;
   /// Reliable calls give up (kTimeout) once the next attempt could not
   /// start before start + deadline.
   Duration deadline = Duration::seconds(2.0);

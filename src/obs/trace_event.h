@@ -114,14 +114,14 @@ enum class TraceEventType : std::uint8_t {
                         ///< node, 1 outbound-only, 2 inbound-only, 3 rack).
   kPartitionHeal,       ///< matching end of a partition window; detail as
                         ///< kPartitionStart.
-  kNodeSuspect,         ///< detector passed liveness_timeout but is inside
+  kNodeSuspect,         ///< detector passed kLivenessTimeout but is inside
                         ///< the suspicion grace window; not yet dead.
   kFalseDead,           ///< detector declared a node dead whose process was
                         ///< in fact alive (partition/heartbeat silence).
   kExcessReplicaDeleted,  ///< rejoin reconciliation dropped an
                           ///< over-replicated copy; bytes = block size.
   // Routed control plane + severed transfers (src/net/rpc, Network). Only
-  // the control_plane knobs emit these, so pinned hashes are unmoved.
+  // partition cuts emit these, so the pinned fault-free hashes are unmoved.
   kRpcTimeout,          ///< control RPC resolved without delivery; node =
                         ///< callee, detail = outcome (1 timeout,
                         ///< 2 unreachable), bytes = attempts made.

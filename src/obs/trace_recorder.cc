@@ -7,20 +7,11 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/fnv.h"
 
 namespace ignem {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
 
 constexpr char kBinaryMagic[8] = {'I', 'G', 'N', 'T', 'R', 'C', '0', '1'};
 
@@ -118,7 +109,7 @@ const char* trace_event_name(TraceEventType type) {
   return "?";
 }
 
-TraceRecorder::TraceRecorder() : hash_(kFnvOffset) { mask_.fill(true); }
+TraceRecorder::TraceRecorder() : hash_(kFnvTraceOffset) { mask_.fill(true); }
 
 void TraceRecorder::set_enabled(TraceEventType type, bool enabled) {
   IGNEM_CHECK(type != TraceEventType::kCount);
@@ -150,14 +141,16 @@ void TraceRecorder::emit(TraceEventType type, NodeId node, BlockId block,
   event.detail = detail;
   event.value = value;
 
-  fnv_mix(hash_, static_cast<std::uint64_t>(event.time.count_micros()));
-  fnv_mix(hash_, static_cast<std::uint64_t>(type));
-  fnv_mix(hash_, static_cast<std::uint64_t>(node.value()));
-  fnv_mix(hash_, static_cast<std::uint64_t>(block.value()));
-  fnv_mix(hash_, static_cast<std::uint64_t>(job.value()));
-  fnv_mix(hash_, static_cast<std::uint64_t>(bytes));
-  fnv_mix(hash_, static_cast<std::uint64_t>(detail));
-  fnv_mix(hash_, std::bit_cast<std::uint64_t>(value));
+  for (const std::uint64_t field :
+       {static_cast<std::uint64_t>(event.time.count_micros()),
+        static_cast<std::uint64_t>(type),
+        static_cast<std::uint64_t>(node.value()),
+        static_cast<std::uint64_t>(block.value()),
+        static_cast<std::uint64_t>(job.value()),
+        static_cast<std::uint64_t>(bytes), static_cast<std::uint64_t>(detail),
+        std::bit_cast<std::uint64_t>(value)}) {
+    hash_ = fnv1a_word(hash_, field);
+  }
 
   events_.push_back(event);
   for (TraceObserver* observer : observers_) observer->on_event(event);
@@ -226,7 +219,7 @@ std::vector<TraceEvent> TraceRecorder::read_binary(std::istream& is) {
 void TraceRecorder::clear() {
   events_.clear();
   next_seq_ = 0;
-  hash_ = kFnvOffset;
+  hash_ = kFnvTraceOffset;
 }
 
 }  // namespace ignem

@@ -20,13 +20,6 @@ EventHandle Simulator::schedule_at(SimTime when, Action action,
 
 bool Simulator::cancel(EventHandle handle) { return queue_.cancel(handle); }
 
-void Simulator::enable_profiling(bool on) {
-  if (on && !profiling_) {
-    profile_.alloc_at_enable = kernel_alloc_counters();
-  }
-  profiling_ = on;
-}
-
 std::uint64_t Simulator::run(SimTime until) {
   return run_until([] { return false; }, until);
 }
@@ -39,6 +32,8 @@ std::uint64_t Simulator::run_until(const std::function<bool()>& done,
                  BlockId::invalid(), JobId::invalid(), 0,
                  static_cast<std::int64_t>(dispatched_));
   }
+  const bool profiled = profiling_;
+  const KernelAllocCounters alloc_before = kernel_alloc_counters();
   std::uint64_t n = 0;
   while (!queue_.empty() && !stop_requested_ && !done()) {
     if (queue_.next_time() > limit) break;
@@ -57,6 +52,16 @@ std::uint64_t Simulator::run_until(const std::function<bool()>& done,
     action();
     ++n;
     ++dispatched_;
+  }
+  if (profiled) {
+    const KernelAllocCounters& after = kernel_alloc_counters();
+    KernelAllocCounters& alloc = profile_.alloc;
+    alloc.heap_allocs += after.heap_allocs - alloc_before.heap_allocs;
+    alloc.heap_frees += after.heap_frees - alloc_before.heap_frees;
+    alloc.pool_hits += after.pool_hits - alloc_before.pool_hits;
+    alloc.chunk_carves += after.chunk_carves - alloc_before.chunk_carves;
+    alloc.container_growths +=
+        after.container_growths - alloc_before.container_growths;
   }
   if (queue_.empty() && now_ < limit && limit != SimTime::max()) {
     now_ = limit;  // advance the clock to the requested horizon

@@ -31,9 +31,10 @@ struct KernelProfile {
   std::uint64_t pending_sum = 0;
   /// Dispatches by EventClass tag (index = static_cast<size_t>(cls)).
   std::array<std::uint64_t, kEventClassCount> class_counts{};
-  /// Thread-local allocator counters snapshotted when profiling was enabled;
-  /// subtract from kernel_alloc_counters() for the run's deltas.
-  KernelAllocCounters alloc_at_enable{};
+  /// Allocator activity during dispatch: the thread-local counters' growth
+  /// across each run*() call, read on the thread that dispatched, so a run
+  /// built on a sweep worker reports true deltas wherever it is read.
+  KernelAllocCounters alloc{};
 
   double mean_pending() const {
     return events_dispatched == 0
@@ -92,9 +93,8 @@ class Simulator {
 
   /// Turns on per-dispatch self-profiling (class counts, queue depth,
   /// allocator deltas). Off by default: the unprofiled dispatch loop pays
-  /// one branch per event. Enabling snapshots the allocator counters.
-  void enable_profiling(bool on = true);
-  bool profiling_enabled() const { return profiling_; }
+  /// one branch per event.
+  void enable_profiling(bool on = true) { profiling_ = on; }
   const KernelProfile& profile() const { return profile_; }
 
  private:

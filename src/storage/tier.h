@@ -37,9 +37,9 @@ TierSpec hdd_tier(Bytes capacity);
 TierSpec hdd_home_tier();
 TierSpec tape_home_tier();
 
-/// The legacy two-level layout the paper models: a RAM pool of
-/// `cache_capacity` over the node's primary device. The two-tier DataNode
-/// constructor builds exactly this, so pinned traces stay bit-identical.
+/// The two-level layout the paper models: a RAM pool of `cache_capacity`
+/// over the node's primary device. Every run without an explicit tier stack
+/// builds its DataNodes from this.
 std::vector<TierSpec> two_tier_specs(const DeviceProfile& primary,
                                      Bytes cache_capacity);
 

@@ -18,8 +18,8 @@ class BaselinesTest : public ::testing::Test {
     namenode_ = std::make_unique<NameNode>(Rng(1), replication);
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, NodeId(static_cast<std::int64_t>(i)), hdd_profile(), cache,
-          Rng(50 + i)));
+          sim_, NodeId(static_cast<std::int64_t>(i)),
+          two_tier_specs(hdd_profile(), cache), Rng(50 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
   }

@@ -37,6 +37,10 @@ struct ChaosResult {
 };
 
 struct ChaosOptions {
+  /// Cluster size. The workload scales with it (node_count / 4 times the
+  /// jobs and input at that many times the arrival rate), so every node
+  /// carries the load of the 4-node sweeps.
+  std::size_t node_count = 4;
   std::uint32_t fault_kinds = kLoudFaultKinds;
   std::size_t fault_count = 6;
   std::uint64_t plan_seed_base = 9000;
@@ -53,9 +57,6 @@ struct ChaosOptions {
   Duration suspicion_grace = Duration::zero();
   /// Re-replication storm throttle (0 = unthrottled).
   Bandwidth replication_rate_limit = 0.0;
-  /// Partition cuts abort in-flight transfers with partial-progress refunds
-  /// (the severed-byte conservation path) instead of riding through.
-  bool sever_transfers = false;
   /// Routes every master<->slave control RPC through the RpcRouter on
   /// control node 0: heartbeats really drop at cuts, grants/repair orders/
   /// migration commands retry against deadlines.
@@ -69,7 +70,7 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
                       ChaosOptions options = {}) {
   TestbedConfig config;
   config.mode = mode;
-  config.cluster.node_count = 4;
+  config.cluster.node_count = options.node_count;
   config.cluster.slots_per_node = 6;
   config.cache_capacity_per_node = 16 * kGiB;
   config.seed = 1000 + seed;
@@ -80,8 +81,7 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
   config.rack_count = options.rack_count;
   config.detector.suspicion_grace = options.suspicion_grace;
   config.replication_rate_limit = options.replication_rate_limit;
-  config.control_plane.routed = options.routed;
-  config.control_plane.sever_transfers = options.sever_transfers;
+  config.routed_control_plane = options.routed;
   if (options.tiered) {
     config.tiering.tiers = {ram_tier(1 * kGiB), ssd_tier(2 * kGiB),
                             hdd_home_tier()};
@@ -91,11 +91,13 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
   }
   Testbed testbed(config);
 
+  const std::size_t scale = std::max<std::size_t>(1, options.node_count / 4);
   SwimConfig swim;
-  swim.job_count = 12;
-  swim.total_input = 3 * kGiB;
+  swim.job_count = 12 * scale;
+  swim.total_input = 3 * kGiB * static_cast<Bytes>(scale);
   swim.tail_max = 1 * kGiB;
-  swim.mean_interarrival = Duration::seconds(3.0);
+  swim.mean_interarrival =
+      Duration::seconds(3.0 / static_cast<double>(scale));
   swim.seed = 100 + seed;
   auto jobs = build_swim_workload(testbed, swim);
 
@@ -270,9 +272,6 @@ ChaosOptions partition_options() {
   options.rack_count = 2;
   options.suspicion_grace = Duration::seconds(4);
   options.replication_rate_limit = mib_per_sec(200);
-  // Cuts abort running transfers with partial-progress refunds; the
-  // conservation invariants must close across the whole sweep.
-  options.sever_transfers = true;
   return options;
 }
 
@@ -284,6 +283,24 @@ TEST(Chaos, PartitionChaosSweepIgnem) {
     return run_chaos(RunMode::kIgnem, i, partition_options());
   });
   for (const ChaosResult& result : results) expect_clean(result, 12u);
+}
+
+TEST(Chaos, PartitionChaosAtScaleIgnem) {
+  // The partition sweep on a 128-node, 4-rack cluster with the 4-node
+  // sweep's load and faults per node: sever conservation, the invariants
+  // and the replica model must hold far beyond 8 nodes.
+  constexpr std::size_t kSeeds = 3;
+  constexpr std::size_t kNodes = 128;
+  const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
+    ChaosOptions options = partition_options();
+    options.node_count = kNodes;
+    options.rack_count = 4;
+    options.fault_count *= kNodes / 4;
+    return run_chaos(RunMode::kIgnem, i, options);
+  });
+  for (const ChaosResult& result : results) {
+    expect_clean(result, 12 * kNodes / 4);
+  }
 }
 
 TEST(Chaos, PartitionChaosSweepHdfs) {
@@ -302,7 +319,6 @@ ChaosOptions control_plane_options() {
   options.rack_count = 2;
   options.suspicion_grace = Duration::seconds(4);
   options.replication_rate_limit = mib_per_sec(200);
-  options.sever_transfers = true;
   options.routed = true;
   options.control_rack_cut = true;
   return options;

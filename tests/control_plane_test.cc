@@ -4,7 +4,7 @@
 // partial-progress refunds, and end-to-end routed Testbed runs where
 // cutting the control node's rack silences the cluster's brain — jobs must
 // still terminate and the heal must leave no excess replicas or leaked
-// bytes. Everything here runs with the knobs ON; default-off bit-identity
+// bytes. The routed tests run with the router ON; default-off bit-identity
 // is pinned by the golden-trace suite.
 #include <gtest/gtest.h>
 
@@ -176,7 +176,6 @@ NetworkProfile slow_net() {
 TEST(Sever, MidFlightCutRefundsTheUnservedRemainder) {
   Simulator sim;
   Network net(sim, 2, slow_net());
-  net.set_sever_transfers(true);
   TraceRecorder trace;
   trace.set_clock([&] { return sim.now(); });
   net.set_trace(&trace);
@@ -211,7 +210,6 @@ TEST(Sever, MidFlightCutRefundsTheUnservedRemainder) {
 TEST(Sever, CutDuringPropagationRefundsEverything) {
   Simulator sim;
   Network net(sim, 2, slow_net());
-  net.set_sever_transfers(true);
   TraceRecorder trace;
   net.set_trace(&trace);
   bool completed = false;
@@ -230,27 +228,9 @@ TEST(Sever, CutDuringPropagationRefundsEverything) {
   EXPECT_EQ(static_cast<Bytes>(trace.events()[0].value), 0);
 }
 
-TEST(Sever, DisabledKeepsHistoricalRideThroughBehaviour) {
-  Simulator sim;
-  Network net(sim, 2, slow_net());  // severing NOT armed
-  bool completed = false;
-  bool severed = false;
-  net.transfer(NodeId(0), NodeId(1), 100 * kMiB, [&] { completed = true; },
-               [&] { severed = true; });
-  sim.schedule(Duration::millis(500), [&] {
-    net.reachability().block_outbound(NodeId(0));
-    net.sever_partitioned_transfers();  // must be a no-op
-  });
-  sim.run(SimTime::zero() + Duration::seconds(5));
-  EXPECT_TRUE(completed) << "historical cuts never touched running flows";
-  EXPECT_FALSE(severed);
-  EXPECT_EQ(net.transfers_severed(), 0u);
-}
-
 TEST(Sever, HealedFabricCarriesNewTransfersWithoutCeremony) {
   Simulator sim;
   Network net(sim, 2, slow_net());
-  net.set_sever_transfers(true);
   bool first_severed = false;
   bool second_completed = false;
   net.transfer(NodeId(0), NodeId(1), 100 * kMiB, [] {},
@@ -295,7 +275,6 @@ TEST(Ingress, SharesBlockedAtStreamStartComeBackUnserved) {
 TEST(Ingress, SeveredStreamConservesEveryByte) {
   Simulator sim;
   Network net(sim, 3, slow_net());
-  net.set_sever_transfers(true);
   Bytes arrived = -1;
   std::vector<Network::IngressShare> unserved;
   bool done = false;
@@ -335,8 +314,7 @@ TestbedConfig routed_config(int nodes, int racks = 1) {
   config.seed = 47;
   config.fault_tolerance = true;
   config.check_invariants = true;
-  config.control_plane.routed = true;
-  config.control_plane.sever_transfers = true;
+  config.routed_control_plane = true;
   return config;
 }
 
@@ -448,25 +426,34 @@ TEST(ControlPlane, WorkloadRidesOutAControlRackCut) {
 
 TEST(ControlPlane, RackCutSeversAnInFlightTransferThroughTheFaultSurface) {
   // The fault-plane integration: begin_rack_partition itself must abort
-  // running flows that now cross the cut, with the refund recorded.
-  Testbed testbed(routed_config(/*nodes=*/6, /*racks=*/2));
-  bool completed = false;
-  bool severed = false;
-  testbed.sim().schedule(Duration::seconds(5), [&] {
-    testbed.network().transfer(NodeId(1), NodeId(0), 500 * kMiB,
-                               [&] { completed = true; },
-                               [&] { severed = true; });
-  });
-  testbed.sim().schedule(Duration::seconds(5) + Duration::millis(100),
-                         [&] { testbed.begin_rack_partition(NodeId(0)); });
-  testbed.sim().schedule(Duration::seconds(8),
-                         [&] { testbed.end_rack_partition(NodeId(0)); });
-  testbed.sim().run(SimTime::zero() + Duration::seconds(30));
-  EXPECT_TRUE(severed);
-  EXPECT_FALSE(completed);
-  EXPECT_GE(testbed.network().transfers_severed(), 1u);
-  EXPECT_EQ(testbed.network().transfers_severed(),
-            count_events(testbed, TraceEventType::kTransferSevered));
+  // running flows that now cross the cut, with the refund recorded — on a
+  // routed control plane and on a plain testbed alike, since severing does
+  // not depend on how the masters talk to their slaves.
+  for (const bool routed : {true, false}) {
+    SCOPED_TRACE(routed ? "routed" : "unrouted");
+    TestbedConfig config = routed_config(/*nodes=*/6, /*racks=*/2);
+    config.routed_control_plane = routed;
+    Testbed testbed(config);
+    bool completed = false;
+    bool severed = false;
+    testbed.sim().schedule(Duration::seconds(5), [&] {
+      testbed.network().transfer(NodeId(1), NodeId(0), 500 * kMiB,
+                                 [&] { completed = true; },
+                                 [&] { severed = true; });
+    });
+    testbed.sim().schedule(Duration::seconds(5) + Duration::millis(100),
+                           [&] { testbed.begin_rack_partition(NodeId(0)); });
+    testbed.sim().schedule(Duration::seconds(8),
+                           [&] { testbed.end_rack_partition(NodeId(0)); });
+    testbed.sim().run(SimTime::zero() + Duration::seconds(30));
+    EXPECT_TRUE(severed);
+    EXPECT_FALSE(completed);
+    EXPECT_GE(testbed.network().transfers_severed(), 1u);
+    EXPECT_EQ(testbed.network().transfers_severed(),
+              count_events(testbed, TraceEventType::kTransferSevered));
+    EXPECT_TRUE(testbed.invariant_checker()->ok())
+        << testbed.invariant_checker()->report();
+  }
 }
 
 }  // namespace

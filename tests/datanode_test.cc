@@ -29,7 +29,8 @@ class RecordingListener : public BlockReadListener {
 
 class DataNodeTest : public ::testing::Test {
  protected:
-  DataNodeTest() : node_(sim_, NodeId(0), quiet_hdd(), 1 * kGiB, Rng(1)) {}
+  DataNodeTest()
+      : node_(sim_, NodeId(0), two_tier_specs(quiet_hdd(), 1 * kGiB), Rng(1)) {}
 
   Simulator sim_;
   DataNode node_;

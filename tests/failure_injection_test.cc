@@ -138,8 +138,7 @@ TEST(FailureDetection, NodeCrashDetectedByBothControlPlanes) {
   // (detail 1) declared the node dead, within timeout + one check interval.
   EXPECT_FALSE(testbed.namenode().is_node_alive(NodeId(2)));
   EXPECT_TRUE(testbed.resource_manager().is_node_marked_dead(NodeId(2)));
-  const Duration bound = testbed.config().detector.liveness_timeout +
-                         testbed.config().detector.check_interval;
+  const Duration bound = kLivenessTimeout + kLivenessCheckInterval;
   std::size_t detections = 0;
   for (const TraceEvent& e : testbed.trace()->events()) {
     if (e.type != TraceEventType::kFaultDetectedDead) continue;

@@ -17,11 +17,9 @@ class HotDataUnitTest : public ::testing::Test {
   void build(Bytes capacity = 1 * kGiB, int threshold = 2) {
     DeviceProfile profile = hdd_profile();
     profile.access_jitter = 0.0;
-    datanode_ = std::make_unique<DataNode>(sim_, NodeId(0), profile, capacity,
-                                           Rng(1));
-    HotDataConfig config;
-    config.promote_threshold = threshold;
-    promoter_ = std::make_unique<HotDataPromoter>(sim_, *datanode_, config);
+    datanode_ = std::make_unique<DataNode>(
+        sim_, NodeId(0), two_tier_specs(profile, capacity), Rng(1));
+    promoter_ = std::make_unique<HotDataPromoter>(sim_, *datanode_, threshold);
   }
 
   void read(std::int64_t block) {

@@ -20,8 +20,8 @@ class IgnemMasterTest : public ::testing::Test {
     profile.access_jitter = 0.0;
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, NodeId(static_cast<std::int64_t>(i)), profile, 16 * kGiB,
-          Rng(50 + i)));
+          sim_, NodeId(static_cast<std::int64_t>(i)),
+          two_tier_specs(profile, 16 * kGiB), Rng(50 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
     master_ = std::make_unique<IgnemMaster>(sim_, *namenode_, config_, Rng(2));
@@ -209,7 +209,7 @@ TEST_F(IgnemMasterTest, RpcLatencyDelaysDelivery) {
   // Nothing reaches the slave synchronously: two RPC hops first.
   EXPECT_FALSE(slaves_[0]->migration_in_progress());
   sim_.run_until([&] { return slaves_[0]->migration_in_progress(); });
-  EXPECT_GE(sim_.now().count_micros(), 2 * config_.rpc_latency.count_micros());
+  EXPECT_GE(sim_.now().count_micros(), 2 * kRpcLatency.count_micros());
   sim_.run();
 }
 

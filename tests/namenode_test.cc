@@ -20,8 +20,8 @@ class NameNodeTest : public ::testing::Test {
         std::make_unique<NameNode>(Rng(1), replication, block_size, racks);
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, NodeId(static_cast<std::int64_t>(i)), hdd_profile(),
-          16 * kGiB, Rng(100 + i)));
+          sim_, NodeId(static_cast<std::int64_t>(i)),
+          two_tier_specs(hdd_profile(), 16 * kGiB), Rng(100 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
   }

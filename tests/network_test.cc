@@ -68,8 +68,10 @@ TEST(Network, IngressTransferChargesDestination) {
   Simulator sim;
   Network net(sim, 4, test_profile());
   double t = -1;
-  net.ingress_transfer(NodeId(3), 200 * kMiB,
-                       [&] { t = sim.now().to_seconds(); });
+  net.ingress_transfer(NodeId(3), {{NodeId(0), 200 * kMiB}},
+                       [&](Bytes, std::vector<Network::IngressShare>) {
+                         t = sim.now().to_seconds();
+                       });
   sim.run();
   EXPECT_NEAR(t, 2.001, 1e-2);
   EXPECT_EQ(net.total_bytes_sent(NodeId(3)), 200 * kMiB);

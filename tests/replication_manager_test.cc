@@ -20,8 +20,8 @@ class ReplicationManagerTest : public ::testing::Test {
     profile.access_jitter = 0.0;
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
-          sim_, NodeId(static_cast<std::int64_t>(i)), profile, 16 * kGiB,
-          Rng(50 + i)));
+          sim_, NodeId(static_cast<std::int64_t>(i)),
+          two_tier_specs(profile, 16 * kGiB), Rng(50 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
     network_ = std::make_unique<Network>(sim_, nodes, NetworkProfile{});
