@@ -30,7 +30,7 @@ TestbedConfig recovery_testbed(bool enable_trace) {
   return config;
 }
 
-double makespan_seconds(const Testbed& testbed, const RunMetrics& metrics) {
+double makespan_seconds(const RunMetrics& metrics) {
   double last = 0.0;
   for (const JobRecord& job : metrics.jobs()) {
     last = std::max(last, job.end.to_seconds());
@@ -45,7 +45,7 @@ void run() {
   auto clean = std::make_unique<Testbed>(recovery_testbed(false));
   clean->run_workload(build_swim_workload(*clean, paper_swim()));
   report().add_run(*clean);
-  const double clean_makespan = makespan_seconds(*clean, clean->metrics());
+  const double clean_makespan = makespan_seconds(clean->metrics());
 
   // Faulted run: trace on so detection/repair timings are measurable.
   auto faulted = std::make_unique<Testbed>(recovery_testbed(true));
@@ -57,8 +57,7 @@ void run() {
   faulted->run_workload(std::move(jobs));
   maybe_dump_trace(*faulted);
   report().add_run(*faulted);
-  const double faulted_makespan =
-      makespan_seconds(*faulted, faulted->metrics());
+  const double faulted_makespan = makespan_seconds(faulted->metrics());
 
   std::optional<double> detected_at;
   std::optional<double> last_repair;

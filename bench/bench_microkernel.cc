@@ -12,21 +12,28 @@
 //      block-sized streams — the range a device sees in the scale runs
 //      (mean 1.0-1.6, peak 6). Every completion starts a successor.
 //   4. Migration-queue churn.
+//   5. The scrubber's cursor (DataNode::next_block_after) at 1,074 blocks
+//      per node, the scale benchmark's shape, and at 16,384, a full 1 TB
+//      HDD of the paper's testbed in 64 MiB blocks.
 //
 // Timing is wall-clock (steady_clock). Every headline number lands in
 // BENCH_microkernel.json via BenchReport; scripts/perf_smoke.sh gates the
-// three machine-independent ratios (depth growth of queue churn, stream
-// growth of bandwidth churn, profiling overhead).
+// four machine-independent ratios (depth growth of queue churn, stream
+// growth of bandwidth churn, profiling overhead, block-count growth of the
+// scrub cursor).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/experiment_common.h"
 #include "common/rng.h"
 #include "core/migration_queue.h"
+#include "dfs/datanode.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "storage/bandwidth_resource.h"
@@ -258,12 +265,76 @@ void bench_migration_queue(BenchReport& report) {
   report.metric("migration_queue_ops_per_sec", per_sec);
 }
 
+// ---------------------------------------------------------------------------
+// 5. Scrub cursor at per-node block counts.
+
+/// DataNode::next_block_after on kNodes DataNodes holding `blocks` replicas
+/// each, ids dealt round-robin as placement spreads them. Consecutive calls
+/// go to different nodes, as the staggered scrub ticks do, from a random
+/// stored id; every call has its own cursor, so no pass re-warms the cache.
+/// Stops after the probe list or ~30 ms, whichever comes first. Returns host
+/// ns per call.
+double scrub_cursor_ns(std::int64_t blocks) {
+  constexpr std::int64_t kNodes = 64;
+  constexpr std::size_t kProbes = 1 << 17;
+  Simulator sim;
+  std::vector<std::unique_ptr<DataNode>> nodes;
+  for (std::int64_t n = 0; n < kNodes; ++n) {
+    nodes.push_back(std::make_unique<DataNode>(
+        sim, NodeId(n), two_tier_specs(hdd_profile(), 1 * kGiB), Rng(n)));
+  }
+  for (std::int64_t b = 0; b < blocks * kNodes; ++b) {
+    nodes[static_cast<std::size_t>(b % kNodes)]->add_block(BlockId(b),
+                                                            64 * kMiB);
+  }
+  Rng rng(11);
+  std::vector<std::pair<const DataNode*, BlockId>> probes;
+  probes.reserve(kProbes);
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    const std::int64_t n = static_cast<std::int64_t>(i) % kNodes;
+    probes.emplace_back(nodes[static_cast<std::size_t>(n)].get(),
+                        BlockId(n + kNodes * rng.uniform_int(0, blocks - 1)));
+  }
+  std::int64_t checksum = 0;
+  std::size_t calls = 0;
+  const auto start = std::chrono::steady_clock::now();
+  while (calls < kProbes && (calls % 64 != 0 || seconds_since(start) < 0.03)) {
+    const auto& [node, cursor] = probes[calls++];
+    checksum += node->next_block_after(cursor).value();
+  }
+  const double ns = seconds_since(start) * 1e9 / static_cast<double>(calls);
+  IGNEM_CHECK(checksum != 0);
+  return ns;
+}
+
+void bench_scrub_cursor(BenchReport& report) {
+  constexpr std::int64_t kShape = 1074;  // perfbench shape.blocks_per_node
+  constexpr std::int64_t kFullDisk = 16384;  // 1 TB / 64 MiB
+  std::printf("scrub cursor (next_block_after, 64 nodes, consecutive calls "
+              "on different nodes):\n");
+  std::printf("  %10s %10s\n", "blocks/node", "ns/call");
+  const double shape = scrub_cursor_ns(kShape);
+  std::printf("  %10lld %10.1f\n", static_cast<long long>(kShape), shape);
+  const double full = scrub_cursor_ns(kFullDisk);
+  std::printf("  %10lld %10.1f\n", static_cast<long long>(kFullDisk), full);
+  report.metric("scrub_cursor_ns_b1074", shape);
+  report.metric("scrub_cursor_ns_b16384", full);
+  // A binary search grows with log(blocks) plus the cache misses of a
+  // bigger table; a scan over every stored replica grows ~15x.
+  std::printf("  cost growth %lld -> %lld blocks/node: %.2fx\n",
+              static_cast<long long>(kShape),
+              static_cast<long long>(kFullDisk), full / shape);
+  report.metric("scrub_cursor_growth", full / shape);
+}
+
 void main_impl() {
-  print_header("Microkernel: event queue, dispatch, bandwidth channel");
+  print_header(
+      "Microkernel: event queue, dispatch, bandwidth channel, scrub cursor");
   bench_event_churn(report());
   bench_dispatch(report());
   bench_bandwidth_churn(report());
   bench_migration_queue(report());
+  bench_scrub_cursor(report());
 }
 
 }  // namespace

@@ -67,9 +67,8 @@ Testbed::Testbed(TestbedConfig config)
     for (const auto& dn : datanodes_) {
       DataNode* raw = dn.get();
       age_tasks_.push_back(std::make_unique<PeriodicTask>(
-          sim_, config_.tiering.age_check_period, [this, raw] {
-            raw->age_victim_copies(config_.tiering.cold_after);
-          }));
+          sim_, config_.tiering.age_check_period,
+          [raw] { raw->age_victim_copies(); }));
     }
   }
 

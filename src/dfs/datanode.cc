@@ -9,6 +9,18 @@
 
 namespace ignem {
 
+namespace {
+
+// Where `block` is, or would go, in an id-sorted replica table.
+template <typename Table>
+auto seek(Table& table, BlockId block) {
+  return std::lower_bound(
+      table.begin(), table.end(), block,
+      [](const auto& replica, BlockId id) { return replica.block < id; });
+}
+
+}  // namespace
+
 DataNode::DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers,
                    Rng rng)
     : sim_(sim),
@@ -23,10 +35,15 @@ void DataNode::set_trace(TraceRecorder* trace, bool emit_tier_events) {
 void DataNode::add_block(BlockId block, Bytes size) {
   IGNEM_CHECK(block.valid());
   IGNEM_CHECK(size > 0);
-  blocks_[block] = size;
   // The write path creates the replica's checksum; a re-written replica
   // (repair over an old copy) is clean again.
-  checksums_[block] = expected_checksum(block, size);
+  const Replica replica{block, size, expected_checksum(block, size)};
+  const auto it = seek(replicas_, block);
+  if (it != replicas_.end() && it->block == block) {
+    *it = replica;
+  } else {
+    replicas_.insert(it, replica);  // at end() during set-up: an append
+  }
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kReplicaAdd, id_, block, JobId::invalid(),
                  size);
@@ -41,25 +58,30 @@ std::uint64_t DataNode::expected_checksum(BlockId block, Bytes size) {
   return fnv1a_word(h, static_cast<std::uint64_t>(size));
 }
 
+const DataNode::Replica* DataNode::find(BlockId block) const {
+  const auto it = seek(replicas_, block);
+  return it != replicas_.end() && it->block == block ? &*it : nullptr;
+}
+
 std::uint64_t DataNode::stored_checksum(BlockId block) const {
-  const auto it = checksums_.find(block);
-  IGNEM_CHECK_MSG(it != checksums_.end(), "block " << block.value()
-                                                   << " not on node "
-                                                   << id_.value());
-  return it->second;
+  const Replica* replica = find(block);
+  IGNEM_CHECK_MSG(replica != nullptr, "block " << block.value()
+                                               << " not on node "
+                                               << id_.value());
+  return replica->checksum;
 }
 
 Bytes DataNode::block_size(BlockId block) const {
-  const auto it = blocks_.find(block);
-  IGNEM_CHECK_MSG(it != blocks_.end(), "block " << block.value()
-                                                << " not on node "
-                                                << id_.value());
-  return it->second;
+  const Replica* replica = find(block);
+  IGNEM_CHECK_MSG(replica != nullptr, "block " << block.value()
+                                               << " not on node "
+                                               << id_.value());
+  return replica->size;
 }
 
 void DataNode::remove_block(BlockId block) {
-  blocks_.erase(block);
-  checksums_.erase(block);
+  const auto it = seek(replicas_, block);
+  if (it != replicas_.end() && it->block == block) replicas_.erase(it);
   // A disk read of a deleted replica can no longer finish; a read of a
   // still-promoted copy is unaffected.
   abort_pending_reads(&primary_device(), block);
@@ -69,14 +91,14 @@ void DataNode::remove_block(BlockId block) {
 }
 
 void DataNode::corrupt_block(BlockId block) {
-  IGNEM_CHECK_MSG(blocks_.contains(block), "corrupting block "
-                                               << block.value()
-                                               << " not stored on node "
-                                               << id_.value());
+  const auto it = seek(replicas_, block);
+  IGNEM_CHECK_MSG(it != replicas_.end() && it->block == block,
+                  "corrupting block " << block.value()
+                                      << " not stored on node "
+                                      << id_.value());
   // Rot damages the stored data; its checksum stops matching the expected
   // one. Assigning (not XOR-ing in place) keeps a twice-corrupted copy bad.
-  checksums_[block] = expected_checksum(block, blocks_.at(block)) ^
-                      0xDEADBEEFDEADBEEFULL;
+  it->checksum = expected_checksum(block, it->size) ^ 0xDEADBEEFDEADBEEFULL;
 }
 
 void DataNode::corrupt_cached_copy(BlockId block) {
@@ -87,19 +109,14 @@ void DataNode::corrupt_cached_copy(BlockId block) {
 
 std::vector<BlockId> DataNode::blocks_sorted() const {
   std::vector<BlockId> blocks;
-  blocks.reserve(blocks_.size());
-  for (const auto& [block, size] : blocks_) blocks.push_back(block);
-  std::sort(blocks.begin(), blocks.end());
+  blocks.reserve(replicas_.size());
+  for (const Replica& replica : replicas_) blocks.push_back(replica.block);
   return blocks;
 }
 
 BlockId DataNode::next_block_after(BlockId cursor) const {
-  BlockId best = BlockId::invalid();
-  for (const auto& [block, size] : blocks_) {
-    if (block.value() <= cursor.value()) continue;
-    if (!best.valid() || block.value() < best.value()) best = block;
-  }
-  return best;
+  const auto it = seek(replicas_, BlockId(cursor.value() + 1));
+  return it == replicas_.end() ? BlockId::invalid() : it->block;
 }
 
 void DataNode::report_corruption(BlockId block, bool cached,
@@ -300,9 +317,8 @@ bool DataNode::demote_victim(BlockId block, std::size_t from) {
                       /*allow_demote=*/true);
 }
 
-std::size_t DataNode::age_victim_copies(Duration cold_after) {
+std::size_t DataNode::age_victim_copies() {
   if (!alive_ || policy_ == nullptr) return 0;
-  (void)cold_after;
   std::size_t demoted = 0;
   const SimTime now = sim_.now();
   for (std::size_t t = 1; t < tiers_.home_tier(); ++t) {

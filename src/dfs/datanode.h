@@ -75,10 +75,10 @@ class DataNode {
   /// Registers a block as stored on this node (metadata only: experiment
   /// inputs are generated before the measured run, as in the paper).
   void add_block(BlockId block, Bytes size);
-  bool has_block(BlockId block) const { return blocks_.contains(block); }
+  bool has_block(BlockId block) const { return find(block) != nullptr; }
 
   /// Stored replicas on this node (the scrubber's per-node universe).
-  std::size_t block_count() const { return blocks_.size(); }
+  std::size_t block_count() const { return replicas_.size(); }
   Bytes block_size(BlockId block) const;
 
   /// Drops an invalidated replica from the node (NameNode decided the copy
@@ -101,9 +101,9 @@ class DataNode {
   /// The damage survives process restarts — rot lives on the platter.
   void corrupt_block(BlockId block);
   bool is_corrupt(BlockId block) const {
-    const auto it = checksums_.find(block);
-    return it != checksums_.end() &&
-           it->second != expected_checksum(block, blocks_.at(block));
+    const Replica* replica = find(block);
+    return replica != nullptr &&
+           replica->checksum != expected_checksum(block, replica->size);
   }
   /// Corrupts the promoted in-memory/tier copy instead (the home replica
   /// stays good). Delegates to the serving pool, so eviction discards the
@@ -111,8 +111,8 @@ class DataNode {
   void corrupt_cached_copy(BlockId block);
 
   /// Stored block ids in ascending order, and the smallest id strictly
-  /// greater than `cursor` (invalid when none) — the scrubber's
-  /// deterministic scan order over the unordered block map.
+  /// greater than `cursor` (invalid when none) — the scrubber's scan
+  /// order. Both read the sorted replica table directly.
   std::vector<BlockId> blocks_sorted() const;
   BlockId next_block_after(BlockId cursor) const;
 
@@ -161,9 +161,9 @@ class DataNode {
   /// dropped to home.
   bool demote_victim(BlockId block, std::size_t from);
 
-  /// Ages every victim-tier copy idle since before `cold_after` ago one
-  /// tier further down. Returns the number of copies demoted or dropped.
-  std::size_t age_victim_copies(Duration cold_after);
+  /// Ages every victim-tier copy the policy calls cold (demote_when_idle)
+  /// one tier further down. Returns the number of copies demoted or dropped.
+  std::size_t age_victim_copies();
 
   /// Drops any victim-tier (tiers 1..home-1) copies of `block` (integrity
   /// purge). Returns true when a copy was dropped.
@@ -239,11 +239,17 @@ class DataNode {
   NodeId id_;
   TierHierarchy tiers_;
   const MigrationPolicy* policy_ = nullptr;
-  std::unordered_map<BlockId, Bytes> blocks_;
-  // Per-replica checksums, written when the block lands on the node (the
-  // write path creates them; rot only damages them). A replica is corrupt
-  // when its stored checksum no longer matches the expected one.
-  std::unordered_map<BlockId, std::uint64_t> checksums_;
+  // The replica table, sorted by block id: lookups and the scrub cursor are
+  // binary searches. Set-up appends (block ids are handed out in increasing
+  // order); repair inserts in place, so never keep a pointer across
+  // add_block()/remove_block(). Rot only ever damages `checksum`.
+  struct Replica {
+    BlockId block;
+    Bytes size;
+    std::uint64_t checksum;
+  };
+  std::vector<Replica> replicas_;
+  const Replica* find(BlockId block) const;  // null when not stored
   /// Last touch time of victim-tier copies (DownwardOnCold ageing).
   std::unordered_map<BlockId, SimTime> victim_touch_;
   bool alive_ = true;

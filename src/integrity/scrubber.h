@@ -4,8 +4,9 @@
 // block per tick through the real device model (a full checksum read paying
 // real IO, contending with foreground traffic), so latent rot is found and
 // repaired before a reader hits it. Scan order is a per-node cursor over
-// the sorted block ids, wrapping around — deterministic regardless of the
-// underlying hash-map iteration order.
+// the DataNode's replica table, which is kept sorted by block id: each tick
+// takes the smallest id after the cursor (one binary search), wrapping
+// around at the end.
 #pragma once
 
 #include <cstdint>

@@ -78,14 +78,13 @@ class DownwardOnColdPolicy : public MigrationPolicy {
       : cold_after_(cold_after) {}
 
   const char* name() const override { return "downward-on-cold"; }
-  std::size_t demotion_target(const TierHierarchy& tiers,
+  std::size_t demotion_target(const TierHierarchy& /*tiers*/,
                               std::size_t from) const override {
     return from + 1;  // next tier down; home means drop
   }
   bool demote_when_idle(Duration idle) const override {
     return idle >= cold_after_;
   }
-  Duration cold_after() const { return cold_after_; }
 
  private:
   Duration cold_after_;

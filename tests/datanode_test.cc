@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <vector>
+
 #include "common/check.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace ignem {
 namespace {
@@ -119,6 +124,116 @@ TEST_F(DataNodeTest, BlockSizeLookup) {
   node_.add_block(BlockId(2), 5 * kMiB);
   EXPECT_EQ(node_.block_size(BlockId(2)), 5 * kMiB);
   EXPECT_THROW(node_.block_size(BlockId(3)), CheckFailure);
+}
+
+// The sorted replica table against an ordered-map model. Each seeded stream
+// mixes what set-up and repair do to a node: ascending appends, re-replication
+// of older ids into the middle, re-adds of a stored id (which come back
+// clean), removals (some of absent ids) and rot. After every operation the
+// touched block, a random id and the scrub cursor must agree with the model,
+// and the whole table is compared every kSweepEvery operations and at the end.
+TEST(DataNodeReplicaTable, MatchesOrderedMapModel) {
+  struct Replica {
+    Bytes size;
+    std::uint64_t checksum;
+  };
+  constexpr int kSeeds = 20;
+  constexpr int kOps = 5000;
+  constexpr int kSweepEvery = 250;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(test::seed_for(700 + seed));
+    Simulator sim;
+    DataNode node(sim, NodeId(0), two_tier_specs(quiet_hdd(), 1 * kGiB),
+                  Rng(1));
+    std::map<BlockId, Replica> model;
+    std::int64_t last_id = -1;
+    int op = 0;
+    const auto add = [&](BlockId block) {
+      const Bytes size = rng.uniform_int(1, 64) * kMiB;
+      node.add_block(block, size);
+      model[block] = {size, DataNode::expected_checksum(block, size)};
+    };
+    // The first stored id at or after a random one.
+    const auto some_stored = [&] {
+      const auto it = model.lower_bound(BlockId(rng.uniform_int(0, last_id)));
+      return (it == model.end() ? model.begin() : it)->first;
+    };
+    const auto check_block = [&](BlockId block) {
+      const auto it = model.find(block);
+      ASSERT_EQ(node.has_block(block), it != model.end())
+          << block << " at op " << op;
+      if (it == model.end()) {
+        ASSERT_FALSE(node.is_corrupt(block)) << block << " at op " << op;
+        return;
+      }
+      const Replica& replica = it->second;
+      ASSERT_EQ(node.block_size(block), replica.size)
+          << block << " at op " << op;
+      ASSERT_EQ(node.stored_checksum(block), replica.checksum)
+          << block << " at op " << op;
+      ASSERT_EQ(node.is_corrupt(block),
+                replica.checksum !=
+                    DataNode::expected_checksum(block, replica.size))
+          << block << " at op " << op;
+    };
+    const auto check_cursor = [&](BlockId cursor) {
+      const auto next = model.upper_bound(cursor);
+      ASSERT_EQ(node.next_block_after(cursor),
+                next == model.end() ? BlockId::invalid() : next->first)
+          << "cursor " << cursor << " at op " << op;
+    };
+    for (op = 1; op <= kOps; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 99);
+      BlockId touched;
+      if (kind < 30 || model.empty()) {
+        last_id += rng.uniform_int(1, 3);  // set-up: the next id handed out
+        touched = BlockId(last_id);
+        add(touched);
+      } else if (kind < 45) {
+        touched = BlockId(rng.uniform_int(0, last_id));  // re-replication
+        add(touched);
+      } else if (kind < 55) {
+        touched = some_stored();  // repair over a stored, maybe rotten, copy
+        add(touched);
+      } else if (kind < 85) {
+        touched = rng.uniform_int(0, 3) == 0
+                      ? BlockId(rng.uniform_int(0, last_id))  // maybe absent
+                      : some_stored();
+        node.remove_block(touched);
+        model.erase(touched);
+      } else {
+        touched = some_stored();
+        node.corrupt_block(touched);
+        // The rot pattern is the node's own; the model pins that it differs
+        // from a clean copy and survives every later insert and erase.
+        Replica& replica = model[touched];
+        replica.checksum = node.stored_checksum(touched);
+        ASSERT_NE(replica.checksum,
+                  DataNode::expected_checksum(touched, replica.size))
+            << "op " << op;
+      }
+
+      ASSERT_EQ(node.block_count(), model.size()) << "op " << op;
+      const BlockId probe(rng.uniform_int(0, last_id + 1));
+      check_block(touched);
+      check_block(probe);
+      check_cursor(BlockId::invalid());
+      check_cursor(touched);
+      check_cursor(probe);
+      check_cursor(BlockId(last_id + 1));  // past the largest id
+      if (op % kSweepEvery == 0 || op == kOps) {
+        std::vector<BlockId> ids;
+        ids.reserve(model.size());
+        for (const auto& [block, replica] : model) {
+          ids.push_back(block);
+          check_block(block);
+        }
+        ASSERT_EQ(node.blocks_sorted(), ids) << "op " << op;
+      }
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -277,17 +277,17 @@ TEST(TieredDataNodeTest, AgeingCascadesIdleCopiesTierByTier) {
 
   // Not yet cold: nothing moves.
   advance(sim, Duration::seconds(1.0));
-  EXPECT_EQ(node.age_victim_copies(policy.cold_after()), 0u);
+  EXPECT_EQ(node.age_victim_copies(), 0u);
   EXPECT_EQ(node.tiers().serving_tier(block), 1u);
 
   // Cold: one step down per sweep, never a skip straight to home.
   advance(sim, Duration::seconds(5.0));
-  EXPECT_EQ(node.age_victim_copies(policy.cold_after()), 1u);
+  EXPECT_EQ(node.age_victim_copies(), 1u);
   sim.run();
   EXPECT_EQ(node.tiers().serving_tier(block), 2u);
 
   advance(sim, Duration::seconds(5.0));
-  EXPECT_EQ(node.age_victim_copies(policy.cold_after()), 1u);
+  EXPECT_EQ(node.age_victim_copies(), 1u);
   sim.run();
   EXPECT_EQ(node.tiers().serving_tier(block), node.tiers().home_tier());
   EXPECT_EQ(node.tiers().total_demotes(), 3u);  // 0->1, 1->2, 2->home
@@ -498,8 +498,9 @@ TEST(TieredTestbedTest, ThreeTierIgnemRunPromotesAndDemotes) {
 
   std::uint64_t promotes = 0;
   std::uint64_t demotes = 0;
-  for (int n = 0; n < config.cluster.node_count; ++n) {
-    const TierHierarchy& tiers = testbed.datanode(NodeId(n)).tiers();
+  for (std::size_t n = 0; n < config.cluster.node_count; ++n) {
+    const TierHierarchy& tiers =
+        testbed.datanode(NodeId(static_cast<std::int64_t>(n))).tiers();
     promotes += tiers.total_promotes();
     demotes += tiers.total_demotes();
     for (std::size_t t = 0; t < tiers.home_tier(); ++t) {
