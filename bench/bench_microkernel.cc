@@ -15,16 +15,20 @@
 //   5. The scrubber's cursor (DataNode::next_block_after) at 1,074 blocks
 //      per node, the scale benchmark's shape, and at 16,384, a full 1 TB
 //      HDD of the paper's testbed in 64 MiB blocks.
+//   6. Replica placement (NameNode::create_file) at 128 nodes in 4 racks,
+//      512 in 16 (the scale benchmark's swim shape) and 2048 in 64.
 //
 // Timing is wall-clock (steady_clock). Every headline number lands in
 // BENCH_microkernel.json via BenchReport; scripts/perf_smoke.sh gates the
-// four machine-independent ratios (depth growth of queue churn, stream
+// five machine-independent ratios (depth growth of queue churn, stream
 // growth of bandwidth churn, profiling overhead, block-count growth of the
-// scrub cursor).
+// scrub cursor, node-count growth of placement).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -34,6 +38,7 @@
 #include "common/rng.h"
 #include "core/migration_queue.h"
 #include "dfs/datanode.h"
+#include "dfs/namenode.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "storage/bandwidth_resource.h"
@@ -327,14 +332,76 @@ void bench_scrub_cursor(BenchReport& report) {
   report.metric("scrub_cursor_growth", full / shape);
 }
 
+// ---------------------------------------------------------------------------
+// 6. Replica placement at cluster sizes.
+
+/// Host ns per block of NameNode::create_file on `nodes` DataNodes dealt
+/// into `racks` racks, 3 replicas of 64 MiB blocks: 2,048 files of 1 GiB,
+/// 32,768 blocks, the same for every cluster size so only the node count
+/// moves. Every node is live, as during a benchmark's set-up. Best of three
+/// fresh clusters, so one scheduler tick does not decide the figure.
+double placement_ns(std::int64_t nodes, int racks) {
+  constexpr int kFiles = 2048;
+  constexpr Bytes kFileBytes = 16 * 64 * kMiB;
+  constexpr int kBlocks = kFiles * 16;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    Simulator sim;
+    std::vector<std::unique_ptr<DataNode>> datanodes;
+    NameNode namenode(Rng(31), 3, 64 * kMiB, racks);
+    for (std::int64_t n = 0; n < nodes; ++n) {
+      datanodes.push_back(std::make_unique<DataNode>(
+          sim, NodeId(n), two_tier_specs(hdd_profile(), 1 * kGiB), Rng(n)));
+      namenode.register_datanode(datanodes.back().get());
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (int f = 0; f < kFiles; ++f) {
+      namenode.create_file("/f" + std::to_string(f), kFileBytes);
+    }
+    best = std::min(best, seconds_since(start) * 1e9 / kBlocks);
+    IGNEM_CHECK(namenode.block_count() == static_cast<std::size_t>(kBlocks));
+  }
+  return best;
+}
+
+void bench_placement(BenchReport& report) {
+  struct Shape {
+    std::int64_t nodes;
+    int racks;
+  };
+  constexpr Shape kShapes[] = {{128, 4}, {512, 16}, {2048, 64}};
+  std::printf("replica placement (create_file, 3 replicas, 32,768 blocks):\n");
+  std::printf("  %8s %6s %10s\n", "nodes", "racks", "ns/block");
+  double first_ns = 0;
+  double last_ns = 0;
+  for (const Shape& shape : kShapes) {
+    const double ns = placement_ns(shape.nodes, shape.racks);
+    std::printf("  %8lld %6d %10.1f\n", static_cast<long long>(shape.nodes),
+                shape.racks, ns);
+    report.metric("placement_ns_per_block_n" + std::to_string(shape.nodes),
+                  ns);
+    if (first_ns == 0) first_ns = ns;
+    last_ns = ns;
+  }
+  // Each pick is a few binary searches over the live-node index, so the
+  // cost barely moves with the node count; a scan of every node per pick
+  // grows 10-14x from 128 to 2048 nodes.
+  std::printf("  cost growth %lld -> %lld nodes: %.2fx\n",
+              static_cast<long long>(kShapes[0].nodes),
+              static_cast<long long>(kShapes[2].nodes), last_ns / first_ns);
+  report.metric("placement_growth", last_ns / first_ns);
+}
+
 void main_impl() {
   print_header(
-      "Microkernel: event queue, dispatch, bandwidth channel, scrub cursor");
+      "Microkernel: event queue, dispatch, bandwidth channel, scrub cursor, "
+      "placement");
   bench_event_churn(report());
   bench_dispatch(report());
   bench_bandwidth_churn(report());
   bench_migration_queue(report());
   bench_scrub_cursor(report());
+  bench_placement(report());
 }
 
 }  // namespace

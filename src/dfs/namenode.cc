@@ -5,6 +5,44 @@
 #include "common/check.h"
 
 namespace ignem {
+namespace {
+
+/// The k-th node in id order of `pool` (ascending ids) that is not in
+/// `taken` (ascending ids): each taken node the pool holds at or before the
+/// candidate's position pushes the candidate one position on.
+NodeId nth_untaken(const std::vector<NodeId>& pool, std::size_t k,
+                   const std::vector<NodeId>& taken) {
+  for (const NodeId node : taken) {
+    const auto pos = std::lower_bound(pool.begin(), pool.end(), node);
+    if (pos == pool.end() || *pos != node) continue;
+    if (static_cast<std::size_t>(pos - pool.begin()) > k) break;
+    ++k;
+  }
+  return pool[k];
+}
+
+/// The k-th node in id order of `pool` minus `minus`, a subset of it (both
+/// ascending): the first position whose prefix holds k + 1 nodes outside
+/// `minus`, found by binary search.
+NodeId nth_outside(const std::vector<NodeId>& pool,
+                   const std::vector<NodeId>& minus, std::size_t k) {
+  std::size_t lo = k;
+  std::size_t hi = std::min(pool.size() - 1, k + minus.size());
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const auto inside = static_cast<std::size_t>(
+        std::upper_bound(minus.begin(), minus.end(), pool[mid]) -
+        minus.begin());
+    if (mid + 1 - inside > k) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return pool[lo];
+}
+
+}  // namespace
 
 NameNode::NameNode(Rng rng, int replication, Bytes block_size, int rack_count)
     : rng_(rng),
@@ -14,82 +52,92 @@ NameNode::NameNode(Rng rng, int replication, Bytes block_size, int rack_count)
   IGNEM_CHECK(replication >= 1);
   IGNEM_CHECK(block_size > 0);
   IGNEM_CHECK(rack_count >= 1);
-}
-
-int NameNode::rack_of(NodeId node) const {
-  IGNEM_CHECK(node.valid());
-  return static_cast<int>(node.value() % rack_count_);
+  rack_live_.resize(static_cast<std::size_t>(rack_count));
 }
 
 void NameNode::register_datanode(DataNode* node) {
   IGNEM_CHECK(node != nullptr);
-  IGNEM_CHECK_MSG(node->id().value() == static_cast<std::int64_t>(nodes_.size()),
+  const NodeId id = node->id();
+  IGNEM_CHECK_MSG(id.value() == static_cast<std::int64_t>(nodes_.size()),
                   "DataNodes must register in NodeId order");
   nodes_.push_back(node);
   last_heartbeat_.push_back(SimTime::zero());
+  // Ids arrive in increasing order, so every list stays ascending.
+  alive_.push_back(true);
+  live_.push_back(id);
+  rack_live_[static_cast<std::size_t>(rack_of(id))].push_back(id);
+}
+
+std::size_t NameNode::slot(NodeId id) const {
+  IGNEM_CHECK_MSG(id.valid() &&
+                      static_cast<std::size_t>(id.value()) < nodes_.size(),
+                  "unknown node " << id.value());
+  return static_cast<std::size_t>(id.value());
 }
 
 void NameNode::record_heartbeat(NodeId id, SimTime now) {
-  IGNEM_CHECK(id.valid() &&
-              static_cast<std::size_t>(id.value()) < last_heartbeat_.size());
-  last_heartbeat_[static_cast<std::size_t>(id.value())] = now;
+  last_heartbeat_[slot(id)] = now;
 }
 
 std::vector<NodeId> NameNode::expired_nodes(SimTime now,
                                             Duration timeout) const {
   std::vector<NodeId> out;
   for (std::size_t i = 0; i < last_heartbeat_.size(); ++i) {
-    const NodeId id(static_cast<std::int64_t>(i));
-    if (dead_nodes_.contains(id)) continue;
-    if (now - last_heartbeat_[i] > timeout) out.push_back(id);
+    if (!alive_[i]) continue;
+    if (now - last_heartbeat_[i] > timeout) {
+      out.push_back(NodeId(static_cast<std::int64_t>(i)));
+    }
   }
   return out;
 }
 
 std::vector<NodeId> NameNode::place_replicas(std::size_t count) {
-  std::vector<NodeId> live = live_nodes();
-  IGNEM_CHECK_MSG(!live.empty(), "no live DataNodes");
-  count = std::min(count, live.size());
-
-  auto pick_where = [&](std::vector<NodeId>& pool, auto&& pred) -> NodeId {
-    std::vector<std::size_t> eligible;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (pred(pool[i])) eligible.push_back(i);
-    }
-    if (eligible.empty()) return NodeId::invalid();
-    const std::size_t idx = eligible[static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(eligible.size()) - 1))];
-    const NodeId node = pool[idx];
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
-    return node;
+  IGNEM_CHECK_MSG(!live_.empty(), "no live DataNodes");
+  count = std::min(count, live_.size());
+  std::vector<NodeId> chosen;  // pick order: the block's replica order
+  std::vector<NodeId> taken;   // the same nodes, ascending
+  chosen.reserve(count);
+  taken.reserve(count);
+  const auto take = [&](NodeId node) {
+    chosen.push_back(node);
+    taken.insert(std::upper_bound(taken.begin(), taken.end(), node), node);
+  };
+  // Every pick is one uniform draw over its eligible nodes, mapped to the
+  // k-th of them in id order.
+  const auto draw = [&](std::size_t eligible) {
+    return static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(eligible) - 1));
+  };
+  const auto any = [&] {
+    return nth_untaken(live_, draw(live_.size() - taken.size()), taken);
   };
 
-  std::vector<NodeId> chosen;
   // First replica: uniform over live nodes.
-  chosen.push_back(pick_where(live, [](NodeId) { return true; }));
-  // Second replica: off the first one's rack (HDFS default), when racks
-  // exist and another rack has a live node.
+  take(any());
+  // Second replica: off the first one's rack (HDFS default), when another
+  // rack has a live node; else anywhere. The only node taken so far sits on
+  // that rack, so no off-rack candidate needs skipping.
   if (chosen.size() < count) {
-    const int first_rack = rack_of(chosen[0]);
-    NodeId second = pick_where(
-        live, [&](NodeId n) { return rack_of(n) != first_rack; });
-    if (!second.valid()) second = pick_where(live, [](NodeId) { return true; });
-    if (second.valid()) chosen.push_back(second);
+    const auto& first_rack =
+        rack_live_[static_cast<std::size_t>(rack_of(chosen[0]))];
+    const std::size_t off_rack = live_.size() - first_rack.size();
+    take(off_rack > 0 ? nth_outside(live_, first_rack, draw(off_rack))
+                      : any());
   }
   // Third replica: same rack as the second (HDFS default), else anywhere.
-  if (chosen.size() < count && chosen.size() >= 2) {
-    const int second_rack = rack_of(chosen[1]);
-    NodeId third = pick_where(
-        live, [&](NodeId n) { return rack_of(n) == second_rack; });
-    if (!third.valid()) third = pick_where(live, [](NodeId) { return true; });
-    if (third.valid()) chosen.push_back(third);
+  if (chosen.size() < count) {
+    const int rack = rack_of(chosen[1]);
+    const auto& second_rack = rack_live_[static_cast<std::size_t>(rack)];
+    const auto on_rack =
+        second_rack.size() -
+        static_cast<std::size_t>(std::count_if(
+            taken.begin(), taken.end(),
+            [&](NodeId node) { return rack_of(node) == rack; }));
+    take(on_rack > 0 ? nth_untaken(second_rack, draw(on_rack), taken)
+                     : any());
   }
   // Replication factors beyond 3: uniform over the remainder.
-  while (chosen.size() < count) {
-    const NodeId extra = pick_where(live, [](NodeId) { return true; });
-    if (!extra.valid()) break;
-    chosen.push_back(extra);
-  }
+  while (chosen.size() < count) take(any());
   return chosen;
 }
 
@@ -146,7 +194,7 @@ std::vector<NodeId> NameNode::live_locations(BlockId id) const {
   std::vector<NodeId> out;
   const auto corrupt = corrupt_.find(id);
   for (const NodeId node : block(id).replicas) {
-    if (dead_nodes_.contains(node)) continue;
+    if (!is_node_alive(node)) continue;
     if (corrupt != corrupt_.end() && corrupt->second.contains(node)) continue;
     out.push_back(node);
   }
@@ -202,28 +250,21 @@ void NameNode::invalidate_replica(BlockId block, NodeId node) {
   }
 }
 
-DataNode* NameNode::datanode(NodeId id) const {
-  IGNEM_CHECK(id.valid() &&
-              static_cast<std::size_t>(id.value()) < nodes_.size());
-  return nodes_[static_cast<std::size_t>(id.value())];
-}
-
-std::vector<NodeId> NameNode::live_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (const DataNode* node : nodes_) {
-    if (!dead_nodes_.contains(node->id())) out.push_back(node->id());
-  }
-  return out;
-}
+DataNode* NameNode::datanode(NodeId id) const { return nodes_[slot(id)]; }
 
 void NameNode::set_node_alive(NodeId id, bool alive) {
-  IGNEM_CHECK(id.valid() &&
-              static_cast<std::size_t>(id.value()) < nodes_.size());
-  if (alive) {
-    dead_nodes_.erase(id);
-  } else {
-    dead_nodes_.insert(id);
+  const std::size_t i = slot(id);
+  if (alive_[i] != alive) {
+    alive_[i] = alive;
+    for (auto* list :
+         {&live_, &rack_live_[static_cast<std::size_t>(rack_of(id))]}) {
+      const auto pos = std::lower_bound(list->begin(), list->end(), id);
+      if (alive) {
+        list->insert(pos, id);
+      } else {
+        list->erase(pos);
+      }
+    }
   }
   if (trace_ != nullptr) {
     trace_->emit(alive ? TraceEventType::kNodeAlive : TraceEventType::kNodeDead,
@@ -234,7 +275,7 @@ void NameNode::set_node_alive(NodeId id, bool alive) {
 void NameNode::add_replica(BlockId block, NodeId node) {
   const auto it = blocks_.find(block);
   IGNEM_CHECK_MSG(it != blocks_.end(), "unknown block " << block.value());
-  IGNEM_CHECK_MSG(!dead_nodes_.contains(node),
+  IGNEM_CHECK_MSG(is_node_alive(node),
                   "cannot place replica on dead node " << node.value());
   auto& replicas = it->second.replicas;
   IGNEM_CHECK_MSG(

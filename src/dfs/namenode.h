@@ -10,7 +10,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -18,6 +17,7 @@
 #include "common/units.h"
 #include "dfs/block.h"
 #include "dfs/datanode.h"
+#include "net/topology.h"
 #include "obs/trace_recorder.h"
 
 namespace ignem {
@@ -32,10 +32,11 @@ struct FileInfo {
 class NameNode {
  public:
   /// `replication` is the target replica count, capped by live node count.
-  /// With `rack_count` > 1, nodes are assigned round-robin to racks and
-  /// placement follows the HDFS default policy: first replica on a random
-  /// node, second on a different rack, third on the second's rack — so a
-  /// whole-rack failure never loses a 3-replicated block.
+  /// With `rack_count` > 1, nodes are assigned round-robin to racks
+  /// (Topology::rack_for) and placement follows the HDFS default policy:
+  /// first replica on a random node, second on a different rack, third on
+  /// the second's rack — so a whole-rack failure never loses a 3-replicated
+  /// block.
   NameNode(Rng rng, int replication = 3, Bytes block_size = kDefaultBlockSize,
            int rack_count = 1);
 
@@ -73,13 +74,16 @@ class NameNode {
   void invalidate_replica(BlockId block, NodeId node);
 
   DataNode* datanode(NodeId id) const;
-  std::vector<NodeId> live_nodes() const;
+  /// Live nodes in id order. A copy, so callers may change liveness while
+  /// iterating it.
+  std::vector<NodeId> live_nodes() const { return live_; }
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Marks a whole server dead / alive again.
   void set_node_alive(NodeId id, bool alive);
 
-  bool is_node_alive(NodeId id) const { return !dead_nodes_.contains(id); }
+  /// Rejects an invalid or unregistered id.
+  bool is_node_alive(NodeId id) const { return alive_[slot(id)]; }
 
   /// Missed-heartbeat liveness (paper §III-A5 via HDFS semantics): the
   /// FailureDetector feeds DataNode heartbeats in and periodically asks
@@ -94,8 +98,8 @@ class NameNode {
   }
 
   /// Nodes not yet marked dead whose last heartbeat is older than
-  /// `timeout` at `now`. A node that has never beaten counts from its
-  /// registration time.
+  /// `timeout` at `now`. A node that has never beaten counts from time
+  /// zero.
   std::vector<NodeId> expired_nodes(SimTime now, Duration timeout) const;
 
   Bytes block_size() const { return block_size_; }
@@ -115,15 +119,24 @@ class NameNode {
   /// node must be live and not already hold the block.
   void add_replica(BlockId block, NodeId node);
 
-  /// Rack of a node (round-robin assignment).
-  int rack_of(NodeId node) const;
+  /// Rack of a node (round-robin assignment, Topology::rack_for).
+  int rack_of(NodeId node) const {
+    return Topology::rack_for(node, rack_count_);
+  }
   int rack_count() const { return rack_count_; }
+
+  /// A copy of the placement generator: its next draw shows, without
+  /// consuming anything, whether two placers used the same stream.
+  Rng placement_rng() const { return rng_; }
 
   /// Emits kFileCreate and kNodeDead/kNodeAlive (replica adds are emitted
   /// node-side by the DataNodes).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
  private:
+  /// Index of a registered node in the per-node vectors; rejects an
+  /// invalid or unregistered id.
+  std::size_t slot(NodeId id) const;
   std::vector<NodeId> place_replicas(std::size_t count);
 
   Rng rng_;
@@ -134,7 +147,11 @@ class NameNode {
 
   std::vector<DataNode*> nodes_;                  // index == NodeId value
   std::vector<SimTime> last_heartbeat_;           // index == NodeId value
-  std::unordered_set<NodeId> dead_nodes_;
+  // Live-node index, kept current by register_datanode and set_node_alive.
+  // Placement draws over it without scanning every node.
+  std::vector<bool> alive_;                       // index == NodeId value
+  std::vector<NodeId> live_;                      // ascending ids
+  std::vector<std::vector<NodeId>> rack_live_;    // per rack, ascending ids
   std::unordered_map<FileId, FileInfo> files_;
   std::unordered_map<std::string, FileId> paths_;
   std::unordered_map<BlockId, BlockInfo> blocks_;

@@ -1,9 +1,10 @@
 // Rack topology: which rack each node lives in.
 //
-// Uses the same round-robin assignment as the NameNode's placement policy
-// (node % rack_count) so "off-rack" means the same thing to placement,
-// repair targeting, and the network fabric. rack_count == 1 collapses to
-// the flat single-switch cluster every earlier experiment assumed.
+// Topology::rack_for is the one rack-assignment rule (round-robin,
+// node % rack_count). The NameNode's placement policy uses it too, so
+// "off-rack" means the same thing to placement, repair targeting, and the
+// network fabric. rack_count == 1 collapses to the flat single-switch
+// cluster every earlier experiment assumed.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,17 @@ class Topology {
   std::size_t node_count() const { return node_count_; }
   int rack_count() const { return rack_count_; }
 
+  /// Rack of `node` in a cluster of `rack_count` racks: nodes are dealt
+  /// round-robin, so rack r holds nodes r, r + rack_count, ...
+  static int rack_for(NodeId node, int rack_count) {
+    IGNEM_CHECK(node.valid() && rack_count >= 1);
+    return static_cast<int>(node.value() % rack_count);
+  }
+
   int rack_of(NodeId node) const {
     IGNEM_CHECK(node.valid() &&
                 static_cast<std::size_t>(node.value()) < node_count_);
-    return static_cast<int>(node.value() % rack_count_);
+    return rack_for(node, rack_count_);
   }
 
   bool same_rack(NodeId a, NodeId b) const {
