@@ -24,16 +24,7 @@ Outcome run_with_replicas(int replicas) {
 
   Outcome out;
   out.mean_job_s = testbed.metrics().mean_job_duration_seconds();
-  double sum = 0;
-  std::size_t n = 0;
-  for (const auto& sample : testbed.metrics().memory_samples()) {
-    if (sample.locked_bytes > 0) {
-      sum += static_cast<double>(sample.locked_bytes);
-      ++n;
-    }
-  }
-  out.memory_gib = n ? sum / static_cast<double>(n) / static_cast<double>(kGiB)
-                     : 0.0;
+  out.memory_gib = testbed.metrics().memory_footprint().mean_gib();
   Bytes migrated = 0;
   for (std::int64_t i = 0; i < 8; ++i) {
     migrated += testbed.ignem_slave(NodeId(i))->stats().bytes_migrated;

@@ -5,21 +5,8 @@
 // while still delivering ~60% of the hypothetical scheme's benefit.
 #include "bench/experiment_common.h"
 
-#include "common/histogram.h"
-
 namespace ignem::bench {
 namespace {
-
-Samples nonzero_memory_gib(const RunMetrics& metrics) {
-  Samples out;
-  for (const auto& sample : metrics.memory_samples()) {
-    if (sample.locked_bytes > 0) {
-      out.add(static_cast<double>(sample.locked_bytes) /
-              static_cast<double>(kGiB));
-    }
-  }
-  return out;
-}
 
 void main_impl() {
   print_header("Fig. 7: per-server migration memory, Ignem vs hypothetical");
@@ -29,30 +16,27 @@ void main_impl() {
   auto& ignem = runs[0];
   auto& instant = runs[1];
 
-  const Samples ignem_mem = nonzero_memory_gib(ignem->metrics());
-  const Samples instant_mem = nonzero_memory_gib(instant->metrics());
-
-  Histogram ignem_hist(0.0, 8.0, 16);
-  Histogram instant_hist(0.0, 8.0, 16);
-  for (const double v : ignem_mem.values()) ignem_hist.add(v);
-  for (const double v : instant_mem.values()) instant_hist.add(v);
-  std::cout << ignem_hist.render("Ignem per-server memory (GiB, non-zero samples)",
-                                 "GiB")
+  const MemoryFootprint& ignem_mem = ignem->metrics().memory_footprint();
+  const MemoryFootprint& instant_mem = instant->metrics().memory_footprint();
+  std::cout << ignem_mem.histogram_gib().render(
+                   "Ignem per-server memory (GiB, non-zero samples)", "GiB")
             << "\n";
-  std::cout << instant_hist.render(
+  std::cout << instant_mem.histogram_gib().render(
                    "Hypothetical instant scheme per-server memory (GiB)",
                    "GiB")
             << "\n";
 
   std::cout << "Mean non-zero memory: Ignem "
-            << TextTable::fixed(ignem_mem.mean(), 2) << " GiB vs hypothetical "
-            << TextTable::fixed(instant_mem.mean(), 2) << " GiB => "
-            << TextTable::fixed(instant_mem.mean() / ignem_mem.mean(), 1)
+            << TextTable::fixed(ignem_mem.mean_gib(), 2)
+            << " GiB vs hypothetical "
+            << TextTable::fixed(instant_mem.mean_gib(), 2) << " GiB => "
+            << TextTable::fixed(instant_mem.mean_gib() / ignem_mem.mean_gib(),
+                                1)
             << "x lower for Ignem   (paper: 2.6x)\n";
 
   const double hdfs = runs[2]->metrics().mean_job_duration_seconds();
-  report().metric("ignem_mean_nonzero_mem_gib", ignem_mem.mean());
-  report().metric("instant_mean_nonzero_mem_gib", instant_mem.mean());
+  report().metric("ignem_mean_nonzero_mem_gib", ignem_mem.mean_gib());
+  report().metric("instant_mean_nonzero_mem_gib", instant_mem.mean_gib());
   const double ignem_jobs = ignem->metrics().mean_job_duration_seconds();
   const double instant_jobs = instant->metrics().mean_job_duration_seconds();
   std::cout << "Speedup: Ignem " << TextTable::percent(speedup(hdfs, ignem_jobs))

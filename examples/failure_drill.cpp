@@ -5,7 +5,6 @@
 //   $ ./failure_drill
 #include <iostream>
 
-#include "common/logging.h"
 #include "core/testbed.h"
 #include "workload/swim.h"
 

@@ -7,7 +7,10 @@
 #   scripts/check.sh tiering    # N-tier hierarchy / migration-policy suite
 #   scripts/check.sh kernel     # event-queue + bandwidth differential suite
 #   scripts/check.sh metrics    # metrics-plane suite (instruments, RunReport
-#                               # determinism, trace inertness, CSV export)
+#                               # determinism, memory footprint, CSV export)
+#   scripts/check.sh chaos      # randomized fault + partition sweeps
+#   scripts/check.sh integrity  # corruption, scrubbing and repair suite
+#   scripts/check.sh scale      # partition chaos sweep on 128 nodes
 #
 # Uses a dedicated build directory (build-check) so the regular build stays
 # untouched. See docs/TRACING.md for the determinism/invariant suites this

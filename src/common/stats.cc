@@ -1,44 +1,12 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "common/check.h"
 
 namespace ignem {
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::mean() const { return n_ ? mean_ : 0.0; }
-
-double OnlineStats::variance() const {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-double OnlineStats::min() const {
-  return n_ ? min_ : std::numeric_limits<double>::infinity();
-}
-
-double OnlineStats::max() const {
-  return n_ ? max_ : -std::numeric_limits<double>::infinity();
-}
 
 void Samples::add(double x) {
   values_.push_back(x);

@@ -7,28 +7,6 @@
 
 namespace ignem {
 
-/// Streaming mean/variance/min/max (Welford's algorithm).
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const;
-  double variance() const;  ///< Sample variance; 0 when n < 2.
-  double stddev() const;
-  double min() const;       ///< +inf when empty.
-  double max() const;       ///< -inf when empty.
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-  double sum_ = 0;
-};
-
 /// A batch of samples with percentile queries and CDF export.
 class Samples {
  public:

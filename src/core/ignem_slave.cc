@@ -87,7 +87,7 @@ void IgnemSlave::maybe_start() {
 
     // The policy picks where the copy lands (tier 0 for every stock
     // policy); the page-in reads from the fastest tier already holding a
-    // copy — the home device in the legacy layout, possibly a victim tier
+    // copy — the home device in the paper's layout, possibly a victim tier
     // in a demoting hierarchy.
     const std::size_t target = datanode_.promotion_tier();
     std::size_t source = datanode_.tiers().serving_tier(head->block);

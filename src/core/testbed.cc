@@ -38,31 +38,26 @@ Testbed::Testbed(TestbedConfig config)
                                          config_.block_size,
                                          config_.rack_count);
   namenode_->set_trace(trace_.get());
-  // An explicit two-tier stack under UpwardOnHeat is bit-identical to the
-  // legacy layout, so tier events only join the stream when the hierarchy
-  // or the policy actually diverges from it.
-  const bool tiered = !config_.tiering.tiers.empty();
-  const bool emit_tier_events =
-      tiered && (config_.tiering.tiers.size() > 2 ||
-                 config_.tiering.policy != TierPolicyKind::kUpwardOnHeat);
-  if (tiered) {
-    tier_policy_ = make_tier_policy(config_.tiering.policy,
-                                    config_.tiering.cold_after);
-  }
+  // Tier events join the stream only when the hierarchy or the policy
+  // departs from the paper's two tiers under UpwardOnHeat, whose traces the
+  // pinned hashes fix.
   const std::vector<TierSpec> tiers = tier_specs();
+  const bool emit_tier_events =
+      tiers.size() > 2 ||
+      config_.tiering.policy != TierPolicyKind::kUpwardOnHeat;
+  tier_policy_ =
+      make_tier_policy(config_.tiering.policy, config_.tiering.cold_after);
   for (std::size_t i = 0; i < n; ++i) {
     datanodes_.push_back(std::make_unique<DataNode>(
         sim_, NodeId(static_cast<std::int64_t>(i)), tiers,
         rng_.fork(100 + i)));
-    if (tier_policy_ != nullptr) {
-      datanodes_.back()->set_migration_policy(tier_policy_.get());
-    }
+    datanodes_.back()->set_migration_policy(*tier_policy_);
     datanodes_.back()->set_checksum_cost(
         config_.integrity.checksum_cost_per_gib);
     datanodes_.back()->set_trace(trace_.get(), emit_tier_events);
     namenode_->register_datanode(datanodes_.back().get());
   }
-  if (tiered && config_.tiering.policy == TierPolicyKind::kDownwardOnCold &&
+  if (config_.tiering.policy == TierPolicyKind::kDownwardOnCold &&
       config_.tiering.age_check_period > Duration::zero()) {
     for (const auto& dn : datanodes_) {
       DataNode* raw = dn.get();
@@ -188,11 +183,9 @@ Testbed::Testbed(TestbedConfig config)
                                            config_.integrity);
   }
 
-  if (config_.memory_sample_period > Duration::zero() &&
-      (config_.mode == RunMode::kIgnem ||
-       config_.mode == RunMode::kInstantMigration)) {
+  if (migration_enabled()) {
     memory_sampler_ = std::make_unique<PeriodicTask>(
-        sim_, config_.memory_sample_period, [this] { sample_memory(); });
+        sim_, kMemorySamplePeriod, [this] { sample_memory(); });
   }
 
   // All recording below is passive: no events scheduled, no RNG consumed,
@@ -305,43 +298,24 @@ void Testbed::sample_memory() {
   // Aggregates for the registry time series (filled while walking nodes).
   Bytes total_locked = 0;
   std::size_t total_queue_depth = 0;
-  std::map<std::size_t, std::pair<Bytes, Bytes>> tier_usage;  // t -> used/cap
+  // Per pool tier (every node has the same stack): used and capacity
+  // summed over the nodes.
+  std::vector<std::pair<Bytes, Bytes>> tier_usage(
+      datanodes_.front()->tiers().home_tier());
 
   for (const auto& dn : datanodes_) {
-    MemorySample sample;
-    sample.node = dn->id();
-    sample.when = sim_.now();
-    sample.locked_bytes = dn->cache().used();
-    metrics_.add_memory_sample(sample);
-    total_locked += sample.locked_bytes;
-    if (!dn->tiering_active()) {
-      // Legacy layout: the RAM pool over the home device is "tier 0".
-      auto& [used, cap] = tier_usage[0];
-      used += dn->cache().used();
-      cap += dn->cache().capacity();
-      continue;
-    }
+    const Bytes locked = dn->cache().used();
+    metrics_.add_memory_sample(locked);
+    total_locked += locked;
     const TierHierarchy& tiers = dn->tiers();
-    for (std::size_t t = 0; t < tiers.tier_count(); ++t) {
-      TierSample ts;
-      ts.node = dn->id();
-      ts.when = sim_.now();
-      ts.tier = t;
-      ts.used = t == tiers.home_tier() ? 0 : tiers.pool(t).used();
-      ts.capacity = tiers.spec(t).capacity;
-      const TierStats& stats = tiers.stats(t);
-      ts.reads = stats.reads;
-      ts.promotes_in = stats.promotes_in;
-      ts.demotes_in = stats.demotes_in;
-      metrics_.add_tier_sample(ts);
-      auto& [used, cap] = tier_usage[t];
-      used += ts.used;
-      cap += ts.capacity;
+    for (std::size_t t = 0; t < tier_usage.size(); ++t) {
+      tier_usage[t].first += tiers.pool(t).used();
+      tier_usage[t].second += tiers.spec(t).capacity;
     }
   }
   for (const auto& slave : slaves_) total_queue_depth += slave->queue_depth();
 
-  const Duration w = config_.memory_sample_period;
+  const Duration w = kMemorySamplePeriod;
   const SimTime now = sim_.now();
   registry_.series("ignem.locked_bytes", w)
       .record(now, static_cast<double>(total_locked));
@@ -353,12 +327,10 @@ void Testbed::sample_memory() {
                        ? 0.0
                        : static_cast<double>(reads.memory_reads) /
                              static_cast<double>(reads.reads_completed));
-  for (const auto& [t, usage] : tier_usage) {
+  for (std::size_t t = 0; t < tier_usage.size(); ++t) {
+    const auto [used, capacity] = tier_usage[t];  // pools are never 0-sized
     registry_.series("tier.occupancy.t" + std::to_string(t), w)
-        .record(now, usage.second == 0
-                         ? 0.0
-                         : static_cast<double>(usage.first) /
-                               static_cast<double>(usage.second));
+        .record(now, static_cast<double>(used) / static_cast<double>(capacity));
   }
   if (scrubber_ != nullptr) {
     registry_.series("scrub.blocks_scanned", w)
@@ -729,11 +701,12 @@ ConfigFingerprint Testbed::fingerprint() const {
   fp.seed = config_.seed;
   fp.nodes = static_cast<int>(datanodes_.size());
   fp.replication = config_.replication;
-  fp.storage_media = media_name(config_.storage_media);
-  fp.tier_policy = config_.tiering.tiers.empty()
-                       ? "legacy"
-                       : tier_policy_name(config_.tiering.policy);
-  fp.tier_count = static_cast<int>(tier_specs().size());
+  // The stack this run built, whether implicit or explicit: its home tier
+  // names the primary medium.
+  const std::vector<TierSpec> tiers = tier_specs();
+  fp.storage_media = media_name(tiers.back().profile.media);
+  fp.tier_policy = tier_policy_->name();
+  fp.tier_count = static_cast<int>(tiers.size());
   fp.fault_tolerance = config_.fault_tolerance;
   fp.scrubber = config_.integrity.enable_scrubber;
   return fp;
@@ -855,22 +828,17 @@ RunReport Testbed::build_run_report(const std::string& name) {
   }
 
   std::uint64_t promotes = 0, demotes = 0, drops = 0, from_home = 0;
-  bool any_tiered = false;
   for (const auto& dn : datanodes_) {
-    if (!dn->tiering_active()) continue;
-    any_tiered = true;
     const TierHierarchy& tiers = dn->tiers();
     promotes += tiers.total_promotes();
     demotes += tiers.total_demotes();
     drops += tiers.drops_to_home();
     from_home += tiers.promotes_from_home();
   }
-  if (any_tiered) {
-    registry_.counter("tier.promotes").set(promotes);
-    registry_.counter("tier.demotes").set(demotes);
-    registry_.counter("tier.drops_to_home").set(drops);
-    registry_.counter("tier.promotes_from_home").set(from_home);
-  }
+  registry_.counter("tier.promotes").set(promotes);
+  registry_.counter("tier.demotes").set(demotes);
+  registry_.counter("tier.drops_to_home").set(drops);
+  registry_.counter("tier.promotes_from_home").set(from_home);
 
   report.summary.emplace_back("jobs",
                               static_cast<double>(metrics_.jobs().size()));

@@ -58,15 +58,16 @@ enum class RunMode {
 
 const char* run_mode_name(RunMode mode);
 
-/// Opt-in N-tier storage configuration. An empty tier stack keeps the
-/// legacy two-tier layout (RAM locked pool over the primary device), which
-/// is bit-identical to the pre-TierHierarchy testbed; an explicit two-tier
-/// stack with the UpwardOnHeat policy is bit-identical too (the
-/// differential regression tests pin both).
+/// N-tier storage configuration. Every run builds a tier stack and runs it
+/// under `policy`. An empty `tiers` builds the paper's two tiers (RAM
+/// locked pool over the primary device); writing that same stack out
+/// explicitly gives the same run, trace and report (the differential
+/// regression tests pin it).
 struct TieringConfig {
   /// Tier stack, fastest first, home tier (capacity 0) last. Empty = the
-  /// legacy layout built from storage_media + cache_capacity_per_node.
+  /// paper's layout, two_tier_specs(primary, cache_capacity_per_node).
   std::vector<TierSpec> tiers;
+  /// Applies to whichever stack is built.
   TierPolicyKind policy = TierPolicyKind::kUpwardOnHeat;
   /// DownwardOnCold: a victim copy idle this long ages one tier down.
   Duration cold_after = Duration::seconds(30.0);
@@ -92,8 +93,6 @@ struct TestbedConfig {
   /// Racks for HDFS-style placement; 1 = flat (the paper's 8-node testbed).
   int rack_count = 1;
   std::uint64_t seed = 42;
-  /// Period of the per-node migration-memory sampler (Fig. 7); zero disables.
-  Duration memory_sample_period = Duration::seconds(1.0);
   /// Records every component's typed trace events (src/obs). Off by default:
   /// the recorder is a null pointer everywhere and emission costs one branch.
   bool enable_trace = false;
@@ -132,6 +131,10 @@ struct TestbedConfig {
   /// Off by default: every control exchange is a direct call.
   bool routed_control_plane = false;
 };
+
+/// Period of the per-node migration-memory sampler (Fig. 7), which runs in
+/// the modes that migrate data.
+inline constexpr Duration kMemorySamplePeriod = Duration::seconds(1.0);
 
 /// A job plus its arrival offset from workload start.
 struct ScheduledJob {
@@ -236,9 +239,9 @@ class Testbed : public FaultTarget {
   const TestbedConfig& config() const { return config_; }
 
   /// The per-node tier hierarchy this run models: the explicit
-  /// config.tiering.tiers when set, otherwise the implicit two-tier stack
-  /// (RAM pool over the primary device) every legacy run uses. Feeds the
-  /// tier-cost summary (write_tier_cost_csv) in bench reports.
+  /// config.tiering.tiers when set, otherwise the paper's two-tier stack
+  /// (RAM pool over the primary device). Feeds the tier-cost summary
+  /// (write_tier_cost_csv) in bench reports.
   std::vector<TierSpec> tier_specs() const {
     if (!config_.tiering.tiers.empty()) return config_.tiering.tiers;
     return two_tier_specs(
@@ -321,7 +324,7 @@ class Testbed : public FaultTarget {
   std::unique_ptr<InstantMigrationService> instant_;
   std::vector<std::unique_ptr<HotDataPromoter>> promoters_;
   std::unique_ptr<PeriodicTask> memory_sampler_;
-  /// Shared tier-migration decision object (null in the legacy layout).
+  /// Tier-migration decision object every DataNode shares.
   std::unique_ptr<MigrationPolicy> tier_policy_;
   /// Per-node DownwardOnCold ageing sweeps.
   std::vector<std::unique_ptr<PeriodicTask>> age_tasks_;

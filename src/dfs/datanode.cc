@@ -19,13 +19,21 @@ auto seek(Table& table, BlockId block) {
       [](const auto& replica, BlockId id) { return replica.block < id; });
 }
 
+// The paper's policy, for nodes no Testbed hands one (unit tests, the
+// microbench). It is stateless, so one instance serves every such node.
+const MigrationPolicy& paper_policy() {
+  static const UpwardOnHeatPolicy policy;
+  return policy;
+}
+
 }  // namespace
 
 DataNode::DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers,
                    Rng rng)
     : sim_(sim),
       id_(id),
-      tiers_(sim, "dn" + std::to_string(id.value()), std::move(tiers), rng) {}
+      tiers_(sim, "dn" + std::to_string(id.value()), std::move(tiers), rng),
+      policy_(&paper_policy()) {}
 
 void DataNode::set_trace(TraceRecorder* trace, bool emit_tier_events) {
   trace_ = trace;
@@ -237,7 +245,7 @@ void DataNode::verify_block(BlockId block, ReadCallback on_complete) {
 }
 
 void DataNode::scrub_promoted_copies(BlockId block) {
-  if (!tiering_active() || !alive_) return;
+  if (!alive_) return;
   for (std::size_t t = 0; t < tiers_.home_tier(); ++t) {
     const BufferCache& pool = tiers_.pool(t);
     if (!pool.contains(block) || !pool.is_corrupt(block)) continue;
@@ -250,7 +258,7 @@ void DataNode::write(Bytes bytes, std::function<void()> on_complete) {
     sim_.schedule(Duration::zero(), std::move(on_complete));
     return;
   }
-  if (policy_ != nullptr && policy_->buffer_writes() &&
+  if (policy_->buffer_writes() &&
       tiers_.pool(0).available() >= bytes && tiers_.pool(0).reserve(bytes)) {
     // The burst is absorbed at fast-tier speed; the caller continues as
     // soon as the fast write lands, while the data drains to the home
@@ -288,7 +296,7 @@ bool DataNode::release_copy(BlockId block, std::size_t tier, Bytes bytes,
   const bool corrupt = pool.is_corrupt(block);
   pool.unlock(block);
   std::size_t dst = home;
-  if (allow_demote && alive_ && !corrupt && policy_ != nullptr) {
+  if (allow_demote && alive_ && !corrupt) {
     dst = std::min(policy_->demotion_target(tiers_, tier), home);
     if (dst <= tier) dst = home;
   }
@@ -318,7 +326,7 @@ bool DataNode::demote_victim(BlockId block, std::size_t from) {
 }
 
 std::size_t DataNode::age_victim_copies() {
-  if (!alive_ || policy_ == nullptr) return 0;
+  if (!alive_) return 0;
   std::size_t demoted = 0;
   const SimTime now = sim_.now();
   for (std::size_t t = 1; t < tiers_.home_tier(); ++t) {

@@ -1,15 +1,15 @@
 // DataNode: per-node block storage and the read path.
 //
-// Owns the node's storage TierHierarchy — in the legacy layout a RAM
+// Owns the node's storage TierHierarchy — in the paper's layout a RAM
 // locked-page pool (tier 0) over the primary device (the home tier), in
 // general an ordered stack of bounded copy pools over an unbounded home
 // tier. Reads resolve through the hierarchy: the fastest tier holding a
-// copy serves the block. A MigrationPolicy (shared, owned by the Testbed)
-// decides where promoted copies land, where released copies are demoted
-// to, and whether job-output writes are buffered in the fast tier. The
-// Ignem slave (core module) plugs into the DataNode via the tier/device
-// accessors and the BlockReadListener hook (used for implicit eviction,
-// §III-B2).
+// copy serves the block. A MigrationPolicy (shared, owned by the Testbed;
+// UpwardOnHeat until one is set) decides where promoted copies land,
+// where released copies are demoted to, and whether job-output writes are
+// buffered in the fast tier. The Ignem slave (core module) plugs into the
+// DataNode via the tier/device accessors and the BlockReadListener hook
+// (used for implicit eviction, §III-B2).
 #pragma once
 
 #include <cstdint>
@@ -136,8 +136,7 @@ class DataNode {
 
   /// Per-tier scrub extension: checksums any promoted copy of `block` the
   /// node holds (tier 0 and victim tiers alike) and reports cached-copy
-  /// corruption. Only active with a tier hierarchy (≥3 tiers or an
-  /// explicit policy), so legacy traces and stats are untouched.
+  /// corruption. Free and silent unless a copy is corrupt.
   void scrub_promoted_copies(BlockId block);
 
   /// Writes `bytes` of job output. With a WriteBuffer policy and fast-tier
@@ -183,8 +182,8 @@ class DataNode {
 
   TierHierarchy& tiers() { return tiers_; }
   const TierHierarchy& tiers() const { return tiers_; }
-  /// Legacy accessors: the home device, the fastest device, and tier 0's
-  /// pool (the paper's locked-page cache).
+  /// The home device, the fastest device, and tier 0's pool (the paper's
+  /// locked-page cache).
   StorageDevice& primary_device() { return tiers_.device(tiers_.home_tier()); }
   StorageDevice& ram_device() { return tiers_.device(0); }
   BufferCache& cache() { return tiers_.pool(0); }
@@ -194,19 +193,14 @@ class DataNode {
     return tiers_.has_promoted_copy(block);
   }
 
-  /// Decision object for promotion/demotion/write routing; null (the
-  /// default) behaves exactly like UpwardOnHeat — the legacy simulator.
-  void set_migration_policy(const MigrationPolicy* policy) {
-    policy_ = policy;
+  /// Decision object for promotion/demotion/write routing. Must outlive
+  /// the node; until it is set the node runs UpwardOnHeat.
+  void set_migration_policy(const MigrationPolicy& policy) {
+    policy_ = &policy;
   }
-  const MigrationPolicy* migration_policy() const { return policy_; }
-  /// Tier a master-commanded migration should land in (0 without policy).
+  /// Tier a master-commanded migration should land in.
   std::size_t promotion_tier() const {
-    return policy_ == nullptr ? 0 : policy_->promotion_tier(tiers_);
-  }
-  /// True when the N-tier machinery (tier events, per-tier scrubs) is on.
-  bool tiering_active() const {
-    return policy_ != nullptr || tiers_.tier_count() > 2;
+    return policy_->promotion_tier(tiers_);
   }
 
   void set_read_listener(BlockReadListener* listener) { listener_ = listener; }
@@ -221,7 +215,7 @@ class DataNode {
   /// Emits kReplicaAdd, kBlockReadStart/End, and kCacheHit/Miss; also wires
   /// the node's tier devices and tier-0 pool into the same recorder. With
   /// `emit_tier_events`, kTierInit/kTierPromote/kTierDemote join the
-  /// stream (never set in the legacy two-tier configuration).
+  /// stream (never set for the paper's two tiers under UpwardOnHeat).
   void set_trace(TraceRecorder* trace, bool emit_tier_events = false);
 
  private:
@@ -238,7 +232,7 @@ class DataNode {
   TraceRecorder* trace_ = nullptr;
   NodeId id_;
   TierHierarchy tiers_;
-  const MigrationPolicy* policy_ = nullptr;
+  const MigrationPolicy* policy_;  // never null
   // The replica table, sorted by block id: lookups and the scrub cursor are
   // binary searches. Set-up appends (block ids are handed out in increasing
   // order); repair inserts in place, so never keep a pointer across

@@ -50,9 +50,9 @@ void Scrubber::tick(std::size_t index) {
   // reads, re-replication, an earlier scan still draining) is IO this scan
   // will contend with.
   if (dn->primary_device().active_requests() > 0) ++stats_.scans_contended;
-  // With a tier hierarchy, promoted copies rot independently of the stored
-  // replica; checksum them in the same pass (free in legacy mode — the
-  // check is gated inside the DataNode, so traces and stats are untouched).
+  // Promoted copies rot independently of the stored replica; checksum them
+  // in the same pass. The check is free and emits only when a copy is
+  // corrupt, so clean runs' traces and stats are untouched.
   dn->scrub_promoted_copies(next);
   dn->verify_block(next, [this](const BlockReadResult& result) {
     if (result.corrupt) ++stats_.corrupt_found;

@@ -49,28 +49,6 @@ void write_jobs_csv(const RunMetrics& metrics, std::ostream& os) {
   }
 }
 
-void write_memory_samples_csv(const RunMetrics& metrics, std::ostream& os) {
-  os << "node,when_s,locked_bytes\n";
-  for (const auto& s : metrics.memory_samples()) {
-    os << s.node << ',' << s.when.to_seconds() << ',' << s.locked_bytes
-       << '\n';
-  }
-}
-
-void write_tier_samples_csv(const RunMetrics& metrics, std::ostream& os) {
-  os << "node,when_s,tier,used_bytes,capacity_bytes,occupancy,reads,"
-        "promotes_in,demotes_in\n";
-  for (const auto& s : metrics.tier_samples()) {
-    const double occupancy =
-        s.capacity == 0 ? 0.0
-                        : static_cast<double>(s.used) /
-                              static_cast<double>(s.capacity);
-    os << s.node << ',' << s.when.to_seconds() << ',' << s.tier << ','
-       << s.used << ',' << s.capacity << ',' << occupancy << ',' << s.reads
-       << ',' << s.promotes_in << ',' << s.demotes_in << '\n';
-  }
-}
-
 void write_integrity_csv(const IntegrityStats& integrity,
                          const ScrubberStats& scrubber, std::ostream& os) {
   os << "disk_corrupt_detected,cache_corrupt_detected,cache_copies_purged,"

@@ -28,14 +28,6 @@ void write_tasks_csv(const RunMetrics& metrics, std::ostream& os);
 /// job,name,input_bytes,submit_s,first_task_s,end_s,duration_s
 void write_jobs_csv(const RunMetrics& metrics, std::ostream& os);
 
-/// node,when_s,locked_bytes
-void write_memory_samples_csv(const RunMetrics& metrics, std::ostream& os);
-
-/// node,when_s,tier,used_bytes,capacity_bytes,occupancy,reads,promotes_in,
-/// demotes_in — per-tier occupancy and cumulative counters (N-tier runs;
-/// empty body in the legacy layout). The home tier reports occupancy 0.
-void write_tier_samples_csv(const RunMetrics& metrics, std::ostream& os);
-
 /// One-row summary of the data-integrity plane:
 /// disk_corrupt_detected,cache_corrupt_detected,cache_copies_purged,
 /// blocks_scanned,scrub_corrupt_found. Pass a default ScrubberStats when

@@ -32,8 +32,8 @@ struct ConfigFingerprint {
   std::uint64_t seed = 0;
   int nodes = 0;
   int replication = 0;
-  std::string storage_media;             ///< media_name() of the primary.
-  std::string tier_policy;               ///< tier_policy_name(); "" = legacy.
+  std::string storage_media;             ///< media_name() of the home tier.
+  std::string tier_policy;               ///< The MigrationPolicy's name().
   int tier_count = 0;
   bool fault_tolerance = false;
   bool scrubber = false;

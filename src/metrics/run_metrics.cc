@@ -2,6 +2,19 @@
 
 namespace ignem {
 
+void MemoryFootprint::add(Bytes locked_bytes) {
+  if (locked_bytes <= 0) return;
+  const double gib =
+      static_cast<double>(locked_bytes) / static_cast<double>(kGiB);
+  sum_gib_ += gib;
+  histogram_.add(gib);
+}
+
+double MemoryFootprint::mean_gib() const {
+  if (count() == 0) return 0.0;
+  return sum_gib_ / static_cast<double>(count());
+}
+
 Samples RunMetrics::job_durations_seconds() const {
   Samples s;
   s.reserve(jobs_.size());
@@ -54,8 +67,7 @@ void RunMetrics::clear() {
   block_reads_.clear();
   tasks_.clear();
   jobs_.clear();
-  memory_samples_.clear();
-  tier_samples_.clear();
+  memory_footprint_ = MemoryFootprint{};
 }
 
 }  // namespace ignem

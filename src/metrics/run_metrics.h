@@ -3,12 +3,14 @@
 // Every experiment drives the cluster with a RunMetrics sink attached;
 // benches aggregate these records into the paper's tables and figures.
 // Records are flat structs (no behaviour) so analysis code can slice them
-// freely.
+// freely. The memory sampler's per-node samples are the exception: they
+// are folded into one per-run MemoryFootprint instead of kept.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/ids.h"
 #include "common/stats.h"
 #include "common/units.h"
@@ -55,25 +57,26 @@ struct JobRecord {
   bool failed = false;  ///< A task hit a terminal read error (lost data).
 };
 
-/// Periodic sample of one node's migration-memory footprint (paper Fig. 7).
-struct MemorySample {
-  NodeId node;
-  SimTime when;
-  Bytes locked_bytes = 0;
-};
+/// The per-node migration-memory footprint (paper Fig. 7): every non-zero
+/// locked-bytes sample the memory sampler takes, folded in sample order.
+/// Zero samples (a node holding nothing) are skipped, as Fig. 7 plots only
+/// the non-zero ones.
+class MemoryFootprint {
+ public:
+  void add(Bytes locked_bytes);
 
-/// Periodic sample of one storage tier on one node (N-tier runs only).
-/// Counters are cumulative since run start; occupancy = used / capacity
-/// (the home tier samples with used = capacity = 0).
-struct TierSample {
-  NodeId node;
-  SimTime when;
-  std::size_t tier = 0;
-  Bytes used = 0;
-  Bytes capacity = 0;
-  std::uint64_t reads = 0;        ///< Block reads this tier has served.
-  std::uint64_t promotes_in = 0;  ///< Copies that landed here from below.
-  std::uint64_t demotes_in = 0;   ///< Copies that landed here from above.
+  /// Non-zero samples seen.
+  std::size_t count() const { return histogram_.total(); }
+  /// Their sum in GiB, added left to right.
+  double sum_gib() const { return sum_gib_; }
+  /// sum_gib() / count(); 0 when there are none.
+  double mean_gib() const;
+  /// 16 bins of 0.5 GiB over [0, 8) GiB; larger samples land in the last.
+  const Histogram& histogram_gib() const { return histogram_; }
+
+ private:
+  double sum_gib_ = 0.0;
+  Histogram histogram_{0.0, 8.0, 16};
 };
 
 class RunMetrics {
@@ -81,14 +84,15 @@ class RunMetrics {
   void add_block_read(const BlockReadRecord& r) { block_reads_.push_back(r); }
   void add_task(const TaskRecord& r) { tasks_.push_back(r); }
   void add_job(const JobRecord& r) { jobs_.push_back(r); }
-  void add_memory_sample(const MemorySample& s) { memory_samples_.push_back(s); }
-  void add_tier_sample(const TierSample& s) { tier_samples_.push_back(s); }
+  /// One node's locked bytes at one sampler tick.
+  void add_memory_sample(Bytes locked_bytes) {
+    memory_footprint_.add(locked_bytes);
+  }
 
   const std::vector<BlockReadRecord>& block_reads() const { return block_reads_; }
   const std::vector<TaskRecord>& tasks() const { return tasks_; }
   const std::vector<JobRecord>& jobs() const { return jobs_; }
-  const std::vector<MemorySample>& memory_samples() const { return memory_samples_; }
-  const std::vector<TierSample>& tier_samples() const { return tier_samples_; }
+  const MemoryFootprint& memory_footprint() const { return memory_footprint_; }
 
   /// Convenience aggregates used by many benches.
   Samples job_durations_seconds() const;
@@ -107,8 +111,7 @@ class RunMetrics {
   std::vector<BlockReadRecord> block_reads_;
   std::vector<TaskRecord> tasks_;
   std::vector<JobRecord> jobs_;
-  std::vector<MemorySample> memory_samples_;
-  std::vector<TierSample> tier_samples_;
+  MemoryFootprint memory_footprint_;
 };
 
 }  // namespace ignem

@@ -99,8 +99,8 @@ enum class TraceEventType : std::uint8_t {
   kReplicaInvalidate,   ///< NameNode dropped a corrupt replica from the
                         ///< namespace; bytes = block size.
   // Tier hierarchy (src/storage). Emitted only when tier events are armed
-  // (≥3 tiers or a non-legacy policy), so legacy two-tier trace hashes are
-  // unaffected.
+  // (≥3 tiers or a policy other than UpwardOnHeat), so the paper's two-tier
+  // trace hashes are unaffected.
   kTierInit,            ///< one per tier at wiring; bytes = capacity
                         ///< (0 = unbounded home tier), detail = tier index.
   kTierPromote,         ///< copy moved to a faster tier; bytes = copy size,

@@ -2,15 +2,6 @@
 
 namespace ignem {
 
-const char* tier_policy_name(TierPolicyKind kind) {
-  switch (kind) {
-    case TierPolicyKind::kUpwardOnHeat: return "upward-on-heat";
-    case TierPolicyKind::kDownwardOnCold: return "downward-on-cold";
-    case TierPolicyKind::kWriteBuffer: return "write-buffer";
-  }
-  return "?";
-}
-
 std::unique_ptr<MigrationPolicy> make_tier_policy(TierPolicyKind kind,
                                                   Duration cold_after) {
   switch (kind) {

@@ -8,8 +8,9 @@
 //   UpwardOnHeat   the paper's Ignem behaviour, reproduced exactly —
 //                  promote to the fastest tier on master command, drop
 //                  evicted copies (the home replica persists), never
-//                  buffer writes. With two tiers this *is* the legacy
-//                  simulator, bit for bit.
+//                  buffer writes. With two tiers this *is* the paper's
+//                  layout, bit for bit; a DataNode no Testbed configures
+//                  runs it.
 //   DownwardOnCold demotion/archival — an evicted or idle copy cascades
 //                  one tier down instead of vanishing, ageing out of the
 //                  hierarchy tier by tier (victim-cache style).
@@ -30,8 +31,6 @@ enum class TierPolicyKind {
   kDownwardOnCold,
   kWriteBuffer,
 };
-
-const char* tier_policy_name(TierPolicyKind kind);
 
 class MigrationPolicy {
  public:

@@ -30,7 +30,7 @@ TierSpec tape_home_tier() {
 
 std::vector<TierSpec> two_tier_specs(const DeviceProfile& primary,
                                      Bytes cache_capacity) {
-  // Names match the legacy device names ("dnN/ram", "dnN/primary").
+  // Names match the pre-hierarchy device names ("dnN/ram", "dnN/primary").
   std::vector<TierSpec> specs;
   specs.push_back(TierSpec{"ram", ram_profile(), cache_capacity, 10.0});
   specs.push_back(TierSpec{"primary", primary, 0, 0.05});
@@ -47,7 +47,7 @@ TierHierarchy::TierHierarchy(Simulator& sim, const std::string& base_name,
   for (std::size_t t = 0; t < specs.size(); ++t) {
     Tier tier;
     tier.spec = std::move(specs[t]);
-    // Stream ids 1 (home) and 2 (tier 0) reproduce the legacy
+    // Stream ids 1 (home) and 2 (tier 0) reproduce the pre-hierarchy
     // primary/ram fork order; Rng::fork is order-independent, so middle
     // tiers can take fresh streams without perturbing those two.
     const std::uint64_t stream = t == home ? 1 : t == 0 ? 2 : 10 + t;
@@ -102,7 +102,7 @@ void TierHierarchy::set_trace(TraceRecorder* trace, NodeId node,
   emit_tier_events_ = emit_tier_events;
   for (auto& tier : tiers_) tier.device->set_trace(trace, node);
   // Only tier 0 joins the kCache* stream: one kCacheInit per node, exactly
-  // as the legacy layout emitted.
+  // as the pre-hierarchy layout emitted.
   tiers_[0].pool->set_trace(trace, node);
   if (trace_ != nullptr && emit_tier_events_) {
     for (std::size_t t = 0; t < tiers_.size(); ++t) {

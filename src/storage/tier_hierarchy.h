@@ -7,10 +7,10 @@
 //
 // Trace wiring is deliberately asymmetric: only tier 0's pool joins the
 // kCache* event stream (the CacheCapacityRule is keyed per node, and the
-// legacy two-tier traces must stay bit-identical), while tier moves are
+// paper's two-tier traces must stay bit-identical), while tier moves are
 // reported through the dedicated kTierInit/kTierPromote/kTierDemote events
-// — emitted only when `emit_tier_events` is set, i.e. never in the legacy
-// two-tier configuration.
+// — emitted only when `emit_tier_events` is set, i.e. never for the paper's
+// two tiers under UpwardOnHeat.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +38,8 @@ class TierHierarchy {
   /// `specs` ordered fastest to slowest; the last entry is the home tier
   /// (capacity 0, no pool), every other entry needs a positive capacity.
   /// RNG streams: the home device forks stream 1 and tier 0 forks stream 2
-  /// — matching the legacy primary/ram fork order so two-tier traces stay
-  /// bit-identical — and middle tier t forks stream 10 + t.
+  /// — matching the pre-hierarchy primary/ram fork order so two-tier
+  /// traces stay bit-identical — and middle tier t forks stream 10 + t.
   TierHierarchy(Simulator& sim, const std::string& base_name,
                 std::vector<TierSpec> specs, Rng rng);
 

@@ -2,41 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace ignem {
 namespace {
-
-TEST(OnlineStats, EmptyDefaults) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_TRUE(std::isinf(s.min()));
-  EXPECT_TRUE(std::isinf(s.max()));
-}
-
-TEST(OnlineStats, MomentsMatchClosedForm) {
-  OnlineStats s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, SingleValue) {
-  OnlineStats s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-}
 
 TEST(Samples, MeanSumMinMax) {
   Samples s;

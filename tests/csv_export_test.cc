@@ -40,23 +40,6 @@ RunMetrics sample_metrics() {
   job.end = SimTime(9'000'000);
   job.duration = Duration::seconds(9);
   metrics.add_job(job);
-
-  MemorySample sample;
-  sample.node = NodeId(0);
-  sample.when = SimTime(5'000'000);
-  sample.locked_bytes = 42;
-  metrics.add_memory_sample(sample);
-
-  TierSample tier;
-  tier.node = NodeId(1);
-  tier.when = SimTime(6'000'000);
-  tier.tier = 0;
-  tier.used = 50;
-  tier.capacity = 200;
-  tier.reads = 9;
-  tier.promotes_in = 4;
-  tier.demotes_in = 2;
-  metrics.add_tier_sample(tier);
   return metrics;
 }
 
@@ -91,25 +74,6 @@ TEST(CsvExport, Jobs) {
   const std::string out = os.str();
   EXPECT_EQ(line_count(out), 2u);
   EXPECT_NE(out.find("3,scan,67108864,0,1,9,9"), std::string::npos);
-}
-
-TEST(CsvExport, MemorySamples) {
-  std::ostringstream os;
-  write_memory_samples_csv(sample_metrics(), os);
-  const std::string out = os.str();
-  EXPECT_EQ(line_count(out), 2u);
-  EXPECT_NE(out.find("0,5,42"), std::string::npos);
-}
-
-TEST(CsvExport, TierSamples) {
-  std::ostringstream os;
-  write_tier_samples_csv(sample_metrics(), os);
-  const std::string out = os.str();
-  EXPECT_EQ(line_count(out), 2u);
-  EXPECT_NE(out.find("node,when_s,tier,used_bytes,capacity_bytes,occupancy,"
-                     "reads,promotes_in,demotes_in"),
-            std::string::npos);
-  EXPECT_NE(out.find("1,6,0,50,200,0.25,9,4,2"), std::string::npos);
 }
 
 TEST(CsvExport, IntegritySummary) {
@@ -166,9 +130,7 @@ TEST(CsvExport, EmptyMetricsWriteHeadersOnly) {
   write_block_reads_csv(empty, os);
   write_tasks_csv(empty, os);
   write_jobs_csv(empty, os);
-  write_memory_samples_csv(empty, os);
-  write_tier_samples_csv(empty, os);
-  EXPECT_EQ(line_count(os.str()), 5u);
+  EXPECT_EQ(line_count(os.str()), 3u);
 }
 
 TEST(CsvExport, EscapePassesPlainFieldsThrough) {

@@ -15,7 +15,6 @@ TestbedConfig small(RunMode mode) {
   config.cluster.node_count = 4;
   config.cluster.slots_per_node = 4;
   config.cache_capacity_per_node = 32 * kGiB;
-  config.memory_sample_period = Duration::zero();
   config.seed = test::seed_for(config.seed);
   return config;
 }

@@ -101,7 +101,6 @@ TestbedConfig testbed_config(RunMode mode) {
   config.cluster.slots_per_node = 6;
   config.cache_capacity_per_node = 32 * kGiB;
   config.seed = 31;
-  config.memory_sample_period = Duration::zero();
   return config;
 }
 

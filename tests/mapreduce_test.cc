@@ -17,7 +17,6 @@ TestbedConfig small_config(RunMode mode = RunMode::kHdfs) {
   config.cluster.node_count = 4;
   config.cluster.slots_per_node = 4;
   config.cache_capacity_per_node = 32 * kGiB;
-  config.memory_sample_period = Duration::zero();
   return config;
 }
 

@@ -6,12 +6,17 @@
 //   2. Determinism — two identical seeded runs emit byte-identical
 //      RunReport JSON (each run in a fresh thread so thread_local kernel
 //      alloc counters start cold, exactly like two separate processes),
-//      and a report read on another thread than the run's matches.
+//      a report read on another thread than the run's matches, and an
+//      empty tier stack reports exactly what the explicit two-tier one does.
+//   3. The memory footprint — the per-run aggregate Fig. 7 reads — matches
+//      the per-sample rows it replaced, bit for bit.
 // Inertness — recording never perturbs the simulation — is pinned by the
 // trace hashes in kernel_regression_test: they predate the metrics plane
 // and every Testbed now records metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -19,12 +24,18 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/check.h"
+#include "common/histogram.h"
+#include "common/rng.h"
+#include "common/stats.h"
 #include "core/testbed.h"
 #include "metrics/instruments.h"
 #include "metrics/registry.h"
 #include "metrics/report.h"
+#include "metrics/run_metrics.h"
+#include "test_util.h"
 #include "workload/swim.h"
 
 namespace ignem {
@@ -239,29 +250,55 @@ SwimConfig small_swim() {
   return config;
 }
 
+struct ReportRun {
+  std::string json;
+  std::uint64_t trace_hash = 0;  ///< 0 unless the config enables tracing.
+};
+
 // Runs a full seeded testbed in a fresh thread and returns its RunReport
-// JSON. The fresh thread matters: kernel alloc counters are thread_local,
-// and a previous run on this thread would leave warmed slab pools behind —
-// a fresh thread reproduces the "separate process" baseline the
-// byte-identical guarantee is stated for.
-std::string report_json_in_fresh_thread() {
-  std::string out;
-  std::thread t([&out] {
-    Testbed testbed(small_config(RunMode::kIgnem));
+// JSON and trace hash. The fresh thread matters: kernel alloc counters are
+// thread_local, and a previous run on this thread would leave warmed slab
+// pools behind — a fresh thread reproduces the "separate process" baseline
+// the byte-identical guarantee is stated for.
+ReportRun run_in_fresh_thread(
+    const TestbedConfig& config = small_config(RunMode::kIgnem)) {
+  ReportRun out;
+  std::thread t([&out, &config] {
+    Testbed testbed(config);
     testbed.run_workload(build_swim_workload(testbed, small_swim()));
     std::ostringstream os;
     testbed.build_run_report("determinism").write_json(os);
-    out = os.str();
+    out.json = os.str();
+    out.trace_hash = testbed.trace_hash();
   });
   t.join();
   return out;
 }
 
 TEST(RunReportTest, ByteIdenticalAcrossIdenticalSeededRuns) {
-  const std::string first = report_json_in_fresh_thread();
-  const std::string second = report_json_in_fresh_thread();
+  const std::string first = run_in_fresh_thread().json;
+  const std::string second = run_in_fresh_thread().json;
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// One storage layout: an empty tier stack builds the paper's two tiers
+// under UpwardOnHeat, so spelling that stack out changes nothing — not the
+// trace, and not one byte of the report.
+TEST(RunReportTest, EmptyTierStackMatchesExplicitTwoTierStack) {
+  TestbedConfig empty_stack = small_config(RunMode::kIgnem);
+  empty_stack.enable_trace = true;
+  TestbedConfig explicit_stack = empty_stack;
+  explicit_stack.tiering.tiers =
+      two_tier_specs(profile_for(empty_stack.storage_media),
+                     empty_stack.cache_capacity_per_node);
+  const ReportRun a = run_in_fresh_thread(empty_stack);
+  const ReportRun b = run_in_fresh_thread(explicit_stack);
+  ASSERT_NE(a.trace_hash, 0u);
+  EXPECT_EQ(a.trace_hash, b.trace_hash);
+  EXPECT_EQ(a.json, b.json);
+  EXPECT_NE(a.json.find("\"tier_policy\": \"upward-on-heat\""),
+            std::string::npos);
 }
 
 // Sweep benches run each Testbed on a worker thread and write its report
@@ -282,7 +319,7 @@ TEST(RunReportTest, ReportReadOnAnotherThreadMatchesTheRunsThread) {
   ran.get_future().get()->build_run_report("determinism").write_json(os);
   reported.set_value();
   worker.join();
-  EXPECT_EQ(os.str(), report_json_in_fresh_thread());
+  EXPECT_EQ(os.str(), run_in_fresh_thread().json);
 }
 
 TEST(RunReportTest, ContainsKernelProfileSeriesAndFingerprint) {
@@ -300,6 +337,27 @@ TEST(RunReportTest, ContainsKernelProfileSeriesAndFingerprint) {
         "\"tier.occupancy.t0\"", "\"summary\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing " << needle;
   }
+}
+
+// The fingerprint describes the stack the run built: an explicit stack's
+// home tier, not config.storage_media, names the medium.
+TEST(Fingerprint, StorageMediaNamesTheBuiltHomeTier) {
+  TestbedConfig hdd = small_config(RunMode::kIgnem);
+  hdd.tiering.tiers = {ram_tier(1 * kGiB), hdd_home_tier()};
+  TestbedConfig ssd = hdd;
+  ssd.tiering.tiers = {ram_tier(1 * kGiB),
+                       TierSpec{"ssd", ssd_profile(), 0, 0.4}};
+  const ConfigFingerprint a = Testbed(hdd).fingerprint();
+  const ConfigFingerprint b = Testbed(ssd).fingerprint();
+  EXPECT_EQ(a.storage_media, "HDD");
+  EXPECT_EQ(b.storage_media, "SSD");
+  EXPECT_NE(a.canonical(), b.canonical());
+  EXPECT_NE(a.hash(), b.hash());
+
+  // The paper's layout keeps naming config.storage_media.
+  TestbedConfig paper = small_config(RunMode::kIgnem);
+  paper.storage_media = MediaType::kSsd;
+  EXPECT_EQ(Testbed(paper).fingerprint().storage_media, "SSD");
 }
 
 TEST(KernelProfileTest, ClassCountsSumToDispatched) {
@@ -349,6 +407,98 @@ TEST(ScrubMetricsTest, ProgressAndContentionSurfaceInReport) {
   EXPECT_NE(json.find("\"scrub.blocks_scanned\""), std::string::npos);
   EXPECT_NE(json.find("\"scrub.contention_ratio\""), std::string::npos);
   EXPECT_NE(json.find("\"scrub.coverage\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The memory footprint against the per-sample rows it replaced
+
+// The model: the rows the sampler used to keep (one locked-bytes value per
+// node per tick), reduced exactly as Fig. 7 and the replicas ablation
+// reduced them.
+struct RowModel {
+  Samples nonzero_gib;  // Fig. 7's mean
+  Histogram histogram{0.0, 8.0, 16};  // Fig. 7's plot
+  double ablation_mean_gib = 0.0;  // the ablation's mean in bytes, in GiB
+};
+
+RowModel reduce_rows(const std::vector<Bytes>& rows) {
+  RowModel model;
+  for (const Bytes locked : rows) {
+    if (locked > 0) {
+      model.nonzero_gib.add(static_cast<double>(locked) /
+                            static_cast<double>(kGiB));
+    }
+  }
+  for (const double v : model.nonzero_gib.values()) model.histogram.add(v);
+  double sum = 0;
+  std::size_t n = 0;
+  for (const Bytes locked : rows) {
+    if (locked > 0) {
+      sum += static_cast<double>(locked);
+      ++n;
+    }
+  }
+  model.ablation_mean_gib =
+      n ? sum / static_cast<double>(n) / static_cast<double>(kGiB) : 0.0;
+  return model;
+}
+
+TEST(MemoryFootprintTest, MatchesPerSampleRowModel) {
+  Rng rng(test::seed_for(16));
+  std::size_t empty_runs = 0, zeros = 0, above_range = 0;
+  for (int run = 0; run < 300; ++run) {
+    // Run 0 takes no sample at all; the rest sample every node per tick.
+    const auto nodes =
+        run == 0 ? 0 : static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const auto ticks = static_cast<std::size_t>(rng.uniform_int(0, 80));
+    // Each node's locked bytes walk by whole blocks or odd byte counts,
+    // between empty and 12 GiB (past the histogram's 8 GiB top).
+    std::vector<Bytes> locked(nodes, 0);
+    std::vector<Bytes> rows;
+    RunMetrics metrics;
+    for (std::size_t tick = 0; tick < ticks; ++tick) {
+      for (Bytes& node : locked) {
+        const double u = rng.next_double();
+        if (u < 0.15) {
+          node = 0;
+        } else if (u < 0.25) {
+          node = rng.uniform_int(1, 12 * kGiB);
+        } else {
+          node += rng.uniform_int(-8, 8) * 64 * kMiB;
+          node = std::clamp<Bytes>(node, 0, 12 * kGiB);
+        }
+        rows.push_back(node);
+        metrics.add_memory_sample(node);
+        zeros += node == 0 ? 1 : 0;
+        above_range += node >= 8 * kGiB ? 1 : 0;
+      }
+    }
+    empty_runs += rows.empty() ? 1 : 0;
+
+    const RowModel model = reduce_rows(rows);
+    const MemoryFootprint& footprint = metrics.memory_footprint();
+    ASSERT_EQ(footprint.count(), model.nonzero_gib.count()) << "run " << run;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(footprint.sum_gib()),
+              std::bit_cast<std::uint64_t>(model.nonzero_gib.sum()))
+        << "run " << run;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(footprint.mean_gib()),
+              std::bit_cast<std::uint64_t>(model.nonzero_gib.mean()))
+        << "run " << run;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(footprint.mean_gib()),
+              std::bit_cast<std::uint64_t>(model.ablation_mean_gib))
+        << "run " << run;
+    const Histogram& h = footprint.histogram_gib();
+    ASSERT_EQ(h.bin_count(), model.histogram.bin_count());
+    EXPECT_EQ(h.total(), model.histogram.total());
+    for (std::size_t i = 0; i < h.bin_count(); ++i) {
+      EXPECT_EQ(h.count_in_bin(i), model.histogram.count_in_bin(i))
+          << "run " << run << " bin " << i;
+    }
+  }
+  // The streams reached every branch the reduction has.
+  EXPECT_GE(empty_runs, 1u);
+  EXPECT_GT(zeros, 0u);
+  EXPECT_GT(above_range, 0u);
 }
 
 }  // namespace

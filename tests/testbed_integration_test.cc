@@ -92,7 +92,7 @@ TEST(TestbedIntegration, IgnemMemoryIsReclaimed) {
 TEST(TestbedIntegration, MemorySamplerRecordsDuringIgnemRun) {
   Testbed testbed(mini_config(RunMode::kIgnem));
   testbed.run_workload(build_swim_workload(testbed, mini_swim()));
-  EXPECT_FALSE(testbed.metrics().memory_samples().empty());
+  EXPECT_GT(testbed.metrics().memory_footprint().count(), 0u);
 }
 
 TEST(TestbedIntegration, InstantMigrationUsesMoreMemoryThanIgnem) {
@@ -101,15 +101,7 @@ TEST(TestbedIntegration, InstantMigrationUsesMoreMemoryThanIgnem) {
   auto mean_nonzero_memory = [](RunMode mode) {
     Testbed testbed(mini_config(mode));
     testbed.run_workload(build_swim_workload(testbed, mini_swim()));
-    double sum = 0;
-    std::size_t n = 0;
-    for (const auto& sample : testbed.metrics().memory_samples()) {
-      if (sample.locked_bytes > 0) {
-        sum += static_cast<double>(sample.locked_bytes);
-        ++n;
-      }
-    }
-    return n == 0 ? 0.0 : sum / static_cast<double>(n);
+    return testbed.metrics().memory_footprint().mean_gib();
   };
   const double ignem = mean_nonzero_memory(RunMode::kIgnem);
   const double instant = mean_nonzero_memory(RunMode::kInstantMigration);

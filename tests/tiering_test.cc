@@ -2,9 +2,10 @@
 // DataNode promotion/demotion edges, the TierResidencyRule on crafted
 // event streams, and an end-to-end three-tier testbed run.
 //
-// The differential contract (explicit two-tier == legacy, bit for bit) is
-// pinned in kernel_regression_test.cc; this file covers the behaviour that
-// is *new* with three or more tiers or a non-default policy.
+// The differential contract (an explicit two-tier stack == the empty one,
+// bit for bit) is pinned in kernel_regression_test.cc and metrics_test.cc;
+// this file covers the behaviour that is *new* with three or more tiers or
+// a non-default policy.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -172,7 +173,7 @@ TEST(TieredDataNodeTest, ReleaseCascadesToTheVictimTier) {
   DataNode node(sim, NodeId(0), quiet_three_tiers(256 * kMiB, 256 * kMiB),
                 Rng(test::seed_for(1)));
   DownwardOnColdPolicy policy(Duration::seconds(30.0));
-  node.set_migration_policy(&policy);
+  node.set_migration_policy(policy);
 
   const BlockId block(1);
   node.add_block(block, 64 * kMiB);
@@ -192,7 +193,7 @@ TEST(TieredDataNodeTest, ReleaseDropsWhenTheVictimTierIsFull) {
   DataNode node(sim, NodeId(0), quiet_three_tiers(256 * kMiB, 128 * kMiB),
                 Rng(test::seed_for(2)));
   DownwardOnColdPolicy policy(Duration::seconds(30.0));
-  node.set_migration_policy(&policy);
+  node.set_migration_policy(policy);
 
   const BlockId block(1);
   node.add_block(block, 64 * kMiB);
@@ -212,7 +213,7 @@ TEST(TieredDataNodeTest, CorruptCopiesAreDroppedNeverDemoted) {
   DataNode node(sim, NodeId(0), quiet_three_tiers(256 * kMiB, 256 * kMiB),
                 Rng(test::seed_for(3)));
   DownwardOnColdPolicy policy(Duration::seconds(30.0));
-  node.set_migration_policy(&policy);
+  node.set_migration_policy(policy);
 
   const BlockId block(1);
   node.add_block(block, 64 * kMiB);
@@ -232,7 +233,7 @@ TEST(TieredDataNodeTest, VictimCopyServesReadsFasterThanHome) {
   DataNode node(sim, NodeId(0), quiet_three_tiers(256 * kMiB, 256 * kMiB),
                 Rng(test::seed_for(4)));
   DownwardOnColdPolicy policy(Duration::seconds(30.0));
-  node.set_migration_policy(&policy);
+  node.set_migration_policy(policy);
 
   const BlockId block(1);
   node.add_block(block, 64 * kMiB);
@@ -266,7 +267,7 @@ TEST(TieredDataNodeTest, AgeingCascadesIdleCopiesTierByTier) {
                  quiet(ssd_tier(256 * kMiB)), quiet(hdd_home_tier())},
                 Rng(test::seed_for(5)));
   DownwardOnColdPolicy policy(Duration::seconds(3.0));
-  node.set_migration_policy(&policy);
+  node.set_migration_policy(policy);
 
   const BlockId block(1);
   node.add_block(block, 64 * kMiB);
@@ -300,7 +301,7 @@ TEST(TieredDataNodeTest, WriteBufferAbsorbsTheBurstThenDrains) {
                     {quiet(ram_tier(256 * kMiB)), quiet(hdd_home_tier())},
                     Rng(test::seed_for(6)));
   WriteBufferPolicy policy;
-  buffered.set_migration_policy(&policy);
+  buffered.set_migration_policy(policy);
 
   Simulator plain_sim;
   DataNode plain(plain_sim, NodeId(0),
@@ -330,7 +331,7 @@ TEST(TieredDataNodeTest, WriteBufferOverflowFallsThroughToHome) {
                     {quiet(ram_tier(32 * kMiB)), quiet(hdd_home_tier())},
                     Rng(test::seed_for(7)));
   WriteBufferPolicy policy;
-  buffered.set_migration_policy(&policy);
+  buffered.set_migration_policy(policy);
 
   Simulator plain_sim;
   DataNode plain(plain_sim, NodeId(0),
@@ -355,7 +356,7 @@ TEST(TieredDataNodeTest, RemoveBlockPurgesOrphanedVictimCopies) {
   DataNode node(sim, NodeId(0), quiet_three_tiers(256 * kMiB, 256 * kMiB),
                 Rng(test::seed_for(8)));
   DownwardOnColdPolicy policy(Duration::seconds(30.0));
-  node.set_migration_policy(&policy);
+  node.set_migration_policy(policy);
 
   const BlockId block(1);
   node.add_block(block, 64 * kMiB);
@@ -518,7 +519,11 @@ TEST(TieredTestbedTest, ThreeTierIgnemRunPromotesAndDemotes) {
     }
   }
   EXPECT_GT(tier_events, 0u);
-  EXPECT_FALSE(testbed.metrics().tier_samples().empty());
+  // The sampler tracks occupancy of both pool tiers, not the home tier.
+  const auto& series = testbed.metrics_registry().series();
+  ASSERT_TRUE(series.contains("tier.occupancy.t1"));
+  EXPECT_FALSE(series.at("tier.occupancy.t1").windows().empty());
+  EXPECT_FALSE(series.contains("tier.occupancy.t2"));
   ASSERT_NE(testbed.invariant_checker(), nullptr);
   EXPECT_TRUE(testbed.invariant_checker()->ok())
       << testbed.invariant_checker()->report();

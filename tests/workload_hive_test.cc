@@ -14,7 +14,6 @@ TestbedConfig hive_config(RunMode mode) {
   config.cluster.slots_per_node = 6;
   config.cache_capacity_per_node = 64 * kGiB;
   config.seed = 21;
-  config.memory_sample_period = Duration::zero();
   return config;
 }
 
