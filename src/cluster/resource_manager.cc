@@ -26,13 +26,6 @@ ResourceManager::ResourceManager(Simulator& sim, ClusterConfig config)
   }
 }
 
-void ResourceManager::monitor_liveness() {
-  IGNEM_CHECK(liveness_monitor_ == nullptr);
-  liveness_monitor_ = std::make_unique<PeriodicTask>(
-      sim_, kLivenessCheckInterval, kLivenessCheckInterval,
-      [this] { check_liveness(); });
-}
-
 void ResourceManager::register_job(JobId job) {
   IGNEM_CHECK(job.valid());
   running_jobs_.insert(job);
@@ -92,7 +85,7 @@ void ResourceManager::send_heartbeat(NodeId node) {
     return;
   }
   // Routed: the beat is a datagram from the NodeManager to the control
-  // node. A partition drops it on the floor, so the liveness monitor sees
+  // node. A partition drops it on the floor, so both liveness monitors see
   // genuine silence instead of the Testbed having to suppress the task.
   router_->oneway(node, router_->control_node(),
                   [this, node] { on_heartbeat(node); });
@@ -159,6 +152,9 @@ bool ResourceManager::prefers(const ContainerRequest& request,
 }
 
 void ResourceManager::on_heartbeat(NodeId node) {
+  // The NameNode side hears the beat first: a node readmitted after a halt
+  // rejoins the namespace before it gets slots back.
+  if (heartbeat_listener_ != nullptr) heartbeat_listener_(node);
   ++heartbeat_count_;
   queue_length_accum_ += queue_.size();
   last_beat_[static_cast<std::size_t>(node.value())] = sim_.now();

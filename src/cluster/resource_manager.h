@@ -6,6 +6,11 @@
 // delay + up to one heartbeat of scheduling latency. Locality is handled
 // with delay scheduling: a request holds out for a preferred node until it
 // has waited `locality_delay`, then accepts any node.
+//
+// That NodeManager beat is the node's only heartbeat. A listener (the
+// Testbed wires the NameNode-side FailureDetector) hears each delivered
+// beat just before the scheduler does, so both liveness monitors read one
+// stream.
 #pragma once
 
 #include <cstdint>
@@ -78,16 +83,21 @@ class ResourceManager : public JobLivenessOracle {
   /// Node failure support: a dead node stops heartbeating and loses slots.
   void set_node_alive(NodeId node, bool alive);
 
-  /// Starts missed-heartbeat failure detection: every
-  /// kLivenessCheckInterval a monitor declares dead each node silent for
-  /// kLivenessTimeout, frees its slots, and fires `on_lost` for every
-  /// container it ran. Off until called, so fault-free runs schedule no
-  /// extra events; call right after construction so the monitor's events
-  /// keep their place in the queue.
-  void monitor_liveness();
+  /// Missed-heartbeat failure detection, one scan: declares dead each node
+  /// silent for more than kLivenessTimeout, frees its slots, and fires
+  /// `on_lost` for every container it ran. No grace window. The caller
+  /// runs it every kLivenessCheckInterval (the Testbed, only with fault
+  /// tolerance on, so fault-free runs schedule no extra events).
+  void check_liveness();
 
-  /// Crash support: stops / restarts the modeled NodeManager heartbeat so
-  /// the liveness monitor sees the silence (and the rejoin).
+  /// Hears every beat that reaches the control plane, just before the
+  /// scheduler handles it. Null (the default) hears nothing.
+  void set_heartbeat_listener(std::function<void(NodeId)> listener) {
+    heartbeat_listener_ = std::move(listener);
+  }
+
+  /// Crash support: stops / restarts the node's heartbeat, so both the RM
+  /// and the heartbeat listener see the silence (and the rejoin).
   void halt_heartbeat(NodeId node);
   void resume_heartbeat(NodeId node);
 
@@ -107,11 +117,11 @@ class ResourceManager : public JobLivenessOracle {
   /// Emits kJobRegister/kJobComplete and kContainerAllocate/Release.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Routes NodeManager heartbeats (oneway: dropped across a cut, so the
-  /// liveness monitor sees real silence) and container-grant deliveries
-  /// (reliable call: an undeliverable grant reclaims its slot and fires
-  /// on_lost) through the control node. Null — the default — keeps the
-  /// historical direct paths, event-for-event.
+  /// Routes heartbeats (oneway: dropped across a cut, so both liveness
+  /// monitors see real silence) and container-grant deliveries (reliable
+  /// call: an undeliverable grant reclaims its slot and fires on_lost)
+  /// through the control node. Null — the default — keeps the historical
+  /// direct paths, event-for-event.
   void set_rpc_router(RpcRouter* router) { router_ = router; }
 
  private:
@@ -120,7 +130,6 @@ class ResourceManager : public JobLivenessOracle {
   /// A granted container whose launch RPC never reached the node: return
   /// the slot and let the owner re-request via on_lost.
   void reclaim_grant(const ContainerGrant& grant);
-  void check_liveness();
   void declare_node_dead(NodeId node);
   bool prefers(const ContainerRequest& request, NodeId node) const;
 
@@ -132,7 +141,7 @@ class ResourceManager : public JobLivenessOracle {
   // One per node, index == NodeId value; null while the node's heartbeat is
   // halted.
   std::vector<std::unique_ptr<PeriodicTask>> heartbeats_;
-  std::unique_ptr<PeriodicTask> liveness_monitor_;  // see monitor_liveness
+  std::function<void(NodeId)> heartbeat_listener_;
 
   struct QueuedRequest {
     ContainerRequest request;

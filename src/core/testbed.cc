@@ -79,7 +79,17 @@ Testbed::Testbed(TestbedConfig config)
   }
   hb_suppress_depth_.assign(n, 0);
   rm_ = std::make_unique<ResourceManager>(sim_, config_.cluster);
-  if (config_.fault_tolerance) rm_->monitor_liveness();
+  if (config_.fault_tolerance) {
+    // One scan runs both liveness monitors: the RM's (no grace), then the
+    // NameNode side's (suspicion, false-dead accounting, recovery hooks).
+    // Created before every other periodic task, so that at an instant they
+    // share, liveness is checked before samplers and scrub ticks run.
+    liveness_scan_ = std::make_unique<PeriodicTask>(
+        sim_, kLivenessCheckInterval, [this] {
+          rm_->check_liveness();
+          detector_->check();
+        });
+  }
   rm_->set_trace(trace_.get());
   rm_->set_rpc_router(rpc_router_.get());
   dfs_ = std::make_unique<DfsClient>(sim_, *namenode_, *network_, &metrics_);
@@ -149,6 +159,9 @@ Testbed::Testbed(TestbedConfig config)
       replication_manager_->handle_node_rejoin(node, config_.replication);
       if (master_ != nullptr) master_->on_node_rejoin(node);
     });
+    // The node's one heartbeat reaches the NameNode side first.
+    rm_->set_heartbeat_listener(
+        [this](NodeId node) { detector_->on_heartbeat(node); });
   }
 
   // Data-integrity plane. The manager schedules nothing and reports only
@@ -373,7 +386,6 @@ void Testbed::fail_node(NodeId node) {
   IgnemSlave* slave = ignem_slave(node);
   if (slave != nullptr) slave->reset();
   dn.fail();
-  if (detector_ != nullptr) detector_->halt_heartbeat(node);
   rm_->halt_heartbeat(node);
 }
 
@@ -388,7 +400,6 @@ void Testbed::restart_node(NodeId node) {
   // partition window is still open, the restarted node stays silent until
   // that window's own end lifts the suppression.
   if (hb_suppress_depth_[static_cast<std::size_t>(node.value())] == 0) {
-    if (detector_ != nullptr) detector_->resume_heartbeat(node);
     rm_->resume_heartbeat(node);
   }
 }
@@ -470,7 +481,6 @@ void Testbed::suppress_heartbeats(NodeId node) {
   if (++hb_suppress_depth_[static_cast<std::size_t>(node.value())] > 1) {
     return;  // already silenced by another window
   }
-  if (detector_ != nullptr) detector_->halt_heartbeat(node);
   rm_->halt_heartbeat(node);
 }
 
@@ -481,7 +491,6 @@ void Testbed::release_heartbeats(NodeId node) {
   // A node that crashed during the window stays silent; its own restart
   // resumes the beats.
   if (!datanode(node).alive()) return;
-  if (detector_ != nullptr) detector_->resume_heartbeat(node);
   rm_->resume_heartbeat(node);
 }
 
@@ -700,6 +709,7 @@ ConfigFingerprint Testbed::fingerprint() const {
   ConfigFingerprint fp;
   fp.seed = config_.seed;
   fp.nodes = static_cast<int>(datanodes_.size());
+  fp.racks = config_.rack_count;
   fp.replication = config_.replication;
   // The stack this run built, whether implicit or explicit: its home tier
   // names the primary medium.
@@ -709,6 +719,7 @@ ConfigFingerprint Testbed::fingerprint() const {
   fp.tier_count = static_cast<int>(tiers.size());
   fp.fault_tolerance = config_.fault_tolerance;
   fp.scrubber = config_.integrity.enable_scrubber;
+  fp.control_plane = rpc_router_ != nullptr ? "routed" : "direct";
   return fp;
 }
 

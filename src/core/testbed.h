@@ -98,11 +98,12 @@ struct TestbedConfig {
   bool enable_trace = false;
   /// Runs the live InvariantChecker over the trace (implies enable_trace).
   bool check_invariants = false;
-  /// Enables the fault-tolerance stack: NameNode-side heartbeat failure
-  /// detection, the ResourceManager liveness monitor, re-replication of
-  /// under-replicated blocks, and Ignem migration rerouting. Off by default
-  /// because the detection heartbeats change the dispatched-event count and
-  /// would break bit-identical fault-free traces.
+  /// Enables the fault-tolerance stack: heartbeat failure detection on
+  /// both the NameNode side and the ResourceManager (one 1 s scan runs
+  /// both), re-replication of under-replicated blocks, and Ignem migration
+  /// rerouting. Off by default because the scan's events change the
+  /// dispatched-event count and would break bit-identical fault-free
+  /// traces.
   bool fault_tolerance = false;
   /// Detector suspicion grace, used when fault_tolerance is set.
   FailureDetectorConfig detector;
@@ -311,6 +312,8 @@ class Testbed : public FaultTarget {
   /// components then keep their historical direct-call paths).
   std::unique_ptr<RpcRouter> rpc_router_;
   std::unique_ptr<ResourceManager> rm_;
+  /// Both liveness monitors' scan (null unless fault_tolerance).
+  std::unique_ptr<PeriodicTask> liveness_scan_;
   std::unique_ptr<DfsClient> dfs_;
   std::unique_ptr<ReplicationManager> replication_manager_;
   /// Re-replication pacing (null when replication_rate_limit == 0).

@@ -87,25 +87,33 @@ void DfsClient::fail_read(NodeId reader, BlockId block, JobId job,
   on_complete(record);
 }
 
+void DfsClient::retry_read(NodeId reader, BlockId block, JobId job,
+                           SimTime start, ReadCallback on_complete,
+                           Duration delay, std::uint64_t* cause) {
+  // A permanently unreadable block must surface a terminal error, not
+  // retry forever.
+  if (sim_.now() - start >= read_deadline_) {
+    fail_read(reader, block, job, start, on_complete);
+    return;
+  }
+  ++stats_.retries;
+  if (cause != nullptr) ++*cause;
+  sim_.schedule(delay,
+                [this, reader, block, job, start,
+                 cb = std::move(on_complete)]() mutable {
+                  attempt_read(reader, block, job, start, std::move(cb));
+                },
+                EventClass::kRetry);
+}
+
 void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
                              SimTime start, ReadCallback on_complete) {
   const NodeId source = choose_replica(reader, block);
   if (!source.valid()) {
     // Every replica is on a crashed node, a failed disk, or marked corrupt.
-    // Wait for recovery or re-replication to restore one, then try again —
-    // but not past the deadline: a permanently unreadable block must
-    // surface a terminal error, not retry forever.
-    if (sim_.now() - start >= read_deadline_) {
-      fail_read(reader, block, job, start, on_complete);
-      return;
-    }
-    ++stats_.retries;
-    sim_.schedule(kReadRetryDelay,
-                  [this, reader, block, job, start,
-                   cb = std::move(on_complete)]() mutable {
-                    attempt_read(reader, block, job, start, std::move(cb));
-                  },
-                  EventClass::kRetry);
+    // Wait for recovery or re-replication to restore one, then try again.
+    retry_read(reader, block, job, start, std::move(on_complete),
+               kReadRetryDelay, nullptr);
     return;
   }
   DataNode* source_node = namenode_.datanode(source);
@@ -117,20 +125,9 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
       [this, reader, source, block, job, bytes, start, remote,
        cb = std::move(on_complete)](const BlockReadResult& local) {
         if (local.failed) {
-          // The source died mid-read; back off and pick another replica
-          // (the deadline check happens on the re-attempt).
-          if (sim_.now() - start >= read_deadline_) {
-            fail_read(reader, block, job, start, cb);
-            return;
-          }
-          ++stats_.retries;
-          ++stats_.replica_failovers;
-          sim_.schedule(kReadRetryDelay,
-                        [this, reader, block, job, start, cb]() mutable {
-                          attempt_read(reader, block, job, start,
-                                       std::move(cb));
-                        },
-                        EventClass::kRetry);
+          // The source died mid-read; back off and pick another replica.
+          retry_read(reader, block, job, start, cb, kReadRetryDelay,
+                     &stats_.replica_failovers);
           return;
         }
         if (local.corrupt) {
@@ -139,21 +136,11 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
           // If the exclusion did not take (no integrity plane wired), back
           // off instead so the retry loop advances sim time toward the
           // deadline rather than spinning.
-          if (sim_.now() - start >= read_deadline_) {
-            fail_read(reader, block, job, start, cb);
-            return;
-          }
-          ++stats_.retries;
-          ++stats_.checksum_failovers;
           const Duration delay = choose_replica(reader, block) == source
                                      ? kReadRetryDelay
                                      : Duration::zero();
-          sim_.schedule(delay,
-                        [this, reader, block, job, start, cb]() mutable {
-                          attempt_read(reader, block, job, start,
-                                       std::move(cb));
-                        },
-                        EventClass::kRetry);
+          retry_read(reader, block, job, start, cb, delay,
+                     &stats_.checksum_failovers);
           return;
         }
         auto finish = [this, reader, source, block, job, bytes, start, remote,
@@ -185,20 +172,10 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
               source, reader, bytes, finish,
               [this, reader, block, job, start, cb] {
                 // Severed mid-transfer by a fresh partition cut: fail over
-                // to a reachable replica, deadline-checked like a source
-                // death (choose_replica skips unreachable nodes).
-                if (sim_.now() - start >= read_deadline_) {
-                  fail_read(reader, block, job, start, cb);
-                  return;
-                }
-                ++stats_.retries;
-                ++stats_.replica_failovers;
-                sim_.schedule(kReadRetryDelay,
-                              [this, reader, block, job, start, cb]() mutable {
-                                attempt_read(reader, block, job, start,
-                                             std::move(cb));
-                              },
-                              EventClass::kRetry);
+                // to a reachable replica like a source death
+                // (choose_replica skips unreachable nodes).
+                retry_read(reader, block, job, start, cb, kReadRetryDelay,
+                           &stats_.replica_failovers);
               });
         } else {
           finish();

@@ -93,6 +93,13 @@ class DfsClient {
   void attempt_read(NodeId reader, BlockId block, JobId job, SimTime start,
                     ReadCallback on_complete);
 
+  /// Re-runs attempt_read after `delay`, counting the retry and its
+  /// `cause` (a DfsStats failover counter, or null) — or, once the
+  /// deadline has passed, fails the read instead.
+  void retry_read(NodeId reader, BlockId block, JobId job, SimTime start,
+                  ReadCallback on_complete, Duration delay,
+                  std::uint64_t* cause);
+
   /// Delivers the terminal-failure record (deadline exhausted).
   void fail_read(NodeId reader, BlockId block, JobId job, SimTime start,
                  const ReadCallback& on_complete);

@@ -86,7 +86,7 @@ class NameNode {
   bool is_node_alive(NodeId id) const { return alive_[slot(id)]; }
 
   /// Missed-heartbeat liveness (paper §III-A5 via HDFS semantics): the
-  /// FailureDetector feeds DataNode heartbeats in and periodically asks
+  /// FailureDetector feeds each node's heartbeat in and periodically asks
   /// which nodes have gone silent. The NameNode itself stays sim-passive —
   /// it only bookkeeps; the detector drives detection and recovery.
   void record_heartbeat(NodeId id, SimTime now);

@@ -7,38 +7,11 @@ namespace ignem {
 FailureDetector::FailureDetector(Simulator& sim, NameNode& namenode,
                                  FailureDetectorConfig config)
     : sim_(sim), namenode_(namenode), config_(config) {
-  const std::size_t n = namenode_.node_count();
-  IGNEM_CHECK(n > 0);
-  suspected_.resize(n, false);
-  heartbeats_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id(static_cast<std::int64_t>(i));
-    // Stagger first beats across one interval, like the RM's NodeManager
-    // heartbeats, so beats never synchronize cluster-wide.
-    const Duration offset = kDataNodeHeartbeatInterval *
-                            (static_cast<double>(i + 1) /
-                             static_cast<double>(n));
-    heartbeats_.push_back(std::make_unique<PeriodicTask>(
-        sim_, offset, kDataNodeHeartbeatInterval,
-        [this, id] { send_beat(id); }));
-  }
-  monitor_ = std::make_unique<PeriodicTask>(
-      sim_, kLivenessCheckInterval, kLivenessCheckInterval,
-      [this] { check(); });
+  IGNEM_CHECK(namenode_.node_count() > 0);
+  suspected_.resize(namenode_.node_count(), false);
 }
 
-void FailureDetector::send_beat(NodeId node) {
-  if (router_ == nullptr) {
-    beat(node);
-    return;
-  }
-  // Routed: the beat is a datagram crossing the fabric to the control
-  // node; a partition drops it, so the monitor sees genuine silence.
-  router_->oneway(node, router_->control_node(),
-                  [this, node] { beat(node); });
-}
-
-void FailureDetector::beat(NodeId node) {
+void FailureDetector::on_heartbeat(NodeId node) {
   namenode_.record_heartbeat(node, sim_.now());
   suspected_[static_cast<std::size_t>(node.value())] = false;
   if (!namenode_.is_node_alive(node)) {
@@ -111,28 +84,6 @@ void FailureDetector::check() {
     IGNEM_CHECK_MSG(!namenode_.is_node_alive(node),
                     "on_node_dead hook must mark the node dead");
   }
-}
-
-void FailureDetector::halt_heartbeat(NodeId node) {
-  IGNEM_CHECK(node.valid() &&
-              static_cast<std::size_t>(node.value()) < namenode_.node_count());
-  heartbeats_[static_cast<std::size_t>(node.value())].reset();
-}
-
-void FailureDetector::resume_heartbeat(NodeId node) {
-  IGNEM_CHECK(node.valid() &&
-              static_cast<std::size_t>(node.value()) < namenode_.node_count());
-  if (heartbeat_running(node)) return;  // already beating
-  heartbeats_[static_cast<std::size_t>(node.value())] =
-      std::make_unique<PeriodicTask>(
-          sim_, kDataNodeHeartbeatInterval, kDataNodeHeartbeatInterval,
-          [this, node] { send_beat(node); });
-}
-
-bool FailureDetector::heartbeat_running(NodeId node) const {
-  IGNEM_CHECK(node.valid() &&
-              static_cast<std::size_t>(node.value()) < namenode_.node_count());
-  return heartbeats_[static_cast<std::size_t>(node.value())] != nullptr;
 }
 
 }  // namespace ignem

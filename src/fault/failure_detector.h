@@ -1,20 +1,21 @@
 // FailureDetector: missed-heartbeat liveness for the DFS control plane.
 //
 // Models the paper's §III-A5 assumption that server failure is *detected*
-// through HDFS heartbeats, not announced: each DataNode sends a periodic
-// heartbeat to the NameNode; a monitor scans for nodes silent past the
-// liveness timeout and declares them dead, firing the `on_node_dead` hook
-// (wired by Testbed to re-replication and Ignem migration rerouting). A
-// beat arriving from a declared-dead node readmits it via `on_node_rejoined`
-// (restart, or a spurious death under a heartbeat delay).
+// through HDFS heartbeats, not announced. The detector owns no heartbeat
+// stream: it hears each node's one heartbeat (the ResourceManager's
+// NodeManager beat, which the Testbed forwards through `on_heartbeat`)
+// and records it with the NameNode. `check`, which the Testbed runs every
+// kLivenessCheckInterval right after the RM's own scan, declares dead each
+// node silent past the liveness timeout (and grace), firing the
+// `on_node_dead` hook (wired by Testbed to re-replication and Ignem
+// migration rerouting). A beat from a declared-dead node readmits it via
+// `on_node_rejoined` (restart, or a spurious death under a heartbeat delay
+// or partition).
 //
-// Constructed only when fault tolerance is enabled: its periodic events
-// would otherwise change the dispatched-event count and break bit-identical
-// fault-free traces.
+// Constructed only when fault tolerance is enabled.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -24,14 +25,11 @@
 #include "net/control_plane.h"
 #include "net/rpc.h"
 #include "obs/trace_recorder.h"
-#include "sim/periodic.h"
 #include "sim/simulator.h"
 
 namespace ignem {
 
-/// Beats every kDataNodeHeartbeatInterval, scanned every
-/// kLivenessCheckInterval, dead after kLivenessTimeout of silence
-/// (net/control_plane.h).
+/// Dead after kLivenessTimeout of silence (net/control_plane.h).
 struct FailureDetectorConfig {
   /// Suspicion grace window: a node silent past kLivenessTimeout is first
   /// marked *suspect* (kNodeSuspect, once per silence episode) and only
@@ -50,10 +48,13 @@ class FailureDetector {
   FailureDetector(const FailureDetector&) = delete;
   FailureDetector& operator=(const FailureDetector&) = delete;
 
-  /// Crash support: silences / resumes one node's heartbeat stream.
-  void halt_heartbeat(NodeId node);
-  void resume_heartbeat(NodeId node);
-  bool heartbeat_running(NodeId node) const;
+  /// A heartbeat from `node` reached the control plane: records it with
+  /// the NameNode, clears suspicion, and readmits a declared-dead node.
+  void on_heartbeat(NodeId node);
+
+  /// One liveness scan: suspects or declares dead every node silent past
+  /// kLivenessTimeout (plus the suspicion grace).
+  void check();
 
   /// Fired once per detected death / rejoin (never both pending at once).
   void set_on_node_dead(std::function<void(NodeId)> hook) {
@@ -67,11 +68,10 @@ class FailureDetector {
   /// (NameNode-side detection).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Routes DataNode heartbeats through the control node as datagrams: a
-  /// cut control link drops beats, so silence arises from the topology
-  /// itself instead of Testbed-side suppression, and a heal resumes beats
-  /// (clearing suspicion) with no extra machinery. Null — the default —
-  /// keeps direct beats.
+  /// The routed control plane, if any. Beats travel on it, so a node
+  /// declared dead while it cannot reach the control node was silenced by
+  /// the cut (false_dead_control_total). Null — the default — for direct
+  /// beats.
   void set_rpc_router(RpcRouter* router) { router_ = router; }
 
   /// Wires the detection-latency histogram ("fault.detection_latency_us":
@@ -100,19 +100,11 @@ class FailureDetector {
   }
 
  private:
-  void send_beat(NodeId node);
-  void beat(NodeId node);
-  void check();
-
   Simulator& sim_;
   NameNode& namenode_;
   FailureDetectorConfig config_;
   TraceRecorder* trace_ = nullptr;
   RpcRouter* router_ = nullptr;
-  // One per node, index == NodeId value; null while the node's heartbeat is
-  // halted.
-  std::vector<std::unique_ptr<PeriodicTask>> heartbeats_;
-  std::unique_ptr<PeriodicTask> monitor_;
   std::function<void(NodeId)> on_node_dead_;
   std::function<void(NodeId)> on_node_rejoined_;
   HistogramMetric* detection_latency_ = nullptr;

@@ -78,8 +78,10 @@ std::string json_quote(const std::string& s) {
 
 std::string ConfigFingerprint::canonical() const {
   std::ostringstream os;
-  os << "fault_tolerance=" << bool_json(fault_tolerance)
-     << " nodes=" << nodes << " replication=" << replication
+  os << "control_plane=" << control_plane
+     << " fault_tolerance=" << bool_json(fault_tolerance)
+     << " nodes=" << nodes << " racks=" << racks
+     << " replication=" << replication
      << " scrubber=" << bool_json(scrubber) << " seed=" << seed
      << " storage_media=" << storage_media << " tier_count=" << tier_count
      << " tier_policy=" << tier_policy;
@@ -99,12 +101,14 @@ void ConfigFingerprint::write_json(std::ostream& os, int indent) const {
   };
   field("seed", std::to_string(seed));
   field("nodes", std::to_string(nodes));
+  field("racks", std::to_string(racks));
   field("replication", std::to_string(replication));
   field("storage_media", json_quote(storage_media));
   field("tier_policy", json_quote(tier_policy));
   field("tier_count", std::to_string(tier_count));
   field("fault_tolerance", bool_json(fault_tolerance));
   field("scrubber", bool_json(scrubber));
+  field("control_plane", json_quote(control_plane));
   field("hash", json_quote(hex64(hash())), /*last=*/true);
   pad(os, indent);
   os << '}';

@@ -4,7 +4,9 @@
 // Ignem inherits HDFS heartbeat liveness for fault tolerance (§III-A5) and
 // costs one RPC hop per command batch (§III-A6). They are constants of the
 // model, not experiment axes. Both liveness monitors — the NameNode-side
-// FailureDetector and the ResourceManager's — use the same values.
+// FailureDetector and the ResourceManager's — read one heartbeat per node
+// (the NodeManager beat, every ClusterConfig::heartbeat_interval), run in
+// one scan and use the same values.
 #pragma once
 
 #include "common/units.h"
@@ -16,14 +18,11 @@ namespace ignem {
 /// costs O(1) hops per slave.
 inline constexpr Duration kRpcLatency = Duration::millis(1);
 
-/// DataNode -> NameNode heartbeat period (HDFS default).
-inline constexpr Duration kDataNodeHeartbeatInterval = Duration::seconds(3.0);
-
 /// Silence after which a node is declared dead, ~4 missed beats (HDFS uses
 /// ~10 min; compressed so experiments stay short).
 inline constexpr Duration kLivenessTimeout = Duration::seconds(12.0);
 
-/// Scan period of both liveness monitors.
+/// Period of the one scan that runs both liveness monitors.
 inline constexpr Duration kLivenessCheckInterval = Duration::seconds(1.0);
 
 }  // namespace ignem

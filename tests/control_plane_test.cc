@@ -456,5 +456,28 @@ TEST(ControlPlane, RackCutSeversAnInFlightTransferThroughTheFaultSurface) {
   }
 }
 
+TEST(ControlPlane, OneDatagramPerHeartbeat) {
+  // Each node has one heartbeat: the NodeManager beat, which the failure
+  // detector hears too. Turning fault tolerance on adds liveness scans but
+  // no datagram, so a fault-free routed run sends exactly as many.
+  const auto heartbeats_sent = [](bool fault_tolerance) {
+    TestbedConfig config = routed_config(/*nodes=*/4, /*racks=*/2);
+    config.fault_tolerance = fault_tolerance;
+    Testbed testbed(config);
+    SwimConfig swim;
+    swim.job_count = 6;
+    swim.total_input = 2 * kGiB;
+    swim.tail_max = 1 * kGiB;
+    swim.mean_interarrival = Duration::seconds(2.0);
+    swim.seed = 5;
+    testbed.run_workload(build_swim_workload(testbed, swim));
+    EXPECT_EQ(testbed.rpc_router()->stats().oneways_dropped, 0u);
+    return testbed.rpc_router()->stats().oneways;
+  };
+  const std::uint64_t without = heartbeats_sent(false);
+  EXPECT_GT(without, 0u);
+  EXPECT_EQ(heartbeats_sent(true), without);
+}
+
 }  // namespace
 }  // namespace ignem

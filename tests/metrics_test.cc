@@ -360,6 +360,30 @@ TEST(Fingerprint, StorageMediaNamesTheBuiltHomeTier) {
   EXPECT_EQ(Testbed(paper).fingerprint().storage_media, "SSD");
 }
 
+// Routed and direct control planes, and different rack counts, give
+// different event streams, so they must not share a fingerprint.
+TEST(Fingerprint, NamesControlPlaneAndRackCount) {
+  const TestbedConfig direct = small_config(RunMode::kIgnem);
+  TestbedConfig routed = direct;
+  routed.routed_control_plane = true;
+  TestbedConfig two_racks = direct;
+  two_racks.rack_count = 2;
+  const ConfigFingerprint a = Testbed(direct).fingerprint();
+  const ConfigFingerprint b = Testbed(routed).fingerprint();
+  const ConfigFingerprint c = Testbed(two_racks).fingerprint();
+  EXPECT_NE(a.canonical().find("control_plane=direct"), std::string::npos);
+  EXPECT_NE(b.canonical().find("control_plane=routed"), std::string::npos);
+  EXPECT_NE(a.canonical().find("racks=1"), std::string::npos);
+  EXPECT_NE(c.canonical().find("racks=2"), std::string::npos);
+  EXPECT_NE(a.hash(), b.hash());
+  EXPECT_NE(a.hash(), c.hash());
+  std::ostringstream json;
+  b.write_json(json, 0);
+  EXPECT_NE(json.str().find("\"control_plane\": \"routed\""),
+            std::string::npos);
+  EXPECT_NE(json.str().find("\"racks\": 1"), std::string::npos);
+}
+
 TEST(KernelProfileTest, ClassCountsSumToDispatched) {
   Testbed testbed(small_config(RunMode::kIgnem));
   testbed.run_workload(build_swim_workload(testbed, small_swim()));
