@@ -27,6 +27,11 @@ double iterative_mean_job(RunMode mode) {
   }
   testbed.run_workload(std::move(jobs));
   report().add_run(testbed);
+  // The one run of the baseline that promotes: its report shows the
+  // promotions and the tier moves they made.
+  if (mode == RunMode::kHotDataPromotion) {
+    write_run_report(testbed, "related_hotdata_iterative");
+  }
   return testbed.metrics().mean_job_duration_seconds();
 }
 

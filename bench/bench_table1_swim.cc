@@ -4,7 +4,6 @@
 // Paper: HDFS 14.4 s; Ignem 12.7 s (12% speedup); RAM 11.4 s (21%). Ignem
 // realizes ~60% of the upper-bound benefit.
 #include "bench/experiment_common.h"
-#include "metrics/csv_export.h"
 
 namespace ignem::bench {
 namespace {

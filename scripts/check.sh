@@ -7,7 +7,7 @@
 #   scripts/check.sh tiering    # N-tier hierarchy / migration-policy suite
 #   scripts/check.sh kernel     # event-queue + bandwidth differential suite
 #   scripts/check.sh metrics    # metrics-plane suite (instruments, RunReport
-#                               # determinism, memory footprint, CSV export)
+#                               # determinism and coverage, memory footprint)
 #   scripts/check.sh chaos      # randomized fault + partition sweeps
 #   scripts/check.sh integrity  # corruption, scrubbing and repair suite
 #   scripts/check.sh scale      # partition chaos sweep on 128 nodes

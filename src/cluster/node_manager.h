@@ -15,8 +15,6 @@ class NodeManager {
   }
 
   NodeId id() const { return id_; }
-  int total_slots() const { return total_slots_; }
-  int used_slots() const { return used_slots_; }
   int free_slots() const { return alive_ ? total_slots_ - used_slots_ : 0; }
 
   void allocate() {

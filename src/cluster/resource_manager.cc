@@ -60,10 +60,6 @@ void ResourceManager::release_container(const ContainerGrant& grant) {
   }
 }
 
-void ResourceManager::set_node_alive(NodeId node, bool alive) {
-  node_manager(node).set_alive(alive);
-}
-
 void ResourceManager::halt_heartbeat(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < config_.node_count);
@@ -106,16 +102,14 @@ void ResourceManager::reclaim_grant(const ContainerGrant& grant) {
 void ResourceManager::check_liveness() {
   const SimTime now = sim_.now();
   for (std::size_t i = 0; i < last_beat_.size(); ++i) {
-    const NodeId node(static_cast<std::int64_t>(i));
-    if (dead_marked_.contains(node)) continue;
+    if (!nodes_[i]->alive()) continue;  // declared dead, not rejoined
     if (now - last_beat_[i] > kLivenessTimeout) {
-      declare_node_dead(node);
+      declare_node_dead(NodeId(static_cast<std::int64_t>(i)));
     }
   }
 }
 
 void ResourceManager::declare_node_dead(NodeId node) {
-  dead_marked_.insert(node);
   NodeManager& manager = node_manager(node);
   manager.set_alive(false);
   manager.reset_slots();
@@ -159,10 +153,9 @@ void ResourceManager::on_heartbeat(NodeId node) {
   queue_length_accum_ += queue_.size();
   last_beat_[static_cast<std::size_t>(node.value())] = sim_.now();
   NodeManager& manager = node_manager(node);
-  if (dead_marked_.contains(node)) {
+  if (!manager.alive()) {
     // A beat from a declared-dead node: it restarted (or was only silenced
     // by a heartbeat delay). Readmit it with a clean slate of slots.
-    dead_marked_.erase(node);
     manager.set_alive(true);
     manager.reset_slots();
     if (trace_ != nullptr) {
@@ -170,7 +163,6 @@ void ResourceManager::on_heartbeat(NodeId node) {
                    BlockId::invalid(), JobId::invalid(), 0, /*detail=*/1);
     }
   }
-  if (!manager.alive()) return;
 
   // A node only takes its fair share of location-free requests per
   // heartbeat, so e.g. a reduce wave spreads across the cluster instead of

@@ -80,9 +80,6 @@ class ResourceManager : public JobLivenessOracle {
   /// (node declared dead) is a no-op.
   void release_container(const ContainerGrant& grant);
 
-  /// Node failure support: a dead node stops heartbeating and loses slots.
-  void set_node_alive(NodeId node, bool alive);
-
   /// Missed-heartbeat failure detection, one scan: declares dead each node
   /// silent for more than kLivenessTimeout, frees its slots, and fires
   /// `on_lost` for every container it ran. No grace window. The caller
@@ -103,9 +100,8 @@ class ResourceManager : public JobLivenessOracle {
 
   /// Whether failure detection currently considers `node` dead.
   bool is_node_marked_dead(NodeId node) const {
-    return dead_marked_.contains(node);
+    return !nodes_[static_cast<std::size_t>(node.value())]->alive();
   }
-  std::size_t active_containers() const { return active_.size(); }
 
   const ClusterConfig& config() const { return config_; }
   NodeManager& node_manager(NodeId node);
@@ -157,8 +153,7 @@ class ResourceManager : public JobLivenessOracle {
   };
   std::map<std::uint64_t, ActiveContainer> active_;  // ordered: determinism
   std::uint64_t next_container_ = 1;
-  std::vector<SimTime> last_beat_;            // index == NodeId value
-  std::unordered_set<NodeId> dead_marked_;    // declared dead, not rejoined
+  std::vector<SimTime> last_beat_;  // index == NodeId value
 
   std::uint64_t heartbeat_count_ = 0;
   std::uint64_t queue_length_accum_ = 0;

@@ -102,9 +102,6 @@ class SlabPool {
     free_head_ = block;
   }
 
-  /// Blocks currently checked out (allocated minus freed); diagnostics.
-  std::size_t chunk_count() const { return chunks_.size(); }
-
   static SlabPool& local() {
     thread_local SlabPool pool;
     return pool;

@@ -42,6 +42,8 @@ void HotDataPromoter::promote(BlockId block, Bytes bytes) {
   }
   datanode_.primary_device().read(bytes, [this, block, bytes] {
     datanode_.cache().commit_reservation(block, bytes);
+    datanode_.tiers().note_promote(datanode_.tiers().home_tier(), 0, block,
+                                   bytes);
     lru_.push_front(block);
     lru_index_[block] = lru_.begin();
     promotion_in_flight_[block] = false;
@@ -56,7 +58,8 @@ bool HotDataPromoter::make_room(Bytes bytes) {
     const BlockId victim = lru_.back();
     lru_.pop_back();
     lru_index_.erase(victim);
-    datanode_.cache().unlock(victim);
+    datanode_.release_copy(victim, 0, datanode_.cache().block_bytes(victim),
+                           /*allow_demote=*/false);
     ++stats_.evictions;
   }
   return true;
@@ -68,6 +71,18 @@ void HotDataPromoter::touch(BlockId block) {
   lru_.erase(it->second);
   lru_.push_front(block);
   it->second = lru_.begin();
+}
+
+static_assert(sizeof(HotDataStats) == 3 * sizeof(std::uint64_t),
+              "name the new HotDataStats field in "
+              "HotDataPromoter::add_counters");
+
+void HotDataPromoter::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["hotdata.promotions"] += stats_.promotions;
+  counters["hotdata.evictions"] += stats_.evictions;
+  counters["hotdata.bytes_promoted"] +=
+      static_cast<std::uint64_t>(stats_.bytes_promoted);
 }
 
 }  // namespace ignem

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
+#include <string>
 #include <unordered_map>
 
 #include "common/ids.h"
@@ -45,6 +47,9 @@ class HotDataPromoter : public BlockReadListener {
   void on_block_read(NodeId node, BlockId block, JobId job) override;
 
   const HotDataStats& stats() const { return stats_; }
+  /// Adds every HotDataStats field to `counters` under its report name
+  /// (hotdata.*). Every node's promoter adds into the same names.
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
   bool promoted(BlockId block) const { return lru_index_.contains(block); }
 
   /// Emits kHotPromote (detail=observed reads, value=threshold) on each

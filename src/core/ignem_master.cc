@@ -298,4 +298,21 @@ NodeId IgnemMaster::chosen_replica(JobId job, BlockId block) const {
   return it->second.front();
 }
 
+static_assert(sizeof(MasterStats) == 8 * sizeof(std::uint64_t),
+              "name the new MasterStats field in IgnemMaster::add_counters");
+
+void IgnemMaster::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["ignem.master.requests"] += stats_.requests;
+  counters["ignem.master.migrate_commands"] += stats_.migrate_commands;
+  counters["ignem.master.evict_commands"] += stats_.evict_commands;
+  counters["ignem.master.batches_sent"] += stats_.batches_sent;
+  counters["ignem.master.rejoin_reclaimed"] += stats_.rejoin_reclaimed;
+  counters["ignem.master.rejoin_purged"] += stats_.rejoin_purged;
+  if (router_ != nullptr) {
+    counters["ignem.master.rpc_batches_lost"] += stats_.rpc_batches_lost;
+    counters["ignem.master.rpc_evict_retries"] += stats_.rpc_evict_retries;
+  }
+}
+
 }  // namespace ignem

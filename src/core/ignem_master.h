@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -84,6 +85,9 @@ class IgnemMaster : public MigrationService {
   void on_replica_corrupt(BlockId block, NodeId node);
 
   const MasterStats& stats() const { return stats_; }
+  /// Adds every MasterStats field to `counters` under its report name
+  /// (ignem.master.*); the two rpc_* fields only on a routed control plane.
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
   bool failed() const { return failed_; }
 
   /// Where the master sent `job`'s migrate command for `block`, if any.

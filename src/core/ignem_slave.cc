@@ -381,4 +381,20 @@ void IgnemSlave::reset() {
   // The locked pool itself is reclaimed by DataNode::fail().
 }
 
+static_assert(sizeof(SlaveStats) == 7 * sizeof(std::uint64_t),
+              "name the new SlaveStats field in IgnemSlave::add_counters");
+
+void IgnemSlave::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["ignem.migrations_completed"] += stats_.migrations_completed;
+  counters["ignem.bytes_migrated"] +=
+      static_cast<std::uint64_t>(stats_.bytes_migrated);
+  counters["ignem.commands_received"] += stats_.commands_received;
+  counters["ignem.commands_discarded_missed_read"] +=
+      stats_.commands_discarded_missed_read;
+  counters["ignem.evictions"] += stats_.evictions;
+  counters["ignem.cleanup_rounds"] += stats_.cleanup_rounds;
+  counters["ignem.references_reaped"] += stats_.references_reaped;
+}
+
 }  // namespace ignem

@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -33,7 +35,8 @@
 
 namespace ignem {
 
-/// Counters exposed for tests and benches.
+/// Counters exposed for tests and benches; IgnemSlave::add_counters names
+/// each one in the RunReport.
 struct SlaveStats {
   std::uint64_t migrations_completed = 0;
   Bytes bytes_migrated = 0;
@@ -83,6 +86,9 @@ class IgnemSlave : public BlockReadListener {
   void reset();
 
   const SlaveStats& stats() const { return stats_; }
+  /// Adds every SlaveStats field to `counters` under its report name
+  /// (ignem.*). Every slave adds into the same names: cluster-wide sums.
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
   NodeId node() const;
   Bytes locked_bytes() const;
   std::size_t queue_depth() const { return queue_.size(); }

@@ -70,8 +70,8 @@ Testbed::Testbed(TestbedConfig config)
   // config_.rack_count is the single source of rack truth: the NameNode's
   // placement, the repair targeting, and the network fabric must agree on
   // who is off-rack.
-  config_.network.rack_count = config_.rack_count;
-  network_ = std::make_unique<Network>(sim_, n, config_.network);
+  network_ = std::make_unique<Network>(sim_, n, config_.network,
+                                       config_.rack_count);
   network_->set_trace(trace_.get());
   if (config_.routed_control_plane) {
     rpc_router_ = std::make_unique<RpcRouter>(sim_, *network_, RpcConfig{});
@@ -177,9 +177,9 @@ Testbed::Testbed(TestbedConfig config)
     const bool victim_dropped = dn.purge_victim_copies(block);
     IgnemSlave* slave = ignem_slave(node);
     if (slave != nullptr) return slave->purge_block(block) || victim_dropped;
-    BufferCache& cache = dn.cache();
-    if (!cache.contains(block)) return victim_dropped;
-    return cache.unlock(block) || victim_dropped;
+    return dn.release_copy(block, 0, dn.cache().block_bytes(block),
+                           /*allow_demote=*/false) ||
+           victim_dropped;
   });
   integrity_->set_on_disk_corrupt([this](BlockId block, NodeId node) {
     if (master_ != nullptr) master_->on_replica_corrupt(block, node);
@@ -723,7 +723,7 @@ ConfigFingerprint Testbed::fingerprint() const {
   return fp;
 }
 
-RunReport Testbed::build_run_report(const std::string& name) {
+RunReport Testbed::build_run_report(const std::string& name) const {
   RunReport report;
   report.name = name;
   report.mode = run_mode_name(config_.mode);
@@ -732,124 +732,20 @@ RunReport Testbed::build_run_report(const std::string& name) {
 
   report.kernel = sim_.profile();
 
-  // Mirror every component's cumulative stats into named counters so the
-  // registry (and therefore the JSON) is the one place they all appear.
-  const DfsStats& d = dfs_->stats();
-  registry_.counter("dfs.reads_completed").set(d.reads_completed);
-  registry_.counter("dfs.reads_failed").set(d.reads_failed);
-  registry_.counter("dfs.memory_reads").set(d.memory_reads);
-  registry_.counter("dfs.remote_reads").set(d.remote_reads);
-  registry_.counter("dfs.retries").set(d.retries);
-  registry_.counter("dfs.replica_failovers").set(d.replica_failovers);
-  registry_.counter("dfs.checksum_failovers").set(d.checksum_failovers);
-
-  const ReplicationStats& r = replication_manager_->stats();
-  registry_.counter("replication.blocks_scheduled").set(r.blocks_scheduled);
-  registry_.counter("replication.blocks_repaired").set(r.blocks_repaired);
-  registry_.counter("replication.blocks_unrepairable")
-      .set(r.blocks_unrepairable);
-  registry_.counter("replication.corrupt_invalidated")
-      .set(r.corrupt_invalidated);
-  registry_.counter("replication.repairs_throttled").set(r.repairs_throttled);
-  registry_.counter("replication.excess_deleted").set(r.excess_deleted);
-  registry_.counter("replication.bytes_repaired")
-      .set(static_cast<std::uint64_t>(r.bytes_repaired));
-
-  registry_.counter("net.transfers_severed")
-      .set(network_->transfers_severed());
-  if (detector_ != nullptr) {
-    registry_.counter("detector.false_dead_total")
-        .set(detector_->false_dead_total());
-  }
-
-  // Control-plane instruments exist only in routed mode.
-  if (rpc_router_ != nullptr) {
-    const RpcStats& rpc = rpc_router_->stats();
-    registry_.counter("rpc.calls_total").set(rpc.calls);
-    registry_.counter("rpc.delivered_total").set(rpc.delivered);
-    registry_.counter("rpc.retries_total").set(rpc.retries);
-    registry_.counter("rpc.timeout_total").set(rpc.timeouts);
-    registry_.counter("rpc.unreachable_total").set(rpc.unreachable);
-    registry_.counter("rpc.oneways_total").set(rpc.oneways);
-    registry_.counter("rpc.oneways_dropped_total").set(rpc.oneways_dropped);
-    if (detector_ != nullptr) {
-      registry_.counter("detector.false_dead_control_cut")
-          .set(detector_->false_dead_control_total());
-    }
-  }
-
-  const IntegrityStats& integ = integrity_->stats();
-  registry_.counter("integrity.disk_corrupt_detected")
-      .set(integ.disk_corrupt_detected);
-  registry_.counter("integrity.cache_corrupt_detected")
-      .set(integ.cache_corrupt_detected);
-  registry_.counter("integrity.cache_copies_purged")
-      .set(integ.cache_copies_purged);
-
-  if (scrubber_ != nullptr) {
-    const ScrubberStats& s = scrubber_->stats();
-    registry_.counter("scrub.blocks_scanned").set(s.blocks_scanned);
-    registry_.counter("scrub.corrupt_found").set(s.corrupt_found);
-    registry_.counter("scrub.scans_contended").set(s.scans_contended);
-    registry_.counter("scrub.scans_throttled").set(s.scans_throttled);
-    registry_.gauge("scrub.contention_ratio")
-        .set(s.blocks_scanned == 0
-                 ? 0.0
-                 : static_cast<double>(s.scans_contended) /
-                       static_cast<double>(s.blocks_scanned));
-    std::size_t replicas = 0;
-    for (const auto& dn : datanodes_) replicas += dn->block_count();
-    // > 1 means every replica has been visited at least once on average.
-    registry_.gauge("scrub.coverage")
-        .set(replicas == 0 ? 0.0
-                           : static_cast<double>(s.blocks_scanned) /
-                                 static_cast<double>(replicas));
-  }
-
-  if (master_ != nullptr) {
-    const MasterStats& m = master_->stats();
-    registry_.counter("ignem.master.requests").set(m.requests);
-    registry_.counter("ignem.master.migrate_commands").set(m.migrate_commands);
-    registry_.counter("ignem.master.evict_commands").set(m.evict_commands);
-    registry_.counter("ignem.master.batches_sent").set(m.batches_sent);
-    registry_.counter("ignem.master.rejoin_reclaimed").set(m.rejoin_reclaimed);
-    registry_.counter("ignem.master.rejoin_purged").set(m.rejoin_purged);
-    if (rpc_router_ != nullptr) {
-      registry_.counter("ignem.master.rpc_batches_lost")
-          .set(m.rpc_batches_lost);
-      registry_.counter("ignem.master.rpc_evict_retries")
-          .set(m.rpc_evict_retries);
-    }
-  }
-  if (!slaves_.empty()) {
-    std::uint64_t migrations = 0, commands = 0, evictions = 0;
-    Bytes bytes = 0;
-    for (const auto& slave : slaves_) {
-      const SlaveStats& s = slave->stats();
-      migrations += s.migrations_completed;
-      commands += s.commands_received;
-      evictions += s.evictions;
-      bytes += s.bytes_migrated;
-    }
-    registry_.counter("ignem.migrations_completed").set(migrations);
-    registry_.counter("ignem.bytes_migrated")
-        .set(static_cast<std::uint64_t>(bytes));
-    registry_.counter("ignem.commands_received").set(commands);
-    registry_.counter("ignem.evictions").set(evictions);
-  }
-
-  std::uint64_t promotes = 0, demotes = 0, drops = 0, from_home = 0;
-  for (const auto& dn : datanodes_) {
-    const TierHierarchy& tiers = dn->tiers();
-    promotes += tiers.total_promotes();
-    demotes += tiers.total_demotes();
-    drops += tiers.drops_to_home();
-    from_home += tiers.promotes_from_home();
-  }
-  registry_.counter("tier.promotes").set(promotes);
-  registry_.counter("tier.demotes").set(demotes);
-  registry_.counter("tier.drops_to_home").set(drops);
-  registry_.counter("tier.promotes_from_home").set(from_home);
+  // Each component names its own counters; the per-node ones add into
+  // shared names, so the report holds cluster-wide sums.
+  std::map<std::string, std::uint64_t>& counters = report.counters;
+  dfs_->add_counters(counters);
+  replication_manager_->add_counters(counters);
+  network_->add_counters(counters);
+  integrity_->add_counters(counters);
+  if (detector_ != nullptr) detector_->add_counters(counters);
+  if (rpc_router_ != nullptr) rpc_router_->add_counters(counters);
+  if (scrubber_ != nullptr) scrubber_->add_counters(counters, report.gauges);
+  if (master_ != nullptr) master_->add_counters(counters);
+  for (const auto& slave : slaves_) slave->add_counters(counters);
+  for (const auto& promoter : promoters_) promoter->add_counters(counters);
+  for (const auto& dn : datanodes_) dn->tiers().add_counters(counters);
 
   report.summary.emplace_back("jobs",
                               static_cast<double>(metrics_.jobs().size()));

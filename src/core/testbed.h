@@ -242,7 +242,7 @@ class Testbed : public FaultTarget {
   /// The per-node tier hierarchy this run models: the explicit
   /// config.tiering.tiers when set, otherwise the paper's two-tier stack
   /// (RAM pool over the primary device). Feeds the tier-cost summary
-  /// (write_tier_cost_csv) in bench reports.
+  /// (tier_cost_total) in bench reports.
   std::vector<TierSpec> tier_specs() const {
     if (!config_.tiering.tiers.empty()) return config_.tiering.tiers;
     return two_tier_specs(
@@ -277,10 +277,12 @@ class Testbed : public FaultTarget {
   ConfigFingerprint fingerprint() const;
 
   /// Assembles the end-of-run structured report: fingerprint, kernel
-  /// self-profile, every component's stats mirrored into the registry, and
-  /// headline summary numbers. Call after the workload finishes; the report
-  /// borrows the registry, so write it before the Testbed dies.
-  RunReport build_run_report(const std::string& name);
+  /// self-profile, the counters and gauges each component adds about itself
+  /// (add_counters), the registry's histograms and series, and headline
+  /// summary numbers. Call after the workload finishes; the report borrows
+  /// the registry, so write it before the Testbed dies. Building twice
+  /// gives the same report.
+  RunReport build_run_report(const std::string& name) const;
 
  private:
   void sample_memory();

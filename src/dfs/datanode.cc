@@ -287,6 +287,14 @@ void DataNode::drain_to_home(Bytes bytes) {
   });
 }
 
+bool DataNode::lock_copy(BlockId block, Bytes bytes) {
+  BufferCache& pool = tiers_.pool(0);
+  if (pool.contains(block)) return true;
+  if (!pool.lock(block, bytes)) return false;
+  tiers_.note_promote(tiers_.home_tier(), 0, block, bytes);
+  return true;
+}
+
 bool DataNode::release_copy(BlockId block, std::size_t tier, Bytes bytes,
                             bool allow_demote) {
   const std::size_t home = tiers_.home_tier();

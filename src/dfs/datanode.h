@@ -147,6 +147,13 @@ class DataNode {
   /// immediately, so callers' completion barriers never hang.
   void write(Bytes bytes, std::function<void()> on_complete);
 
+  /// Locks a copy of `block` straight into tier 0 with no modelled IO (the
+  /// vmtouch preload, the instant-migration hypothetical). Returns false,
+  /// changing nothing, when it does not fit. A new copy counts as a promote
+  /// from the home tier; a copy already there is left alone and moves
+  /// nothing.
+  bool lock_copy(BlockId block, Bytes bytes);
+
   /// Releases the promoted copy of `block` held in pool tier `tier`
   /// (reference list drained, purge, …). With a demoting policy and
   /// `allow_demote`, the copy cascades to the policy's demotion target
@@ -182,10 +189,8 @@ class DataNode {
 
   TierHierarchy& tiers() { return tiers_; }
   const TierHierarchy& tiers() const { return tiers_; }
-  /// The home device, the fastest device, and tier 0's pool (the paper's
-  /// locked-page cache).
+  /// The home device and tier 0's pool (the paper's locked-page cache).
   StorageDevice& primary_device() { return tiers_.device(tiers_.home_tier()); }
-  StorageDevice& ram_device() { return tiers_.device(0); }
   BufferCache& cache() { return tiers_.pool(0); }
   const BufferCache& cache() const { return tiers_.pool(0); }
   /// True when any pool tier holds a copy of `block`.

@@ -22,6 +22,20 @@ void DfsClient::set_metrics_registry(MetricsRegistry* registry) {
   read_latency_disk_ = &registry->histogram("dfs.read_latency_us.disk");
 }
 
+static_assert(sizeof(DfsStats) == 7 * sizeof(std::uint64_t),
+              "name the new DfsStats field in DfsClient::add_counters");
+
+void DfsClient::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["dfs.reads_completed"] += stats_.reads_completed;
+  counters["dfs.reads_failed"] += stats_.reads_failed;
+  counters["dfs.memory_reads"] += stats_.memory_reads;
+  counters["dfs.remote_reads"] += stats_.remote_reads;
+  counters["dfs.retries"] += stats_.retries;
+  counters["dfs.replica_failovers"] += stats_.replica_failovers;
+  counters["dfs.checksum_failovers"] += stats_.checksum_failovers;
+}
+
 NodeId DfsClient::choose_replica(NodeId reader, BlockId block) const {
   // A replica is usable when its node is in the namespace map, its
   // process is up, either the block sits in locked memory or the disk

@@ -5,7 +5,10 @@
 // migrate() call that job submitters use to hand Ignem their input list.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -19,7 +22,7 @@
 namespace ignem {
 
 /// Cumulative read-path counters, always maintained (they are plain field
-/// increments). Mirrored into the MetricsRegistry at report time.
+/// increments). DfsClient::add_counters names each one in the RunReport.
 struct DfsStats {
   std::uint64_t reads_completed = 0;   ///< Successful read_block completions.
   std::uint64_t reads_failed = 0;      ///< Terminal deadline failures.
@@ -74,6 +77,8 @@ class DfsClient {
   bool has_migration_service() const { return service_ != nullptr; }
 
   const DfsStats& stats() const { return stats_; }
+  /// Adds every DfsStats field to `counters` under its report name (dfs.*).
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
 
   /// Wires read-latency histograms (overall / memory-served / disk-served,
   /// in simulated microseconds). Null (the default) records nothing beyond

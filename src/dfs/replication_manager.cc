@@ -6,6 +6,23 @@
 
 namespace ignem {
 
+static_assert(sizeof(ReplicationStats) == 8 * sizeof(std::uint64_t),
+              "name the new ReplicationStats field in "
+              "ReplicationManager::add_counters");
+
+void ReplicationManager::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["replication.blocks_scheduled"] += stats_.blocks_scheduled;
+  counters["replication.blocks_repaired"] += stats_.blocks_repaired;
+  counters["replication.blocks_unrepairable"] += stats_.blocks_unrepairable;
+  counters["replication.corrupt_invalidated"] += stats_.corrupt_invalidated;
+  counters["replication.repairs_throttled"] += stats_.repairs_throttled;
+  counters["replication.excess_deleted"] += stats_.excess_deleted;
+  counters["replication.repairs_discarded"] += stats_.repairs_discarded;
+  counters["replication.bytes_repaired"] +=
+      static_cast<std::uint64_t>(stats_.bytes_repaired);
+}
+
 ReplicationManager::ReplicationManager(Simulator& sim, NameNode& namenode,
                                        Network& network, Rng rng,
                                        int max_concurrent)

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
+#include <string>
 #include <unordered_set>
 
 #include "common/ids.h"
@@ -68,6 +70,9 @@ class ReplicationManager {
   void handle_corrupt_replica(BlockId block, int target_replication);
 
   const ReplicationStats& stats() const { return stats_; }
+  /// Adds every ReplicationStats field to `counters` under its report name
+  /// (replication.*).
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
   std::size_t pending() const { return queue_.size(); }
   int in_flight() const { return in_flight_; }
 

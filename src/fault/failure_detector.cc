@@ -86,4 +86,12 @@ void FailureDetector::check() {
   }
 }
 
+void FailureDetector::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["detector.false_dead_total"] += false_dead_total_;
+  if (router_ != nullptr) {
+    counters["detector.false_dead_control_cut"] += false_dead_control_total_;
+  }
+}
+
 }  // namespace ignem

@@ -15,7 +15,10 @@
 // Constructed only when fault tolerance is enabled.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -94,6 +97,11 @@ class FailureDetector {
   std::uint64_t false_dead_control_total() const {
     return false_dead_control_total_;
   }
+
+  /// Adds false_dead_total to `counters` as detector.false_dead_total and,
+  /// on a routed control plane only, false_dead_control_total as
+  /// detector.false_dead_control_cut.
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
 
   bool is_suspect(NodeId node) const {
     return suspected_[static_cast<std::size_t>(node.value())];

@@ -44,4 +44,16 @@ void IntegrityManager::report(NodeId node, BlockId block, bool cached,
   if (on_disk_corrupt_) on_disk_corrupt_(block, node);
 }
 
+static_assert(sizeof(IntegrityStats) == 3 * sizeof(std::uint64_t),
+              "name the new IntegrityStats field in "
+              "IntegrityManager::add_counters");
+
+void IntegrityManager::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["integrity.disk_corrupt_detected"] += stats_.disk_corrupt_detected;
+  counters["integrity.cache_corrupt_detected"] +=
+      stats_.cache_corrupt_detected;
+  counters["integrity.cache_copies_purged"] += stats_.cache_copies_purged;
+}
+
 }  // namespace ignem

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
 
 #include "dfs/datanode.h"
 #include "dfs/namenode.h"
@@ -55,6 +57,9 @@ class IntegrityManager {
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
   const IntegrityStats& stats() const { return stats_; }
+  /// Adds every IntegrityStats field to `counters` under its report name
+  /// (integrity.*).
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
 
  private:
   NameNode& namenode_;

@@ -59,4 +59,26 @@ void Scrubber::tick(std::size_t index) {
   });
 }
 
+static_assert(sizeof(ScrubberStats) == 4 * sizeof(std::uint64_t),
+              "name the new ScrubberStats field in Scrubber::add_counters");
+
+void Scrubber::add_counters(std::map<std::string, std::uint64_t>& counters,
+                            std::map<std::string, double>& gauges) const {
+  counters["scrub.blocks_scanned"] += stats_.blocks_scanned;
+  counters["scrub.corrupt_found"] += stats_.corrupt_found;
+  counters["scrub.scans_contended"] += stats_.scans_contended;
+  counters["scrub.scans_throttled"] += stats_.scans_throttled;
+  const auto per = [](std::uint64_t n, std::uint64_t d) {
+    return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
+  };
+  std::uint64_t replicas = 0;
+  for (std::size_t i = 0; i < namenode_.node_count(); ++i) {
+    replicas +=
+        namenode_.datanode(NodeId(static_cast<std::int64_t>(i)))->block_count();
+  }
+  gauges["scrub.contention_ratio"] =
+      per(stats_.scans_contended, stats_.blocks_scanned);
+  gauges["scrub.coverage"] = per(stats_.blocks_scanned, replicas);
+}
+
 }  // namespace ignem

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rate_limiter.h"
@@ -46,6 +48,12 @@ class Scrubber {
   void stop();
 
   const ScrubberStats& stats() const { return stats_; }
+  /// Adds every ScrubberStats field to `counters` under its report name
+  /// (scrub.*), and sets two gauges: scrub.contention_ratio (contended
+  /// scans per scan) and scrub.coverage (scans per stored replica; > 1
+  /// means every replica was visited at least once on average).
+  void add_counters(std::map<std::string, std::uint64_t>& counters,
+                    std::map<std::string, double>& gauges) const;
 
  private:
   void tick(std::size_t index);

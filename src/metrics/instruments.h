@@ -1,13 +1,13 @@
 // Typed metric instruments for the sim-time telemetry plane.
 //
-// Four shapes, all deliberately passive: recording never schedules events,
-// touches the RNG, or reads the wall clock, so a run's trace (and therefore
-// its pinned hash) is bit-identical whether metrics are recorded or not.
-// Everything is keyed and windowed in *simulated* time — two identical
-// seeded runs produce identical instrument contents byte for byte.
+// Two shapes for what is recorded during a run, both deliberately passive:
+// recording never schedules events, touches the RNG, or reads the wall
+// clock, so a run's trace (and therefore its pinned hash) is bit-identical
+// whether metrics are recorded or not. Everything is keyed and windowed in
+// *simulated* time — two identical seeded runs produce identical instrument
+// contents byte for byte. End-of-run counts are not instruments: each
+// component reports its own into the RunReport (metrics/report.h).
 //
-//   - Counter: monotonic uint64 (events seen, bytes moved).
-//   - Gauge: last-written double (a level: backlog, ratio, occupancy).
 //   - HistogramMetric: log2-bucketed distribution of non-negative int64
 //     samples (latencies in microseconds, sizes in bytes). Fixed 64-bucket
 //     geometry, so any two histograms merge without rebinning.
@@ -22,26 +22,6 @@
 #include "common/units.h"
 
 namespace ignem {
-
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  void set(std::uint64_t v) { value_ = v; }  ///< For end-of-run mirrors.
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  void add(double v) { value_ += v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Log2-bucketed histogram over non-negative int64 samples. Bucket i holds
 /// samples whose bit width is i, i.e. bucket 0 = {0}, bucket i>=1 =

@@ -1,4 +1,6 @@
-// MetricsRegistry: the named home of every instrument in a run.
+// MetricsRegistry: the named home of what a run records as it goes —
+// histograms and time series. (End-of-run counts are not kept here: each
+// component adds its own into the RunReport when it is built.)
 //
 // Components hold a `MetricsRegistry*` that defaults to nullptr, exactly
 // like the TraceRecorder convention: a run without metrics pays one pointer
@@ -8,8 +10,8 @@
 // pointer/reference at wiring time and recording is a plain field update.
 //
 // Instruments are stored in std::map keyed by name: iteration order is the
-// sorted name order, which is what makes RunReport JSON and the CSV
-// exporters deterministic without a sort at snapshot time.
+// sorted name order, which is what makes RunReport JSON deterministic
+// without a sort at snapshot time.
 #pragma once
 
 #include <map>
@@ -30,8 +32,6 @@ class MetricsRegistry {
   /// Instrument lookup, creating on first use. References are stable for
   /// the registry's lifetime (map nodes never move) — cache them at wiring
   /// time, not per record.
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
   HistogramMetric& histogram(const std::string& name) {
     return histograms_[name];
   }
@@ -40,16 +40,12 @@ class MetricsRegistry {
   TimeSeries& series(const std::string& name, Duration window);
 
   // Sorted-by-name views for exporters.
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, HistogramMetric>& histograms() const {
     return histograms_;
   }
   const std::map<std::string, TimeSeries>& series() const { return series_; }
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, HistogramMetric> histograms_;
   std::map<std::string, TimeSeries> series_;
 };

@@ -24,6 +24,51 @@ void pad(std::ostream& os, int indent) {
   for (int i = 0; i < indent; ++i) os.put(' ');
 }
 
+/// One top-level object of name -> value entries, in the map's (sorted)
+/// order; `write_value` renders one value.
+template <typename Map, typename WriteValue>
+void write_section(std::ostream& os, const char* key, const Map& entries,
+                   WriteValue write_value) {
+  os << "  \"" << key << "\": {";
+  bool first = true;
+  for (const auto& [name, value] : entries) {
+    os << (first ? "\n" : ",\n") << "    " << json_quote(name) << ": ";
+    write_value(value);
+    first = false;
+  }
+  os << (first ? "" : "\n  ") << "},\n";
+}
+
+/// Count, sum, min, max, mean and the non-empty [bucket_lo, count] pairs.
+void write_histogram(std::ostream& os, const HistogramMetric& h) {
+  os << "{\"count\": " << h.count() << ", \"sum\": " << h.sum()
+     << ", \"min\": " << h.min() << ", \"max\": " << h.max()
+     << ", \"mean\": " << format_json_double(h.mean()) << ", \"buckets\": [";
+  bool first = true;
+  for (std::size_t i = 0; i < HistogramMetric::kBuckets; ++i) {
+    if (h.bucket_count(i) == 0) continue;
+    if (!first) os << ", ";
+    os << "[" << HistogramMetric::bucket_lo(i) << ", " << h.bucket_count(i)
+       << "]";
+    first = false;
+  }
+  os << "]}";
+}
+
+/// The window width and one [start, last, min, max, mean, count] per window.
+void write_series(std::ostream& os, const TimeSeries& s) {
+  os << "{\"window_us\": " << s.window().count_micros() << ", \"samples\": [";
+  bool first = true;
+  for (const TimeSeries::Window& w : s.windows()) {
+    if (!first) os << ", ";
+    os << "[" << w.start_micros << ", " << format_json_double(w.last) << ", "
+       << format_json_double(w.min) << ", " << format_json_double(w.max)
+       << ", " << format_json_double(w.mean()) << ", " << w.count << "]";
+    first = false;
+  }
+  os << "]}";
+}
+
 }  // namespace
 
 std::string format_json_double(double v) {
@@ -139,65 +184,15 @@ void RunReport::write_json(std::ostream& os) const {
   os << "    \"alloc.container_growths\": " << alloc.container_growths
      << "\n  },\n";
 
+  write_section(os, "counters", counters,
+                [&](std::uint64_t v) { os << v; });
+  write_section(os, "gauges", gauges,
+                [&](double v) { os << format_json_double(v); });
   if (registry != nullptr) {
-    os << "  \"counters\": {";
-    bool first = true;
-    for (const auto& [cname, c] : registry->counters()) {
-      os << (first ? "\n" : ",\n") << "    " << json_quote(cname) << ": "
-         << c.value();
-      first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n";
-
-    os << "  \"gauges\": {";
-    first = true;
-    for (const auto& [gname, g] : registry->gauges()) {
-      os << (first ? "\n" : ",\n") << "    " << json_quote(gname) << ": "
-         << format_json_double(g.value());
-      first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n";
-
-    os << "  \"histograms\": {";
-    first = true;
-    for (const auto& [hname, h] : registry->histograms()) {
-      os << (first ? "\n" : ",\n") << "    " << json_quote(hname) << ": {"
-         << "\"count\": " << h.count() << ", \"sum\": " << h.sum()
-         << ", \"min\": " << h.min() << ", \"max\": " << h.max()
-         << ", \"mean\": " << format_json_double(h.mean())
-         << ", \"buckets\": [";
-      bool bfirst = true;
-      for (std::size_t i = 0; i < HistogramMetric::kBuckets; ++i) {
-        if (h.bucket_count(i) == 0) continue;
-        if (!bfirst) os << ", ";
-        os << "[" << HistogramMetric::bucket_lo(i) << ", "
-           << h.bucket_count(i) << "]";
-        bfirst = false;
-      }
-      os << "]}";
-      first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n";
-
-    os << "  \"series\": {";
-    first = true;
-    for (const auto& [sname, s] : registry->series()) {
-      os << (first ? "\n" : ",\n") << "    " << json_quote(sname) << ": {"
-         << "\"window_us\": " << s.window().count_micros()
-         << ", \"samples\": [";
-      bool wfirst = true;
-      for (const TimeSeries::Window& w : s.windows()) {
-        if (!wfirst) os << ", ";
-        os << "[" << w.start_micros << ", " << format_json_double(w.last)
-           << ", " << format_json_double(w.min) << ", "
-           << format_json_double(w.max) << ", "
-           << format_json_double(w.mean()) << ", " << w.count << "]";
-        wfirst = false;
-      }
-      os << "]}";
-      first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n";
+    write_section(os, "histograms", registry->histograms(),
+                  [&](const HistogramMetric& h) { write_histogram(os, h); });
+    write_section(os, "series", registry->series(),
+                  [&](const TimeSeries& s) { write_series(os, s); });
   }
 
   os << "  \"summary\": {";

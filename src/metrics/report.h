@@ -1,7 +1,8 @@
 // Structured end-of-run reports.
 //
 // A RunReport is the single JSON artifact a run leaves behind: the config
-// fingerprint that identifies what was run, the kernel self-profile, every
+// fingerprint that identifies what was run, the kernel self-profile, the
+// end-of-run counters and gauges each component reports about itself, every
 // instrument in the run's MetricsRegistry, and a flat summary section of
 // headline numbers. Everything in it is derived from simulated time and
 // deterministic state — never the wall clock — so two identical seeded runs
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -64,8 +66,15 @@ struct RunReport {
   /// Headline numbers (job durations, hit fractions) in insertion order.
   std::vector<std::pair<std::string, double>> summary;
 
-  /// Instruments to embed; null embeds none. Not owned — must outlive the
-  /// report.
+  /// End-of-run counts, sorted by name. Each component adds its own under
+  /// its report names (its `add_counters`); components that exist once per
+  /// node add into the same names, so each entry is the cluster-wide sum.
+  std::map<std::string, std::uint64_t> counters;
+  /// End-of-run levels and ratios, sorted by name.
+  std::map<std::string, double> gauges;
+
+  /// Histograms and series to embed; null embeds none. Not owned — must
+  /// outlive the report.
   const MetricsRegistry* registry = nullptr;
 
   void write_json(std::ostream& os) const;

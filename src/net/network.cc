@@ -8,10 +8,11 @@
 
 namespace ignem {
 
-Network::Network(Simulator& sim, std::size_t node_count, NetworkProfile profile)
+Network::Network(Simulator& sim, std::size_t node_count, NetworkProfile profile,
+                 int rack_count)
     : sim_(sim),
       profile_(profile),
-      topology_(node_count, profile.rack_count),
+      topology_(node_count, rack_count),
       reachability_(node_count) {
   IGNEM_CHECK(node_count > 0);
   BandwidthProfile bw;
@@ -50,6 +51,11 @@ SharedBandwidthResource& Network::nic(NodeId node) {
 void Network::set_metrics_registry(MetricsRegistry* registry) {
   severed_bytes_ =
       registry == nullptr ? nullptr : &registry->histogram("net.severed_bytes");
+}
+
+void Network::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["net.transfers_severed"] += transfers_severed_;
 }
 
 std::uint32_t Network::track(NodeId src, NodeId dst) {

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -40,13 +42,10 @@ struct NetworkProfile {
   /// degraded networks (and the fault injector's contention windows) raise
   /// it so concurrent flows genuinely slow each other down.
   double degradation = 0.0;
-  /// Rack fabric. rack_count mirrors TestbedConfig::rack_count (Testbed
-  /// copies it in) so placement and the network agree on rack membership.
-  /// rack_uplink_bw > 0 adds one oversubscribed shared uplink channel per
-  /// rack that every cross-rack transfer must traverse after its source
-  /// NIC; zero (the default) keeps the flat single-switch fabric and the
-  /// historical event stream bit-identical.
-  int rack_count = 1;
+  /// Rack fabric: rack_uplink_bw > 0 adds one oversubscribed shared uplink
+  /// channel per rack that every cross-rack transfer must traverse after
+  /// its source NIC; zero (the default) keeps the flat single-switch fabric
+  /// and the historical event stream bit-identical.
   Bandwidth rack_uplink_bw = 0.0;
 };
 
@@ -67,7 +66,11 @@ class Network {
   using IngressCallback =
       std::function<void(Bytes arrived, std::vector<IngressShare> unserved)>;
 
-  Network(Simulator& sim, std::size_t node_count, NetworkProfile profile);
+  /// `rack_count` racks, nodes dealt round-robin (Topology); the Testbed
+  /// passes TestbedConfig::rack_count, so placement and the network agree
+  /// on rack membership.
+  Network(Simulator& sim, std::size_t node_count, NetworkProfile profile,
+          int rack_count = 1);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -116,6 +119,8 @@ class Network {
 
   /// Lifetime count of severed transfers (fan-ins count once per stream).
   std::uint64_t transfers_severed() const { return transfers_severed_; }
+  /// Adds transfers_severed to `counters` as net.transfers_severed.
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
 
   /// Emits kTransferSevered events; safe to leave null.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }

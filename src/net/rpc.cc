@@ -5,15 +5,6 @@
 
 namespace ignem {
 
-const char* rpc_outcome_name(RpcOutcome outcome) {
-  switch (outcome) {
-    case RpcOutcome::kOk: return "ok";
-    case RpcOutcome::kTimeout: return "timeout";
-    case RpcOutcome::kUnreachable: return "unreachable";
-  }
-  return "?";
-}
-
 RpcRouter::RpcRouter(Simulator& sim, Network& network, RpcConfig config)
     : sim_(sim), network_(network), config_(config) {
   IGNEM_CHECK(config_.control_node.valid());
@@ -101,6 +92,20 @@ void RpcRouter::fail(NodeId to, RpcOutcome outcome, int attempts,
                  static_cast<std::int64_t>(outcome), 0.0);
   }
   if (on_fail != nullptr) on_fail(outcome);
+}
+
+static_assert(sizeof(RpcStats) == 7 * sizeof(std::uint64_t),
+              "name the new RpcStats field in RpcRouter::add_counters");
+
+void RpcRouter::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["rpc.calls_total"] += stats_.calls;
+  counters["rpc.delivered_total"] += stats_.delivered;
+  counters["rpc.retries_total"] += stats_.retries;
+  counters["rpc.timeout_total"] += stats_.timeouts;
+  counters["rpc.unreachable_total"] += stats_.unreachable;
+  counters["rpc.oneways_total"] += stats_.oneways;
+  counters["rpc.oneways_dropped_total"] += stats_.oneways_dropped;
 }
 
 }  // namespace ignem

@@ -21,6 +21,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
 
 #include "common/ids.h"
 #include "common/units.h"
@@ -37,8 +39,6 @@ enum class RpcOutcome : std::uint8_t {
   kTimeout = 1,      ///< Deadline expired while retrying.
   kUnreachable = 2,  ///< Retry budget exhausted, every attempt found a cut.
 };
-
-const char* rpc_outcome_name(RpcOutcome outcome);
 
 struct RpcConfig {
   /// Where the NameNode/RM/IgnemMaster live; one endpoint of every call.
@@ -96,6 +96,9 @@ class RpcRouter {
             FailureCallback on_fail = nullptr);
 
   const RpcStats& stats() const { return stats_; }
+  /// Adds every RpcStats field to `counters` under its report name
+  /// (rpc.*_total).
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
 
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 

@@ -29,10 +29,6 @@ Bandwidth SharedBandwidthResource::per_stream_rate(std::size_t n) const {
   return std::min(aggregate / static_cast<double>(n), profile_.per_stream_cap);
 }
 
-Bandwidth SharedBandwidthResource::current_per_stream_rate() const {
-  return per_stream_rate(transfers_.size());
-}
-
 std::vector<SharedBandwidthResource::Transfer>::iterator
 SharedBandwidthResource::find(TransferHandle handle) {
   const auto it = std::lower_bound(

@@ -79,9 +79,6 @@ class SharedBandwidthResource {
 
   std::size_t active_transfers() const { return transfers_.size(); }
 
-  /// Current per-stream rate, given the active transfer count.
-  Bandwidth current_per_stream_rate() const;
-
   /// Lifetime totals, for utilization accounting.
   Bytes total_bytes_completed() const { return bytes_completed_; }
   Duration busy_time() const;

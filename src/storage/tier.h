@@ -43,4 +43,10 @@ TierSpec tape_home_tier();
 std::vector<TierSpec> two_tier_specs(const DeviceProfile& primary,
                                      Bytes cache_capacity);
 
+/// Acquisition cost of one node's hierarchy: the sum over tiers of
+/// capacity (GiB) × $/GiB. This is the hardware cost the paper's
+/// upward-migration argument trades against: RAM costs ~100x HDD per GiB,
+/// so serving hot data from a thin fast tier must beat buying more of it.
+double tier_cost_total(const std::vector<TierSpec>& tiers);
+
 }  // namespace ignem

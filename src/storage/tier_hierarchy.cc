@@ -37,6 +37,14 @@ std::vector<TierSpec> two_tier_specs(const DeviceProfile& primary,
   return specs;
 }
 
+double tier_cost_total(const std::vector<TierSpec>& tiers) {
+  double total = 0.0;
+  for (const TierSpec& tier : tiers) {
+    total += tier.cost_per_gib * (static_cast<double>(tier.capacity) / kGiB);
+  }
+  return total;
+}
+
 TierHierarchy::TierHierarchy(Simulator& sim, const std::string& base_name,
                              std::vector<TierSpec> specs, Rng rng) {
   IGNEM_CHECK_MSG(specs.size() >= 2,
@@ -142,6 +150,24 @@ void TierHierarchy::note_demote(std::size_t from, std::size_t to,
     trace_->emit(TraceEventType::kTierDemote, node_, block, JobId::invalid(),
                  bytes,
                  static_cast<std::int64_t>((from << 8) | to));
+  }
+}
+
+static_assert(sizeof(TierStats) == 3 * sizeof(std::uint64_t),
+              "name the new TierStats field in TierHierarchy::add_counters");
+
+void TierHierarchy::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["tier.promotes"] += promotes_;
+  counters["tier.demotes"] += demotes_;
+  counters["tier.drops_to_home"] += drops_to_home_;
+  counters["tier.promotes_from_home"] += promotes_from_home_;
+  for (std::size_t t = 0; t < tiers_.size(); ++t) {
+    const std::string suffix = ".t" + std::to_string(t);
+    const TierStats& stats = tiers_[t].stats;
+    counters["tier.reads" + suffix] += stats.reads;
+    counters["tier.promotes_in" + suffix] += stats.promotes_in;
+    counters["tier.demotes_in" + suffix] += stats.demotes_in;
   }
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +27,8 @@
 
 namespace ignem {
 
-/// Per-tier counters (metrics export; hit rate = reads / total reads).
+/// Per-tier counters (hit rate = reads / total reads); add_counters names
+/// each one in the RunReport.
 struct TierStats {
   std::uint64_t reads = 0;        ///< Block reads this tier served.
   std::uint64_t promotes_in = 0;  ///< Copies that landed here from below.
@@ -84,6 +86,12 @@ class TierHierarchy {
   std::uint64_t drops_to_home() const { return drops_to_home_; }
   /// Promotes whose source was the home tier (a copy entered the pools).
   std::uint64_t promotes_from_home() const { return promotes_from_home_; }
+
+  /// Adds the move totals (tier.promotes, tier.demotes, tier.drops_to_home,
+  /// tier.promotes_from_home) and every TierStats field of every tier
+  /// (tier.reads.t<N>, tier.promotes_in.t<N>, tier.demotes_in.t<N>) to
+  /// `counters`. Every node's hierarchy adds into the same names.
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
 
   /// Process failure: the OS reclaims every pool's locked memory.
   void clear_pools();

@@ -134,8 +134,15 @@ TEST(ResourceManager, ReleaseMakesSlotVisibleNextHeartbeat) {
 
 TEST(ResourceManager, DeadNodeStopsAllocating) {
   Simulator sim;
-  ResourceManager rm(sim, small_cluster(2, 1));
-  rm.set_node_alive(NodeId(0), false);
+  const ClusterConfig config = small_cluster(2, 1);
+  ResourceManager rm(sim, config);
+  // Node 0 falls silent; one liveness scan past the timeout (plus a beat,
+  // so node 1 has beaten recently) declares it dead.
+  rm.halt_heartbeat(NodeId(0));
+  sim.run(SimTime::zero() + kLivenessTimeout + config.heartbeat_interval);
+  rm.check_liveness();
+  ASSERT_TRUE(rm.is_node_marked_dead(NodeId(0)));
+  ASSERT_FALSE(rm.is_node_marked_dead(NodeId(1)));
   std::vector<NodeId> allocated;
   for (int i = 0; i < 2; ++i) {
     ContainerRequest request;

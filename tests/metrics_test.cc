@@ -1,14 +1,17 @@
 // The metrics plane's contract tests.
 //
-// Two layers of guarantees are pinned here:
+// Four layers of guarantees are pinned here:
 //   1. Instrument semantics — log2 histogram geometry and exact merges,
 //      windowed time-series rollover, registry identity and window checks.
 //   2. Determinism — two identical seeded runs emit byte-identical
 //      RunReport JSON (each run in a fresh thread so thread_local kernel
 //      alloc counters start cold, exactly like two separate processes),
-//      a report read on another thread than the run's matches, and an
-//      empty tier stack reports exactly what the explicit two-tier one does.
-//   3. The memory footprint — the per-run aggregate Fig. 7 reads — matches
+//      a report read on another thread than the run's matches, building a
+//      report twice gives the same bytes, and an empty tier stack reports
+//      exactly what the explicit two-tier one does.
+//   3. Coverage — every field of every component *Stats struct reaches the
+//      report, summed over the components that own one.
+//   4. The memory footprint — the per-run aggregate Fig. 7 reads — matches
 //      the per-sample rows it replaced, bit for bit.
 // Inertness — recording never perturbs the simulation — is pinned by the
 // trace hashes in kernel_regression_test: they predate the metrics plane
@@ -21,6 +24,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,11 +36,14 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/testbed.h"
+#include "fault/fault_injector.h"
+#include "fault/fault_plan.h"
 #include "metrics/instruments.h"
 #include "metrics/registry.h"
 #include "metrics/report.h"
 #include "metrics/run_metrics.h"
 #include "test_util.h"
+#include "workload/standalone.h"
 #include "workload/swim.h"
 
 namespace ignem {
@@ -43,24 +51,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Instruments
-
-TEST(CounterMetric, AddsAndSets) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(4);
-  EXPECT_EQ(c.value(), 5u);
-  c.set(2);
-  EXPECT_EQ(c.value(), 2u);
-}
-
-TEST(GaugeMetric, SetsAndAccumulates) {
-  Gauge g;
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  g.set(1.5);
-  g.add(0.25);
-  EXPECT_DOUBLE_EQ(g.value(), 1.75);
-}
 
 TEST(HistogramMetricTest, BucketEdgesArePowersOfTwo) {
   EXPECT_EQ(HistogramMetric::bucket_lo(0), 0);
@@ -171,13 +161,13 @@ TEST(TimeSeriesTest, RejectsNonPositiveWindow) {
 
 TEST(RegistryTest, InstrumentsAreCreatedOnceWithStableIdentity) {
   MetricsRegistry registry;
-  Counter& c = registry.counter("a.count");
-  c.add(3);
-  EXPECT_EQ(&registry.counter("a.count"), &c);
-  EXPECT_EQ(registry.counter("a.count").value(), 3u);
+  HistogramMetric& h = registry.histogram("a.latency");
+  h.record(3);
+  EXPECT_EQ(&registry.histogram("a.latency"), &h);
+  EXPECT_EQ(registry.histogram("a.latency").count(), 1u);
   TimeSeries& s = registry.series("a.series", Duration::seconds(1.0));
   EXPECT_EQ(&registry.series("a.series", Duration::seconds(1.0)), &s);
-  EXPECT_EQ(registry.counters().size(), 1u);
+  EXPECT_EQ(registry.histograms().size(), 1u);
   EXPECT_EQ(registry.series().size(), 1u);
 }
 
@@ -336,6 +326,183 @@ TEST(RunReportTest, ContainsKernelProfileSeriesAndFingerprint) {
         "\"ignem.cache_hit_ratio\"", "\"ignem.locked_bytes\"",
         "\"tier.occupancy.t0\"", "\"summary\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing " << needle;
+  }
+}
+
+// The reporters add into the report's maps, so a second report of the same
+// finished run must not double anything.
+TEST(RunReportTest, BuildingTwiceGivesTheSameReport) {
+  TestbedConfig config = small_config(RunMode::kIgnem);
+  config.integrity.enable_scrubber = true;  // its gauges too
+  config.integrity.scrub_interval = Duration::seconds(2.0);
+  Testbed testbed(config);
+  testbed.run_workload(build_swim_workload(testbed, small_swim()));
+  std::ostringstream first;
+  testbed.build_run_report("twice").write_json(first);
+  std::ostringstream second;
+  testbed.build_run_report("twice").write_json(second);
+  EXPECT_NE(first.str().find("\"ignem.migrations_completed\""),
+            std::string::npos);
+  EXPECT_NE(first.str().find("\"scrub.coverage\""), std::string::npos);
+  EXPECT_EQ(first.str(), second.str());
+}
+
+// The value of counter `name` in a RunReport's JSON text; nullopt when the
+// report does not name it.
+std::optional<std::uint64_t> report_counter(const std::string& json,
+                                            const std::string& name) {
+  const std::size_t section = json.find("\"counters\": {");
+  if (section == std::string::npos) return std::nullopt;
+  const std::size_t end = json.find('}', section);
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = json.find(key, section);
+  if (at == std::string::npos || at > end) return std::nullopt;
+  return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+// The model: every field of every *Stats struct the run's components own,
+// under its report name, summed over the components that own one (one
+// IgnemSlave, HotDataPromoter and TierHierarchy per node).
+std::map<std::string, std::uint64_t> stats_fields(Testbed& testbed) {
+  std::map<std::string, std::uint64_t> f;
+  const DfsStats& dfs = testbed.dfs().stats();
+  f["dfs.reads_completed"] += dfs.reads_completed;
+  f["dfs.reads_failed"] += dfs.reads_failed;
+  f["dfs.memory_reads"] += dfs.memory_reads;
+  f["dfs.remote_reads"] += dfs.remote_reads;
+  f["dfs.retries"] += dfs.retries;
+  f["dfs.replica_failovers"] += dfs.replica_failovers;
+  f["dfs.checksum_failovers"] += dfs.checksum_failovers;
+
+  const ReplicationStats& repl = testbed.replication_manager().stats();
+  f["replication.blocks_scheduled"] += repl.blocks_scheduled;
+  f["replication.blocks_repaired"] += repl.blocks_repaired;
+  f["replication.blocks_unrepairable"] += repl.blocks_unrepairable;
+  f["replication.corrupt_invalidated"] += repl.corrupt_invalidated;
+  f["replication.repairs_throttled"] += repl.repairs_throttled;
+  f["replication.excess_deleted"] += repl.excess_deleted;
+  f["replication.repairs_discarded"] += repl.repairs_discarded;
+  f["replication.bytes_repaired"] +=
+      static_cast<std::uint64_t>(repl.bytes_repaired);
+
+  const IntegrityStats& integrity = testbed.integrity_manager().stats();
+  f["integrity.disk_corrupt_detected"] += integrity.disk_corrupt_detected;
+  f["integrity.cache_corrupt_detected"] += integrity.cache_corrupt_detected;
+  f["integrity.cache_copies_purged"] += integrity.cache_copies_purged;
+
+  if (const RpcRouter* router = testbed.rpc_router(); router != nullptr) {
+    const RpcStats& rpc = router->stats();
+    f["rpc.calls_total"] += rpc.calls;
+    f["rpc.delivered_total"] += rpc.delivered;
+    f["rpc.retries_total"] += rpc.retries;
+    f["rpc.timeout_total"] += rpc.timeouts;
+    f["rpc.unreachable_total"] += rpc.unreachable;
+    f["rpc.oneways_total"] += rpc.oneways;
+    f["rpc.oneways_dropped_total"] += rpc.oneways_dropped;
+  }
+
+  if (const Scrubber* scrubber = testbed.scrubber(); scrubber != nullptr) {
+    const ScrubberStats& scrub = scrubber->stats();
+    f["scrub.blocks_scanned"] += scrub.blocks_scanned;
+    f["scrub.corrupt_found"] += scrub.corrupt_found;
+    f["scrub.scans_contended"] += scrub.scans_contended;
+    f["scrub.scans_throttled"] += scrub.scans_throttled;
+  }
+
+  if (const IgnemMaster* master = testbed.ignem_master(); master != nullptr) {
+    const MasterStats& m = master->stats();
+    f["ignem.master.requests"] += m.requests;
+    f["ignem.master.migrate_commands"] += m.migrate_commands;
+    f["ignem.master.evict_commands"] += m.evict_commands;
+    f["ignem.master.batches_sent"] += m.batches_sent;
+    f["ignem.master.rejoin_reclaimed"] += m.rejoin_reclaimed;
+    f["ignem.master.rejoin_purged"] += m.rejoin_purged;
+    f["ignem.master.rpc_batches_lost"] += m.rpc_batches_lost;
+    f["ignem.master.rpc_evict_retries"] += m.rpc_evict_retries;
+  }
+
+  for (std::size_t n = 0; n < testbed.node_count(); ++n) {
+    const NodeId node(static_cast<std::int64_t>(n));
+    if (const IgnemSlave* slave = testbed.ignem_slave(node);
+        slave != nullptr) {
+      const SlaveStats& s = slave->stats();
+      f["ignem.migrations_completed"] += s.migrations_completed;
+      f["ignem.bytes_migrated"] += static_cast<std::uint64_t>(s.bytes_migrated);
+      f["ignem.commands_received"] += s.commands_received;
+      f["ignem.commands_discarded_missed_read"] +=
+          s.commands_discarded_missed_read;
+      f["ignem.evictions"] += s.evictions;
+      f["ignem.cleanup_rounds"] += s.cleanup_rounds;
+      f["ignem.references_reaped"] += s.references_reaped;
+    }
+    if (const HotDataPromoter* promoter = testbed.hot_data_promoter(node);
+        promoter != nullptr) {
+      const HotDataStats& h = promoter->stats();
+      f["hotdata.promotions"] += h.promotions;
+      f["hotdata.evictions"] += h.evictions;
+      f["hotdata.bytes_promoted"] +=
+          static_cast<std::uint64_t>(h.bytes_promoted);
+    }
+    const TierHierarchy& tiers = testbed.datanode(node).tiers();
+    for (std::size_t t = 0; t < tiers.tier_count(); ++t) {
+      const std::string suffix = ".t" + std::to_string(t);
+      f["tier.reads" + suffix] += tiers.stats(t).reads;
+      f["tier.promotes_in" + suffix] += tiers.stats(t).promotes_in;
+      f["tier.demotes_in" + suffix] += tiers.stats(t).demotes_in;
+    }
+  }
+  return f;
+}
+
+void expect_report_names_every_stats_field(Testbed& testbed) {
+  std::ostringstream os;
+  testbed.build_run_report("stats").write_json(os);
+  const std::string json = os.str();
+  for (const auto& [name, value] : stats_fields(testbed)) {
+    const std::optional<std::uint64_t> reported = report_counter(json, name);
+    ASSERT_TRUE(reported.has_value()) << "report does not name " << name;
+    EXPECT_EQ(*reported, value) << name;
+  }
+}
+
+// Together the two runs own all nine *Stats structs: a routed,
+// fault-tolerant Ignem run with the scrubber and a node crash and rejoin,
+// and a Hot-Data-Promotion run on the iterative workload it promotes in.
+TEST(RunReportTest, ReportsEveryStatsField) {
+  {
+    TestbedConfig config = small_config(RunMode::kIgnem);
+    config.routed_control_plane = true;
+    config.fault_tolerance = true;
+    config.integrity.enable_scrubber = true;
+    config.integrity.scrub_interval = Duration::seconds(2.0);
+    Testbed testbed(config);
+    FaultPlan plan;
+    plan.faults.push_back(FaultSpec{FaultKind::kNodeCrash,
+                                    Duration::seconds(5.0),
+                                    Duration::seconds(30.0), NodeId(1)});
+    FaultInjector injector(testbed.sim(), testbed, plan);
+    injector.arm();
+    testbed.run_workload(build_swim_workload(testbed, small_swim()));
+    // Past the restart, so the node rejoins before the report is built.
+    testbed.sim().run(std::max(testbed.sim().now(),
+                               SimTime::zero() + Duration::seconds(60.0)));
+    ASSERT_GT(testbed.rpc_router()->stats().calls, 0u);
+    ASSERT_GT(testbed.scrubber()->stats().blocks_scanned, 0u);
+    ASSERT_GT(testbed.ignem_master()->stats().requests, 0u);
+    ASSERT_GT(testbed.replication_manager().stats().blocks_repaired, 0u);
+    ASSERT_TRUE(testbed.datanode(NodeId(1)).alive());
+    expect_report_names_every_stats_field(testbed);
+  }
+  {
+    Testbed testbed(small_config(RunMode::kHotDataPromotion));
+    const JobSpec pass = make_grep_job(testbed, "/iter", 2 * kGiB);
+    std::vector<ScheduledJob> jobs;
+    for (int i = 0; i < 5; ++i) {
+      jobs.push_back(ScheduledJob{Duration::seconds(i * 60.0), pass});
+    }
+    testbed.run_workload(std::move(jobs));
+    ASSERT_GT(stats_fields(testbed).at("hotdata.promotions"), 0u);
+    expect_report_names_every_stats_field(testbed);
   }
 }
 

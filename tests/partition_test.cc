@@ -133,9 +133,8 @@ TEST(Network, CrossRackTransfersTraverseTheSharedUplink) {
   auto timed_transfer = [](NodeId src, NodeId dst) {
     Simulator sim;
     NetworkProfile profile;
-    profile.rack_count = 2;
     profile.rack_uplink_bw = mib_per_sec(100);  // far below the NIC
-    Network net(sim, 4, profile);
+    Network net(sim, 4, profile, /*rack_count=*/2);
     SimTime done;
     net.transfer(src, dst, 200 * kMiB, [&] { done = sim.now(); });
     sim.run(SimTime::zero() + Duration::seconds(60));
@@ -153,15 +152,14 @@ TEST(Network, CrossRackTransfersTraverseTheSharedUplink) {
 TEST(Network, UplinkIsSharedAcrossConcurrentCrossRackFlows) {
   Simulator sim;
   NetworkProfile profile;
-  profile.rack_count = 2;
   profile.rack_uplink_bw = mib_per_sec(100);
-  Network net(sim, 4, profile);
+  Network net(sim, 4, profile, /*rack_count=*/2);
   // Two flows leave rack 0 on *different* source NICs at once; the shared
   // uplink halves their bandwidth, so they finish ~2x later than one alone.
   SimTime alone_done;
   {
     Simulator solo_sim;
-    Network solo(solo_sim, 4, profile);
+    Network solo(solo_sim, 4, profile, /*rack_count=*/2);
     solo.transfer(NodeId(0), NodeId(1), 100 * kMiB,
                   [&] { alone_done = solo_sim.now(); });
     solo_sim.run(SimTime::zero() + Duration::seconds(60));

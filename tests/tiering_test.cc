@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -21,6 +23,7 @@
 #include "storage/migration_policy.h"
 #include "storage/tier_hierarchy.h"
 #include "test_util.h"
+#include "workload/standalone.h"
 #include "workload/swim.h"
 
 namespace ignem {
@@ -144,6 +147,23 @@ TEST(TierHierarchyTest, CountersKeepTheResidencyBalance) {
   // resident in the pools == promotes from home - drops back to home.
   EXPECT_EQ(tiers.promotes_from_home() - tiers.drops_to_home(), 1u);
   EXPECT_EQ(tiers.stats(0).promotes_in, 2u);
+}
+
+// tier_cost_total sums capacity x $/GiB over a node's tiers. The suite
+// name is the one these cases had when the CSV tier-cost writer also
+// printed the total.
+TEST(CsvExport, TierCost) {
+  EXPECT_DOUBLE_EQ(
+      tier_cost_total({TierSpec{"ram", DeviceProfile{}, 4 * kGiB, 10.0},
+                       TierSpec{"hdd", DeviceProfile{}, 100 * kGiB, 0.05}}),
+      45.0);
+  // The unbounded home tier (capacity 0) costs nothing here.
+  EXPECT_DOUBLE_EQ(tier_cost_total(two_tier_specs(hdd_profile(), 16 * kGiB)),
+                   160.0);
+}
+
+TEST(CsvExport, TierCostEmptyHierarchy) {
+  EXPECT_DOUBLE_EQ(tier_cost_total({}), 0.0);
 }
 
 TEST(TierHierarchyTest, RejectsMalformedStacks) {
@@ -550,6 +570,71 @@ TEST(TieredTestbedTest, ExplicitTwoTierRunEmitsNoTierEvents) {
     EXPECT_NE(event.type, TraceEventType::kTierInit);
     EXPECT_NE(event.type, TraceEventType::kTierPromote);
     EXPECT_NE(event.type, TraceEventType::kTierDemote);
+  }
+}
+
+// Five passes over one 2 GiB dataset, a minute apart: the iterative
+// regime in which hot-data promotion promotes.
+std::vector<ScheduledJob> iterative_passes(Testbed& testbed) {
+  const JobSpec pass = make_grep_job(testbed, "/iter", 2 * kGiB);
+  std::vector<ScheduledJob> jobs;
+  for (int i = 0; i < 5; ++i) {
+    ScheduledJob job;
+    job.arrival = Duration::seconds(i * 60.0);
+    job.spec = pass;
+    job.spec.name = "pass-" + std::to_string(i);
+    jobs.push_back(job);
+  }
+  return jobs;
+}
+
+// Every path that puts a copy into tier 0 or takes one out counts it: the
+// Ignem slave, the hot-data promoter (promote and LRU evict), the vmtouch
+// preload and the instant-migration hypothetical. So after a fault-free
+// run the pools hold exactly promotes_from_home - drops_to_home copies.
+TEST(TierCounters, CountEveryPoolEntryAndExit) {
+  // The second hot-data run's 256 MiB pools hold four blocks, so the
+  // promoter evicts to make room.
+  const std::pair<RunMode, Bytes> runs[] = {
+      {RunMode::kHotDataPromotion, 16 * kGiB},
+      {RunMode::kHotDataPromotion, 256 * kMiB},
+      {RunMode::kHdfsInputsInRam, 16 * kGiB},
+      {RunMode::kInstantMigration, 16 * kGiB},
+      {RunMode::kIgnem, 16 * kGiB}};
+  for (const auto& [mode, pool] : runs) {
+    SCOPED_TRACE(std::string(run_mode_name(mode)) + ", " +
+                 std::to_string(pool / kMiB) + " MiB pools");
+    TestbedConfig config;
+    config.mode = mode;
+    config.cluster.node_count = 4;
+    config.cluster.slots_per_node = 6;
+    config.cache_capacity_per_node = pool;
+    config.seed = test::seed_for(44);
+    Testbed testbed(config);
+    testbed.run_workload(iterative_passes(testbed));
+    if (pool < 2 * kGiB) {
+      std::uint64_t evictions = 0;
+      for (std::size_t n = 0; n < config.cluster.node_count; ++n) {
+        const NodeId node(static_cast<std::int64_t>(n));
+        evictions += testbed.hot_data_promoter(node)->stats().evictions;
+      }
+      ASSERT_GT(evictions, 0u);
+    }
+
+    std::uint64_t resident = 0;
+    std::uint64_t from_home = 0;
+    std::uint64_t drops = 0;
+    for (std::size_t n = 0; n < config.cluster.node_count; ++n) {
+      const TierHierarchy& tiers =
+          testbed.datanode(NodeId(static_cast<std::int64_t>(n))).tiers();
+      resident += tiers.pool(0).block_count();
+      from_home += tiers.promotes_from_home();
+      drops += tiers.drops_to_home();
+    }
+    EXPECT_GT(from_home, 0u);
+    EXPECT_LE(drops, from_home);
+    EXPECT_EQ(resident, from_home - drops)
+        << "promotes_from_home " << from_home << ", drops_to_home " << drops;
   }
 }
 
