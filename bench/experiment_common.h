@@ -83,12 +83,17 @@ class BenchReport {
     set_fingerprint(testbed.fingerprint());
   }
 
-  /// Stamps the config fingerprint written into BENCH_<name>.json. First
-  /// call wins (sweep workers all run the same cluster shape; mode is not
-  /// part of the fingerprint). Thread-safe.
-  void set_fingerprint(const ConfigFingerprint& fp) {
+  /// Stamps the config fingerprint written into BENCH_<name>.json. The
+  /// lowest sweep index wins, so a sweep whose runs differ (Fig. 2's HDD
+  /// and SSD) stamps its first run's however its workers finish; among
+  /// equal indices (outside a sweep) the first call wins. Thread-safe.
+  void set_fingerprint(const ConfigFingerprint& fp,
+                       std::size_t sweep_index = current_sweep_index()) {
     std::lock_guard<std::mutex> lock(fingerprint_mutex_);
-    if (!fingerprint_.has_value()) fingerprint_ = fp;
+    if (!fingerprint_.has_value() || sweep_index < fingerprint_index_) {
+      fingerprint_ = fp;
+      fingerprint_index_ = sweep_index;
+    }
   }
 
   void write() {
@@ -135,6 +140,7 @@ class BenchReport {
   std::vector<std::pair<std::string, double>> metrics_;
   std::mutex fingerprint_mutex_;
   std::optional<ConfigFingerprint> fingerprint_;
+  std::size_t fingerprint_index_ = 0;
   bool written_ = false;
 };
 

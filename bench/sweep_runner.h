@@ -27,6 +27,15 @@ namespace ignem::bench {
 /// concurrency (at least 1).
 std::size_t sweep_thread_count();
 
+namespace detail {
+inline thread_local std::size_t sweep_index = 0;
+}  // namespace detail
+
+/// The index of the sweep task running on this thread; 0 outside a sweep.
+/// Lets state that tasks record as they finish (BenchReport's fingerprint)
+/// follow task order rather than completion order.
+inline std::size_t current_sweep_index() { return detail::sweep_index; }
+
 /// Runs fn(0) .. fn(n-1) across `threads` workers (0 = sweep_thread_count())
 /// and returns the results in index order. Tasks are claimed from a shared
 /// atomic counter, so the schedule is dynamic but the output is not: slot i
@@ -45,15 +54,18 @@ auto run_indexed_sweep(std::size_t n, Fn&& fn, std::size_t threads = 0)
   std::vector<std::exception_ptr> errors(n);
   std::atomic<std::size_t> next{0};
   const auto worker = [&] {
+    const std::size_t outer = detail::sweep_index;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
+      if (i >= n) break;
+      detail::sweep_index = i;
       try {
         slots[i].emplace(fn(i));
       } catch (...) {
         errors[i] = std::current_exception();
       }
     }
+    detail::sweep_index = outer;
   };
 
   if (threads == 1) {

@@ -38,13 +38,7 @@ Testbed::Testbed(TestbedConfig config)
                                          config_.block_size,
                                          config_.rack_count);
   namenode_->set_trace(trace_.get());
-  // Tier events join the stream only when the hierarchy or the policy
-  // departs from the paper's two tiers under UpwardOnHeat, whose traces the
-  // pinned hashes fix.
   const std::vector<TierSpec> tiers = tier_specs();
-  const bool emit_tier_events =
-      tiers.size() > 2 ||
-      config_.tiering.policy != TierPolicyKind::kUpwardOnHeat;
   tier_policy_ =
       make_tier_policy(config_.tiering.policy, config_.tiering.cold_after);
   for (std::size_t i = 0; i < n; ++i) {
@@ -54,7 +48,7 @@ Testbed::Testbed(TestbedConfig config)
     datanodes_.back()->set_migration_policy(*tier_policy_);
     datanodes_.back()->set_checksum_cost(
         config_.integrity.checksum_cost_per_gib);
-    datanodes_.back()->set_trace(trace_.get(), emit_tier_events);
+    datanodes_.back()->set_trace(trace_.get());
     namenode_->register_datanode(datanodes_.back().get());
   }
   if (config_.tiering.policy == TierPolicyKind::kDownwardOnCold &&
@@ -218,10 +212,28 @@ std::uint64_t Testbed::trace_hash() const {
 }
 
 std::string Testbed::replica_model_mismatch() const {
+  std::ostringstream out;
+  // Each DataNode's table holds exactly the blocks the NameNode lists on
+  // it: failure and rejoin handling walk those tables.
+  std::vector<std::vector<BlockId>> listed(datanodes_.size());
+  for (const auto& [block_id, info] : namenode_->all_blocks()) {
+    for (const NodeId node : info.replicas) {
+      listed[static_cast<std::size_t>(node.value())].push_back(block_id);
+    }
+  }
+  for (std::size_t n = 0; n < datanodes_.size(); ++n) {
+    std::sort(listed[n].begin(), listed[n].end());
+    if (datanodes_[n]->blocks_sorted() != listed[n]) {
+      out << "node " << n << ": its replica table ("
+          << datanodes_[n]->block_count()
+          << " blocks) differs from the NameNode's list (" << listed[n].size()
+          << " blocks)";
+      return out.str();
+    }
+  }
   if (checker_ == nullptr) return {};
   const ReplicaAccountingRule* model = checker_->replica_model();
   if (model == nullptr) return {};
-  std::ostringstream out;
   for (const auto& [block_id, info] : namenode_->all_blocks()) {
     if (model->replica_count(block_id) != info.replicas.size()) {
       out << "block " << block_id.value() << ": trace saw "

@@ -260,9 +260,11 @@ class Testbed : public FaultTarget {
   /// Digest of the recorded trace; 0 when tracing is off.
   std::uint64_t trace_hash() const;
 
-  /// Cross-checks the event-derived replica model against the NameNode's
-  /// block map. Returns an empty string when they agree (or when the
-  /// checker is off); otherwise a description of the first mismatch.
+  /// Cross-checks each DataNode's replica table against the blocks the
+  /// NameNode lists on that node, then (when the checker is on) the
+  /// event-derived replica model against the NameNode's block map. Returns
+  /// an empty string when they agree; otherwise a description of the first
+  /// mismatch, naming the first node that differs.
   std::string replica_model_mismatch() const;
 
   /// End-of-run integrity bookkeeping cross-check: every detected stored

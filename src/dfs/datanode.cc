@@ -35,9 +35,9 @@ DataNode::DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers,
       tiers_(sim, "dn" + std::to_string(id.value()), std::move(tiers), rng),
       policy_(&paper_policy()) {}
 
-void DataNode::set_trace(TraceRecorder* trace, bool emit_tier_events) {
+void DataNode::set_trace(TraceRecorder* trace) {
   trace_ = trace;
-  tiers_.set_trace(trace, id_, emit_tier_events);
+  tiers_.set_trace(trace, id_);
 }
 
 void DataNode::add_block(BlockId block, Bytes size) {
@@ -95,7 +95,7 @@ void DataNode::remove_block(BlockId block) {
   abort_pending_reads(&primary_device(), block);
   // Victim-tier copies lost their durable parent; drop them. The tier-0
   // copy is owned by the migration plane and purged through it.
-  if (tiers_.tier_count() > 2) purge_victim_copies(block);
+  purge_victim_copies(block);
 }
 
 void DataNode::corrupt_block(BlockId block) {

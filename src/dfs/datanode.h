@@ -218,10 +218,9 @@ class DataNode {
   void report_corruption(BlockId block, bool cached, CorruptionSource source);
 
   /// Emits kReplicaAdd, kBlockReadStart/End, and kCacheHit/Miss; also wires
-  /// the node's tier devices and tier-0 pool into the same recorder. With
-  /// `emit_tier_events`, kTierInit/kTierPromote/kTierDemote join the
-  /// stream (never set for the paper's two tiers under UpwardOnHeat).
-  void set_trace(TraceRecorder* trace, bool emit_tier_events = false);
+  /// the node's tier hierarchy (devices, tier-0 pool, kTier* events) into
+  /// the same recorder.
+  void set_trace(TraceRecorder* trace);
 
  private:
   /// Aborts in-flight reads (all of them, or only those on `device`, or

@@ -110,7 +110,8 @@ class NameNode {
   /// migration requests.
   Bytes total_bytes(const std::vector<FileId>& files) const;
 
-  /// All blocks in the namespace (re-replication scans).
+  /// All blocks in the namespace, in hash order (whole-namespace audits;
+  /// node events walk the DataNode's own table instead).
   const std::unordered_map<BlockId, BlockInfo>& all_blocks() const {
     return blocks_;
   }

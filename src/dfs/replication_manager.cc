@@ -38,16 +38,15 @@ void ReplicationManager::handle_node_failure(NodeId node,
                                              int target_replication) {
   target_replication_ = target_replication;
   if (namenode_.is_node_alive(node)) namenode_.set_node_alive(node, false);
-  for (const auto& [block_id, info] : namenode_.all_blocks()) {
-    const bool held_here =
-        std::find(info.replicas.begin(), info.replicas.end(), node) !=
-        info.replicas.end();
-    if (!held_here) continue;
-    if (queued_.contains(block_id)) continue;
-    const auto live = namenode_.live_locations(block_id);
+  // The node's own replica table lists exactly the blocks the namespace
+  // places on it (create_file, add_replica and invalidate_replica keep the
+  // two in step), so repairs queue in ascending block id.
+  for (const BlockId block : namenode_.datanode(node)->blocks_sorted()) {
+    if (queued_.contains(block)) continue;
+    const auto live = namenode_.live_locations(block);
     if (live.size() >= static_cast<std::size_t>(target_replication)) continue;
-    queue_.push_back(block_id);
-    queued_.insert(block_id);
+    queue_.push_back(block);
+    queued_.insert(block);
     ++stats_.blocks_scheduled;
   }
   pump();
@@ -56,16 +55,9 @@ void ReplicationManager::handle_node_failure(NodeId node,
 void ReplicationManager::handle_node_rejoin(NodeId node,
                                             int target_replication) {
   target_replication_ = target_replication;
-  // Collect first, then reconcile: invalidation mutates the namespace map.
-  std::vector<BlockId> held;
-  for (const auto& [block_id, info] : namenode_.all_blocks()) {
-    if (std::find(info.replicas.begin(), info.replicas.end(), node) !=
-        info.replicas.end()) {
-      held.push_back(block_id);
-    }
-  }
-  std::sort(held.begin(), held.end());
-  for (const BlockId block : held) {
+  // The same walk: the rejoined node is never a victim, so invalidation
+  // leaves its table alone.
+  for (const BlockId block : namenode_.datanode(node)->blocks_sorted()) {
     while (true) {
       const auto live = namenode_.live_locations(block);
       if (live.size() <= static_cast<std::size_t>(target_replication_)) break;

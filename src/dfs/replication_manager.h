@@ -3,9 +3,10 @@
 // The paper's slave-failure handling (§III-A5) leans on HDFS semantics:
 // when a whole server fails, the file system removes it from the namespace
 // map and re-replicates the blocks it held. This component implements that
-// path: it scans for under-replicated blocks, then copies each from a
-// surviving replica to a fresh node over the network, throttled so repair
-// traffic does not swamp foreground reads.
+// path: it walks the failed node's own replica table, in ascending block
+// id, for blocks left under-replicated, then copies each from a surviving
+// replica to a fresh node over the network, throttled so repair traffic
+// does not swamp foreground reads.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +49,9 @@ class ReplicationManager {
   ReplicationManager(const ReplicationManager&) = delete;
   ReplicationManager& operator=(const ReplicationManager&) = delete;
 
-  /// Marks the node dead and queues repairs for every block that dropped
-  /// below its target replication. Safe to call for an already-dead node
+  /// Marks the node dead and queues repairs, in ascending block id, for
+  /// every block it holds that dropped below its target replication and is
+  /// not already queued. Safe to call for an already-dead node
   /// (only newly under-replicated blocks are queued); a repair whose source
   /// or target dies mid-copy is retried on a fresh pair after a short
   /// backoff.
@@ -59,7 +61,7 @@ class ReplicationManager {
   /// replicas intact, so blocks it holds may now exceed their target
   /// factor. Deletes excess copies (kExcessReplicaDeleted), preferring to
   /// keep the rejoined node's copy and drop the youngest repair copies
-  /// elsewhere. Blocks are processed in sorted order for determinism.
+  /// elsewhere. Walks the node's replica table in ascending block id.
   void handle_node_rejoin(NodeId node, int target_replication);
 
   /// Queues repair for a block with a corrupt-marked replica. The corrupt
@@ -74,6 +76,8 @@ class ReplicationManager {
   /// (replication.*).
   void add_counters(std::map<std::string, std::uint64_t>& counters) const;
   std::size_t pending() const { return queue_.size(); }
+  /// Blocks waiting for a repair slot, in the order repair takes them.
+  const std::deque<BlockId>& queue() const { return queue_; }
   int in_flight() const { return in_flight_; }
 
   /// Emits kRepairStart/kRepairComplete around each repair copy.

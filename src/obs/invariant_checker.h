@@ -191,11 +191,10 @@ class HotPromotionRule : public InvariantRule {
   std::map<std::pair<NodeId, BlockId>, std::int64_t> reads_;
 };
 
-/// Tier hierarchy (armed runs only — the paper's two tiers under
-/// UpwardOnHeat emit no kTier* events): a block holds at most one pool-tier
-/// copy per node, every kTierPromote/kTierDemote moves the copy from the
-/// tier it is actually resident in, and per-tier occupancy derived from
-/// those moves never exceeds the capacity announced by kTierInit.
+/// Tier hierarchy: a block holds at most one pool-tier copy per node, every
+/// kTierPromote/kTierDemote moves the copy from the tier it is actually
+/// resident in, and per-tier occupancy derived from those moves never
+/// exceeds the capacity announced by kTierInit.
 /// Byte-level write-buffer drains (invalid block id) and node crashes (the
 /// OS reclaims every pool) clear state rather than count against it.
 class TierResidencyRule : public InvariantRule {

@@ -98,9 +98,9 @@ enum class TraceEventType : std::uint8_t {
                         ///< 1 scrub, 2 migration), value = 1 if cached copy.
   kReplicaInvalidate,   ///< NameNode dropped a corrupt replica from the
                         ///< namespace; bytes = block size.
-  // Tier hierarchy (src/storage). Emitted only when tier events are armed
-  // (≥3 tiers or a policy other than UpwardOnHeat), so the paper's two-tier
-  // trace hashes are unaffected.
+  // Tier hierarchy (src/storage). Emitted in every traced run; kTierInit at
+  // wiring, like kCacheInit, so an event mask set after construction keeps
+  // them.
   kTierInit,            ///< one per tier at wiring; bytes = capacity
                         ///< (0 = unbounded home tier), detail = tier index.
   kTierPromote,         ///< copy moved to a faster tier; bytes = copy size,

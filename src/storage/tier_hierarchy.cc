@@ -103,16 +103,14 @@ std::size_t TierHierarchy::pool_corrupt_count() const {
   return count;
 }
 
-void TierHierarchy::set_trace(TraceRecorder* trace, NodeId node,
-                              bool emit_tier_events) {
+void TierHierarchy::set_trace(TraceRecorder* trace, NodeId node) {
   trace_ = trace;
   node_ = node;
-  emit_tier_events_ = emit_tier_events;
   for (auto& tier : tiers_) tier.device->set_trace(trace, node);
   // Only tier 0 joins the kCache* stream: one kCacheInit per node, exactly
   // as the pre-hierarchy layout emitted.
   tiers_[0].pool->set_trace(trace, node);
-  if (trace_ != nullptr && emit_tier_events_) {
+  if (trace_ != nullptr) {
     for (std::size_t t = 0; t < tiers_.size(); ++t) {
       trace_->emit(TraceEventType::kTierInit, node_, BlockId::invalid(),
                    JobId::invalid(), tiers_[t].spec.capacity,
@@ -127,7 +125,7 @@ void TierHierarchy::note_promote(std::size_t from, std::size_t to,
   ++promotes_;
   ++tiers_[to].stats.promotes_in;
   if (from == home_tier()) ++promotes_from_home_;
-  if (trace_ != nullptr && emit_tier_events_) {
+  if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kTierPromote, node_, block, JobId::invalid(),
                  bytes,
                  static_cast<std::int64_t>((from << 8) | to));
@@ -146,7 +144,7 @@ void TierHierarchy::note_demote(std::size_t from, std::size_t to,
   } else {
     ++tiers_[to].stats.demotes_in;
   }
-  if (trace_ != nullptr && emit_tier_events_) {
+  if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kTierDemote, node_, block, JobId::invalid(),
                  bytes,
                  static_cast<std::int64_t>((from << 8) | to));

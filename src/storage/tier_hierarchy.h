@@ -6,11 +6,9 @@
 // a block, how many copies moved up or down, and per-tier read counters.
 //
 // Trace wiring is deliberately asymmetric: only tier 0's pool joins the
-// kCache* event stream (the CacheCapacityRule is keyed per node, and the
-// paper's two-tier traces must stay bit-identical), while tier moves are
-// reported through the dedicated kTierInit/kTierPromote/kTierDemote events
-// — emitted only when `emit_tier_events` is set, i.e. never for the paper's
-// two tiers under UpwardOnHeat.
+// kCache* event stream (the CacheCapacityRule is keyed per node), while tier
+// moves are reported through the dedicated kTierInit/kTierPromote/
+// kTierDemote events — in every traced run, the paper's two tiers included.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +65,10 @@ class TierHierarchy {
   std::size_t pool_corrupt_count() const;
 
   /// Wires every device (silent at wiring time) and tier 0's pool (emits
-  /// kCacheInit) into `trace`. With `emit_tier_events` set, also emits one
-  /// kTierInit per tier now, and note_promote/note_demote emit
-  /// kTierPromote/kTierDemote (detail = from << 8 | to).
-  void set_trace(TraceRecorder* trace, NodeId node, bool emit_tier_events);
+  /// kCacheInit) into `trace`, and emits one kTierInit per tier now; from
+  /// then on note_promote/note_demote emit kTierPromote/kTierDemote
+  /// (detail = from << 8 | to).
+  void set_trace(TraceRecorder* trace, NodeId node);
 
   void note_read(std::size_t tier) { ++tiers_[tier].stats.reads; }
   void note_promote(std::size_t from, std::size_t to, BlockId block,
@@ -107,7 +105,6 @@ class TierHierarchy {
   std::vector<Tier> tiers_;
   TraceRecorder* trace_ = nullptr;
   NodeId node_;
-  bool emit_tier_events_ = false;
   std::uint64_t promotes_ = 0;
   std::uint64_t demotes_ = 0;
   std::uint64_t promotes_from_home_ = 0;

@@ -1,13 +1,16 @@
 // Golden-trace regression: the quickstart scenario's event trace, diffed
 // line by line against a checked-in JSONL file.
 //
-// The golden run is examples/quickstart.cpp's exact setup (8-node Ignem
-// cluster, seed 1, one 1 GiB file, one log-scan job) with a coarse event
-// mask, so the file stays small and every line is integer-exact (doubles
-// are serialized as bit patterns). Any behavioral change to scheduling,
-// placement, migration, or the read path shows up as a one-line diff here.
+// The scenario (pins::run_quickstart, tests/pin_scenarios.h) records under
+// a coarse event mask, so the file stays small and every line is
+// integer-exact (doubles are serialized as bit patterns). Any behavioral
+// change to scheduling, placement, migration, or the read path shows up as
+// a one-line diff here.
 //
-// Regenerating after an intentional change (from the build directory):
+// Regenerating after an intentional change: `scripts/regen_pins.sh
+// <base-ref>` compares the scenario between the base and the working tree
+// (first divergence, per-job end-time deltas) and then rewrites the file,
+// as does, from the build directory,
 //
 //   IGNEM_REGEN_GOLDEN=1 ctest -R GoldenTrace
 //
@@ -19,8 +22,8 @@
 #include <sstream>
 #include <string>
 
-#include "core/testbed.h"
 #include "obs/trace_diff.h"
+#include "pin_scenarios.h"
 
 namespace ignem {
 namespace {
@@ -29,49 +32,9 @@ std::string golden_path() {
   return std::string(GOLDEN_DIR) + "/quickstart_trace.jsonl";
 }
 
-// The quickstart scenario, always at its fixed seed (golden files must not
-// follow IGNEM_TEST_SEED).
 std::string run_quickstart_trace() {
-  TestbedConfig config;
-  config.mode = RunMode::kIgnem;
-  config.cluster.node_count = 8;
-  config.cluster.slots_per_node = 6;
-  config.seed = 1;
-  config.enable_trace = true;
-  Testbed testbed(config);
-
-  // Coarse mask: control-plane and migration events only. Device-level and
-  // bandwidth events are covered by trace_hash determinism tests; leaving
-  // them out keeps the checked-in file reviewable.
-  testbed.trace()->enable_only({
-      TraceEventType::kFileCreate,
-      TraceEventType::kReplicaAdd,
-      TraceEventType::kJobRegister,
-      TraceEventType::kJobComplete,
-      TraceEventType::kContainerAllocate,
-      TraceEventType::kContainerRelease,
-      TraceEventType::kMigrateRequest,
-      TraceEventType::kEvictRequest,
-      TraceEventType::kMigrationEnqueue,
-      TraceEventType::kMigrationDequeue,
-      TraceEventType::kMigrationStart,
-      TraceEventType::kMigrationComplete,
-      TraceEventType::kEviction,
-      TraceEventType::kCacheHit,
-      TraceEventType::kCacheMiss,
-      TraceEventType::kBlockReadEnd,
-  });
-
-  const FileId input = testbed.create_file("/data/logs", 1 * kGiB);
-  JobSpec job;
-  job.name = "log-scan";
-  job.inputs = {input};
-  job.compute.reduce_tasks = 1;
-  job.compute.map_output_ratio = 0.05;
-  testbed.run_workload({{Duration::zero(), job}});
-
   std::ostringstream out;
-  testbed.trace()->write_jsonl(out);
+  pins::run_quickstart()->trace()->write_jsonl(out);
   return out.str();
 }
 

@@ -19,10 +19,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <map>
 #include <optional>
@@ -31,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/experiment_common.h"
 #include "common/check.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -549,6 +553,53 @@ TEST(Fingerprint, NamesControlPlaneAndRackCount) {
   EXPECT_NE(json.str().find("\"control_plane\": \"routed\""),
             std::string::npos);
   EXPECT_NE(json.str().find("\"racks\": 1"), std::string::npos);
+}
+
+// Sweep workers add runs in completion order; the report stamps the
+// fingerprint of the sweep's lowest index whichever run comes first.
+TEST(BenchReportTest, StampsTheLowestSweepIndexFingerprint) {
+  ConfigFingerprint hdd;
+  hdd.storage_media = "HDD";
+  ConfigFingerprint ssd;
+  ssd.storage_media = "SSD";
+  const auto stamped_media = [](auto&& add) {
+    const std::string name = "fingerprint_order_test";
+    {
+      bench::BenchReport report(name);
+      add(report);
+    }
+    const std::string file = "BENCH_" + name + ".json";
+    std::stringstream text;
+    text << std::ifstream(file).rdbuf();
+    std::remove(file.c_str());
+    const bool hdd_named =
+        text.str().find("\"storage_media\": \"HDD\"") != std::string::npos;
+    const bool ssd_named =
+        text.str().find("\"storage_media\": \"SSD\"") != std::string::npos;
+    return hdd_named && !ssd_named ? "HDD" : ssd_named ? "SSD" : "none";
+  };
+
+  EXPECT_STREQ(stamped_media([&](bench::BenchReport& report) {
+                 report.set_fingerprint(ssd, 1);
+                 report.set_fingerprint(hdd, 0);
+                 report.set_fingerprint(ssd, 2);
+               }),
+               "HDD");
+  // Index 0 finishes last on a three-worker sweep.
+  EXPECT_STREQ(stamped_media([&](bench::BenchReport& report) {
+                 std::atomic<int> finished{0};
+                 bench::run_indexed_sweep(
+                     3,
+                     [&](std::size_t i) {
+                       while (i == 0 && finished.load() < 2) {
+                         std::this_thread::yield();
+                       }
+                       report.set_fingerprint(i == 0 ? hdd : ssd);
+                       return ++finished;
+                     },
+                     3);
+               }),
+               "HDD");
 }
 
 TEST(KernelProfileTest, ClassCountsSumToDispatched) {

@@ -1,6 +1,7 @@
 // N-tier storage hierarchy: migration policies, TierHierarchy accounting,
 // DataNode promotion/demotion edges, the TierResidencyRule on crafted
-// event streams, and an end-to-end three-tier testbed run.
+// event streams, an end-to-end three-tier testbed run, and the tier events
+// of a two-tier one.
 //
 // The differential contract (an explicit two-tier stack == the empty one,
 // bit for bit) is pinned in kernel_regression_test.cc and metrics_test.cc;
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -549,28 +551,46 @@ TEST(TieredTestbedTest, ThreeTierIgnemRunPromotesAndDemotes) {
       << testbed.invariant_checker()->report();
 }
 
-TEST(TieredTestbedTest, ExplicitTwoTierRunEmitsNoTierEvents) {
+// Tier events join every traced run, the paper's two tiers under
+// UpwardOnHeat included: one kTierInit per tier per node at wiring, one
+// kTierPromote per copy entering the pools, and the TierResidencyRule
+// checks them.
+TEST(TieredTestbedTest, TwoTierRunEmitsTierEvents) {
   TestbedConfig config;
   config.mode = RunMode::kIgnem;
   config.cluster.node_count = 4;
   config.cluster.slots_per_node = 6;
   config.cache_capacity_per_node = 1 * kGiB;
   config.seed = test::seed_for(43);
-  config.enable_trace = true;
-  config.tiering.tiers =
-      two_tier_specs(profile_for(config.storage_media), 1 * kGiB);
+  config.check_invariants = true;
 
   Testbed testbed(config);
   testbed.run_workload(
       build_swim_workload(testbed, small_swim(test::seed_for(43))));
 
-  // The differential contract's other half: the explicit two-tier stack
-  // must not add events the legacy layout never emitted.
+  std::map<std::pair<std::int64_t, std::int64_t>, int> inits;
+  std::uint64_t promotes = 0;
   for (const TraceEvent& event : testbed.trace()->events()) {
-    EXPECT_NE(event.type, TraceEventType::kTierInit);
-    EXPECT_NE(event.type, TraceEventType::kTierPromote);
-    EXPECT_NE(event.type, TraceEventType::kTierDemote);
+    if (event.type == TraceEventType::kTierInit) {
+      ++inits[{event.node.value(), event.detail}];
+    } else if (event.type == TraceEventType::kTierPromote) {
+      ++promotes;
+    }
   }
+  std::map<std::pair<std::int64_t, std::int64_t>, int> expected;
+  for (std::int64_t node = 0; node < 4; ++node) {
+    for (std::int64_t tier = 0; tier < 2; ++tier) expected[{node, tier}] = 1;
+  }
+  EXPECT_EQ(inits, expected);
+
+  const std::uint64_t promotes_from_home =
+      testbed.build_run_report("two-tier").counters.at(
+          "tier.promotes_from_home");
+  EXPECT_GT(promotes_from_home, 0u);
+  EXPECT_EQ(promotes, promotes_from_home);
+  ASSERT_NE(testbed.invariant_checker(), nullptr);
+  EXPECT_TRUE(testbed.invariant_checker()->ok())
+      << testbed.invariant_checker()->report();
 }
 
 // Five passes over one 2 GiB dataset, a minute apart: the iterative
