@@ -35,9 +35,7 @@ void InstantMigrationService::request(const MigrationRequest& request) {
       } else {
         const auto it = placed_.find({request.job, block});
         if (it == placed_.end()) continue;
-        DataNode* dn = namenode_.datanode(it->second);
-        dn->release_copy(block, 0, dn->cache().block_bytes(block),
-                         /*allow_demote=*/false);
+        namenode_.datanode(it->second)->release_copy(block);
         placed_.erase(it);
       }
     }

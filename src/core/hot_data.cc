@@ -19,8 +19,7 @@ void HotDataPromoter::on_block_read(NodeId node, BlockId block, JobId) {
   }
   const int count = ++access_counts_[block];
   if (count < promote_threshold_) return;
-  if (promotion_in_flight_[block]) return;
-  promotion_in_flight_[block] = true;
+  if (page_ins_.contains(block)) return;
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kHotPromote, datanode_.id(), block,
                  JobId::invalid(), datanode_.block_size(block), count,
@@ -30,26 +29,21 @@ void HotDataPromoter::on_block_read(NodeId node, BlockId block, JobId) {
 }
 
 void HotDataPromoter::promote(BlockId block, Bytes bytes) {
-  if (!make_room(bytes)) {
-    promotion_in_flight_[block] = false;
-    return;  // cannot fit even after evicting everything colder
-  }
+  // Cannot fit even after evicting everything colder.
+  if (!make_room(bytes)) return;
   // Reserve, then page the block in from disk (this is extra IO the
   // promotion scheme spends *after* the hot reads already paid for disk).
-  if (!datanode_.cache().reserve(bytes)) {
-    promotion_in_flight_[block] = false;
-    return;
-  }
-  datanode_.primary_device().read(bytes, [this, block, bytes] {
-    datanode_.cache().commit_reservation(block, bytes);
-    datanode_.tiers().note_promote(datanode_.tiers().home_tier(), 0, block,
-                                   bytes);
-    lru_.push_front(block);
-    lru_index_[block] = lru_.begin();
-    promotion_in_flight_[block] = false;
-    ++stats_.promotions;
-    stats_.bytes_promoted += bytes;
-  });
+  if (!datanode_.cache().reserve(bytes)) return;
+  page_ins_[block] =
+      datanode_.primary_device().read(bytes, [this, block, bytes] {
+        page_ins_.erase(block);
+        datanode_.cache().commit_reservation(block, bytes);
+        datanode_.tiers().note_promote(block, bytes);
+        lru_.push_front(block);
+        lru_index_[block] = lru_.begin();
+        ++stats_.promotions;
+        stats_.bytes_promoted += bytes;
+      });
 }
 
 bool HotDataPromoter::make_room(Bytes bytes) {
@@ -58,11 +52,20 @@ bool HotDataPromoter::make_room(Bytes bytes) {
     const BlockId victim = lru_.back();
     lru_.pop_back();
     lru_index_.erase(victim);
-    datanode_.release_copy(victim, 0, datanode_.cache().block_bytes(victim),
-                           /*allow_demote=*/false);
+    datanode_.release_copy(victim);
     ++stats_.evictions;
   }
   return true;
+}
+
+void HotDataPromoter::reset() {
+  for (const auto& [block, page_in] : page_ins_) {
+    datanode_.primary_device().abort(page_in);
+  }
+  page_ins_.clear();
+  access_counts_.clear();
+  lru_.clear();
+  lru_index_.clear();
 }
 
 void HotDataPromoter::touch(BlockId block) {

@@ -52,6 +52,11 @@ class HotDataPromoter : public BlockReadListener {
   void add_counters(std::map<std::string, std::uint64_t>& counters) const;
   bool promoted(BlockId block) const { return lru_index_.contains(block); }
 
+  /// The DataNode process failed: aborts in-flight page-ins and forgets
+  /// every access count and promoted block (DataNode::fail() reclaims the
+  /// pool itself). Call it before DataNode::fail().
+  void reset();
+
   /// Emits kHotPromote (detail=observed reads, value=threshold) on each
   /// promotion decision.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
@@ -69,7 +74,8 @@ class HotDataPromoter : public BlockReadListener {
   std::unordered_map<BlockId, int> access_counts_;
   std::list<BlockId> lru_;  // front = most recent
   std::unordered_map<BlockId, std::list<BlockId>::iterator> lru_index_;
-  std::unordered_map<BlockId, bool> promotion_in_flight_;
+  /// In-flight page-ins, ordered so reset() aborts them deterministically.
+  std::map<BlockId, TransferHandle> page_ins_;
   HotDataStats stats_;
 };
 

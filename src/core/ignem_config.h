@@ -7,9 +7,9 @@ namespace ignem {
 
 /// Order in which a slave drains its migration queue (§III-A1, §IV-C5).
 /// The paper ships smallest-job-first and evaluates FIFO as the ablation;
-/// the other orders explore the §VI design space. (Distinct from
-/// storage/migration_policy.h's MigrationPolicy, which decides *where*
-/// copies move in the tier hierarchy; this decides *what* moves next.)
+/// the other orders explore the §VI design space. Every migration moves a
+/// block from the primary device into the RAM pool; this decides *what*
+/// moves next.
 enum class QueueOrder {
   kSmallestJobFirst,  ///< Prioritize blocks of jobs with smaller inputs.
   kFifo,              ///< Arrival order (the ablation baseline).

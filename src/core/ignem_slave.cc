@@ -85,14 +85,7 @@ void IgnemSlave::maybe_start() {
     }
     BlockState& state = it->second;
 
-    // The policy picks where the copy lands (tier 0 for every stock
-    // policy); the page-in reads from the fastest tier already holding a
-    // copy — the home device in the paper's layout, possibly a victim tier
-    // in a demoting hierarchy.
-    const std::size_t target = datanode_.promotion_tier();
-    std::size_t source = datanode_.tiers().serving_tier(head->block);
-    if (source <= target) source = datanode_.tiers().home_tier();
-    BufferCache& cache = datanode_.tiers().pool(target);
+    BufferCache& cache = datanode_.cache();
     if (cache.available() < state.bytes) {
       const double occupancy =
           cache.capacity() == 0
@@ -120,7 +113,7 @@ void IgnemSlave::maybe_start() {
                    m.job, state.bytes);
     }
     const SimTime started = sim_.now();
-    const TransferHandle transfer = datanode_.tiers().device(source).read(
+    const TransferHandle transfer = datanode_.primary_device().read(
         state.bytes, [this, block = m.block, bytes = state.bytes, started] {
           // The physical read is done and the disk free; pad out to the
           // mlock page-in budget (config.migration_rate_cap) before the
@@ -135,7 +128,7 @@ void IgnemSlave::maybe_start() {
                         },
                         EventClass::kMigration);
         });
-    current_ = ActiveMigration{m.block, state.bytes, source, target, transfer};
+    current_ = ActiveMigration{m.block, state.bytes, transfer};
   }
 }
 
@@ -160,26 +153,14 @@ void IgnemSlave::on_migration_complete(BlockId block, Bytes bytes) {
   // its page-in pad event was pending; the purge already returned the
   // reservation, so the late event is a no-op.
   if (!current_.has_value() || current_->block != block) return;
-  const std::size_t target = current_->target;
-  const std::size_t home = datanode_.tiers().home_tier();
-  // Re-resolve the source: a victim-tier copy the page-in was reading may
-  // have been aged out mid-transfer, in which case the promotion is
-  // attributed to the home tier the durable replica lives in.
-  std::size_t source = current_->source;
-  if (source != home && !datanode_.tiers().pool(source).contains(block)) {
-    source = home;
-  }
   current_.reset();
-  const bool source_corrupt =
-      source == home ? datanode_.is_corrupt(block)
-                     : datanode_.tiers().pool(source).is_corrupt(block);
-  if (source_corrupt) {
+  if (datanode_.is_corrupt(block)) {
     // The checksum pass over the paged-in bytes failed: the local disk
     // replica is rotten, and committing it would amplify the rot into a
     // RAM-speed copy. Abort the commit (detail=1, like other aborted
     // migrations), drop the command state, and report — the master
     // reroutes the interested jobs to a clean replica.
-    datanode_.tiers().pool(target).cancel_reservation(bytes);
+    datanode_.cache().cancel_reservation(bytes);
     if (trace_ != nullptr) {
       trace_->emit(TraceEventType::kMigrationComplete, datanode_.id(), block,
                    JobId::invalid(), bytes, 1);
@@ -201,14 +182,9 @@ void IgnemSlave::on_migration_complete(BlockId block, Bytes bytes) {
   }
   const auto it = blocks_.find(block);
   IGNEM_CHECK(it != blocks_.end());
-  datanode_.tiers().pool(target).commit_reservation(block, bytes);
+  datanode_.cache().commit_reservation(block, bytes);
   it->second.phase = Phase::kInMemory;
-  it->second.tier = target;
-  if (source != home) {
-    // The victim-tier copy moved up; the lower copy is redundant now.
-    datanode_.tiers().pool(source).unlock(block);
-  }
-  datanode_.tiers().note_promote(source, target, block, bytes);
+  datanode_.tiers().note_promote(block, bytes);
   if (it->second.jobs.empty()) {
     // Every interested job finished or read from disk mid-migration.
     drop_block(block);
@@ -239,7 +215,7 @@ void IgnemSlave::remove_reference(BlockId block, JobId job, bool missed_read) {
   }
 }
 
-void IgnemSlave::drop_block(BlockId block, bool allow_demote) {
+void IgnemSlave::drop_block(BlockId block) {
   const auto it = blocks_.find(block);
   if (it == blocks_.end()) return;
   switch (it->second.phase) {
@@ -247,8 +223,7 @@ void IgnemSlave::drop_block(BlockId block, bool allow_demote) {
       queue_.erase_block(block);
       break;
     case Phase::kInMemory:
-      datanode_.release_copy(block, it->second.tier, it->second.bytes,
-                             allow_demote);
+      datanode_.release_copy(block);
       ++stats_.evictions;
       if (trace_ != nullptr) {
         trace_->emit(TraceEventType::kEviction, datanode_.id(), block,
@@ -317,7 +292,7 @@ bool IgnemSlave::purge_block(BlockId block) {
     return false;
   }
   const bool had_copy = it->second.phase == Phase::kInMemory;
-  drop_block(block, /*allow_demote=*/false);
+  drop_block(block);
   maybe_start();  // the queue may have been memory-stalled
   return had_copy;
 }
@@ -327,9 +302,8 @@ void IgnemSlave::purge_all() {
   // everything.
   wake_pending_ = false;
   if (current_.has_value()) {
-    datanode_.tiers().device(current_->source).abort(current_->transfer);
-    datanode_.tiers().pool(current_->target).cancel_reservation(
-        current_->bytes);
+    datanode_.primary_device().abort(current_->transfer);
+    datanode_.cache().cancel_reservation(current_->bytes);
     if (trace_ != nullptr) {
       // detail=1 marks an aborted (not finished) migration.
       trace_->emit(TraceEventType::kMigrationComplete, datanode_.id(),
@@ -339,9 +313,7 @@ void IgnemSlave::purge_all() {
   }
   for (const auto& [block, state] : blocks_) {
     if (state.phase == Phase::kInMemory) {
-      // Resync purge, not an organic release: never demote.
-      datanode_.release_copy(block, state.tier, state.bytes,
-                             /*allow_demote=*/false);
+      datanode_.release_copy(block);
       ++stats_.evictions;
       if (trace_ != nullptr) {
         trace_->emit(TraceEventType::kEviction, datanode_.id(), block,
@@ -359,11 +331,11 @@ void IgnemSlave::purge_all() {
 void IgnemSlave::reset() {
   wake_pending_ = false;
   if (current_.has_value()) {
-    datanode_.tiers().device(current_->source).abort(current_->transfer);
+    datanode_.primary_device().abort(current_->transfer);
     // The locked pool itself is wiped by DataNode::fail(); only drop our
     // bookkeeping here. If the DataNode process survived (reset without
     // fail), the reservation must still be returned.
-    BufferCache& pool = datanode_.tiers().pool(current_->target);
+    BufferCache& pool = datanode_.cache();
     if (pool.reserved() >= current_->bytes) {
       pool.cancel_reservation(current_->bytes);
     }

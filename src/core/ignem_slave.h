@@ -117,26 +117,19 @@ class IgnemSlave : public BlockReadListener {
   struct BlockState {
     Bytes bytes = 0;
     Phase phase = Phase::kQueued;
-    std::size_t tier = 0;  ///< Pool tier holding the copy once kInMemory.
     std::vector<JobId> jobs;  ///< The reference list (§III-A4).
   };
 
   struct ActiveMigration {
     BlockId block;
     Bytes bytes = 0;
-    std::size_t source = 0;  ///< Tier the page-in reads from (home, or a
-                             ///< victim tier already holding a copy).
-    std::size_t target = 0;  ///< Pool tier the reservation lives in.
     TransferHandle transfer;
   };
 
   void add_reference(BlockId block, JobId job);
   /// Removes one job reference; evicts/cancels when the list empties.
   void remove_reference(BlockId block, JobId job, bool missed_read);
-  /// With `allow_demote`, a dropped memory-resident copy may cascade down
-  /// the policy's demotion chain instead of vanishing; integrity purges
-  /// pass false (the copy is corrupt or its replica is gone).
-  void drop_block(BlockId block, bool allow_demote = true);
+  void drop_block(BlockId block);
   void maybe_start();
   /// Arms a single wake event at the earliest retry-backoff expiry so a
   /// backed-off queue gets re-examined without polling.

@@ -39,26 +39,14 @@ Testbed::Testbed(TestbedConfig config)
                                          config_.rack_count);
   namenode_->set_trace(trace_.get());
   const std::vector<TierSpec> tiers = tier_specs();
-  tier_policy_ =
-      make_tier_policy(config_.tiering.policy, config_.tiering.cold_after);
   for (std::size_t i = 0; i < n; ++i) {
     datanodes_.push_back(std::make_unique<DataNode>(
         sim_, NodeId(static_cast<std::int64_t>(i)), tiers,
         rng_.fork(100 + i)));
-    datanodes_.back()->set_migration_policy(*tier_policy_);
     datanodes_.back()->set_checksum_cost(
         config_.integrity.checksum_cost_per_gib);
     datanodes_.back()->set_trace(trace_.get());
     namenode_->register_datanode(datanodes_.back().get());
-  }
-  if (config_.tiering.policy == TierPolicyKind::kDownwardOnCold &&
-      config_.tiering.age_check_period > Duration::zero()) {
-    for (const auto& dn : datanodes_) {
-      DataNode* raw = dn.get();
-      age_tasks_.push_back(std::make_unique<PeriodicTask>(
-          sim_, config_.tiering.age_check_period,
-          [raw] { raw->age_victim_copies(); }));
-    }
   }
 
   // config_.rack_count is the single source of rack truth: the NameNode's
@@ -165,15 +153,11 @@ Testbed::Testbed(TestbedConfig config)
       *namenode_, *replication_manager_, config_.replication);
   integrity_->set_trace(trace_.get());
   integrity_->set_cache_purger([this](NodeId node, BlockId block) {
-    DataNode& dn = datanode(node);
-    // Victim-tier copies are node-owned (not slave bookkeeping); drop them
-    // first, then let the slave purge its tier-0 copy and references.
-    const bool victim_dropped = dn.purge_victim_copies(block);
+    // The slave owns its copies' references; without one the copy is
+    // dropped directly.
     IgnemSlave* slave = ignem_slave(node);
-    if (slave != nullptr) return slave->purge_block(block) || victim_dropped;
-    return dn.release_copy(block, 0, dn.cache().block_bytes(block),
-                           /*allow_demote=*/false) ||
-           victim_dropped;
+    if (slave != nullptr) return slave->purge_block(block);
+    return datanode(node).release_copy(block);
   });
   integrity_->set_on_disk_corrupt([this](BlockId block, NodeId node) {
     if (master_ != nullptr) master_->on_replica_corrupt(block, node);
@@ -287,9 +271,9 @@ std::string Testbed::integrity_accounting_mismatch() const {
   // Cached-copy marks live exactly as long as the copy; with caches drained
   // none may remain.
   for (const auto& dn : datanodes_) {
-    if (dn->tiers().pool_corrupt_count() != 0) {
+    if (dn->cache().corrupt_count() != 0) {
       out << "node " << dn->id().value() << ": "
-          << dn->tiers().pool_corrupt_count()
+          << dn->cache().corrupt_count()
           << " pool corruption marks outlived their copies";
       return out.str();
     }
@@ -322,21 +306,14 @@ HotDataPromoter* Testbed::hot_data_promoter(NodeId node) {
 void Testbed::sample_memory() {
   // Aggregates for the registry time series (filled while walking nodes).
   Bytes total_locked = 0;
+  Bytes total_capacity = 0;
   std::size_t total_queue_depth = 0;
-  // Per pool tier (every node has the same stack): used and capacity
-  // summed over the nodes.
-  std::vector<std::pair<Bytes, Bytes>> tier_usage(
-      datanodes_.front()->tiers().home_tier());
 
   for (const auto& dn : datanodes_) {
     const Bytes locked = dn->cache().used();
     metrics_.add_memory_sample(locked);
     total_locked += locked;
-    const TierHierarchy& tiers = dn->tiers();
-    for (std::size_t t = 0; t < tier_usage.size(); ++t) {
-      tier_usage[t].first += tiers.pool(t).used();
-      tier_usage[t].second += tiers.spec(t).capacity;
-    }
+    total_capacity += dn->cache().capacity();
   }
   for (const auto& slave : slaves_) total_queue_depth += slave->queue_depth();
 
@@ -352,11 +329,9 @@ void Testbed::sample_memory() {
                        ? 0.0
                        : static_cast<double>(reads.memory_reads) /
                              static_cast<double>(reads.reads_completed));
-  for (std::size_t t = 0; t < tier_usage.size(); ++t) {
-    const auto [used, capacity] = tier_usage[t];  // pools are never 0-sized
-    registry_.series("tier.occupancy.t" + std::to_string(t), w)
-        .record(now, static_cast<double>(used) / static_cast<double>(capacity));
-  }
+  registry_.series("tier.occupancy.t0", w)  // pools are never 0-sized
+      .record(now, static_cast<double>(total_locked) /
+                       static_cast<double>(total_capacity));
   if (scrubber_ != nullptr) {
     registry_.series("scrub.blocks_scanned", w)
         .record(now, static_cast<double>(scrubber_->stats().blocks_scanned));
@@ -395,8 +370,11 @@ void Testbed::fail_node(NodeId node) {
   // Crash event first: the slave purge and cache reclamation below emit
   // unlock/eviction events the NodeDownRule only permits on a down node.
   emit_fault_event(TraceEventType::kFaultNodeCrash, node);
+  // The slave and the hot-data promoter live in the DataNode process.
   IgnemSlave* slave = ignem_slave(node);
   if (slave != nullptr) slave->reset();
+  HotDataPromoter* promoter = hot_data_promoter(node);
+  if (promoter != nullptr) promoter->reset();
   dn.fail();
   rm_->halt_heartbeat(node);
 }
@@ -723,12 +701,8 @@ ConfigFingerprint Testbed::fingerprint() const {
   fp.nodes = static_cast<int>(datanodes_.size());
   fp.racks = config_.rack_count;
   fp.replication = config_.replication;
-  // The stack this run built, whether implicit or explicit: its home tier
-  // names the primary medium.
-  const std::vector<TierSpec> tiers = tier_specs();
-  fp.storage_media = media_name(tiers.back().profile.media);
-  fp.tier_policy = tier_policy_->name();
-  fp.tier_count = static_cast<int>(tiers.size());
+  // The home tier's device names the primary medium.
+  fp.storage_media = media_name(tier_specs().back().profile.media);
   fp.fault_tolerance = config_.fault_tolerance;
   fp.scrubber = config_.integrity.enable_scrubber;
   fp.control_plane = rpc_router_ != nullptr ? "routed" : "direct";

@@ -41,7 +41,6 @@
 #include "obs/trace_recorder.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
-#include "storage/migration_policy.h"
 #include "storage/tier.h"
 
 namespace ignem {
@@ -57,24 +56,6 @@ enum class RunMode {
 };
 
 const char* run_mode_name(RunMode mode);
-
-/// N-tier storage configuration. Every run builds a tier stack and runs it
-/// under `policy`. An empty `tiers` builds the paper's two tiers (RAM
-/// locked pool over the primary device); writing that same stack out
-/// explicitly gives the same run, trace and report (the differential
-/// regression tests pin it).
-struct TieringConfig {
-  /// Tier stack, fastest first, home tier (capacity 0) last. Empty = the
-  /// paper's layout, two_tier_specs(primary, cache_capacity_per_node).
-  std::vector<TierSpec> tiers;
-  /// Applies to whichever stack is built.
-  TierPolicyKind policy = TierPolicyKind::kUpwardOnHeat;
-  /// DownwardOnCold: a victim copy idle this long ages one tier down.
-  Duration cold_after = Duration::seconds(30.0);
-  /// Period of the per-node ageing sweep (DownwardOnCold only); zero
-  /// disables ageing.
-  Duration age_check_period = Duration::seconds(5.0);
-};
 
 struct TestbedConfig {
   RunMode mode = RunMode::kHdfs;
@@ -120,8 +101,6 @@ struct TestbedConfig {
   /// Token-bucket burst for the re-replication limiter: this many bytes of
   /// repair may start back-to-back before pacing kicks in.
   Bytes replication_burst = 256 * kMiB;
-  /// N-tier storage hierarchy + migration policy (see TieringConfig).
-  TieringConfig tiering;
   /// Control-plane fault domain (see docs/FAULTS.md "Control-plane
   /// partitions"): places the NameNode/RM/IgnemMaster on node 0's rack and
   /// routes every master<->slave control RPC (heartbeats, container grants,
@@ -239,12 +218,10 @@ class Testbed : public FaultTarget {
   Scrubber* scrubber() { return scrubber_.get(); }
   const TestbedConfig& config() const { return config_; }
 
-  /// The per-node tier hierarchy this run models: the explicit
-  /// config.tiering.tiers when set, otherwise the paper's two-tier stack
-  /// (RAM pool over the primary device). Feeds the tier-cost summary
+  /// The per-node tier hierarchy this run models: the paper's two-tier
+  /// stack (RAM pool over the primary device). Feeds the tier-cost summary
   /// (tier_cost_total) in bench reports.
   std::vector<TierSpec> tier_specs() const {
-    if (!config_.tiering.tiers.empty()) return config_.tiering.tiers;
     return two_tier_specs(
         config_.primary_profile.value_or(profile_for(config_.storage_media)),
         config_.cache_capacity_per_node);
@@ -331,10 +308,6 @@ class Testbed : public FaultTarget {
   std::unique_ptr<InstantMigrationService> instant_;
   std::vector<std::unique_ptr<HotDataPromoter>> promoters_;
   std::unique_ptr<PeriodicTask> memory_sampler_;
-  /// Tier-migration decision object every DataNode shares.
-  std::unique_ptr<MigrationPolicy> tier_policy_;
-  /// Per-node DownwardOnCold ageing sweeps.
-  std::vector<std::unique_ptr<PeriodicTask>> age_tasks_;
 
   std::vector<std::unique_ptr<JobRunner>> runners_;
   std::int64_t next_job_ = 0;

@@ -19,21 +19,13 @@ auto seek(Table& table, BlockId block) {
       [](const auto& replica, BlockId id) { return replica.block < id; });
 }
 
-// The paper's policy, for nodes no Testbed hands one (unit tests, the
-// microbench). It is stateless, so one instance serves every such node.
-const MigrationPolicy& paper_policy() {
-  static const UpwardOnHeatPolicy policy;
-  return policy;
-}
-
 }  // namespace
 
 DataNode::DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers,
                    Rng rng)
     : sim_(sim),
       id_(id),
-      tiers_(sim, "dn" + std::to_string(id.value()), std::move(tiers), rng),
-      policy_(&paper_policy()) {}
+      tiers_(sim, "dn" + std::to_string(id.value()), std::move(tiers), rng) {}
 
 void DataNode::set_trace(TraceRecorder* trace) {
   trace_ = trace;
@@ -91,11 +83,9 @@ void DataNode::remove_block(BlockId block) {
   const auto it = seek(replicas_, block);
   if (it != replicas_.end() && it->block == block) replicas_.erase(it);
   // A disk read of a deleted replica can no longer finish; a read of a
-  // still-promoted copy is unaffected.
+  // still-promoted copy is unaffected (the migration plane owns that copy
+  // and purges it).
   abort_pending_reads(&primary_device(), block);
-  // Victim-tier copies lost their durable parent; drop them. The tier-0
-  // copy is owned by the migration plane and purged through it.
-  purge_victim_copies(block);
 }
 
 void DataNode::corrupt_block(BlockId block) {
@@ -110,9 +100,7 @@ void DataNode::corrupt_block(BlockId block) {
 }
 
 void DataNode::corrupt_cached_copy(BlockId block) {
-  const std::size_t serving = tiers_.serving_tier(block);
-  tiers_.pool(serving == tiers_.home_tier() ? 0 : serving)
-      .mark_corrupt(block);
+  tiers_.pool().mark_corrupt(block);
 }
 
 std::vector<BlockId> DataNode::blocks_sorted() const {
@@ -134,11 +122,10 @@ void DataNode::report_corruption(BlockId block, bool cached,
 
 void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
   const Bytes size = block_size(block);
-  const std::size_t home = tiers_.home_tier();
-  const std::size_t serving = alive_ ? tiers_.serving_tier(block) : home;
-  const bool promoted = alive_ && serving != home;
-  const bool from_memory = promoted && serving == 0;
-  if (!alive_ || (disk_failed_ && !promoted)) {
+  const std::size_t serving =
+      alive_ ? tiers_.serving_tier(block) : TierHierarchy::kHomeTier;
+  const bool from_memory = serving == TierHierarchy::kPoolTier;
+  if (!alive_ || (disk_failed_ && !from_memory)) {
     // The serving process (or its disk) is gone: fail on the next sim step
     // so the client can fall back to another replica.
     sim_.schedule(Duration::zero(), [cb = std::move(on_complete)] {
@@ -157,10 +144,8 @@ void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
   const SimTime start = sim_.now();
   const std::uint64_t id = next_read_++;
   const TransferHandle handle = device.read(
-      size, [this, id, block, job, size, start, serving, promoted,
-             from_memory] {
-        auto finish = [this, id, block, job, size, start, serving, promoted,
-                       from_memory] {
+      size, [this, id, block, job, size, start, from_memory] {
+        auto finish = [this, id, block, job, size, start, from_memory] {
           const auto it = pending_reads_.find(id);
           // Absent only when the node crashed while the (deferred) checksum
           // pass was running: abort_pending_reads already failed the read.
@@ -169,15 +154,14 @@ void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
           pending_reads_.erase(it);
           // The checksum pass over the transferred data. Judged at
           // completion so rot injected mid-read is caught too.
-          const bool corrupt = promoted
-                                   ? tiers_.pool(serving).is_corrupt(block)
-                                   : is_corrupt(block);
+          const bool corrupt = from_memory ? tiers_.pool().is_corrupt(block)
+                                           : is_corrupt(block);
           if (corrupt) {
             if (trace_ != nullptr) {
               trace_->emit(TraceEventType::kBlockReadCorrupt, id_, block, job,
-                           size, promoted ? 1 : 0);
+                           size, from_memory ? 1 : 0);
             }
-            report_corruption(block, promoted, CorruptionSource::kRead);
+            report_corruption(block, from_memory, CorruptionSource::kRead);
             cb(BlockReadResult{sim_.now() - start, from_memory, false, true});
             return;
           }
@@ -186,9 +170,6 @@ void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
             trace_->emit(TraceEventType::kBlockReadEnd, id_, block, job, size,
                          from_memory ? 1 : 0);
           }
-          // Victim-tier residency heat: the DownwardOnCold ageing tick
-          // demotes copies that stop being touched.
-          if (promoted && serving > 0) victim_touch_[block] = sim_.now();
           if (listener_ != nullptr) listener_->on_block_read(id_, block, job);
           cb(result);
         };
@@ -244,13 +225,11 @@ void DataNode::verify_block(BlockId block, ReadCallback on_complete) {
                                          std::move(on_complete)});
 }
 
-void DataNode::scrub_promoted_copies(BlockId block) {
+void DataNode::scrub_promoted_copy(BlockId block) {
   if (!alive_) return;
-  for (std::size_t t = 0; t < tiers_.home_tier(); ++t) {
-    const BufferCache& pool = tiers_.pool(t);
-    if (!pool.contains(block) || !pool.is_corrupt(block)) continue;
-    report_corruption(block, /*cached=*/true, CorruptionSource::kScrub);
-  }
+  const BufferCache& pool = tiers_.pool();
+  if (!pool.contains(block) || !pool.is_corrupt(block)) return;
+  report_corruption(block, /*cached=*/true, CorruptionSource::kScrub);
 }
 
 void DataNode::write(Bytes bytes, std::function<void()> on_complete) {
@@ -258,109 +237,23 @@ void DataNode::write(Bytes bytes, std::function<void()> on_complete) {
     sim_.schedule(Duration::zero(), std::move(on_complete));
     return;
   }
-  if (policy_->buffer_writes() &&
-      tiers_.pool(0).available() >= bytes && tiers_.pool(0).reserve(bytes)) {
-    // The burst is absorbed at fast-tier speed; the caller continues as
-    // soon as the fast write lands, while the data drains to the home
-    // tier in the background.
-    const std::uint64_t epoch = epoch_;
-    tiers_.device(0).write(bytes,
-                           [this, bytes, epoch, cb = std::move(on_complete)] {
-                             cb();
-                             if (epoch != epoch_) return;  // process died
-                             drain_to_home(bytes);
-                           });
-    return;
-  }
   primary_device().write(bytes, std::move(on_complete));
 }
 
-void DataNode::drain_to_home(Bytes bytes) {
-  const std::uint64_t epoch = epoch_;
-  primary_device().write(bytes, [this, bytes, epoch] {
-    // A crash between the fast write and the drain completing reclaims the
-    // pool (and loses the buffered bytes); the late completion must not
-    // touch the new incarnation's reservations.
-    if (epoch != epoch_) return;
-    tiers_.pool(0).cancel_reservation(bytes);
-    tiers_.note_demote(0, tiers_.home_tier(), BlockId::invalid(), bytes);
-  });
-}
-
 bool DataNode::lock_copy(BlockId block, Bytes bytes) {
-  BufferCache& pool = tiers_.pool(0);
+  BufferCache& pool = tiers_.pool();
   if (pool.contains(block)) return true;
   if (!pool.lock(block, bytes)) return false;
-  tiers_.note_promote(tiers_.home_tier(), 0, block, bytes);
+  tiers_.note_promote(block, bytes);
   return true;
 }
 
-bool DataNode::release_copy(BlockId block, std::size_t tier, Bytes bytes,
-                            bool allow_demote) {
-  const std::size_t home = tiers_.home_tier();
-  IGNEM_CHECK(tier < home);
-  BufferCache& pool = tiers_.pool(tier);
-  if (!pool.contains(block)) return false;
-  const bool corrupt = pool.is_corrupt(block);
-  pool.unlock(block);
-  std::size_t dst = home;
-  if (allow_demote && alive_ && !corrupt) {
-    dst = std::min(policy_->demotion_target(tiers_, tier), home);
-    if (dst <= tier) dst = home;
-  }
-  if (dst != home) {
-    BufferCache& lower = tiers_.pool(dst);
-    if (lower.available() >= bytes && lower.lock(block, bytes)) {
-      // Copy-out IO on the receiving device; the copy is readable there
-      // immediately (write-through victim cache).
-      tiers_.device(dst).write(bytes, [] {});
-      victim_touch_[block] = sim_.now();
-      tiers_.note_demote(tier, dst, block, bytes);
-      return true;
-    }
-    dst = home;  // no room below: plain drop
-  }
-  tiers_.note_demote(tier, home, block, bytes);
-  if (!tiers_.has_promoted_copy(block)) victim_touch_.erase(block);
+bool DataNode::release_copy(BlockId block) {
+  BufferCache& pool = tiers_.pool();
+  const Bytes bytes = pool.block_bytes(block);
+  if (!pool.unlock(block)) return false;
+  tiers_.note_demote(block, bytes);
   return true;
-}
-
-bool DataNode::demote_victim(BlockId block, std::size_t from) {
-  IGNEM_CHECK(from > 0 && from < tiers_.home_tier());
-  BufferCache& pool = tiers_.pool(from);
-  if (!pool.contains(block)) return false;
-  return release_copy(block, from, pool.block_bytes(block),
-                      /*allow_demote=*/true);
-}
-
-std::size_t DataNode::age_victim_copies() {
-  if (!alive_) return 0;
-  std::size_t demoted = 0;
-  const SimTime now = sim_.now();
-  for (std::size_t t = 1; t < tiers_.home_tier(); ++t) {
-    for (const BlockId block : tiers_.pool(t).blocks_sorted()) {
-      const auto it = victim_touch_.find(block);
-      const Duration idle =
-          it == victim_touch_.end() ? now - SimTime() : now - it->second;
-      if (!policy_->demote_when_idle(idle)) continue;
-      if (demote_victim(block, t)) ++demoted;
-    }
-  }
-  return demoted;
-}
-
-bool DataNode::purge_victim_copies(BlockId block) {
-  bool dropped = false;
-  for (std::size_t t = 1; t < tiers_.home_tier(); ++t) {
-    BufferCache& pool = tiers_.pool(t);
-    if (!pool.contains(block)) continue;
-    const Bytes bytes = pool.block_bytes(block);
-    pool.unlock(block);
-    tiers_.note_demote(t, tiers_.home_tier(), block, bytes);
-    dropped = true;
-  }
-  if (dropped) victim_touch_.erase(block);
-  return dropped;
 }
 
 void DataNode::abort_pending_reads(const StorageDevice* device,
@@ -385,9 +278,7 @@ void DataNode::abort_pending_reads(const StorageDevice* device,
 
 void DataNode::fail() {
   alive_ = false;
-  ++epoch_;  // in-flight write-buffer drains belong to the dead process
-  tiers_.clear_pools();  // the OS reclaims the dead process's locked pages
-  victim_touch_.clear();
+  tiers_.clear_pool();  // the OS reclaims the dead process's locked pages
   abort_pending_reads(nullptr);
 }
 

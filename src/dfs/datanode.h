@@ -1,23 +1,17 @@
 // DataNode: per-node block storage and the read path.
 //
-// Owns the node's storage TierHierarchy — in the paper's layout a RAM
-// locked-page pool (tier 0) over the primary device (the home tier), in
-// general an ordered stack of bounded copy pools over an unbounded home
-// tier. Reads resolve through the hierarchy: the fastest tier holding a
-// copy serves the block. A MigrationPolicy (shared, owned by the Testbed;
-// UpwardOnHeat until one is set) decides where promoted copies land,
-// where released copies are demoted to, and whether job-output writes are
-// buffered in the fast tier. The Ignem slave (core module) plugs into the
-// DataNode via the tier/device accessors and the BlockReadListener hook
-// (used for implicit eviction, §III-B2).
+// Owns the node's storage TierHierarchy — the paper's layout, a RAM
+// locked-page pool (tier 0) over the primary device (the home tier). Reads
+// resolve through it: a promoted copy in the pool serves the block at RAM
+// speed, otherwise the primary device does. The Ignem slave (core module)
+// plugs into the DataNode via the pool/device accessors and the
+// BlockReadListener hook (used for implicit eviction, §III-B2).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -26,7 +20,6 @@
 #include "sim/simulator.h"
 #include "storage/buffer_cache.h"
 #include "storage/device.h"
-#include "storage/migration_policy.h"
 #include "storage/tier_hierarchy.h"
 
 namespace ignem {
@@ -62,8 +55,8 @@ class DataNode {
   using CorruptionReporter =
       std::function<void(NodeId, BlockId, bool, CorruptionSource)>;
 
-  /// `tiers` ordered fastest to home (last); two_tier_specs() gives the
-  /// paper's layout, a RAM locked pool over the primary device.
+  /// `tiers` is two_tier_specs(): a RAM locked pool over the primary
+  /// device.
   DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers, Rng rng);
 
   DataNode(const DataNode&) = delete;
@@ -83,8 +76,8 @@ class DataNode {
 
   /// Drops an invalidated replica from the node (NameNode decided the copy
   /// is garbage). In-flight disk reads of the block are aborted with
-  /// `failed = true`; a tier-0 copy, if any, is untouched (the Ignem slave
-  /// owns it), but orphaned victim-tier copies are dropped.
+  /// `failed = true`; a pool copy, if any, is untouched (the Ignem slave
+  /// owns it).
   void remove_block(BlockId block);
 
   /// The checksum a clean replica of (block, size) must carry. Content-
@@ -105,9 +98,8 @@ class DataNode {
     return replica != nullptr &&
            replica->checksum != expected_checksum(block, replica->size);
   }
-  /// Corrupts the promoted in-memory/tier copy instead (the home replica
-  /// stays good). Delegates to the serving pool, so eviction discards the
-  /// mark.
+  /// Corrupts the promoted in-memory copy instead (the home replica stays
+  /// good). Delegates to the pool, so eviction discards the mark.
   void corrupt_cached_copy(BlockId block);
 
   /// Stored block ids in ascending order, and the smallest id strictly
@@ -116,12 +108,11 @@ class DataNode {
   std::vector<BlockId> blocks_sorted() const;
   BlockId next_block_after(BlockId cursor) const;
 
-  /// Reads a block for `job`; the fastest tier holding a copy serves it
-  /// (tier 0 = the locked pool at RAM speed; the home tier = the primary
-  /// device). Fires the listener after the read completes, then the
-  /// callback. On a dead node or fail-stopped disk the callback fires
-  /// asynchronously with `failed = true` (no kBlockReadStart is emitted)
-  /// so the client can retry another replica.
+  /// Reads a block for `job`; a pool copy serves it at RAM speed, otherwise
+  /// the primary device does. Fires the listener after the read completes,
+  /// then the callback. On a dead node or fail-stopped disk the callback
+  /// fires asynchronously with `failed = true` (no kBlockReadStart is
+  /// emitted) so the client can retry another replica.
   void read_block(BlockId block, JobId job, ReadCallback on_complete);
 
   /// Charges `per_gib` of latency for the checksum pass each read/verify
@@ -134,49 +125,30 @@ class DataNode {
   /// the read path does. The callback's `corrupt` flag carries the verdict.
   void verify_block(BlockId block, ReadCallback on_complete);
 
-  /// Per-tier scrub extension: checksums any promoted copy of `block` the
-  /// node holds (tier 0 and victim tiers alike) and reports cached-copy
-  /// corruption. Free and silent unless a copy is corrupt.
-  void scrub_promoted_copies(BlockId block);
+  /// Scrub extension: checksums the pool's copy of `block`, if any, and
+  /// reports cached-copy corruption. Free and silent unless the copy is
+  /// corrupt.
+  void scrub_promoted_copy(BlockId block);
 
-  /// Writes `bytes` of job output. With a WriteBuffer policy and fast-tier
-  /// headroom the write lands in tier 0 at fast-tier speed (the caller's
-  /// callback fires when the burst is absorbed) and drains to the home
-  /// tier in the background; otherwise it goes straight through the home
-  /// device. On a dead node or failed disk the write is lost but completes
-  /// immediately, so callers' completion barriers never hang.
+  /// Writes `bytes` of job output through the primary device. On a dead
+  /// node or failed disk the write is lost but completes immediately, so
+  /// callers' completion barriers never hang.
   void write(Bytes bytes, std::function<void()> on_complete);
 
-  /// Locks a copy of `block` straight into tier 0 with no modelled IO (the
-  /// vmtouch preload, the instant-migration hypothetical). Returns false,
-  /// changing nothing, when it does not fit. A new copy counts as a promote
-  /// from the home tier; a copy already there is left alone and moves
-  /// nothing.
+  /// Locks a copy of `block` straight into the pool with no modelled IO
+  /// (the vmtouch preload, the instant-migration hypothetical). Returns
+  /// false, changing nothing, when it does not fit. A new copy counts as a
+  /// promote from the home tier; a copy already there is left alone and
+  /// moves nothing.
   bool lock_copy(BlockId block, Bytes bytes);
 
-  /// Releases the promoted copy of `block` held in pool tier `tier`
-  /// (reference list drained, purge, …). With a demoting policy and
-  /// `allow_demote`, the copy cascades to the policy's demotion target
-  /// instead of vanishing (victim-cache style); corrupt copies are always
-  /// dropped. Returns true when a copy was present.
-  bool release_copy(BlockId block, std::size_t tier, Bytes bytes,
-                    bool allow_demote);
+  /// Drops the pool's copy of `block` (reference list drained, LRU evict,
+  /// purge, …); the durable home replica persists. Returns true when a copy
+  /// was present.
+  bool release_copy(BlockId block);
 
-  /// Demotes the victim-tier copy of `block` in tier `from` one step down
-  /// the policy's chain (ageing). Returns true when the copy moved or was
-  /// dropped to home.
-  bool demote_victim(BlockId block, std::size_t from);
-
-  /// Ages every victim-tier copy the policy calls cold (demote_when_idle)
-  /// one tier further down. Returns the number of copies demoted or dropped.
-  std::size_t age_victim_copies();
-
-  /// Drops any victim-tier (tiers 1..home-1) copies of `block` (integrity
-  /// purge). Returns true when a copy was dropped.
-  bool purge_victim_copies(BlockId block);
-
-  /// Process failure: all locked memory in every pool tier is reclaimed by
-  /// the OS; stored blocks persist on disk. In-flight reads are aborted
+  /// Process failure: all locked memory in the pool is reclaimed by the
+  /// OS; stored blocks persist on disk. In-flight reads are aborted
   /// and their callbacks fired with `failed = true`. `restart()` brings
   /// the process back.
   void fail();
@@ -189,23 +161,15 @@ class DataNode {
 
   TierHierarchy& tiers() { return tiers_; }
   const TierHierarchy& tiers() const { return tiers_; }
-  /// The home device and tier 0's pool (the paper's locked-page cache).
-  StorageDevice& primary_device() { return tiers_.device(tiers_.home_tier()); }
-  BufferCache& cache() { return tiers_.pool(0); }
-  const BufferCache& cache() const { return tiers_.pool(0); }
-  /// True when any pool tier holds a copy of `block`.
+  /// The home device and the pool (the paper's locked-page cache).
+  StorageDevice& primary_device() {
+    return tiers_.device(TierHierarchy::kHomeTier);
+  }
+  BufferCache& cache() { return tiers_.pool(); }
+  const BufferCache& cache() const { return tiers_.pool(); }
+  /// True when the pool holds a copy of `block`.
   bool has_promoted_copy(BlockId block) const {
     return tiers_.has_promoted_copy(block);
-  }
-
-  /// Decision object for promotion/demotion/write routing. Must outlive
-  /// the node; until it is set the node runs UpwardOnHeat.
-  void set_migration_policy(const MigrationPolicy& policy) {
-    policy_ = &policy;
-  }
-  /// Tier a master-commanded migration should land in.
-  std::size_t promotion_tier() const {
-    return policy_->promotion_tier(tiers_);
   }
 
   void set_read_listener(BlockReadListener* listener) { listener_ = listener; }
@@ -218,8 +182,8 @@ class DataNode {
   void report_corruption(BlockId block, bool cached, CorruptionSource source);
 
   /// Emits kReplicaAdd, kBlockReadStart/End, and kCacheHit/Miss; also wires
-  /// the node's tier hierarchy (devices, tier-0 pool, kTier* events) into
-  /// the same recorder.
+  /// the node's tier hierarchy (devices, pool, kTier* events) into the same
+  /// recorder.
   void set_trace(TraceRecorder* trace);
 
  private:
@@ -228,15 +192,11 @@ class DataNode {
   /// `failed = true` on the next sim step.
   void abort_pending_reads(const StorageDevice* device,
                            BlockId block = BlockId::invalid());
-  /// Background write-buffer drain: one home-device write per absorbed
-  /// burst, returning the fast-tier reservation when it lands.
-  void drain_to_home(Bytes bytes);
 
   Simulator& sim_;
   TraceRecorder* trace_ = nullptr;
   NodeId id_;
   TierHierarchy tiers_;
-  const MigrationPolicy* policy_;  // never null
   // The replica table, sorted by block id: lookups and the scrub cursor are
   // binary searches. Set-up appends (block ids are handed out in increasing
   // order); repair inserts in place, so never keep a pointer across
@@ -248,13 +208,8 @@ class DataNode {
   };
   std::vector<Replica> replicas_;
   const Replica* find(BlockId block) const;  // null when not stored
-  /// Last touch time of victim-tier copies (DownwardOnCold ageing).
-  std::unordered_map<BlockId, SimTime> victim_touch_;
   bool alive_ = true;
   bool disk_failed_ = false;
-  /// Bumped on fail(): in-flight drains from a previous process
-  /// incarnation must not return reservations the OS already reclaimed.
-  std::uint64_t epoch_ = 0;
   BlockReadListener* listener_ = nullptr;
   CorruptionReporter reporter_;
 

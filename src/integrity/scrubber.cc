@@ -50,10 +50,10 @@ void Scrubber::tick(std::size_t index) {
   // reads, re-replication, an earlier scan still draining) is IO this scan
   // will contend with.
   if (dn->primary_device().active_requests() > 0) ++stats_.scans_contended;
-  // Promoted copies rot independently of the stored replica; checksum them
-  // in the same pass. The check is free and emits only when a copy is
+  // A promoted copy rots independently of the stored replica; checksum it
+  // in the same pass. The check is free and emits only when the copy is
   // corrupt, so clean runs' traces and stats are untouched.
-  dn->scrub_promoted_copies(next);
+  dn->scrub_promoted_copy(next);
   dn->verify_block(next, [this](const BlockReadResult& result) {
     if (result.corrupt) ++stats_.corrupt_found;
   });

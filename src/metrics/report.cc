@@ -128,8 +128,7 @@ std::string ConfigFingerprint::canonical() const {
      << " nodes=" << nodes << " racks=" << racks
      << " replication=" << replication
      << " scrubber=" << bool_json(scrubber) << " seed=" << seed
-     << " storage_media=" << storage_media << " tier_count=" << tier_count
-     << " tier_policy=" << tier_policy;
+     << " storage_media=" << storage_media;
   return os.str();
 }
 
@@ -149,8 +148,6 @@ void ConfigFingerprint::write_json(std::ostream& os, int indent) const {
   field("racks", std::to_string(racks));
   field("replication", std::to_string(replication));
   field("storage_media", json_quote(storage_media));
-  field("tier_policy", json_quote(tier_policy));
-  field("tier_count", std::to_string(tier_count));
   field("fault_tolerance", bool_json(fault_tolerance));
   field("scrubber", bool_json(scrubber));
   field("control_plane", json_quote(control_plane));

@@ -28,17 +28,15 @@ namespace ignem {
 
 /// Identifies the knobs that shape a run's event stream: cluster shape
 /// (nodes, racks), seed, the control plane's path (direct or routed), and
-/// storage/tiering/fault configuration. Stamped into every RunReport and
-/// every Testbed bench's BENCH_*.json so a result can never be compared
-/// against the wrong configuration silently.
+/// storage/fault configuration. Stamped into every RunReport and every
+/// Testbed bench's BENCH_*.json so a result can never be compared against
+/// the wrong configuration silently.
 struct ConfigFingerprint {
   std::uint64_t seed = 0;
   int nodes = 0;
   int racks = 0;
   int replication = 0;
   std::string storage_media;             ///< media_name() of the home tier.
-  std::string tier_policy;               ///< The MigrationPolicy's name().
-  int tier_count = 0;
   bool fault_tolerance = false;
   bool scrubber = false;
   std::string control_plane;             ///< "direct" or "routed".

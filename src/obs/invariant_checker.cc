@@ -379,7 +379,7 @@ void TierResidencyRule::check(const TraceEvent& event,
     default:
       return;
   }
-  if (!event.block.valid()) return;  // byte-level write-buffer drain
+  if (!event.block.valid()) return;  // a byte-level move, not a copy
   const std::size_t from = static_cast<std::size_t>(event.detail >> 8);
   const std::size_t to = static_cast<std::size_t>(event.detail & 0xff);
   const auto home_it = home_.find(event.node);

@@ -195,8 +195,8 @@ class HotPromotionRule : public InvariantRule {
 /// kTierPromote/kTierDemote moves the copy from the tier it is actually
 /// resident in, and per-tier occupancy derived from those moves never
 /// exceeds the capacity announced by kTierInit.
-/// Byte-level write-buffer drains (invalid block id) and node crashes (the
-/// OS reclaims every pool) clear state rather than count against it.
+/// Moves without a block id carry no copy and are ignored; node crashes
+/// (the OS reclaims every pool) clear state rather than count against it.
 class TierResidencyRule : public InvariantRule {
  public:
   const char* name() const override { return "tier_residency"; }

@@ -98,16 +98,16 @@ enum class TraceEventType : std::uint8_t {
                         ///< 1 scrub, 2 migration), value = 1 if cached copy.
   kReplicaInvalidate,   ///< NameNode dropped a corrupt replica from the
                         ///< namespace; bytes = block size.
-  // Tier hierarchy (src/storage). Emitted in every traced run; kTierInit at
-  // wiring, like kCacheInit, so an event mask set after construction keeps
-  // them.
-  kTierInit,            ///< one per tier at wiring; bytes = capacity
-                        ///< (0 = unbounded home tier), detail = tier index.
+  // Tier hierarchy (src/storage): the RAM pool (tier 0) over the home tier
+  // (tier 1). Emitted in every traced run; kTierInit at wiring, like
+  // kCacheInit, so an event mask set after construction keeps them.
+  kTierInit,            ///< one per tier at wiring (two per node); bytes =
+                        ///< capacity (0 = unbounded home tier), detail =
+                        ///< tier index.
   kTierPromote,         ///< copy moved to a faster tier; bytes = copy size,
                         ///< detail = (from tier << 8) | to tier.
-  kTierDemote,          ///< copy moved down (or dropped when the target is
-                        ///< the home tier); invalid block = byte-level
-                        ///< write-buffer drain; detail as kTierPromote.
+  kTierDemote,          ///< copy dropped to the home tier (the durable
+                        ///< replica persists); detail as kTierPromote.
   // Partition tolerance (src/net reachability + src/fault). Emitted only
   // when partition faults are injected, so fault-free hashes are unmoved.
   kPartitionStart,      ///< node/rack cut off; detail = variant (0 symmetric

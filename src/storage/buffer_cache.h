@@ -55,8 +55,8 @@ class BufferCache {
   std::vector<BlockId> blocks_sorted() const;
 
   bool contains(BlockId block) const { return entries_.contains(block); }
-  /// Locked size of `block`, 0 when absent (tier demotion needs the size of
-  /// the copy it is moving without consulting the namespace).
+  /// Locked size of `block`, 0 when absent (a released copy's tier event
+  /// carries its size without consulting the namespace).
   Bytes block_bytes(BlockId block) const {
     const auto it = entries_.find(block);
     return it == entries_.end() ? 0 : it->second;

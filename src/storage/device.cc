@@ -9,8 +9,6 @@ const char* media_name(MediaType type) {
     case MediaType::kHdd: return "HDD";
     case MediaType::kSsd: return "SSD";
     case MediaType::kRam: return "RAM";
-    case MediaType::kPmem: return "PMEM";
-    case MediaType::kTape: return "Tape";
   }
   return "?";
 }
@@ -55,35 +53,11 @@ DeviceProfile ram_profile() {
   return p;
 }
 
-DeviceProfile pmem_profile() {
-  DeviceProfile p;
-  p.media = MediaType::kPmem;
-  p.bandwidth.sequential_bw = gib_per_sec(8);
-  p.bandwidth.degradation = 0.01;
-  p.bandwidth.per_stream_cap = gib_per_sec(1.5);
-  p.access_latency = Duration::micros(300);
-  p.access_jitter = 0.2;
-  return p;
-}
-
-DeviceProfile tape_profile() {
-  DeviceProfile p;
-  p.media = MediaType::kTape;
-  p.bandwidth.sequential_bw = mib_per_sec(300);  // LTO streaming rate
-  p.bandwidth.degradation = 0.85;  // interleaved streams thrash the drive
-  p.bandwidth.per_stream_cap = mib_per_sec(300);
-  p.access_latency = Duration::seconds(4);  // robot pick + locate
-  p.access_jitter = 0.5;
-  return p;
-}
-
 DeviceProfile profile_for(MediaType type) {
   switch (type) {
     case MediaType::kHdd: return hdd_profile();
     case MediaType::kSsd: return ssd_profile();
     case MediaType::kRam: return ram_profile();
-    case MediaType::kPmem: return pmem_profile();
-    case MediaType::kTape: return tape_profile();
   }
   return hdd_profile();
 }

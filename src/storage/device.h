@@ -18,7 +18,7 @@
 
 namespace ignem {
 
-enum class MediaType { kHdd, kSsd, kRam, kPmem, kTape };
+enum class MediaType { kHdd, kSsd, kRam };
 
 const char* media_name(MediaType type);
 
@@ -38,10 +38,6 @@ struct DeviceProfile {
 DeviceProfile hdd_profile();
 DeviceProfile ssd_profile();
 DeviceProfile ram_profile();
-/// Tier-hierarchy extensions beyond the paper's testbed: persistent memory
-/// (between RAM and SSD) and streaming tape (archival floor, TALICS³-style).
-DeviceProfile pmem_profile();
-DeviceProfile tape_profile();
 DeviceProfile profile_for(MediaType type);
 
 class StorageDevice {

@@ -1,11 +1,9 @@
-// Tier specifications for the N-level storage hierarchy.
+// Tier specifications for a node's storage.
 //
-// A node's storage is an ordered list of tiers, fastest first. Every tier
-// except the last is a bounded pool of promoted/demoted block copies
-// backed by its own device; the last tier is the *home* tier — the
-// unbounded durable replica store reads fall back to when no faster copy
-// exists. The paper's two-level layout (RAM locked-page pool over the
-// primary disk) is the two-entry special case.
+// A node's storage is the paper's two-level layout: a bounded RAM locked
+// pool (tier 0) that holds promoted block copies, over the node's primary
+// device (tier 1), the *home* tier — the unbounded durable replica store
+// reads fall back to when no promoted copy exists.
 #pragma once
 
 #include <string>
@@ -16,10 +14,10 @@
 
 namespace ignem {
 
-/// One level of the hierarchy: a name (device naming and reports), the
-/// device model behind it, a capacity bound for the copy pool (0 means
-/// unbounded and is only legal for the home tier), and a relative
-/// $/GiB-month knob policies and reports may weigh.
+/// One level of the layout: a name (device naming and reports), the device
+/// model behind it, a capacity bound for the copy pool (0 means unbounded
+/// and is only legal for the home tier), and a relative $/GiB-month figure
+/// reports weigh.
 struct TierSpec {
   std::string name;
   DeviceProfile profile;
@@ -27,19 +25,8 @@ struct TierSpec {
   double cost_per_gib = 0.0;
 };
 
-/// Canonical tier builders with calibrated profiles and indicative
-/// relative costs (RAM >> PMEM > SSD > HDD > tape).
-TierSpec ram_tier(Bytes capacity);
-TierSpec pmem_tier(Bytes capacity);
-TierSpec ssd_tier(Bytes capacity);
-TierSpec hdd_tier(Bytes capacity);
-/// Home tiers: unbounded, hold the durable replicas.
-TierSpec hdd_home_tier();
-TierSpec tape_home_tier();
-
 /// The two-level layout the paper models: a RAM pool of `cache_capacity`
-/// over the node's primary device. Every run without an explicit tier stack
-/// builds its DataNodes from this.
+/// over the node's primary device. Every DataNode is built from this.
 std::vector<TierSpec> two_tier_specs(const DeviceProfile& primary,
                                      Bytes cache_capacity);
 

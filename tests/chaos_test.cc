@@ -3,7 +3,8 @@
 // faults, and heartbeat delays — with the full fault-tolerance stack on and
 // the InvariantChecker watching every event. Every seed must finish all
 // jobs, satisfy every invariant, agree with the NameNode's replica map, and
-// leak zero locked bytes.
+// leak zero locked bytes (the hot-data baseline, whose LRU stays resident,
+// instead lists no block its pool lost).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +31,8 @@ struct ChaosResult {
   std::string integrity_mismatch; ///< Empty when corruption accounting closed.
   std::uint64_t unrepairable = 0; ///< Blocks repair gave up on.
   Bytes leaked_locked_bytes = 0;
+  /// Blocks a hot-data promoter lists as promoted that its pool lacks.
+  std::size_t stale_promotions = 0;
   std::size_t over_replicated = 0; ///< Blocks above target after the drain.
   std::uint64_t transfers_severed = 0;  ///< Network's lifetime sever count.
   std::uint64_t severed_events = 0;     ///< kTransferSevered trace events.
@@ -45,10 +48,6 @@ struct ChaosOptions {
   std::size_t fault_count = 6;
   std::uint64_t plan_seed_base = 9000;
   bool scrubber = false;
-  /// Swaps the legacy layout for a three-tier DownwardOnCold hierarchy, so
-  /// crashes, reroutes, and purges race victim-tier copies and the ageing
-  /// sweep (TierResidencyRule watches the whole run).
-  bool tiered = false;
   /// Racks for placement, the reachability fabric, and kRackPartition
   /// faults; 1 keeps the flat fabric (where rack partitions would silence
   /// the whole cluster at once).
@@ -82,13 +81,6 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
   config.detector.suspicion_grace = options.suspicion_grace;
   config.replication_rate_limit = options.replication_rate_limit;
   config.routed_control_plane = options.routed;
-  if (options.tiered) {
-    config.tiering.tiers = {ram_tier(1 * kGiB), ssd_tier(2 * kGiB),
-                            hdd_home_tier()};
-    config.tiering.policy = TierPolicyKind::kDownwardOnCold;
-    config.tiering.cold_after = Duration::seconds(3.0);
-    config.tiering.age_check_period = Duration::seconds(1.0);
-  }
   Testbed testbed(config);
 
   const std::size_t scale = std::max<std::size_t>(1, options.node_count / 4);
@@ -154,8 +146,17 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
     if (job.failed) ++result.failed_jobs;
   }
   for (std::size_t i = 0; i < config.cluster.node_count; ++i) {
-    result.leaked_locked_bytes +=
-        testbed.datanode(NodeId(static_cast<std::int64_t>(i))).cache().used();
+    const NodeId node(static_cast<std::int64_t>(i));
+    const BufferCache& cache = testbed.datanode(node).cache();
+    result.leaked_locked_bytes += cache.used();
+    const HotDataPromoter* promoter = testbed.hot_data_promoter(node);
+    if (promoter == nullptr) continue;
+    for (const auto& [block, info] : testbed.namenode().all_blocks()) {
+      (void)info;
+      if (promoter->promoted(block) && !cache.contains(block)) {
+        ++result.stale_promotions;
+      }
+    }
   }
   // Replica-leak check: after every window has healed and recovery has
   // drained, no block may sit above its target factor (rejoin
@@ -178,7 +179,11 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
   return result;
 }
 
-void expect_clean(const ChaosResult& result, std::size_t expected_jobs) {
+/// `pools_drain`: every locked byte is released once the drain ends. The
+/// hot-data baseline keeps its LRU resident by design, so its sweep passes
+/// false.
+void expect_clean(const ChaosResult& result, std::size_t expected_jobs,
+                  bool pools_drain = true) {
   SCOPED_TRACE("seed " + std::to_string(result.seed) + "\nplan:\n" +
                result.plan);
   EXPECT_TRUE(result.completed) << "workload wedged";
@@ -187,7 +192,11 @@ void expect_clean(const ChaosResult& result, std::size_t expected_jobs) {
   EXPECT_EQ(result.violations, "");
   EXPECT_EQ(result.replica_mismatch, "");
   EXPECT_EQ(result.integrity_mismatch, "");
-  EXPECT_EQ(result.leaked_locked_bytes, 0u);
+  if (pools_drain) {
+    EXPECT_EQ(result.leaked_locked_bytes, 0u);
+  }
+  EXPECT_EQ(result.stale_promotions, 0u)
+      << "a promoter lists blocks its pool no longer holds";
   EXPECT_EQ(result.over_replicated, 0u);
   EXPECT_EQ(result.transfers_severed, result.severed_events)
       << "sever counter and kTransferSevered trace disagree";
@@ -216,6 +225,18 @@ TEST(Chaos, RandomFaultSweepHdfs) {
   for (const ChaosResult& result : results) expect_clean(result, 12u);
 }
 
+TEST(Chaos, RandomFaultSweepHotData) {
+  // The hot-data baseline's promoter lives in the DataNode process: a crash
+  // must abort its in-flight page-ins and forget the blocks the pool lost.
+  constexpr std::size_t kSeeds = 8;
+  const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
+    return run_chaos(RunMode::kHotDataPromotion, i);
+  });
+  for (const ChaosResult& result : results) {
+    expect_clean(result, 12u, /*pools_drain=*/false);
+  }
+}
+
 ChaosOptions corruption_options() {
   ChaosOptions options;
   options.fault_kinds = kAllFaultKinds;  // adds kBlockCorrupt / kCacheCorrupt
@@ -241,21 +262,6 @@ TEST(Chaos, CorruptionChaosSweepHdfs) {
   constexpr std::size_t kSeeds = 6;
   const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
     return run_chaos(RunMode::kHdfs, i, corruption_options());
-  });
-  for (const ChaosResult& result : results) expect_clean(result, 12u);
-}
-
-TEST(Chaos, TieredFaultSweepIgnem) {
-  // The loud fault schedule against the three-tier hierarchy: crashes land
-  // while copies sit in the victim tier or mid-cascade, rejoin purges must
-  // drop (never demote) stale copies, and the residency/occupancy
-  // invariants have to hold through every recovery.
-  constexpr std::size_t kSeeds = 10;
-  const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
-    ChaosOptions options;
-    options.plan_seed_base = 15000;
-    options.tiered = true;
-    return run_chaos(RunMode::kIgnem, i, options);
   });
   for (const ChaosResult& result : results) expect_clean(result, 12u);
 }
@@ -333,20 +339,6 @@ TEST(Chaos, ControlPlanePartitionSweepIgnem) {
   constexpr std::size_t kSeeds = 12;
   const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
     return run_chaos(RunMode::kIgnem, i, control_plane_options());
-  });
-  for (const ChaosResult& result : results) expect_clean(result, 12u);
-}
-
-TEST(Chaos, TieredCorruptionChaosSweepIgnem) {
-  // Silent rot on top: corrupt victim-tier copies must be dropped on
-  // release instead of cascading, the per-tier scrub must find what the
-  // read path misses, and integrity accounting still closes exactly.
-  constexpr std::size_t kSeeds = 6;
-  const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
-    ChaosOptions options = corruption_options();
-    options.plan_seed_base = 18000;
-    options.tiered = true;
-    return run_chaos(RunMode::kIgnem, i, options);
   });
   for (const ChaosResult& result : results) expect_clean(result, 12u);
 }

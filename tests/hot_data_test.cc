@@ -142,5 +142,43 @@ TEST(HotDataIntegration, HelpsIterativeWorkload) {
   EXPECT_GT(hot.memory_read_fraction(), 0.25);  // later passes hit memory
 }
 
+// The promoter lives in the DataNode process. A crash while a promotion's
+// page-in is in flight must kill the page-in with the pool it reserved in,
+// and the restarted node must promote the block afresh.
+TEST(HotDataIntegration, NodeCrashMidPageInAbortsThePromotion) {
+  Testbed testbed(testbed_config(RunMode::kHotDataPromotion));
+  const FileId file = testbed.create_file("/hot", 64 * kMiB);
+  const BlockId block = testbed.namenode().file(file).blocks.front();
+  const NodeId node = testbed.namenode().block(block).replicas.front();
+  DataNode& datanode = testbed.datanode(node);
+  const HotDataPromoter& promoter = *testbed.hot_data_promoter(node);
+  const auto read_twice = [&] {
+    for (int i = 0; i < 2; ++i) {
+      bool done = false;
+      datanode.read_block(block, JobId(1),
+                          [&](const BlockReadResult&) { done = true; });
+      testbed.sim().run_until([&] { return done; });
+    }
+  };
+  const auto settle = [&] {
+    testbed.sim().run(testbed.sim().now() + Duration::seconds(30.0));
+  };
+
+  read_twice();
+  ASSERT_GT(datanode.cache().reserved(), 0u) << "no page-in in flight";
+  testbed.fail_node(node);
+  settle();
+  EXPECT_FALSE(promoter.promoted(block));
+  EXPECT_EQ(promoter.stats().promotions, 0u);
+  EXPECT_EQ(datanode.cache().used(), 0u);
+
+  testbed.restart_node(node);
+  read_twice();
+  settle();
+  EXPECT_TRUE(promoter.promoted(block));
+  EXPECT_TRUE(datanode.cache().contains(block));
+  EXPECT_EQ(promoter.stats().promotions, 1u);
+}
+
 }  // namespace
 }  // namespace ignem

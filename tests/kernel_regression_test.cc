@@ -94,43 +94,6 @@ TEST(KernelRegression, GoogleTraceHashesMatchPreTieringStorage) {
   }
 }
 
-// The differential contract of the TierHierarchy refactor: spelling the
-// legacy layout out as an explicit two-tier stack (RAM pool over the
-// primary device, UpwardOnHeat policy) must route every byte through the
-// generalized tier machinery and still reproduce the pinned hashes bit for
-// bit — same events, same order, same times.
-TestbedConfig explicit_two_tier(TestbedConfig config) {
-  config.tiering.tiers = two_tier_specs(
-      config.primary_profile.value_or(profile_for(config.storage_media)),
-      config.cache_capacity_per_node);
-  config.tiering.policy = TierPolicyKind::kUpwardOnHeat;
-  return config;
-}
-
-TEST(KernelRegression, ExplicitTwoTierSwimMatchesPinnedHashes) {
-  for (const PinnedCase& c : kPinned) {
-    EXPECT_EQ(pins::run_kernel_swim(explicit_two_tier(pins::kernel_config(
-                                        c.mode)))
-                  ->trace_hash(),
-              c.hash)
-        << run_mode_name(c.mode)
-        << ": explicit two-tier TierHierarchy diverged from the legacy "
-           "storage layout on the SWIM workload";
-  }
-}
-
-TEST(KernelRegression, ExplicitTwoTierGoogleMatchesPinnedHashes) {
-  for (const PinnedCase& c : kPinnedGoogle) {
-    EXPECT_EQ(pins::run_kernel_google(explicit_two_tier(pins::kernel_config(
-                                          c.mode)))
-                  ->trace_hash(),
-              c.hash)
-        << run_mode_name(c.mode)
-        << ": explicit two-tier TierHierarchy diverged from the legacy "
-           "storage layout on the Google trace";
-  }
-}
-
 // A nonzero checksum verification cost must visibly slow reads (it defers
 // each read completion by cost x GiB); the zero default's bit-identity with
 // history is covered by the pinned-hash tests above.

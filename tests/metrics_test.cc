@@ -6,9 +6,8 @@
 //   2. Determinism — two identical seeded runs emit byte-identical
 //      RunReport JSON (each run in a fresh thread so thread_local kernel
 //      alloc counters start cold, exactly like two separate processes),
-//      a report read on another thread than the run's matches, building a
-//      report twice gives the same bytes, and an empty tier stack reports
-//      exactly what the explicit two-tier one does.
+//      a report read on another thread than the run's matches, and
+//      building a report twice gives the same bytes.
 //   3. Coverage — every field of every component *Stats struct reaches the
 //      report, summed over the components that own one.
 //   4. The memory footprint — the per-run aggregate Fig. 7 reads — matches
@@ -276,25 +275,6 @@ TEST(RunReportTest, ByteIdenticalAcrossIdenticalSeededRuns) {
   EXPECT_EQ(first, second);
 }
 
-// One storage layout: an empty tier stack builds the paper's two tiers
-// under UpwardOnHeat, so spelling that stack out changes nothing — not the
-// trace, and not one byte of the report.
-TEST(RunReportTest, EmptyTierStackMatchesExplicitTwoTierStack) {
-  TestbedConfig empty_stack = small_config(RunMode::kIgnem);
-  empty_stack.enable_trace = true;
-  TestbedConfig explicit_stack = empty_stack;
-  explicit_stack.tiering.tiers =
-      two_tier_specs(profile_for(empty_stack.storage_media),
-                     empty_stack.cache_capacity_per_node);
-  const ReportRun a = run_in_fresh_thread(empty_stack);
-  const ReportRun b = run_in_fresh_thread(explicit_stack);
-  ASSERT_NE(a.trace_hash, 0u);
-  EXPECT_EQ(a.trace_hash, b.trace_hash);
-  EXPECT_EQ(a.json, b.json);
-  EXPECT_NE(a.json.find("\"tier_policy\": \"upward-on-heat\""),
-            std::string::npos);
-}
-
 // Sweep benches run each Testbed on a worker thread and write its report
 // from the main thread. The allocator deltas must still describe the run,
 // not the reading thread's counters minus the worker's baseline.
@@ -448,7 +428,7 @@ std::map<std::string, std::uint64_t> stats_fields(Testbed& testbed) {
           static_cast<std::uint64_t>(h.bytes_promoted);
     }
     const TierHierarchy& tiers = testbed.datanode(node).tiers();
-    for (std::size_t t = 0; t < tiers.tier_count(); ++t) {
+    for (std::size_t t = 0; t < TierHierarchy::kTierCount; ++t) {
       const std::string suffix = ".t" + std::to_string(t);
       f["tier.reads" + suffix] += tiers.stats(t).reads;
       f["tier.promotes_in" + suffix] += tiers.stats(t).promotes_in;
@@ -510,14 +490,12 @@ TEST(RunReportTest, ReportsEveryStatsField) {
   }
 }
 
-// The fingerprint describes the stack the run built: an explicit stack's
-// home tier, not config.storage_media, names the medium.
+// The fingerprint describes the stack the run built: its home tier's
+// device names the medium, whether storage_media or primary_profile set it.
 TEST(Fingerprint, StorageMediaNamesTheBuiltHomeTier) {
-  TestbedConfig hdd = small_config(RunMode::kIgnem);
-  hdd.tiering.tiers = {ram_tier(1 * kGiB), hdd_home_tier()};
+  const TestbedConfig hdd = small_config(RunMode::kIgnem);
   TestbedConfig ssd = hdd;
-  ssd.tiering.tiers = {ram_tier(1 * kGiB),
-                       TierSpec{"ssd", ssd_profile(), 0, 0.4}};
+  ssd.primary_profile = ssd_profile();
   const ConfigFingerprint a = Testbed(hdd).fingerprint();
   const ConfigFingerprint b = Testbed(ssd).fingerprint();
   EXPECT_EQ(a.storage_media, "HDD");
@@ -525,10 +503,9 @@ TEST(Fingerprint, StorageMediaNamesTheBuiltHomeTier) {
   EXPECT_NE(a.canonical(), b.canonical());
   EXPECT_NE(a.hash(), b.hash());
 
-  // The paper's layout keeps naming config.storage_media.
-  TestbedConfig paper = small_config(RunMode::kIgnem);
-  paper.storage_media = MediaType::kSsd;
-  EXPECT_EQ(Testbed(paper).fingerprint().storage_media, "SSD");
+  TestbedConfig by_media = hdd;
+  by_media.storage_media = MediaType::kSsd;
+  EXPECT_EQ(Testbed(by_media).fingerprint().storage_media, "SSD");
 }
 
 // Routed and direct control planes, and different rack counts, give

@@ -1,7 +1,6 @@
 // Cross-cutting property suites, parameterized over seeds and modes.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -150,46 +149,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConservationProperty,
                          ::testing::Values(3u, 31u));
 
 // ---------------------------------------------------------------------------
-// Property: tier-residency conservation of a three-tier DownwardOnCold run,
-// swept over 20 seeds. The hierarchy's counters and pools must agree with
-// each other and with the per-tier capacities at every end of run.
+// Property: tier-residency conservation of the paper's two-tier stack with
+// a 1 GiB pool, swept over 20 seeds. The hierarchy's counters and the pool
+// must agree with each other and with the pool's capacity at every end of
+// run.
 class TierResidencyProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TierResidencyProperty, PoolsStayExclusiveBoundedAndBalanced) {
   const std::uint64_t seed = GetParam();
   TestbedConfig config = config_for(RunMode::kIgnem, seed);
   config.check_invariants = true;
-  config.tiering.tiers = {ram_tier(1 * kGiB), ssd_tier(2 * kGiB),
-                          hdd_home_tier()};
-  config.tiering.policy = TierPolicyKind::kDownwardOnCold;
-  config.tiering.cold_after = Duration::seconds(3.0);
-  config.tiering.age_check_period = Duration::seconds(1.0);
+  config.cache_capacity_per_node = 1 * kGiB;
 
   Testbed testbed(config);
   testbed.run_workload(build_swim_workload(testbed, swim_for(seed)));
 
   for (std::int64_t i = 0; i < 4; ++i) {
     const TierHierarchy& tiers = testbed.datanode(NodeId(i)).tiers();
-    std::uint64_t resident = 0;
-    std::set<BlockId> seen;
-    for (std::size_t t = 0; t < tiers.home_tier(); ++t) {
-      const BufferCache& pool = tiers.pool(t);
-      // 1. Per-tier occupancy never exceeded the tier's capacity.
-      EXPECT_LE(pool.used(), tiers.spec(t).capacity)
-          << "node " << i << " tier " << t << " seed " << seed;
-      EXPECT_LE(pool.peak_used(), tiers.spec(t).capacity)
-          << "node " << i << " tier " << t << " seed " << seed;
-      // 2. A block holds at most one pool-tier copy per node.
-      for (const BlockId block : pool.blocks_sorted()) {
-        EXPECT_TRUE(seen.insert(block).second)
-            << "block " << block << " resident in two tiers on node " << i
-            << " (seed " << seed << ")";
-      }
-      resident += pool.block_count();
-    }
-    // 3. Copy conservation: whatever entered the pools from home and was
+    const BufferCache& pool = tiers.pool();
+    // 1. Pool occupancy never exceeded the pool's capacity.
+    EXPECT_LE(pool.used(), pool.capacity())
+        << "node " << i << " seed " << seed;
+    EXPECT_LE(pool.peak_used(), pool.capacity())
+        << "node " << i << " seed " << seed;
+    // 2. Copy conservation: whatever entered the pool from home and was
     //    not dropped back is exactly what is still resident.
-    EXPECT_EQ(tiers.promotes_from_home() - tiers.drops_to_home(), resident)
+    EXPECT_EQ(tiers.promotes_from_home() - tiers.drops_to_home(),
+              pool.block_count())
         << "node " << i << " seed " << seed;
     EXPECT_GE(tiers.promotes_from_home(), tiers.drops_to_home())
         << "node " << i << " seed " << seed;
