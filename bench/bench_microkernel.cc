@@ -286,7 +286,7 @@ double scrub_cursor_ns(std::int64_t blocks) {
   std::vector<std::unique_ptr<DataNode>> nodes;
   for (std::int64_t n = 0; n < kNodes; ++n) {
     nodes.push_back(std::make_unique<DataNode>(
-        sim, NodeId(n), two_tier_specs(hdd_profile(), 1 * kGiB), Rng(n)));
+        sim, NodeId(n), hdd_profile(), 1 * kGiB, Rng(n)));
   }
   for (std::int64_t b = 0; b < blocks * kNodes; ++b) {
     nodes[static_cast<std::size_t>(b % kNodes)]->add_block(BlockId(b),
@@ -351,7 +351,7 @@ double placement_ns(std::int64_t nodes, int racks) {
     NameNode namenode(Rng(31), 3, 64 * kMiB, racks);
     for (std::int64_t n = 0; n < nodes; ++n) {
       datanodes.push_back(std::make_unique<DataNode>(
-          sim, NodeId(n), two_tier_specs(hdd_profile(), 1 * kGiB), Rng(n)));
+          sim, NodeId(n), hdd_profile(), 1 * kGiB, Rng(n)));
       namenode.register_datanode(datanodes.back().get());
     }
     const auto start = std::chrono::steady_clock::now();

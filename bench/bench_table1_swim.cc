@@ -4,6 +4,7 @@
 // Paper: HDFS 14.4 s; Ignem 12.7 s (12% speedup); RAM 11.4 s (21%). Ignem
 // realizes ~60% of the upper-bound benefit.
 #include "bench/experiment_common.h"
+#include "storage/tier.h"
 
 namespace ignem::bench {
 namespace {
@@ -40,7 +41,9 @@ void main_impl() {
 
   // Hardware cost of the modeled per-node hierarchy — the denominator of
   // the paper's "speedup without buying more RAM" argument.
-  const std::vector<TierSpec> tiers = runs[1]->tier_specs();
+  const std::vector<TierSpec> tiers =
+      two_tier_specs(runs[1]->primary_profile(),
+                     runs[1]->config().cache_capacity_per_node);
   const double node_cost = tier_cost_total(tiers);
   report().metric("tier_cost_per_node", node_cost);
   std::cout << "Per-node tier cost (capacity x $/GiB):";

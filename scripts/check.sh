@@ -4,8 +4,8 @@
 #
 #   scripts/check.sh            # sanitized build + all tests
 #   scripts/check.sh tier1      # sanitized build + fast tier only
-#   scripts/check.sh tiering    # two-tier pool accounting, tier events and
-#                               # the residency rule
+#   scripts/check.sh tiering    # two-tier pool accounting and pool-residency
+#                               # checks
 #   scripts/check.sh kernel     # event-queue + bandwidth differential suite
 #   scripts/check.sh metrics    # metrics-plane suite (instruments, RunReport
 #                               # determinism and coverage, memory footprint)

@@ -10,10 +10,14 @@
 #    extracted with `git archive`, and against the working tree's src/.
 # 2. Dumps the 32 pinned scenarios (7 kernel_regression_test runs, the
 #    golden quickstart, 24 liveness_anchor_test runs) from both builds and
-#    compares them. Per scenario: the old and new pin values, the TraceDiff
-#    first divergence, the same comparison with kTier* events dropped and
-#    seq ignored, and the per-job end-time deltas (jobs moved, max and mean
-#    |d end| in seconds). A summary table closes the section.
+#    compares them. Each dump records its build's event-type names, and the
+#    comparison maps the base's type numbers onto the working tree's by
+#    name, so an enum change between the two still compares. Per scenario:
+#    the old and new pin values, the TraceDiff first divergence, the same
+#    comparison with the events of one-sided types (those only one build
+#    has) dropped and seq ignored, and the per-job end-time deltas (jobs
+#    moved, max and mean |d end| in seconds). A summary table, headed by
+#    the one-sided types it dropped, closes the section.
 # 3. Builds the working tree's pin tests and prints fresh constants through
 #    IGNEM_PRINT_KERNEL_HASHES=1 and IGNEM_PRINT_ANCHOR_DIGESTS=1, then
 #    rewrites tests/golden/quickstart_trace.jsonl (IGNEM_REGEN_GOLDEN=1).

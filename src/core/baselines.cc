@@ -8,9 +8,10 @@ void preload_all_inputs(NameNode& namenode,
     for (const BlockId block : namenode.file(file).blocks) {
       const BlockInfo& info = namenode.block(block);
       for (const NodeId node : info.replicas) {
-        IGNEM_CHECK_MSG(namenode.datanode(node)->lock_copy(block, info.size),
-                        "preload overflowed node " << node.value()
-                                                   << "'s cache capacity");
+        IGNEM_CHECK_MSG(
+            namenode.datanode(node)->cache().lock(block, info.size),
+            "preload overflowed node " << node.value()
+                                       << "'s cache capacity");
       }
     }
   }
@@ -29,13 +30,13 @@ void InstantMigrationService::request(const MigrationRequest& request) {
             locations[static_cast<std::size_t>(rng_.uniform_int(
                 0, static_cast<std::int64_t>(locations.size()) - 1))];
         const BlockInfo& info = namenode_.block(block);
-        if (namenode_.datanode(target)->lock_copy(block, info.size)) {
+        if (namenode_.datanode(target)->cache().lock(block, info.size)) {
           placed_[{request.job, block}] = target;
         }
       } else {
         const auto it = placed_.find({request.job, block});
         if (it == placed_.end()) continue;
-        namenode_.datanode(it->second)->release_copy(block);
+        namenode_.datanode(it->second)->cache().unlock(block);
         placed_.erase(it);
       }
     }

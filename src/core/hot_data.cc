@@ -38,7 +38,6 @@ void HotDataPromoter::promote(BlockId block, Bytes bytes) {
       datanode_.primary_device().read(bytes, [this, block, bytes] {
         page_ins_.erase(block);
         datanode_.cache().commit_reservation(block, bytes);
-        datanode_.tiers().note_promote(block, bytes);
         lru_.push_front(block);
         lru_index_[block] = lru_.begin();
         ++stats_.promotions;
@@ -52,10 +51,18 @@ bool HotDataPromoter::make_room(Bytes bytes) {
     const BlockId victim = lru_.back();
     lru_.pop_back();
     lru_index_.erase(victim);
-    datanode_.release_copy(victim);
+    datanode_.cache().unlock(victim);
     ++stats_.evictions;
   }
   return true;
+}
+
+bool HotDataPromoter::purge_block(BlockId block) {
+  if (const auto it = lru_index_.find(block); it != lru_index_.end()) {
+    lru_.erase(it->second);
+    lru_index_.erase(it);
+  }
+  return datanode_.cache().unlock(block);
 }
 
 void HotDataPromoter::reset() {

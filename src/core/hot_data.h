@@ -50,7 +50,14 @@ class HotDataPromoter : public BlockReadListener {
   /// Adds every HotDataStats field to `counters` under its report name
   /// (hotdata.*). Every node's promoter adds into the same names.
   void add_counters(std::map<std::string, std::uint64_t>& counters) const;
+  /// True when `block` is on this promoter's LRU list of promoted copies.
   bool promoted(BlockId block) const { return lru_index_.contains(block); }
+
+  /// Integrity purge of a corrupt copy: forgets `block`'s LRU entry and
+  /// drops its pool copy, so the list names only copies the pool holds. The
+  /// access count stays, so the block's next clean read promotes it again.
+  /// Returns true when a copy was dropped.
+  bool purge_block(BlockId block);
 
   /// The DataNode process failed: aborts in-flight page-ins and forgets
   /// every access count and promoted block (DataNode::fail() reclaims the

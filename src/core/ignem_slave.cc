@@ -184,7 +184,6 @@ void IgnemSlave::on_migration_complete(BlockId block, Bytes bytes) {
   IGNEM_CHECK(it != blocks_.end());
   datanode_.cache().commit_reservation(block, bytes);
   it->second.phase = Phase::kInMemory;
-  datanode_.tiers().note_promote(block, bytes);
   if (it->second.jobs.empty()) {
     // Every interested job finished or read from disk mid-migration.
     drop_block(block);
@@ -223,7 +222,7 @@ void IgnemSlave::drop_block(BlockId block) {
       queue_.erase_block(block);
       break;
     case Phase::kInMemory:
-      datanode_.release_copy(block);
+      datanode_.cache().unlock(block);
       ++stats_.evictions;
       if (trace_ != nullptr) {
         trace_->emit(TraceEventType::kEviction, datanode_.id(), block,
@@ -313,7 +312,7 @@ void IgnemSlave::purge_all() {
   }
   for (const auto& [block, state] : blocks_) {
     if (state.phase == Phase::kInMemory) {
-      datanode_.release_copy(block);
+      datanode_.cache().unlock(block);
       ++stats_.evictions;
       if (trace_ != nullptr) {
         trace_->emit(TraceEventType::kEviction, datanode_.id(), block,

@@ -38,13 +38,10 @@ Testbed::Testbed(TestbedConfig config)
                                          config_.block_size,
                                          config_.rack_count);
   namenode_->set_trace(trace_.get());
-  const std::vector<TierSpec> tiers = tier_specs();
   for (std::size_t i = 0; i < n; ++i) {
     datanodes_.push_back(std::make_unique<DataNode>(
-        sim_, NodeId(static_cast<std::int64_t>(i)), tiers,
-        rng_.fork(100 + i)));
-    datanodes_.back()->set_checksum_cost(
-        config_.integrity.checksum_cost_per_gib);
+        sim_, NodeId(static_cast<std::int64_t>(i)), primary_profile(),
+        config_.cache_capacity_per_node, rng_.fork(100 + i)));
     datanodes_.back()->set_trace(trace_.get());
     namenode_->register_datanode(datanodes_.back().get());
   }
@@ -153,11 +150,16 @@ Testbed::Testbed(TestbedConfig config)
       *namenode_, *replication_manager_, config_.replication);
   integrity_->set_trace(trace_.get());
   integrity_->set_cache_purger([this](NodeId node, BlockId block) {
-    // The slave owns its copies' references; without one the copy is
-    // dropped directly.
-    IgnemSlave* slave = ignem_slave(node);
-    if (slave != nullptr) return slave->purge_block(block);
-    return datanode(node).release_copy(block);
+    // The slave owns its copies' references and the promoter its LRU list;
+    // without either the copy is dropped directly.
+    if (IgnemSlave* slave = ignem_slave(node); slave != nullptr) {
+      return slave->purge_block(block);
+    }
+    if (HotDataPromoter* promoter = hot_data_promoter(node);
+        promoter != nullptr) {
+      return promoter->purge_block(block);
+    }
+    return datanode(node).cache().unlock(block);
   });
   integrity_->set_on_disk_corrupt([this](BlockId block, NodeId node) {
     if (master_ != nullptr) master_->on_replica_corrupt(block, node);
@@ -701,8 +703,7 @@ ConfigFingerprint Testbed::fingerprint() const {
   fp.nodes = static_cast<int>(datanodes_.size());
   fp.racks = config_.rack_count;
   fp.replication = config_.replication;
-  // The home tier's device names the primary medium.
-  fp.storage_media = media_name(tier_specs().back().profile.media);
+  fp.storage_media = media_name(primary_profile().media);
   fp.fault_tolerance = config_.fault_tolerance;
   fp.scrubber = config_.integrity.enable_scrubber;
   fp.control_plane = rpc_router_ != nullptr ? "routed" : "direct";
@@ -731,7 +732,7 @@ RunReport Testbed::build_run_report(const std::string& name) const {
   if (master_ != nullptr) master_->add_counters(counters);
   for (const auto& slave : slaves_) slave->add_counters(counters);
   for (const auto& promoter : promoters_) promoter->add_counters(counters);
-  for (const auto& dn : datanodes_) dn->tiers().add_counters(counters);
+  for (const auto& dn : datanodes_) dn->add_counters(counters);
 
   report.summary.emplace_back("jobs",
                               static_cast<double>(metrics_.jobs().size()));

@@ -41,7 +41,7 @@
 #include "obs/trace_recorder.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
-#include "storage/tier.h"
+#include "storage/device.h"
 
 namespace ignem {
 
@@ -218,13 +218,11 @@ class Testbed : public FaultTarget {
   Scrubber* scrubber() { return scrubber_.get(); }
   const TestbedConfig& config() const { return config_; }
 
-  /// The per-node tier hierarchy this run models: the paper's two-tier
-  /// stack (RAM pool over the primary device). Feeds the tier-cost summary
-  /// (tier_cost_total) in bench reports.
-  std::vector<TierSpec> tier_specs() const {
-    return two_tier_specs(
-        config_.primary_profile.value_or(profile_for(config_.storage_media)),
-        config_.cache_capacity_per_node);
+  /// Every DataNode's home device: config.primary_profile, else the
+  /// profile of config.storage_media.
+  DeviceProfile primary_profile() const {
+    return config_.primary_profile.value_or(
+        profile_for(config_.storage_media));
   }
 
   /// Allocates a fresh JobId (monotonic; submission order == id order).

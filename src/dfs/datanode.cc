@@ -21,15 +21,25 @@ auto seek(Table& table, BlockId block) {
 
 }  // namespace
 
-DataNode::DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers,
-                   Rng rng)
+DataNode::DataNode(Simulator& sim, NodeId id, const DeviceProfile& primary,
+                   Bytes pool_capacity, Rng rng)
     : sim_(sim),
       id_(id),
-      tiers_(sim, "dn" + std::to_string(id.value()), std::move(tiers), rng) {}
+      // Stream ids 2 (pool) and 1 (home) are the fork order the pinned
+      // traces were recorded with.
+      ram_(sim, "dn" + std::to_string(id.value()) + "/ram", ram_profile(),
+           rng.fork(2)),
+      primary_(sim, "dn" + std::to_string(id.value()) + "/primary", primary,
+               rng.fork(1)),
+      pool_(pool_capacity) {
+  IGNEM_CHECK_MSG(pool_capacity > 0, "the pool needs a positive capacity");
+}
 
 void DataNode::set_trace(TraceRecorder* trace) {
   trace_ = trace;
-  tiers_.set_trace(trace, id_);
+  ram_.set_trace(trace, id_);
+  primary_.set_trace(trace, id_);
+  pool_.set_trace(trace, id_);
 }
 
 void DataNode::add_block(BlockId block, Bytes size) {
@@ -85,7 +95,7 @@ void DataNode::remove_block(BlockId block) {
   // A disk read of a deleted replica can no longer finish; a read of a
   // still-promoted copy is unaffected (the migration plane owns that copy
   // and purges it).
-  abort_pending_reads(&primary_device(), block);
+  abort_pending_reads(&primary_, block);
 }
 
 void DataNode::corrupt_block(BlockId block) {
@@ -97,10 +107,6 @@ void DataNode::corrupt_block(BlockId block) {
   // Rot damages the stored data; its checksum stops matching the expected
   // one. Assigning (not XOR-ing in place) keeps a twice-corrupted copy bad.
   it->checksum = expected_checksum(block, it->size) ^ 0xDEADBEEFDEADBEEFULL;
-}
-
-void DataNode::corrupt_cached_copy(BlockId block) {
-  tiers_.pool().mark_corrupt(block);
 }
 
 std::vector<BlockId> DataNode::blocks_sorted() const {
@@ -122,9 +128,7 @@ void DataNode::report_corruption(BlockId block, bool cached,
 
 void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
   const Bytes size = block_size(block);
-  const std::size_t serving =
-      alive_ ? tiers_.serving_tier(block) : TierHierarchy::kHomeTier;
-  const bool from_memory = serving == TierHierarchy::kPoolTier;
+  const bool from_memory = alive_ && pool_.contains(block);
   if (!alive_ || (disk_failed_ && !from_memory)) {
     // The serving process (or its disk) is gone: fail on the next sim step
     // so the client can fall back to another replica.
@@ -139,49 +143,36 @@ void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
                  id_, block, job, size);
     trace_->emit(TraceEventType::kBlockReadStart, id_, block, job, size);
   }
-  tiers_.note_read(serving);
-  StorageDevice& device = tiers_.device(serving);
+  ++(from_memory ? stats_.pool_reads : stats_.home_reads);
+  StorageDevice& device = from_memory ? ram_ : primary_;
   const SimTime start = sim_.now();
   const std::uint64_t id = next_read_++;
   const TransferHandle handle = device.read(
       size, [this, id, block, job, size, start, from_memory] {
-        auto finish = [this, id, block, job, size, start, from_memory] {
-          const auto it = pending_reads_.find(id);
-          // Absent only when the node crashed while the (deferred) checksum
-          // pass was running: abort_pending_reads already failed the read.
-          if (it == pending_reads_.end()) return;
-          ReadCallback cb = std::move(it->second.callback);
-          pending_reads_.erase(it);
-          // The checksum pass over the transferred data. Judged at
-          // completion so rot injected mid-read is caught too.
-          const bool corrupt = from_memory ? tiers_.pool().is_corrupt(block)
-                                           : is_corrupt(block);
-          if (corrupt) {
-            if (trace_ != nullptr) {
-              trace_->emit(TraceEventType::kBlockReadCorrupt, id_, block, job,
-                           size, from_memory ? 1 : 0);
-            }
-            report_corruption(block, from_memory, CorruptionSource::kRead);
-            cb(BlockReadResult{sim_.now() - start, from_memory, false, true});
-            return;
-          }
-          const BlockReadResult result{sim_.now() - start, from_memory, false};
+        const auto it = pending_reads_.find(id);
+        IGNEM_CHECK(it != pending_reads_.end());
+        ReadCallback cb = std::move(it->second.callback);
+        pending_reads_.erase(it);
+        // The checksum pass over the transferred data. Judged at completion
+        // so rot injected mid-read is caught too.
+        const bool corrupt =
+            from_memory ? pool_.is_corrupt(block) : is_corrupt(block);
+        if (corrupt) {
           if (trace_ != nullptr) {
-            trace_->emit(TraceEventType::kBlockReadEnd, id_, block, job, size,
-                         from_memory ? 1 : 0);
+            trace_->emit(TraceEventType::kBlockReadCorrupt, id_, block, job,
+                         size, from_memory ? 1 : 0);
           }
-          if (listener_ != nullptr) listener_->on_block_read(id_, block, job);
-          cb(result);
-        };
-        // Zero cost (the default) runs the pass inline — no extra event, so
-        // traces are untouched; a configured cost delays delivery by the
-        // verification time, which also lands in the result's latency.
-        const Duration cost = checksum_cost(size);
-        if (cost <= Duration::zero()) {
-          finish();
-        } else {
-          sim_.schedule(cost, std::move(finish));
+          report_corruption(block, from_memory, CorruptionSource::kRead);
+          cb(BlockReadResult{sim_.now() - start, from_memory, false, true});
+          return;
         }
+        const BlockReadResult result{sim_.now() - start, from_memory, false};
+        if (trace_ != nullptr) {
+          trace_->emit(TraceEventType::kBlockReadEnd, id_, block, job, size,
+                       from_memory ? 1 : 0);
+        }
+        if (listener_ != nullptr) listener_->on_block_read(id_, block, job);
+        cb(result);
       });
   pending_reads_.emplace(
       id, PendingRead{&device, handle, block, std::move(on_complete)});
@@ -197,38 +188,27 @@ void DataNode::verify_block(BlockId block, ReadCallback on_complete) {
   }
   const SimTime start = sim_.now();
   const std::uint64_t id = next_read_++;
-  const TransferHandle handle = primary_device().read(
-      size, [this, id, block, size, start] {
-        auto finish = [this, id, block, size, start] {
-          const auto it = pending_reads_.find(id);
-          if (it == pending_reads_.end()) return;  // aborted mid-checksum
-          ReadCallback cb = std::move(it->second.callback);
-          pending_reads_.erase(it);
-          const bool corrupt = is_corrupt(block);
-          if (trace_ != nullptr) {
-            trace_->emit(TraceEventType::kScrub, id_, block, JobId::invalid(),
-                         size, corrupt ? 1 : 0);
-          }
-          if (corrupt) {
-            report_corruption(block, false, CorruptionSource::kScrub);
-          }
-          cb(BlockReadResult{sim_.now() - start, false, false, corrupt});
-        };
-        const Duration cost = checksum_cost(size);
-        if (cost <= Duration::zero()) {
-          finish();
-        } else {
-          sim_.schedule(cost, std::move(finish));
+  const TransferHandle handle =
+      primary_.read(size, [this, id, block, size, start] {
+        const auto it = pending_reads_.find(id);
+        IGNEM_CHECK(it != pending_reads_.end());
+        ReadCallback cb = std::move(it->second.callback);
+        pending_reads_.erase(it);
+        const bool corrupt = is_corrupt(block);
+        if (trace_ != nullptr) {
+          trace_->emit(TraceEventType::kScrub, id_, block, JobId::invalid(),
+                       size, corrupt ? 1 : 0);
         }
+        if (corrupt) report_corruption(block, false, CorruptionSource::kScrub);
+        cb(BlockReadResult{sim_.now() - start, false, false, corrupt});
       });
-  pending_reads_.emplace(id, PendingRead{&primary_device(), handle, block,
-                                         std::move(on_complete)});
+  pending_reads_.emplace(
+      id, PendingRead{&primary_, handle, block, std::move(on_complete)});
 }
 
 void DataNode::scrub_promoted_copy(BlockId block) {
   if (!alive_) return;
-  const BufferCache& pool = tiers_.pool();
-  if (!pool.contains(block) || !pool.is_corrupt(block)) return;
+  if (!pool_.contains(block) || !pool_.is_corrupt(block)) return;
   report_corruption(block, /*cached=*/true, CorruptionSource::kScrub);
 }
 
@@ -237,23 +217,20 @@ void DataNode::write(Bytes bytes, std::function<void()> on_complete) {
     sim_.schedule(Duration::zero(), std::move(on_complete));
     return;
   }
-  primary_device().write(bytes, std::move(on_complete));
+  primary_.write(bytes, std::move(on_complete));
 }
 
-bool DataNode::lock_copy(BlockId block, Bytes bytes) {
-  BufferCache& pool = tiers_.pool();
-  if (pool.contains(block)) return true;
-  if (!pool.lock(block, bytes)) return false;
-  tiers_.note_promote(block, bytes);
-  return true;
-}
+static_assert(sizeof(PoolStats) == 2 * sizeof(std::uint64_t),
+              "name the new PoolStats field in DataNode::add_counters");
+static_assert(sizeof(DataNodeStats) == 2 * sizeof(std::uint64_t),
+              "name the new DataNodeStats field in DataNode::add_counters");
 
-bool DataNode::release_copy(BlockId block) {
-  BufferCache& pool = tiers_.pool();
-  const Bytes bytes = pool.block_bytes(block);
-  if (!pool.unlock(block)) return false;
-  tiers_.note_demote(block, bytes);
-  return true;
+void DataNode::add_counters(
+    std::map<std::string, std::uint64_t>& counters) const {
+  counters["tier.promotes"] += pool_.stats().promotes;
+  counters["tier.demotes"] += pool_.stats().demotes;
+  counters["tier.reads.t0"] += stats_.pool_reads;
+  counters["tier.reads.t1"] += stats_.home_reads;
 }
 
 void DataNode::abort_pending_reads(const StorageDevice* device,
@@ -278,7 +255,7 @@ void DataNode::abort_pending_reads(const StorageDevice* device,
 
 void DataNode::fail() {
   alive_ = false;
-  tiers_.clear_pool();  // the OS reclaims the dead process's locked pages
+  pool_.clear();  // the OS reclaims the dead process's locked pages
   abort_pending_reads(nullptr);
 }
 
@@ -286,7 +263,7 @@ void DataNode::restart() { alive_ = true; }
 
 void DataNode::set_disk_failed(bool failed) {
   disk_failed_ = failed;
-  if (failed) abort_pending_reads(&primary_device());
+  if (failed) abort_pending_reads(&primary_);
 }
 
 }  // namespace ignem

@@ -1,17 +1,18 @@
 // DataNode: per-node block storage and the read path.
 //
-// Owns the node's storage TierHierarchy — the paper's layout, a RAM
-// locked-page pool (tier 0) over the primary device (the home tier). Reads
-// resolve through it: a promoted copy in the pool serves the block at RAM
-// speed, otherwise the primary device does. The Ignem slave (core module)
-// plugs into the DataNode via the pool/device accessors and the
-// BlockReadListener hook (used for implicit eviction, §III-B2).
+// Owns the node's two storage tiers, the paper's layout: the RAM
+// locked-page pool (tier 0, a BufferCache over the node's RAM device) and
+// the primary device (tier 1, the home tier that holds every durable
+// replica). A promoted copy in the pool serves a block at RAM speed,
+// otherwise the primary device does. The Ignem slave (core module) plugs
+// into the DataNode via the pool/device accessors and the BlockReadListener
+// hook (used for implicit eviction, §III-B2).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -20,7 +21,6 @@
 #include "sim/simulator.h"
 #include "storage/buffer_cache.h"
 #include "storage/device.h"
-#include "storage/tier_hierarchy.h"
 
 namespace ignem {
 
@@ -31,6 +31,12 @@ class BlockReadListener {
  public:
   virtual ~BlockReadListener() = default;
   virtual void on_block_read(NodeId node, BlockId block, JobId job) = 0;
+};
+
+/// Block reads per serving tier (hit rate = pool_reads / all reads).
+struct DataNodeStats {
+  std::uint64_t pool_reads = 0;  ///< Served by a promoted copy (tier 0).
+  std::uint64_t home_reads = 0;  ///< Served by the primary device (tier 1).
 };
 
 struct BlockReadResult {
@@ -55,9 +61,11 @@ class DataNode {
   using CorruptionReporter =
       std::function<void(NodeId, BlockId, bool, CorruptionSource)>;
 
-  /// `tiers` is two_tier_specs(): a RAM locked pool over the primary
-  /// device.
-  DataNode(Simulator& sim, NodeId id, std::vector<TierSpec> tiers, Rng rng);
+  /// A locked pool of `pool_capacity` bytes (positive) in RAM over a
+  /// `primary` home device. Devices are named "dnN/primary" and "dnN/ram";
+  /// their RNG streams fork 1 (home) and 2 (pool) off `rng`.
+  DataNode(Simulator& sim, NodeId id, const DeviceProfile& primary,
+           Bytes pool_capacity, Rng rng);
 
   DataNode(const DataNode&) = delete;
   DataNode& operator=(const DataNode&) = delete;
@@ -100,7 +108,7 @@ class DataNode {
   }
   /// Corrupts the promoted in-memory copy instead (the home replica stays
   /// good). Delegates to the pool, so eviction discards the mark.
-  void corrupt_cached_copy(BlockId block);
+  void corrupt_cached_copy(BlockId block) { pool_.mark_corrupt(block); }
 
   /// Stored block ids in ascending order, and the smallest id strictly
   /// greater than `cursor` (invalid when none) — the scrubber's scan
@@ -114,11 +122,6 @@ class DataNode {
   /// fires asynchronously with `failed = true` (no kBlockReadStart is
   /// emitted) so the client can retry another replica.
   void read_block(BlockId block, JobId job, ReadCallback on_complete);
-
-  /// Charges `per_gib` of latency for the checksum pass each read/verify
-  /// performs, scaled by block size. Zero (the default) keeps the pass
-  /// free and inline — the historical behavior, no extra events.
-  void set_checksum_cost(Duration per_gib) { checksum_cost_per_gib_ = per_gib; }
 
   /// Scrubber entry point: pays a full checksum read of the stored replica
   /// through the home device, emits kScrub, and reports corruption like
@@ -135,18 +138,6 @@ class DataNode {
   /// callers' completion barriers never hang.
   void write(Bytes bytes, std::function<void()> on_complete);
 
-  /// Locks a copy of `block` straight into the pool with no modelled IO
-  /// (the vmtouch preload, the instant-migration hypothetical). Returns
-  /// false, changing nothing, when it does not fit. A new copy counts as a
-  /// promote from the home tier; a copy already there is left alone and
-  /// moves nothing.
-  bool lock_copy(BlockId block, Bytes bytes);
-
-  /// Drops the pool's copy of `block` (reference list drained, LRU evict,
-  /// purge, …); the durable home replica persists. Returns true when a copy
-  /// was present.
-  bool release_copy(BlockId block);
-
   /// Process failure: all locked memory in the pool is reclaimed by the
   /// OS; stored blocks persist on disk. In-flight reads are aborted
   /// and their callbacks fired with `failed = true`. `restart()` brings
@@ -159,18 +150,21 @@ class DataNode {
   void set_disk_failed(bool failed);
   bool disk_ok() const { return alive_ && !disk_failed_; }
 
-  TierHierarchy& tiers() { return tiers_; }
-  const TierHierarchy& tiers() const { return tiers_; }
-  /// The home device and the pool (the paper's locked-page cache).
-  StorageDevice& primary_device() {
-    return tiers_.device(TierHierarchy::kHomeTier);
-  }
-  BufferCache& cache() { return tiers_.pool(); }
-  const BufferCache& cache() const { return tiers_.pool(); }
-  /// True when the pool holds a copy of `block`.
-  bool has_promoted_copy(BlockId block) const {
-    return tiers_.has_promoted_copy(block);
-  }
+  /// The home device and the pool (the paper's locked-page cache). Copies
+  /// enter and leave through the pool: lock()/reserve()+commit_reservation()
+  /// and unlock().
+  StorageDevice& primary_device() { return primary_; }
+  BufferCache& cache() { return pool_; }
+  const BufferCache& cache() const { return pool_; }
+  /// True when the pool holds a copy of `block` (reads skip the home
+  /// device).
+  bool has_promoted_copy(BlockId block) const { return pool_.contains(block); }
+
+  const DataNodeStats& stats() const { return stats_; }
+  /// Adds the pool's move counts (tier.promotes, tier.demotes) and the
+  /// reads per tier (tier.reads.t0, tier.reads.t1) to `counters`. Every
+  /// node adds into the same names.
+  void add_counters(std::map<std::string, std::uint64_t>& counters) const;
 
   void set_read_listener(BlockReadListener* listener) { listener_ = listener; }
 
@@ -182,8 +176,8 @@ class DataNode {
   void report_corruption(BlockId block, bool cached, CorruptionSource source);
 
   /// Emits kReplicaAdd, kBlockReadStart/End, and kCacheHit/Miss; also wires
-  /// the node's tier hierarchy (devices, pool, kTier* events) into the same
-  /// recorder.
+  /// both devices (silent at wiring) and the pool (emits kCacheInit now)
+  /// into the same recorder.
   void set_trace(TraceRecorder* trace);
 
  private:
@@ -196,7 +190,10 @@ class DataNode {
   Simulator& sim_;
   TraceRecorder* trace_ = nullptr;
   NodeId id_;
-  TierHierarchy tiers_;
+  StorageDevice ram_;      // behind the pool (tier 0)
+  StorageDevice primary_;  // the home tier (tier 1)
+  BufferCache pool_;
+  DataNodeStats stats_;
   // The replica table, sorted by block id: lookups and the scrub cursor are
   // binary searches. Set-up appends (block ids are handed out in increasing
   // order); repair inserts in place, so never keep a pointer across
@@ -221,13 +218,6 @@ class DataNode {
   };
   std::map<std::uint64_t, PendingRead> pending_reads_;  // ordered: determinism
   std::uint64_t next_read_ = 1;
-
-  Duration checksum_cost(Bytes size) const {
-    if (checksum_cost_per_gib_ <= Duration::zero()) return Duration::zero();
-    return checksum_cost_per_gib_ *
-           (static_cast<double>(size) / static_cast<double>(kGiB));
-  }
-  Duration checksum_cost_per_gib_ = Duration::zero();
 };
 
 }  // namespace ignem

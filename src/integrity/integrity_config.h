@@ -24,13 +24,6 @@ struct IntegrityConfig {
   /// fail a job, while a truly lost block still unblocks the sim.
   Duration read_deadline = Duration::seconds(600);
 
-  /// CPU/latency cost of verifying a block's checksum on a DataNode read,
-  /// charged per GiB verified (CRC32C streams at several GiB/s on one
-  /// core). Zero by default: the completion path then takes the exact
-  /// historical code path — no extra scheduled event — so pinned trace
-  /// hashes hold.
-  Duration checksum_cost_per_gib = Duration::zero();
-
   /// Cluster-wide scrub-read budget in bytes/sec (token bucket shared by
   /// every node's scanner). A tick whose block does not conform is skipped
   /// — the cursor stays put and the block is retried next interval — so

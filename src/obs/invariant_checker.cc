@@ -143,29 +143,62 @@ void BandwidthConservationRule::check(const TraceEvent& event,
 
 void CacheCapacityRule::check(const TraceEvent& event,
                               std::vector<InvariantViolation>& out) {
+  if (event.type == TraceEventType::kCacheInit) {
+    pools_[event.node].capacity = event.bytes;
+    return;
+  }
+  Pool& pool = pools_[event.node];
   switch (event.type) {
-    case TraceEventType::kCacheInit:
-      capacity_[event.node] = event.bytes;
-      return;
     case TraceEventType::kCacheLock:
-    case TraceEventType::kCacheUnlock:
-    case TraceEventType::kCacheReserve:
     case TraceEventType::kCacheCommit:
+      if (!pool.resident.insert(event.block).second) {
+        std::ostringstream os;
+        os << "block " << event.block << " entered node " << event.node
+           << "'s pool, which already holds a copy of it";
+        violate(event, os.str(), out);
+      }
+      // A commit turns reserved bytes into locked ones.
+      if (event.type == TraceEventType::kCacheLock) pool.used += event.bytes;
+      break;
+    case TraceEventType::kCacheUnlock:
+      if (!event.block.valid()) {  // the whole pool reclaimed
+        pool.resident.clear();
+        pool.used = 0;
+        break;
+      }
+      if (pool.resident.erase(event.block) == 0) {
+        std::ostringstream os;
+        os << "block " << event.block << " left node " << event.node
+           << "'s pool, which holds no copy of it";
+        violate(event, os.str(), out);
+      }
+      pool.used -= event.bytes;
+      break;
+    case TraceEventType::kCacheReserve:
+      pool.used += event.bytes;
+      break;
     case TraceEventType::kCacheCancel:
+      pool.used -= event.bytes;
       break;
     default:
       return;
   }
   const Bytes used = event.detail;
+  if (used != pool.used) {
+    std::ostringstream os;
+    os << "locked pool on node " << event.node << " reports " << used
+       << " bytes in use, but its events add up to " << pool.used;
+    violate(event, os.str(), out);
+    pool.used = used;  // resync, so one bad event is reported once
+  }
   if (used < 0) {
     violate(event, "locked-pool usage went negative", out);
     return;
   }
-  const auto it = capacity_.find(event.node);
-  if (it != capacity_.end() && used > it->second) {
+  if (pool.capacity.has_value() && used > *pool.capacity) {
     std::ostringstream os;
     os << "locked pool on node " << event.node << " holds " << used
-       << " bytes, over its capacity of " << it->second;
+       << " bytes, over its capacity of " << *pool.capacity;
     violate(event, os.str(), out);
   }
 }
@@ -355,103 +388,6 @@ void HotPromotionRule::check(const TraceEvent& event,
 
 // ---------------------------------------------------------------------------
 
-void TierResidencyRule::check(const TraceEvent& event,
-                              std::vector<InvariantViolation>& out) {
-  switch (event.type) {
-    case TraceEventType::kTierInit: {
-      const std::size_t tier = static_cast<std::size_t>(event.detail);
-      capacity_[{event.node, tier}] = event.bytes;
-      auto [it, inserted] = home_.try_emplace(event.node, tier);
-      if (!inserted && tier > it->second) it->second = tier;
-      return;
-    }
-    case TraceEventType::kFaultNodeCrash:
-      // The OS reclaims every pool on the node.
-      std::erase_if(residency_,
-                    [&](const auto& e) { return e.first.first == event.node; });
-      for (auto& [key, used] : occupancy_) {
-        if (key.first == event.node) used = 0;
-      }
-      return;
-    case TraceEventType::kTierPromote:
-    case TraceEventType::kTierDemote:
-      break;
-    default:
-      return;
-  }
-  if (!event.block.valid()) return;  // a byte-level move, not a copy
-  const std::size_t from = static_cast<std::size_t>(event.detail >> 8);
-  const std::size_t to = static_cast<std::size_t>(event.detail & 0xff);
-  const auto home_it = home_.find(event.node);
-  const std::size_t home =
-      home_it == home_.end() ? std::size_t{0} : home_it->second;
-  const auto key = std::make_pair(event.node, event.block);
-  const auto res = residency_.find(key);
-
-  const auto leave = [&](std::size_t tier, Bytes bytes) {
-    auto& used = occupancy_[{event.node, tier}];
-    used = used >= bytes ? used - bytes : 0;
-  };
-  const auto arrive = [&](std::size_t tier) {
-    const Bytes used = occupancy_[{event.node, tier}] += event.bytes;
-    const auto cap = capacity_.find({event.node, tier});
-    if (cap != capacity_.end() && cap->second > 0 && used > cap->second) {
-      std::ostringstream os;
-      os << "tier " << tier << " on node " << event.node << " holds " << used
-         << " bytes, over its capacity of " << cap->second;
-      violate(event, os.str(), out);
-    }
-  };
-
-  if (event.type == TraceEventType::kTierPromote) {
-    if (to >= from) {
-      violate(event, "promote does not move the copy to a faster tier", out);
-      return;
-    }
-    if (res != residency_.end() && res->second.first != from) {
-      std::ostringstream os;
-      os << "block " << event.block << " promoted from tier " << from
-         << " but its copy on node " << event.node << " lives in tier "
-         << res->second.first;
-      violate(event, os.str(), out);
-    } else if (res == residency_.end() && from != home) {
-      std::ostringstream os;
-      os << "block " << event.block << " promoted from pool tier " << from
-         << " on node " << event.node << " where it holds no copy";
-      violate(event, os.str(), out);
-    }
-    if (res != residency_.end()) leave(res->second.first, res->second.second);
-    residency_[key] = {to, event.bytes};
-    arrive(to);
-    return;
-  }
-
-  // kTierDemote.
-  if (to <= from) {
-    violate(event, "demote does not move the copy to a slower tier", out);
-    return;
-  }
-  if (res == residency_.end() || res->second.first != from) {
-    std::ostringstream os;
-    os << "block " << event.block << " demoted from tier " << from
-       << " on node " << event.node << " but its copy lives in "
-       << (res == residency_.end() ? std::string("no pool tier")
-                                   : "tier " + std::to_string(
-                                                   res->second.first));
-    violate(event, os.str(), out);
-  }
-  if (res != residency_.end()) {
-    leave(res->second.first, res->second.second);
-    residency_.erase(res);
-  }
-  if (to < home) {
-    residency_[key] = {to, event.bytes};
-    arrive(to);
-  }
-}
-
-// ---------------------------------------------------------------------------
-
 InvariantChecker::InvariantChecker(bool install_default_rules) {
   if (!install_default_rules) return;
   add_rule(std::make_unique<MonotoneTimeRule>());
@@ -466,7 +402,6 @@ InvariantChecker::InvariantChecker(bool install_default_rules) {
   add_rule(std::make_unique<HotPromotionRule>());
   add_rule(std::make_unique<NodeDownRule>());
   add_rule(std::make_unique<CorruptReadRule>());
-  add_rule(std::make_unique<TierResidencyRule>());
 }
 
 void InvariantChecker::add_rule(std::unique_ptr<InvariantRule> rule) {

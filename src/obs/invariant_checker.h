@@ -12,7 +12,9 @@
 //   BandwidthConservationRule per-stream shares never sum past a channel's
 //                             sequential capacity
 //   CacheCapacityRule         a locked-page pool never exceeds its capacity
-//                             nor goes negative
+//                             nor goes negative, holds at most one copy of
+//                             a block, and reports the occupancy its own
+//                             events add up to
 //   SingleMigrationRule       a slave pages in at most one block at a time
 //                             (the paper's anti-contention rule, §III-A1)
 //   QueueIntegrityRule        every migration dequeue/drop matches a prior
@@ -26,10 +28,6 @@
 //                             completes cleanly from it, no migration
 //                             commits it to memory, and no repair sources
 //                             from a NameNode-marked replica
-//   TierResidencyRule         a block holds at most one pool-tier copy per
-//                             node, tier moves come from the tier the copy
-//                             is resident in, and per-tier occupancy never
-//                             exceeds the kTierInit capacity
 //
 // Violations are collected, not thrown: a run can finish and report every
 // breach, and tests can assert that crafted violating streams fire the
@@ -40,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -116,6 +115,14 @@ class BandwidthConservationRule : public InvariantRule {
              std::vector<InvariantViolation>& out) override;
 };
 
+/// The locked pool, per node, from the kCache* stream alone: occupancy (each
+/// event's detail) stays within [0, the kCacheInit capacity]; a lock or
+/// commit brings in a block the pool does not hold and an unlock takes out
+/// one it does; and each detail equals the occupancy that the lock, commit,
+/// unlock, reserve and cancel events so far add up to. The aggregate unlock
+/// (invalid block) of a pool reclaimed by a process failure empties the
+/// node. A crash is not the reset point: the slave's cancel of its
+/// in-flight reservation lands between kFaultNodeCrash and that unlock.
 class CacheCapacityRule : public InvariantRule {
  public:
   const char* name() const override { return "cache_capacity"; }
@@ -123,7 +130,12 @@ class CacheCapacityRule : public InvariantRule {
              std::vector<InvariantViolation>& out) override;
 
  private:
-  std::unordered_map<NodeId, Bytes> capacity_;
+  struct Pool {
+    std::optional<Bytes> capacity;  ///< Unknown until kCacheInit.
+    Bytes used = 0;  ///< Derived occupancy, reservations included.
+    std::unordered_set<BlockId> resident;
+  };
+  std::unordered_map<NodeId, Pool> pools_;
 };
 
 class SingleMigrationRule : public InvariantRule {
@@ -189,27 +201,6 @@ class HotPromotionRule : public InvariantRule {
 
  private:
   std::map<std::pair<NodeId, BlockId>, std::int64_t> reads_;
-};
-
-/// Tier hierarchy: a block holds at most one pool-tier copy per node, every
-/// kTierPromote/kTierDemote moves the copy from the tier it is actually
-/// resident in, and per-tier occupancy derived from those moves never
-/// exceeds the capacity announced by kTierInit.
-/// Moves without a block id carry no copy and are ignored; node crashes
-/// (the OS reclaims every pool) clear state rather than count against it.
-class TierResidencyRule : public InvariantRule {
- public:
-  const char* name() const override { return "tier_residency"; }
-  void check(const TraceEvent& event,
-             std::vector<InvariantViolation>& out) override;
-
- private:
-  /// Pool tier currently holding each (node, block) copy, with its size.
-  std::map<std::pair<NodeId, BlockId>, std::pair<std::size_t, Bytes>>
-      residency_;
-  std::map<std::pair<NodeId, std::size_t>, Bytes> capacity_;
-  std::map<std::pair<NodeId, std::size_t>, Bytes> occupancy_;
-  std::map<NodeId, std::size_t> home_;  ///< Highest tier index announced.
 };
 
 class InvariantChecker : public TraceObserver {

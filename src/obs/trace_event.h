@@ -28,12 +28,20 @@ enum class TraceEventType : std::uint8_t {
   kDeviceWriteEnd,    ///< bytes = request size.
   kBandwidthChange,   ///< detail = active streams, value = per-stream rate,
                       ///< bytes = channel sequential capacity (B/s).
-  // Locked-page pool (buffer cache).
+  // Locked-page pool (buffer cache): the one record of a block copy moving
+  // into RAM (lock, commit) or out of it (unlock). kCacheInit is emitted at
+  // wiring, so an event mask set after construction keeps it.
   kCacheInit,         ///< bytes = pool capacity.
-  kCacheLock,         ///< bytes = block size, detail = pool used after.
-  kCacheUnlock,       ///< bytes = block size, detail = pool used after.
+  kCacheLock,         ///< a new copy locked without IO (preload, instant
+                      ///< migration); bytes = block size, detail = pool
+                      ///< used after.
+  kCacheUnlock,       ///< bytes = block size, detail = pool used after. An
+                      ///< invalid block marks the aggregate drop of a pool
+                      ///< reclaimed by a process failure (bytes = all it
+                      ///< held, reservations included).
   kCacheReserve,      ///< bytes = reservation, detail = pool used after.
-  kCacheCommit,       ///< bytes = block size, detail = pool used after.
+  kCacheCommit,       ///< a paged-in copy became visible; bytes = block
+                      ///< size, detail = pool used after.
   kCacheCancel,       ///< bytes = reservation, detail = pool used after.
   kCacheHit,          ///< block served from the locked pool.
   kCacheMiss,         ///< block served from the primary device.
@@ -98,16 +106,6 @@ enum class TraceEventType : std::uint8_t {
                         ///< 1 scrub, 2 migration), value = 1 if cached copy.
   kReplicaInvalidate,   ///< NameNode dropped a corrupt replica from the
                         ///< namespace; bytes = block size.
-  // Tier hierarchy (src/storage): the RAM pool (tier 0) over the home tier
-  // (tier 1). Emitted in every traced run; kTierInit at wiring, like
-  // kCacheInit, so an event mask set after construction keeps them.
-  kTierInit,            ///< one per tier at wiring (two per node); bytes =
-                        ///< capacity (0 = unbounded home tier), detail =
-                        ///< tier index.
-  kTierPromote,         ///< copy moved to a faster tier; bytes = copy size,
-                        ///< detail = (from tier << 8) | to tier.
-  kTierDemote,          ///< copy dropped to the home tier (the durable
-                        ///< replica persists); detail as kTierPromote.
   // Partition tolerance (src/net reachability + src/fault). Emitted only
   // when partition faults are injected, so fault-free hashes are unmoved.
   kPartitionStart,      ///< node/rack cut off; detail = variant (0 symmetric

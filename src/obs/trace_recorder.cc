@@ -94,9 +94,6 @@ const char* trace_event_name(TraceEventType type) {
     case TraceEventType::kBlockReadCorrupt: return "block_read_corrupt";
     case TraceEventType::kCorruptionDetected: return "corruption_detected";
     case TraceEventType::kReplicaInvalidate: return "replica_invalidate";
-    case TraceEventType::kTierInit: return "tier_init";
-    case TraceEventType::kTierPromote: return "tier_promote";
-    case TraceEventType::kTierDemote: return "tier_demote";
     case TraceEventType::kPartitionStart: return "partition_start";
     case TraceEventType::kPartitionHeal: return "partition_heal";
     case TraceEventType::kNodeSuspect: return "node_suspect";

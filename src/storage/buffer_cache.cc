@@ -38,6 +38,7 @@ bool BufferCache::lock(BlockId block, Bytes bytes) {
   corrupt_.erase(block);  // a fresh copy starts clean
   used_ += bytes;
   track_peak();
+  ++stats_.promotes;
   emit(TraceEventType::kCacheLock, block, bytes);
   return true;
 }
@@ -60,6 +61,7 @@ void BufferCache::commit_reservation(BlockId block, Bytes bytes) {
   entries_.emplace(block, bytes);
   corrupt_.erase(block);  // a fresh copy starts clean
   used_ += bytes;
+  ++stats_.promotes;
   emit(TraceEventType::kCacheCommit, block, bytes);
 }
 
@@ -77,6 +79,7 @@ bool BufferCache::unlock(BlockId block) {
   IGNEM_CHECK(used_ >= 0);
   entries_.erase(it);
   corrupt_.erase(block);
+  ++stats_.demotes;
   emit(TraceEventType::kCacheUnlock, block, bytes);
   return true;
 }

@@ -5,8 +5,14 @@
 // the node at RAM speed until explicitly unlocked. Capacity is the
 // configurable migration-memory threshold (§III-B2). There is no implicit
 // eviction — the Do-not-harm rule forbids it; callers decide what to unlock.
+//
+// The pool is the one owner of residency: it counts every copy that enters
+// (lock, commit) or leaves (unlock) on the same lines that emit the
+// kCacheLock/Commit/Unlock events, so the counts and the trace cannot
+// disagree.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,13 +24,21 @@
 
 namespace ignem {
 
+/// Copies that entered and left the pool. clear() moves no copy (the OS
+/// reclaims a dead process's locks), so it counts neither.
+struct PoolStats {
+  std::uint64_t promotes = 0;  ///< New copies locked or committed.
+  std::uint64_t demotes = 0;   ///< Copies unlocked.
+};
+
 class BufferCache {
  public:
   explicit BufferCache(Bytes capacity);
 
-  /// Locks `bytes` of a block into the pool. Returns false (no state change)
-  /// if the block would overflow capacity. Locking an already-locked block
-  /// is a no-op returning true.
+  /// Locks `bytes` of a block into the pool (the vmtouch preload, the
+  /// instant-migration hypothetical). Returns false (no state change) if the
+  /// block would overflow capacity. Locking an already-locked block is a
+  /// no-op returning true; only a new copy counts as a promote.
   bool lock(BlockId block, Bytes bytes);
 
   /// Reserves capacity for an in-flight migration without making the block
@@ -38,7 +52,8 @@ class BufferCache {
   /// Returns reserved capacity to the pool (aborted migration).
   void cancel_reservation(Bytes bytes);
 
-  /// Unlocks a block, freeing its bytes. Returns false if not present.
+  /// Unlocks a block, freeing its bytes; the durable disk replica persists.
+  /// Returns false if not present.
   bool unlock(BlockId block);
 
   /// Drops everything (slave restart: the OS reclaims the process's locks).
@@ -55,12 +70,6 @@ class BufferCache {
   std::vector<BlockId> blocks_sorted() const;
 
   bool contains(BlockId block) const { return entries_.contains(block); }
-  /// Locked size of `block`, 0 when absent (a released copy's tier event
-  /// carries its size without consulting the namespace).
-  Bytes block_bytes(BlockId block) const {
-    const auto it = entries_.find(block);
-    return it == entries_.end() ? 0 : it->second;
-  }
   Bytes used() const { return used_ + reserved_; }
   Bytes locked() const { return used_; }
   Bytes reserved() const { return reserved_; }
@@ -68,6 +77,7 @@ class BufferCache {
   Bytes available() const { return capacity_ - used_ - reserved_; }
   std::size_t block_count() const { return entries_.size(); }
   Bytes peak_used() const { return peak_used_; }
+  const PoolStats& stats() const { return stats_; }
 
   /// Emits kCacheInit now and kCacheLock/Unlock/Reserve/Commit/Cancel on
   /// every pool mutation; `node` attributes the pool to its owner.
@@ -83,6 +93,7 @@ class BufferCache {
   Bytes peak_used_ = 0;
   std::unordered_map<BlockId, Bytes> entries_;
   std::unordered_set<BlockId> corrupt_;
+  PoolStats stats_;
   TraceRecorder* trace_ = nullptr;
   NodeId trace_node_;
 };

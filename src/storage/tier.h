@@ -1,9 +1,11 @@
-// Tier specifications for a node's storage.
+// Tier specifications for pricing a node's storage.
 //
-// A node's storage is the paper's two-level layout: a bounded RAM locked
-// pool (tier 0) that holds promoted block copies, over the node's primary
-// device (tier 1), the *home* tier — the unbounded durable replica store
-// reads fall back to when no promoted copy exists.
+// A node's storage is the paper's two-level layout (see DataNode): a bounded
+// RAM locked pool (tier 0) that holds promoted block copies, over the node's
+// primary device (tier 1), the *home* tier — the unbounded durable replica
+// store reads fall back to when no promoted copy exists. These specs only
+// price that layout; the DataNode is built from its primary profile and
+// pool capacity.
 #pragma once
 
 #include <string>
@@ -26,7 +28,7 @@ struct TierSpec {
 };
 
 /// The two-level layout the paper models: a RAM pool of `cache_capacity`
-/// over the node's primary device. Every DataNode is built from this.
+/// over the node's primary device.
 std::vector<TierSpec> two_tier_specs(const DeviceProfile& primary,
                                      Bytes cache_capacity);
 

@@ -19,7 +19,7 @@ class BaselinesTest : public ::testing::Test {
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
           sim_, NodeId(static_cast<std::int64_t>(i)),
-          two_tier_specs(hdd_profile(), cache), Rng(50 + i)));
+          hdd_profile(), cache, Rng(50 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
   }

@@ -258,6 +258,18 @@ TEST(Chaos, CorruptionChaosSweepIgnem) {
   for (const ChaosResult& result : results) expect_clean(result, 12u);
 }
 
+TEST(Chaos, CorruptionChaosSweepHotData) {
+  // Integrity purges drop promoted copies behind the promoter's back unless
+  // they go through it: its LRU must list no block its pool lost.
+  constexpr std::size_t kSeeds = 8;
+  const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
+    return run_chaos(RunMode::kHotDataPromotion, i, corruption_options());
+  });
+  for (const ChaosResult& result : results) {
+    expect_clean(result, 12u, /*pools_drain=*/false);
+  }
+}
+
 TEST(Chaos, CorruptionChaosSweepHdfs) {
   constexpr std::size_t kSeeds = 6;
   const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {

@@ -35,7 +35,7 @@ class RecordingListener : public BlockReadListener {
 class DataNodeTest : public ::testing::Test {
  protected:
   DataNodeTest()
-      : node_(sim_, NodeId(0), two_tier_specs(quiet_hdd(), 1 * kGiB), Rng(1)) {}
+      : node_(sim_, NodeId(0), quiet_hdd(), 1 * kGiB, Rng(1)) {}
 
   Simulator sim_;
   DataNode node_;
@@ -144,8 +144,7 @@ TEST(DataNodeReplicaTable, MatchesOrderedMapModel) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(test::seed_for(700 + seed));
     Simulator sim;
-    DataNode node(sim, NodeId(0), two_tier_specs(quiet_hdd(), 1 * kGiB),
-                  Rng(1));
+    DataNode node(sim, NodeId(0), quiet_hdd(), 1 * kGiB, Rng(1));
     std::map<BlockId, Replica> model;
     std::int64_t last_id = -1;
     int op = 0;

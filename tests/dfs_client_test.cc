@@ -20,7 +20,7 @@ class DfsClientTest : public ::testing::Test {
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
           sim_, NodeId(static_cast<std::int64_t>(i)),
-          two_tier_specs(profile, 16 * kGiB), Rng(50 + i)));
+          profile, 16 * kGiB, Rng(50 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
     network_ = std::make_unique<Network>(sim_, nodes, NetworkProfile{});

@@ -18,7 +18,7 @@ class HotDataUnitTest : public ::testing::Test {
     DeviceProfile profile = hdd_profile();
     profile.access_jitter = 0.0;
     datanode_ = std::make_unique<DataNode>(
-        sim_, NodeId(0), two_tier_specs(profile, capacity), Rng(1));
+        sim_, NodeId(0), profile, capacity, Rng(1));
     promoter_ = std::make_unique<HotDataPromoter>(sim_, *datanode_, threshold);
   }
 
@@ -178,6 +178,53 @@ TEST(HotDataIntegration, NodeCrashMidPageInAbortsThePromotion) {
   EXPECT_TRUE(promoter.promoted(block));
   EXPECT_TRUE(datanode.cache().contains(block));
   EXPECT_EQ(promoter.stats().promotions, 1u);
+}
+
+// An integrity purge of a corrupt pool copy goes through the promoter: its
+// LRU list drops the block with the pool, and the block's next read, from
+// the clean disk replica, promotes it again.
+TEST(HotDataIntegration, CorruptCopyPurgeLeavesTheLruList) {
+  Testbed testbed(testbed_config(RunMode::kHotDataPromotion));
+  const FileId file = testbed.create_file("/hot", 64 * kMiB);
+  const BlockId block = testbed.namenode().file(file).blocks.front();
+  const NodeId node = testbed.namenode().block(block).replicas.front();
+  DataNode& datanode = testbed.datanode(node);
+  const HotDataPromoter& promoter = *testbed.hot_data_promoter(node);
+  const auto read = [&] {
+    BlockReadResult result;
+    bool done = false;
+    datanode.read_block(block, JobId(1), [&](const BlockReadResult& r) {
+      result = r;
+      done = true;
+    });
+    testbed.sim().run_until([&] { return done; });
+    return result;
+  };
+  const auto settle = [&] {
+    testbed.sim().run(testbed.sim().now() + Duration::seconds(30.0));
+  };
+
+  read();
+  read();
+  settle();
+  ASSERT_TRUE(promoter.promoted(block));
+  testbed.corrupt_cached_replica(node, block);
+  const BlockReadResult bad = read();
+  ASSERT_TRUE(bad.from_memory);
+  ASSERT_TRUE(bad.corrupt);
+  EXPECT_EQ(testbed.integrity_manager().stats().cache_copies_purged, 1u);
+  EXPECT_FALSE(datanode.cache().contains(block));
+  EXPECT_FALSE(promoter.promoted(block));
+
+  const BlockReadResult clean = read();
+  EXPECT_FALSE(clean.from_memory);
+  EXPECT_FALSE(clean.corrupt);
+  settle();
+  EXPECT_TRUE(promoter.promoted(block));
+  EXPECT_TRUE(datanode.cache().contains(block));
+  EXPECT_FALSE(datanode.cache().is_corrupt(block));
+  EXPECT_EQ(promoter.stats().promotions, 2u);
+  EXPECT_EQ(promoter.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -24,9 +24,8 @@ class IgnemSlaveTest : public ::testing::Test {
              QueueOrder policy = QueueOrder::kSmallestJobFirst) {
     DeviceProfile profile = hdd_profile();
     profile.access_jitter = 0.0;
-    datanode_ =
-        std::make_unique<DataNode>(sim_, NodeId(0),
-                                   two_tier_specs(profile, capacity), Rng(1));
+    datanode_ = std::make_unique<DataNode>(sim_, NodeId(0), profile,
+                                           capacity, Rng(1));
     config_.slave_memory_capacity = capacity;
     config_.policy = policy;
     slave_ = std::make_unique<IgnemSlave>(sim_, *datanode_, config_,

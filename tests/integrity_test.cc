@@ -433,7 +433,7 @@ TEST(WriteChecksum, FreshlyWrittenBlockVerifiesClean) {
   // flips exactly that replica, and a repair re-write is clean again.
   Simulator sim;
   DataNode dn(sim, NodeId(0),
-              two_tier_specs(profile_for(MediaType::kHdd), 1 * kGiB), Rng(7));
+              profile_for(MediaType::kHdd), 1 * kGiB, Rng(7));
   dn.add_block(BlockId(1), 64 * kMiB);
   EXPECT_FALSE(dn.is_corrupt(BlockId(1)));
   EXPECT_EQ(dn.stored_checksum(BlockId(1)),

@@ -15,9 +15,11 @@
 //     beat can readmit a node in either order at one instant, so only the
 //     sorted digest is pinned there.
 //
-// Last re-pinned when failure and rejoin handling began walking the node's
-// own replica table in block-id order, which moves repair order, and kTier*
-// events joined every traced run.
+// Re-pinned when failure and rejoin handling began walking the node's own
+// replica table in block-id order, which moves repair order. Last re-pinned
+// when the tier move events left every traced run (the pool's cache events
+// record each move), which also renumbers the event types after them; no
+// job moved.
 //
 // The constants are hard-coded and never regenerated automatically. A change
 // that moves fault-tolerant behaviour on purpose runs
@@ -89,30 +91,30 @@ struct AnchorPin {
 
 // See the file comment for how these were captured.
 constexpr AnchorPin kPins[] = {
-    {{false, 0, 0}, 16722937294381151797ull, 2655804944524574091ull},
-    {{false, 0, 1}, 12238395266776477667ull, 9602676489173039733ull},
-    {{false, 0, 2}, 4023593766908530938ull, 10526864195444630282ull},
-    {{false, 0, 3}, 3227663135045856883ull, 7112421613787103339ull},
-    {{false, 0, 4}, 6093981505361503581ull, 4612209211493371281ull},
-    {{false, 0, 5}, 9905530879025032773ull, 4669955664238943747ull},
-    {{false, 6, 0}, 7694370346563765992ull, 14187226090844938650ull},
-    {{false, 6, 1}, 3934511785287428799ull, 17480779987951373069ull},
-    {{false, 6, 2}, 12226885027865750275ull, 492018544550691509ull},
-    {{false, 6, 3}, 17989518864877845880ull, 13975838542650715768ull},
-    {{false, 6, 4}, 11801204826121479968ull, 9900720996636244864ull},
-    {{false, 6, 5}, 13691625380636110298ull, 13143015988296621788ull},
-    {{true, 0, 0}, 1010012223817807973ull, 0ull},
-    {{true, 0, 1}, 12820991009167390323ull, 0ull},
-    {{true, 0, 2}, 7015208469703542348ull, 0ull},
-    {{true, 0, 3}, 15581101263098537474ull, 0ull},
-    {{true, 0, 4}, 13824388818283798691ull, 0ull},
-    {{true, 0, 5}, 4843682955006731546ull, 0ull},
-    {{true, 6, 0}, 12169790130979979497ull, 0ull},
-    {{true, 6, 1}, 10243117961535490315ull, 0ull},
-    {{true, 6, 2}, 5112406141120573625ull, 0ull},
-    {{true, 6, 3}, 5305869213845881465ull, 0ull},
-    {{true, 6, 4}, 5181193476662529937ull, 0ull},
-    {{true, 6, 5}, 2114812344037236651ull, 0ull},
+    {{false, 0, 0}, 16452290041212503299ull, 10896462049211424917ull},
+    {{false, 0, 1}, 13209739132430504373ull, 10974988898722182839ull},
+    {{false, 0, 2}, 15598564377796376440ull, 16347744373680299370ull},
+    {{false, 0, 3}, 14516193575770363339ull, 13650860842511420053ull},
+    {{false, 0, 4}, 3563692765468244441ull, 6786097322009857433ull},
+    {{false, 0, 5}, 8774860687780815482ull, 2334543747825713472ull},
+    {{false, 6, 0}, 7064342127078581458ull, 5114838551163433528ull},
+    {{false, 6, 1}, 282655040307074088ull, 7475847630075776392ull},
+    {{false, 6, 2}, 7879151106113006100ull, 9008224015107857290ull},
+    {{false, 6, 3}, 15473995309242782851ull, 18405416766768047597ull},
+    {{false, 6, 4}, 15265614734644886511ull, 9380803315758534351ull},
+    {{false, 6, 5}, 14839260863721721764ull, 4199147448048183032ull},
+    {{true, 0, 0}, 7546107019893252331ull, 0ull},
+    {{true, 0, 1}, 9318289038562715831ull, 0ull},
+    {{true, 0, 2}, 3544681841431919775ull, 0ull},
+    {{true, 0, 3}, 4593187512885633953ull, 0ull},
+    {{true, 0, 4}, 306180829362637159ull, 0ull},
+    {{true, 0, 5}, 14616911418216885598ull, 0ull},
+    {{true, 6, 0}, 1400823480048520403ull, 0ull},
+    {{true, 6, 1}, 16146976812052564790ull, 0ull},
+    {{true, 6, 2}, 2697188100769232846ull, 0ull},
+    {{true, 6, 3}, 12561516937711527537ull, 0ull},
+    {{true, 6, 4}, 10883363910356271045ull, 0ull},
+    {{true, 6, 5}, 11652173015604003721ull, 0ull},
 };
 
 TEST(LivenessAnchor, FaultTolerantTracesMatchTwoStreamCapture) {

@@ -346,7 +346,7 @@ std::optional<std::uint64_t> report_counter(const std::string& json,
 
 // The model: every field of every *Stats struct the run's components own,
 // under its report name, summed over the components that own one (one
-// IgnemSlave, HotDataPromoter and TierHierarchy per node).
+// IgnemSlave, HotDataPromoter, DataNode and pool per node).
 std::map<std::string, std::uint64_t> stats_fields(Testbed& testbed) {
   std::map<std::string, std::uint64_t> f;
   const DfsStats& dfs = testbed.dfs().stats();
@@ -427,13 +427,12 @@ std::map<std::string, std::uint64_t> stats_fields(Testbed& testbed) {
       f["hotdata.bytes_promoted"] +=
           static_cast<std::uint64_t>(h.bytes_promoted);
     }
-    const TierHierarchy& tiers = testbed.datanode(node).tiers();
-    for (std::size_t t = 0; t < TierHierarchy::kTierCount; ++t) {
-      const std::string suffix = ".t" + std::to_string(t);
-      f["tier.reads" + suffix] += tiers.stats(t).reads;
-      f["tier.promotes_in" + suffix] += tiers.stats(t).promotes_in;
-      f["tier.demotes_in" + suffix] += tiers.stats(t).demotes_in;
-    }
+    const DataNode& datanode = testbed.datanode(node);
+    const PoolStats& pool = datanode.cache().stats();
+    f["tier.promotes"] += pool.promotes;
+    f["tier.demotes"] += pool.demotes;
+    f["tier.reads.t0"] += datanode.stats().pool_reads;
+    f["tier.reads.t1"] += datanode.stats().home_reads;
   }
   return f;
 }
@@ -449,7 +448,7 @@ void expect_report_names_every_stats_field(Testbed& testbed) {
   }
 }
 
-// Together the two runs own all nine *Stats structs: a routed,
+// Together the two runs own all ten *Stats structs: a routed,
 // fault-tolerant Ignem run with the scrubber and a node crash and rejoin,
 // and a Hot-Data-Promotion run on the iterative workload it promotes in.
 TEST(RunReportTest, ReportsEveryStatsField) {

@@ -23,7 +23,7 @@ class NameNodeTest : public ::testing::Test {
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
           sim_, NodeId(static_cast<std::int64_t>(i)),
-          two_tier_specs(hdd_profile(), 16 * kGiB), Rng(100 + i)));
+          hdd_profile(), 16 * kGiB, Rng(100 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
   }
@@ -299,7 +299,7 @@ TEST(NameNodePlacement, MatchesLinearScanModel) {
     for (std::size_t i = 0; i < shape.nodes; ++i) {
       datanodes.push_back(std::make_unique<DataNode>(
           sim, NodeId(static_cast<std::int64_t>(i)),
-          two_tier_specs(hdd_profile(), 1 * kGiB), Rng(i)));
+          hdd_profile(), 1 * kGiB, Rng(i)));
       namenode.register_datanode(datanodes.back().get());
     }
     ScanPlacementModel model{Rng(seed), {}};

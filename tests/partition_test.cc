@@ -501,7 +501,7 @@ void check_placement_spreads(int racks, std::uint64_t seed) {
   std::vector<std::unique_ptr<DataNode>> datanodes;
   for (int i = 0; i < nodes; ++i) {
     datanodes.push_back(std::make_unique<DataNode>(
-        sim, NodeId(i), two_tier_specs(hdd_profile(), 16 * kGiB),
+        sim, NodeId(i), hdd_profile(), 16 * kGiB,
         Rng(100 + static_cast<std::uint64_t>(i))));
     namenode.register_datanode(datanodes.back().get());
   }

@@ -4,17 +4,26 @@
 // reads the comparison.
 //
 //   pin_dump dump <dir>              runs each scenario; writes
-//                                    <dir>/<name>.trace (binary trace) and
+//                                    <dir>/<name>.trace (binary trace),
 //                                    <dir>/pins.txt ("<name> <pin values>")
+//                                    and <dir>/types.txt (this build's
+//                                    event-type names in enum order)
 //   pin_dump compare <old> <new>     prints, per scenario, the old and new
 //                                    pin values, the first divergence, the
-//                                    same with kTier* events dropped and
-//                                    seq ignored, and the per-job end-time
-//                                    deltas; then a summary table
+//                                    same with the events of one-sided
+//                                    types dropped and seq ignored, and the
+//                                    per-job end-time deltas; then a
+//                                    summary table
 //
-// Job end times are the kJobComplete event times. Exits non-zero only when
-// a dump cannot be written or read.
+// The two builds may number event types differently: an enum change shifts
+// every type after it. So compare maps each dump's type numbers onto this
+// build's enum through the dump's own types.txt, by name. A type only one
+// of the two dumps knows is one-sided; its events read as kCount (when
+// this build lacks it) and always count as a divergence in the full
+// comparison. Job end times are the kJobComplete event times. Exits
+// non-zero only when a dump cannot be written or read.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -22,6 +31,7 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -40,6 +50,8 @@ std::string trace_path(const std::string& dir, const std::string& name) {
   return dir + "/" + name + ".trace";
 }
 
+std::string types_path(const std::string& dir) { return dir + "/types.txt"; }
+
 int dump(const std::string& dir) {
   const std::vector<pins::Scenario> scenarios = pins::all_scenarios();
   const std::vector<std::string> lines = bench::run_indexed_sweep(
@@ -54,8 +66,13 @@ int dump(const std::string& dir) {
       });
   std::ofstream pins_out(dir + "/pins.txt", std::ios::trunc);
   for (const std::string& line : lines) pins_out << line << "\n";
-  if (!pins_out.good()) {
-    std::cerr << "pin_dump: cannot write " << dir << "/pins.txt\n";
+  std::ofstream types_out(types_path(dir), std::ios::trunc);
+  for (std::size_t t = 0; t < kTraceEventTypeCount; ++t) {
+    types_out << trace_event_name(static_cast<TraceEventType>(t)) << "\n";
+  }
+  if (!pins_out.good() || !types_out.good()) {
+    std::cerr << "pin_dump: cannot write " << dir << "/pins.txt or "
+              << types_path(dir) << "\n";
     return 1;
   }
   std::cout << "pin_dump: " << lines.size() << " scenarios -> " << dir
@@ -78,29 +95,125 @@ std::vector<std::pair<std::string, std::string>> read_pins(
   return pins;
 }
 
-std::vector<TraceEvent> read_trace(const std::string& dir,
-                                   const std::string& name) {
-  std::ifstream in(trace_path(dir, name), std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("cannot read " + trace_path(dir, name));
+/// A dump's event-type names, indexed by the type numbers its traces use.
+std::vector<std::string> read_types(const std::string& dir) {
+  std::ifstream in(types_path(dir));
+  if (!in.good()) throw std::runtime_error("cannot read " + types_path(dir));
+  std::vector<std::string> names;
+  std::string name;
+  while (std::getline(in, name)) names.push_back(name);
+  return names;
+}
+
+/// One dump's traces, read with its type numbers mapped by name onto this
+/// build's enum; a name this build lacks maps to kCount. `one_sided` names
+/// the types only one of the two dumps has (one_sided_types()).
+class DumpReader {
+ public:
+  DumpReader(std::string dir,
+             const std::map<std::string, std::string>& one_sided)
+      : dir_(std::move(dir)), names_(read_types(dir_)) {
+    std::map<std::string, TraceEventType> ours;
+    for (std::size_t t = 0; t < kTraceEventTypeCount; ++t) {
+      const auto type = static_cast<TraceEventType>(t);
+      ours.emplace(trace_event_name(type), type);
+    }
+    for (const std::string& name : names_) {
+      const auto it = ours.find(name);
+      types_.push_back(it == ours.end() ? TraceEventType::kCount : it->second);
+      if (one_sided.contains(name)) dropped_.insert(types_.back());
+    }
   }
-  return TraceRecorder::read_binary(in);
+
+  /// The scenario's whole trace, and the per-type counts of its one-sided
+  /// events (by name).
+  std::vector<TraceEvent> read(const std::string& scenario,
+                               std::map<std::string, std::size_t>& one_sided)
+      const {
+    // write_binary's layout: an 8-byte magic, the event count, then nine
+    // little-endian u64 fields per event (seq, time, type, node, block,
+    // job, bytes, detail, value).
+    const std::string path = trace_path(dir_, scenario);
+    std::ifstream in(path, std::ios::binary);
+    char magic[8];
+    in.read(magic, sizeof(magic));
+    if (!in.good() || std::string(magic, sizeof(magic)) != "IGNTRC01") {
+      throw std::runtime_error(path + " is not an ignem binary trace");
+    }
+    const auto u64 = [&] {
+      unsigned char bytes[8];
+      in.read(reinterpret_cast<char*>(bytes), sizeof(bytes));
+      if (!in.good()) throw std::runtime_error("cannot read " + path);
+      std::uint64_t v = 0;
+      for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[i];
+      return v;
+    };
+    const std::uint64_t count = u64();
+    std::vector<TraceEvent> events;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      TraceEvent event;
+      event.seq = u64();
+      event.time = SimTime(static_cast<std::int64_t>(u64()));
+      const std::uint64_t type = u64();
+      if (type >= types_.size()) {
+        throw std::runtime_error(path + ": event type " +
+                                 std::to_string(type) + " not in types.txt");
+      }
+      event.type = types_[type];
+      if (dropped_.contains(event.type)) ++one_sided[names_[type]];
+      event.node = NodeId(static_cast<std::int64_t>(u64()));
+      event.block = BlockId(static_cast<std::int64_t>(u64()));
+      event.job = JobId(static_cast<std::int64_t>(u64()));
+      event.bytes = static_cast<Bytes>(u64());
+      event.detail = static_cast<std::int64_t>(u64());
+      event.value = std::bit_cast<double>(u64());
+      events.push_back(event);
+    }
+    return events;
+  }
+
+  /// `events` (from read()) without the one-sided ones, every seq zeroed.
+  std::vector<TraceEvent> sans_one_sided(
+      const std::vector<TraceEvent>& events) const {
+    std::vector<TraceEvent> out;
+    out.reserve(events.size());
+    for (TraceEvent event : events) {
+      if (dropped_.contains(event.type)) continue;
+      event.seq = 0;
+      out.push_back(event);
+    }
+    return out;
+  }
+
+ private:
+  std::string dir_;
+  std::vector<std::string> names_;
+  std::vector<TraceEventType> types_;  ///< Dump type number -> ours.
+  std::set<TraceEventType> dropped_;   ///< Ours, for one-sided names.
+};
+
+/// Event types only one of two type tables names, each tagged with the
+/// side that has it.
+std::map<std::string, std::string> one_sided_types(
+    const std::vector<std::string>& base,
+    const std::vector<std::string>& head) {
+  const std::set<std::string> in_base(base.begin(), base.end());
+  const std::set<std::string> in_head(head.begin(), head.end());
+  std::map<std::string, std::string> sides;
+  for (const std::string& name : in_base) {
+    if (!in_head.contains(name)) sides[name] = "base only";
+  }
+  for (const std::string& name : in_head) {
+    if (!in_base.contains(name)) sides[name] = "working tree only";
+  }
+  return sides;
 }
 
-bool is_tier_event(const TraceEvent& event) {
-  return event.type == TraceEventType::kTierInit ||
-         event.type == TraceEventType::kTierPromote ||
-         event.type == TraceEventType::kTierDemote;
-}
-
-/// The trace without kTier* events, every seq zeroed.
-std::vector<TraceEvent> sans_tier_events(const std::vector<TraceEvent>& in) {
-  std::vector<TraceEvent> out;
-  out.reserve(in.size());
-  for (TraceEvent event : in) {
-    if (is_tier_event(event)) continue;
-    event.seq = 0;
-    out.push_back(event);
+std::string describe_counts(const std::map<std::string, std::size_t>& counts) {
+  if (counts.empty()) return "none";
+  std::string out;
+  for (const auto& [name, n] : counts) {
+    out += (out.empty() ? "" : ", ") + name + " " + std::to_string(n);
   }
   return out;
 }
@@ -149,12 +262,6 @@ JobDeltas job_deltas(const std::vector<TraceEvent>& before,
   return d;
 }
 
-std::size_t count_tier_events(const std::vector<TraceEvent>& events) {
-  std::size_t n = 0;
-  for (const TraceEvent& event : events) n += is_tier_event(event) ? 1 : 0;
-  return n;
-}
-
 void print_indented(const std::string& text) {
   std::istringstream lines(text);
   std::string line;
@@ -165,12 +272,16 @@ int compare(const std::string& old_dir, const std::string& new_dir) {
   const auto old_pins = read_pins(old_dir);
   std::map<std::string, std::string> new_pins;
   for (auto& [name, pin] : read_pins(new_dir)) new_pins[name] = pin;
+  const std::map<std::string, std::string> sides =
+      one_sided_types(read_types(old_dir), read_types(new_dir));
+  const DumpReader old_reader(old_dir, sides);
+  const DumpReader new_reader(new_dir, sides);
 
   struct Row {
     std::string name;
     bool pin_moved;
     bool identical;
-    bool identical_sans_tier;
+    bool identical_sans_one_sided;
     JobDeltas jobs;
   };
   std::vector<Row> rows;
@@ -182,34 +293,42 @@ int compare(const std::string& old_dir, const std::string& new_dir) {
       continue;
     }
     const std::string& new_pin = it->second;
-    const std::vector<TraceEvent> before = read_trace(old_dir, name);
-    const std::vector<TraceEvent> after = read_trace(new_dir, name);
+    std::map<std::string, std::size_t> old_one_sided;
+    std::map<std::string, std::size_t> new_one_sided;
+    const std::vector<TraceEvent> before = old_reader.read(name, old_one_sided);
+    const std::vector<TraceEvent> after = new_reader.read(name, new_one_sided);
     const TraceDiffResult diff = diff_traces(before, after);
     const TraceDiffResult sans =
-        diff_traces(sans_tier_events(before), sans_tier_events(after));
+        diff_traces(old_reader.sans_one_sided(before),
+                    new_reader.sans_one_sided(after));
     const JobDeltas jobs = job_deltas(before, after);
-    rows.push_back({name, old_pin != new_pin, diff.identical,
-                    sans.identical, jobs});
+    // An event of a one-sided type is a difference even where the mapped
+    // fields happen to agree.
+    const bool identical = diff.identical && old_one_sided.empty() &&
+                           new_one_sided.empty();
+    rows.push_back({name, old_pin != new_pin, identical, sans.identical, jobs});
 
     std::cout << "== " << name << "\n";
     std::cout << "  pin     " << old_pin << "\n"
               << "       -> " << new_pin
               << (old_pin == new_pin ? "  (unchanged)" : "") << "\n";
     std::cout << "  events  " << before.size() << " -> " << after.size()
-              << " (kTier* " << count_tier_events(before) << " -> "
-              << count_tier_events(after) << ")\n";
-    if (diff.identical) {
+              << " (one-sided: " << describe_counts(old_one_sided) << " -> "
+              << describe_counts(new_one_sided) << ")\n";
+    if (identical) {
       std::cout << "  trace   identical\n";
+    } else if (diff.identical) {
+      std::cout << "  trace   differs only by its one-sided types\n";
     } else {
       std::cout << "  trace   first divergence at event "
                 << diff.first_divergence << " (a = base, b = working tree)\n";
       print_indented(diff.description);
     }
     if (sans.identical) {
-      std::cout << "  sans kTier*, seq ignored: identical\n";
+      std::cout << "  sans one-sided types, seq ignored: identical\n";
     } else {
-      std::cout << "  sans kTier*, seq ignored: first divergence at event "
-                << sans.first_divergence << "\n";
+      std::cout << "  sans one-sided types, seq ignored: first divergence at "
+                << "event " << sans.first_divergence << "\n";
       print_indented(sans.description);
     }
     std::cout << "  jobs    " << jobs.jobs << " completed in both";
@@ -228,16 +347,22 @@ int compare(const std::string& old_dir, const std::string& new_dir) {
   }
 
   std::cout << "Summary (a = base, b = working tree; |d end| in seconds)\n";
+  std::cout << "One-sided types, dropped from the \"sans 1-sided\" column: ";
+  std::string dropped;
+  for (const auto& [name, side] : sides) {
+    dropped += (dropped.empty() ? "" : ", ") + name + " (" + side + ")";
+  }
+  std::cout << (dropped.empty() ? "none" : dropped) << "\n";
   std::cout << std::left << std::setw(34) << "scenario" << std::setw(7)
-            << "pin" << std::setw(11) << "trace" << std::setw(13)
-            << "sans kTier*" << std::setw(7) << "jobs" << std::setw(7)
+            << "pin" << std::setw(11) << "trace" << std::setw(14)
+            << "sans 1-sided" << std::setw(7) << "jobs" << std::setw(7)
             << "moved" << std::setw(12) << "max |d|"
             << "mean |d|\n";
   for (const Row& row : rows) {
     std::cout << std::setw(34) << row.name << std::setw(7)
               << (row.pin_moved ? "moved" : "same") << std::setw(11)
-              << (row.identical ? "identical" : "differs") << std::setw(13)
-              << (row.identical_sans_tier ? "identical" : "differs")
+              << (row.identical ? "identical" : "differs") << std::setw(14)
+              << (row.identical_sans_one_sided ? "identical" : "differs")
               << std::setw(7) << row.jobs.jobs << std::setw(7)
               << row.jobs.moved << std::setw(12) << row.jobs.max_abs_s
               << row.jobs.mean_abs_s << "\n";

@@ -82,7 +82,7 @@ std::unique_ptr<Testbed> run_quickstart() {
   // Coarse mask: control-plane and migration events only. Device-level and
   // bandwidth events are covered by trace_hash determinism tests; leaving
   // them out keeps the checked-in file reviewable. Events emitted while the
-  // Testbed is wired (kCacheInit, kTierInit) precede the mask and stay.
+  // Testbed is wired (one kCacheInit per node) precede the mask and stay.
   testbed->trace()->enable_only({
       TraceEventType::kFileCreate,
       TraceEventType::kReplicaAdd,

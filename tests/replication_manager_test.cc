@@ -25,7 +25,7 @@ class ReplicationManagerTest : public ::testing::Test {
     for (std::size_t i = 0; i < nodes; ++i) {
       datanodes_.push_back(std::make_unique<DataNode>(
           sim_, NodeId(static_cast<std::int64_t>(i)),
-          two_tier_specs(profile, 16 * kGiB), Rng(50 + i)));
+          profile, 16 * kGiB, Rng(50 + i)));
       namenode_->register_datanode(datanodes_.back().get());
     }
     network_ = std::make_unique<Network>(sim_, nodes, NetworkProfile{});
@@ -317,7 +317,7 @@ TEST(ReplicationManager, NodeWalkMatchesNamespaceScanModel) {
     for (std::size_t i = 0; i < shape.nodes; ++i) {
       datanodes.push_back(std::make_unique<DataNode>(
           sim, NodeId(static_cast<std::int64_t>(i)),
-          two_tier_specs(hdd_profile(), 16 * kGiB), Rng(seed + i)));
+          hdd_profile(), 16 * kGiB, Rng(seed + i)));
       namenode.register_datanode(datanodes.back().get());
     }
     Network network(sim, shape.nodes, NetworkProfile{}, shape.racks);
@@ -419,7 +419,7 @@ TEST(ReplicationManager, NodeWalkMatchesNamespaceScanModel) {
         const BlockId block = random_block();
         for (const NodeId holder : namenode.block(block).replicas) {
           if (events.bernoulli(0.7)) {
-            datanodes[static_cast<std::size_t>(holder.value())]->lock_copy(
+            datanodes[static_cast<std::size_t>(holder.value())]->cache().lock(
                 block, namenode.block(block).size);
           }
         }

@@ -1,6 +1,6 @@
-// Two-tier storage: TierHierarchy layout and accounting, the
-// TierResidencyRule on crafted event streams, and the tier events and pool
-// counters of testbed runs.
+// Two-tier storage: the DataNode's pool over its home device, the pool's
+// own move counts, the CacheCapacityRule's residency checks on crafted
+// event streams, and the pool events and counters of testbed runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 #include "obs/invariant_checker.h"
 #include "obs/trace_recorder.h"
 #include "sim/simulator.h"
-#include "storage/tier_hierarchy.h"
+#include "storage/tier.h"
 #include "test_util.h"
 #include "workload/standalone.h"
 #include "workload/swim.h"
@@ -24,55 +24,79 @@ namespace ignem {
 namespace {
 
 // ---------------------------------------------------------------------------
-// TierHierarchy: layout and residency accounting.
+// The layout: a RAM pool over the primary device, and what each counts.
 
-TEST(TierHierarchyTest, TwoTierSpecsMirrorTheLegacyLayout) {
+TEST(TierSpecTest, TwoTierSpecsMirrorTheDataNodeLayout) {
   const auto specs = two_tier_specs(hdd_profile(), 16 * kGiB);
   ASSERT_EQ(specs.size(), 2u);
   EXPECT_EQ(specs[0].name, "ram");
   EXPECT_EQ(specs[0].capacity, 16 * kGiB);
   EXPECT_EQ(specs[1].name, "primary");
   EXPECT_EQ(specs[1].capacity, 0u);  // home: unbounded
+
+  Simulator sim;
+  DataNode node(sim, NodeId(3), hdd_profile(), 16 * kGiB, Rng(1));
+  EXPECT_EQ(node.primary_device().name(), "dn3/" + specs[1].name);
+  EXPECT_EQ(node.primary_device().media(), specs[1].profile.media);
+  EXPECT_EQ(node.cache().capacity(), specs[0].capacity);
 }
 
-TEST(TierHierarchyTest, ServingTierPrefersTheFastestCopy) {
+TEST(DataNodeTiers, ServingTierPrefersThePoolCopy) {
   Simulator sim;
-  TierHierarchy tiers(sim, "n0", two_tier_specs(hdd_profile(), 1 * kGiB),
-                      Rng(1));
+  DataNode node(sim, NodeId(0), hdd_profile(), 1 * kGiB, Rng(1));
   const BlockId block(5);
-  EXPECT_EQ(tiers.serving_tier(block), TierHierarchy::kHomeTier);
-  EXPECT_FALSE(tiers.has_promoted_copy(block));
+  node.add_block(block, 64 * kMiB);
+  const auto read = [&] {
+    BlockReadResult result;
+    node.read_block(block, JobId(1),
+                    [&](const BlockReadResult& r) { result = r; });
+    sim.run();
+    return result;
+  };
 
-  ASSERT_TRUE(tiers.pool().lock(block, 64 * kMiB));
-  EXPECT_EQ(tiers.serving_tier(block), TierHierarchy::kPoolTier);
-  EXPECT_TRUE(tiers.has_promoted_copy(block));
+  EXPECT_FALSE(node.has_promoted_copy(block));
+  EXPECT_FALSE(read().from_memory);
+  ASSERT_TRUE(node.cache().lock(block, 64 * kMiB));
+  EXPECT_TRUE(node.has_promoted_copy(block));
+  EXPECT_TRUE(read().from_memory);
+  EXPECT_EQ(node.stats().pool_reads, 1u);
+  EXPECT_EQ(node.stats().home_reads, 1u);
 }
 
-TEST(TierHierarchyTest, CountersKeepTheResidencyBalance) {
+TEST(PoolCounters, KeepTheResidencyBalance) {
   Simulator sim;
-  TierHierarchy tiers(sim, "n0", two_tier_specs(hdd_profile(), 1 * kGiB),
-                      Rng(1));
-  tiers.note_promote(BlockId(1), 64 * kMiB);
-  tiers.note_promote(BlockId(2), 64 * kMiB);
-  tiers.note_demote(BlockId(1), 64 * kMiB);
+  DataNode node(sim, NodeId(0), hdd_profile(), 1 * kGiB, Rng(1));
+  BufferCache& pool = node.cache();
+  ASSERT_TRUE(pool.lock(BlockId(1), 64 * kMiB));
+  ASSERT_TRUE(pool.lock(BlockId(1), 64 * kMiB));  // already there: no move
+  ASSERT_TRUE(pool.reserve(64 * kMiB));
+  pool.commit_reservation(BlockId(2), 64 * kMiB);
+  ASSERT_TRUE(pool.reserve(64 * kMiB));
+  pool.cancel_reservation(64 * kMiB);  // an aborted page-in moves nothing
+  ASSERT_TRUE(pool.unlock(BlockId(1)));
+  EXPECT_FALSE(pool.unlock(BlockId(9)));  // never held: no move
 
-  EXPECT_EQ(tiers.promotes_from_home(), 2u);
-  EXPECT_EQ(tiers.drops_to_home(), 1u);
+  EXPECT_EQ(pool.stats().promotes, 2u);
+  EXPECT_EQ(pool.stats().demotes, 1u);
   // The invariant the 20-seed property sweep leans on: copies still
-  // resident in the pool == promotes from home - drops back to home.
-  EXPECT_EQ(tiers.promotes_from_home() - tiers.drops_to_home(), 1u);
-  EXPECT_EQ(tiers.stats(TierHierarchy::kPoolTier).promotes_in, 2u);
+  // resident in the pool == promotes - demotes.
+  EXPECT_EQ(pool.stats().promotes - pool.stats().demotes, pool.block_count());
 
-  // Every promote is from home and every demote a drop to home, so the
-  // report's move totals equal their from-home/to-home counterparts.
+  // One report name per fact.
   std::map<std::string, std::uint64_t> counters;
-  tiers.add_counters(counters);
-  EXPECT_EQ(counters.at("tier.promotes"), 2u);
-  EXPECT_EQ(counters.at("tier.promotes_from_home"), 2u);
-  EXPECT_EQ(counters.at("tier.demotes"), 1u);
-  EXPECT_EQ(counters.at("tier.drops_to_home"), 1u);
-  EXPECT_EQ(counters.at("tier.promotes_in.t0"), 2u);
-  EXPECT_EQ(counters.at("tier.demotes_in.t1"), 0u);
+  node.add_counters(counters);
+  const std::map<std::string, std::uint64_t> expected{
+      {"tier.promotes", 2u},
+      {"tier.demotes", 1u},
+      {"tier.reads.t0", 0u},
+      {"tier.reads.t1", 0u}};
+  EXPECT_EQ(counters, expected);
+
+  // A process failure reclaims the pool without moving a copy.
+  node.fail();
+  EXPECT_EQ(pool.block_count(), 0u);
+  EXPECT_EQ(pool.stats().promotes, 2u);
+  EXPECT_EQ(pool.stats().demotes, 1u);
 }
 
 // tier_cost_total sums capacity x $/GiB over a node's tiers. The suite
@@ -92,122 +116,133 @@ TEST(CsvExport, TierCostEmptyHierarchy) {
   EXPECT_DOUBLE_EQ(tier_cost_total({}), 0.0);
 }
 
-TEST(TierHierarchyTest, RejectsMalformedStacks) {
+// The pool needs a bound to evict against; the two-tier shape itself is
+// the constructor's signature.
+TEST(DataNodeTiers, RejectsAPoolWithoutCapacity) {
   Simulator sim;
-  const TierSpec pool{"ram", ram_profile(), 1 * kGiB, 10.0};
-  const TierSpec home{"primary", hdd_profile(), 0, 0.05};
-  // A single tier is not a hierarchy, and a third tier is not the paper's.
-  EXPECT_THROW(TierHierarchy(sim, "n0", {home}, Rng(1)), CheckFailure);
-  EXPECT_THROW(TierHierarchy(sim, "n0", {pool, pool, home}, Rng(1)),
-               CheckFailure);
-  // The pool needs a bound to evict against.
-  TierSpec unbounded_pool = pool;
-  unbounded_pool.capacity = 0;
-  EXPECT_THROW(TierHierarchy(sim, "n0", {unbounded_pool, home}, Rng(1)),
-               CheckFailure);
-  // The home tier is the unbounded durable store.
-  TierSpec bounded_home = home;
-  bounded_home.capacity = 1 * kGiB;
-  EXPECT_THROW(TierHierarchy(sim, "n0", {pool, bounded_home}, Rng(1)),
+  EXPECT_THROW(DataNode(sim, NodeId(0), hdd_profile(), 0, Rng(1)),
                CheckFailure);
 }
 
 // ---------------------------------------------------------------------------
-// TierResidencyRule on crafted event streams.
+// CacheCapacityRule on crafted event streams: one copy per block per node,
+// and each event's detail equals the occupancy the stream adds up to.
 
 struct RuleHarness {
   TraceRecorder trace;
   InvariantChecker checker{/*install_default_rules=*/false};
 
   RuleHarness() {
-    checker.add_rule(std::make_unique<TierResidencyRule>());
+    checker.add_rule(std::make_unique<CacheCapacityRule>());
     trace.add_observer(&checker);
   }
 
-  void init(NodeId node, const std::vector<Bytes>& capacities) {
-    for (std::size_t t = 0; t < capacities.size(); ++t) {
-      trace.emit(TraceEventType::kTierInit, node, BlockId::invalid(),
-                 JobId::invalid(), capacities[t],
-                 static_cast<std::int64_t>(t));
-    }
+  void init(NodeId node, Bytes capacity) {
+    trace.emit(TraceEventType::kCacheInit, node, BlockId::invalid(),
+               JobId::invalid(), capacity);
   }
-  void promote(NodeId node, BlockId block, Bytes bytes, std::size_t from,
-               std::size_t to) {
-    trace.emit(TraceEventType::kTierPromote, node, block, JobId::invalid(),
-               bytes, static_cast<std::int64_t>((from << 8) | to));
+  /// One pool event; `used` is the occupancy the pool reports after it.
+  void pool(TraceEventType type, NodeId node, BlockId block, Bytes bytes,
+            Bytes used) {
+    trace.emit(type, node, block, JobId::invalid(), bytes, used);
   }
-  void demote(NodeId node, BlockId block, Bytes bytes, std::size_t from,
-              std::size_t to) {
-    trace.emit(TraceEventType::kTierDemote, node, block, JobId::invalid(),
-               bytes, static_cast<std::int64_t>((from << 8) | to));
-  }
+  std::size_t violations() const { return checker.violations().size(); }
 };
 
-TEST(TierResidencyRuleTest, AcceptsAWellFormedLifecycle) {
+TEST(CacheCapacityRuleTest, AcceptsAWellFormedLifecycle) {
   RuleHarness h;
   const NodeId node(0);
-  h.init(node, {100, 200, 0});  // tier 2 = home
-  h.promote(node, BlockId(1), 64, 2, 0);
-  h.demote(node, BlockId(1), 64, 0, 1);
-  h.promote(node, BlockId(1), 64, 1, 0);  // re-promoted from the victim tier
-  h.demote(node, BlockId(1), 64, 0, 2);   // dropped to home
+  h.init(node, 1000);
+  h.pool(TraceEventType::kCacheReserve, node, BlockId::invalid(), 64, 64);
+  h.pool(TraceEventType::kCacheCommit, node, BlockId(1), 64, 64);
+  h.pool(TraceEventType::kCacheLock, node, BlockId(2), 100, 164);
+  h.pool(TraceEventType::kCacheUnlock, node, BlockId(1), 64, 100);
+  h.pool(TraceEventType::kCacheReserve, node, BlockId::invalid(), 64, 164);
+  h.pool(TraceEventType::kCacheCancel, node, BlockId::invalid(), 64, 100);
+  h.pool(TraceEventType::kCacheUnlock, node, BlockId(2), 100, 0);
+  h.pool(TraceEventType::kCacheLock, node, BlockId(1), 64, 64);  // re-entry
   EXPECT_TRUE(h.checker.ok()) << h.checker.report();
 }
 
-TEST(TierResidencyRuleTest, FlagsASecondCopyOfAResidentBlock) {
+TEST(CacheCapacityRuleTest, FlagsASecondCopyOfAResidentBlock) {
   RuleHarness h;
   const NodeId node(0);
-  h.init(node, {100, 200, 0});
-  h.promote(node, BlockId(1), 64, 2, 0);
-  // The copy already lives in tier 0; promoting "from home" again claims a
-  // second pool copy on the same node.
-  h.promote(node, BlockId(1), 64, 2, 0);
-  ASSERT_FALSE(h.checker.ok());
-  EXPECT_EQ(h.checker.violations()[0].rule, "tier_residency");
+  h.init(node, 1000);
+  h.pool(TraceEventType::kCacheLock, node, BlockId(1), 64, 64);
+  h.pool(TraceEventType::kCacheLock, node, BlockId(1), 64, 128);
+  ASSERT_EQ(h.violations(), 1u) << h.checker.report();
+  EXPECT_EQ(h.checker.violations()[0].rule, "cache_capacity");
+  EXPECT_NE(h.checker.violations()[0].message.find("already holds"),
+            std::string::npos);
+
+  h.pool(TraceEventType::kCacheReserve, node, BlockId::invalid(), 64, 192);
+  h.pool(TraceEventType::kCacheCommit, node, BlockId(1), 64, 192);
+  ASSERT_EQ(h.violations(), 2u) << h.checker.report();
+  EXPECT_EQ(h.checker.violations()[1].type, TraceEventType::kCacheCommit);
 }
 
-TEST(TierResidencyRuleTest, FlagsADemoteFromTheWrongTier) {
+TEST(CacheCapacityRuleTest, FlagsAnUnlockOfABlockThePoolNeverHeld) {
   RuleHarness h;
   const NodeId node(0);
-  h.init(node, {100, 200, 0});
-  h.demote(node, BlockId(1), 64, 0, 1);  // no copy was ever promoted
-  ASSERT_FALSE(h.checker.ok());
-  EXPECT_EQ(h.checker.violations()[0].rule, "tier_residency");
+  h.init(node, 1000);
+  h.pool(TraceEventType::kCacheLock, node, BlockId(1), 64, 64);
+  h.pool(TraceEventType::kCacheUnlock, node, BlockId(2), 64, 0);
+  ASSERT_EQ(h.violations(), 1u) << h.checker.report();
+  EXPECT_EQ(h.checker.violations()[0].rule, "cache_capacity");
+  EXPECT_NE(h.checker.violations()[0].message.find("holds no copy"),
+            std::string::npos);
 }
 
-TEST(TierResidencyRuleTest, FlagsOccupancyOverTheAnnouncedCapacity) {
+TEST(CacheCapacityRuleTest, FlagsOccupancyOverTheAnnouncedCapacity) {
   RuleHarness h;
   const NodeId node(0);
-  h.init(node, {100, 0});  // tier 1 = home
-  h.promote(node, BlockId(1), 60, 1, 0);
-  h.promote(node, BlockId(2), 60, 1, 0);  // 120 bytes in a 100-byte tier
-  ASSERT_FALSE(h.checker.ok());
+  h.init(node, 100);
+  h.pool(TraceEventType::kCacheLock, node, BlockId(1), 60, 60);
+  EXPECT_TRUE(h.checker.ok()) << h.checker.report();
+  h.pool(TraceEventType::kCacheLock, node, BlockId(2), 60, 120);  // 120 > 100
+  ASSERT_EQ(h.violations(), 1u) << h.checker.report();
+  EXPECT_EQ(h.checker.violations()[0].rule, "cache_capacity");
   EXPECT_NE(h.checker.violations()[0].message.find("capacity"),
             std::string::npos);
 }
 
-TEST(TierResidencyRuleTest, NodeCrashReclaimsEveryPool) {
+TEST(CacheCapacityRuleTest, FlagsADetailThatDisagreesWithTheDerivedOccupancy) {
   RuleHarness h;
   const NodeId node(0);
-  h.init(node, {100, 200, 0});
-  h.promote(node, BlockId(1), 64, 2, 0);
-  h.trace.emit(TraceEventType::kFaultNodeCrash, node);
-  // After the crash the pools are empty: a fresh promotion of the same
-  // block is legal, not a double residency.
-  h.promote(node, BlockId(1), 64, 2, 0);
-  EXPECT_TRUE(h.checker.ok()) << h.checker.report();
+  h.init(node, 1000);
+  h.pool(TraceEventType::kCacheLock, node, BlockId(1), 64, 64);
+  h.pool(TraceEventType::kCacheReserve, node, BlockId::invalid(), 64, 64);
+  ASSERT_EQ(h.violations(), 1u) << h.checker.report();
+  EXPECT_NE(h.checker.violations()[0].message.find("add up to 128"),
+            std::string::npos);
+  // The rule resyncs to the reported occupancy: one bad event, one report.
+  h.pool(TraceEventType::kCacheCancel, node, BlockId::invalid(), 64, 0);
+  EXPECT_EQ(h.violations(), 1u) << h.checker.report();
 }
 
-TEST(TierResidencyRuleTest, IgnoresByteLevelWriteDrains) {
+TEST(CacheCapacityRuleTest, AggregateUnlockClearsTheNode) {
   RuleHarness h;
-  const NodeId node(0);
-  h.init(node, {100, 0});
-  h.demote(node, BlockId::invalid(), 64, 0, 1);  // write-buffer drain
+  const NodeId crashed(0);
+  const NodeId other(1);
+  h.init(crashed, 1000);
+  h.init(other, 1000);
+  h.pool(TraceEventType::kCacheLock, other, BlockId(1), 64, 64);
+  h.pool(TraceEventType::kCacheLock, crashed, BlockId(1), 64, 64);
+  h.pool(TraceEventType::kCacheReserve, crashed, BlockId::invalid(), 64, 128);
+  // Testbed::fail_node's order: the crash, the slave cancelling its
+  // in-flight reservation, then the pool reclaimed as one aggregate unlock.
+  h.trace.emit(TraceEventType::kFaultNodeCrash, crashed);
+  h.pool(TraceEventType::kCacheCancel, crashed, BlockId::invalid(), 64, 64);
+  h.pool(TraceEventType::kCacheUnlock, crashed, BlockId::invalid(), 64, 0);
+  // The pool is empty again: a fresh copy of the same block is legal.
+  h.pool(TraceEventType::kCacheLock, crashed, BlockId(1), 64, 64);
+  // The other node's pool kept its copy.
+  h.pool(TraceEventType::kCacheUnlock, other, BlockId(1), 64, 0);
   EXPECT_TRUE(h.checker.ok()) << h.checker.report();
 }
 
 // ---------------------------------------------------------------------------
-// End to end: testbed runs emit tier events and count every pool move.
+// End to end: testbed runs record and count every pool move once.
 
 SwimConfig small_swim(std::uint64_t seed) {
   SwimConfig config;
@@ -219,9 +254,10 @@ SwimConfig small_swim(std::uint64_t seed) {
   return config;
 }
 
-// Tier events join every traced run: one kTierInit per tier per node at
-// wiring, one kTierPromote per copy entering the pool, and the
-// TierResidencyRule checks them.
+// The pool's own events are the tier moves' one record: one kCacheInit per
+// node at wiring, one kCacheLock or kCacheCommit per copy entering the
+// pool and one kCacheUnlock per copy leaving it, each matching the pool's
+// move counts, with the CacheCapacityRule checking them.
 TEST(TieredTestbedTest, TwoTierRunEmitsTierEvents) {
   TestbedConfig config;
   config.mode = RunMode::kIgnem;
@@ -235,26 +271,32 @@ TEST(TieredTestbedTest, TwoTierRunEmitsTierEvents) {
   testbed.run_workload(
       build_swim_workload(testbed, small_swim(test::seed_for(43))));
 
-  std::map<std::pair<std::int64_t, std::int64_t>, int> inits;
-  std::uint64_t promotes = 0;
+  std::map<std::int64_t, int> inits;
+  std::uint64_t entries = 0;
+  std::uint64_t exits = 0;
   for (const TraceEvent& event : testbed.trace()->events()) {
-    if (event.type == TraceEventType::kTierInit) {
-      ++inits[{event.node.value(), event.detail}];
-    } else if (event.type == TraceEventType::kTierPromote) {
-      ++promotes;
+    switch (event.type) {
+      case TraceEventType::kCacheInit:
+        ++inits[event.node.value()];
+        break;
+      case TraceEventType::kCacheLock:
+      case TraceEventType::kCacheCommit:
+        ++entries;
+        break;
+      case TraceEventType::kCacheUnlock:
+        if (event.block.valid()) ++exits;
+        break;
+      default:
+        break;
     }
   }
-  std::map<std::pair<std::int64_t, std::int64_t>, int> expected;
-  for (std::int64_t node = 0; node < 4; ++node) {
-    for (std::int64_t tier = 0; tier < 2; ++tier) expected[{node, tier}] = 1;
-  }
-  EXPECT_EQ(inits, expected);
+  EXPECT_EQ(inits, (std::map<std::int64_t, int>{{0, 1}, {1, 1}, {2, 1},
+                                                {3, 1}}));
 
-  const std::uint64_t promotes_from_home =
-      testbed.build_run_report("two-tier").counters.at(
-          "tier.promotes_from_home");
-  EXPECT_GT(promotes_from_home, 0u);
-  EXPECT_EQ(promotes, promotes_from_home);
+  const auto counters = testbed.build_run_report("two-tier").counters;
+  EXPECT_GT(counters.at("tier.promotes"), 0u);
+  EXPECT_EQ(entries, counters.at("tier.promotes"));
+  EXPECT_EQ(exits, counters.at("tier.demotes"));
   ASSERT_NE(testbed.invariant_checker(), nullptr);
   EXPECT_TRUE(testbed.invariant_checker()->ok())
       << testbed.invariant_checker()->report();
@@ -275,11 +317,10 @@ std::vector<ScheduledJob> iterative_passes(Testbed& testbed) {
   return jobs;
 }
 
-// Every path that puts a copy into the pool or takes one out counts it:
-// the Ignem slave, the hot-data promoter (promote and LRU evict), the
-// vmtouch preload and the instant-migration hypothetical. So after a
-// fault-free run the pools hold exactly promotes_from_home - drops_to_home
-// copies.
+// Every path that puts a copy into the pool or takes one out is counted by
+// the pool: the Ignem slave, the hot-data promoter (promote and LRU
+// evict), the vmtouch preload and the instant-migration hypothetical. So
+// after a fault-free run the pools hold exactly promotes - demotes copies.
 TEST(TierCounters, CountEveryPoolEntryAndExit) {
   // The second hot-data run's 256 MiB pools hold four blocks, so the
   // promoter evicts to make room.
@@ -310,19 +351,23 @@ TEST(TierCounters, CountEveryPoolEntryAndExit) {
     }
 
     std::uint64_t resident = 0;
-    std::uint64_t from_home = 0;
-    std::uint64_t drops = 0;
+    std::uint64_t promotes = 0;
+    std::uint64_t demotes = 0;
     for (std::size_t n = 0; n < config.cluster.node_count; ++n) {
-      const TierHierarchy& tiers =
-          testbed.datanode(NodeId(static_cast<std::int64_t>(n))).tiers();
-      resident += tiers.pool().block_count();
-      from_home += tiers.promotes_from_home();
-      drops += tiers.drops_to_home();
+      const BufferCache& pool =
+          testbed.datanode(NodeId(static_cast<std::int64_t>(n))).cache();
+      resident += pool.block_count();
+      promotes += pool.stats().promotes;
+      demotes += pool.stats().demotes;
     }
-    EXPECT_GT(from_home, 0u);
-    EXPECT_LE(drops, from_home);
-    EXPECT_EQ(resident, from_home - drops)
-        << "promotes_from_home " << from_home << ", drops_to_home " << drops;
+    EXPECT_GT(promotes, 0u);
+    EXPECT_LE(demotes, promotes);
+    EXPECT_EQ(resident, promotes - demotes)
+        << "promotes " << promotes << ", demotes " << demotes;
+    // The report carries the same totals under one name each.
+    const auto counters = testbed.build_run_report("moves").counters;
+    EXPECT_EQ(counters.at("tier.promotes"), promotes);
+    EXPECT_EQ(counters.at("tier.demotes"), demotes);
   }
 }
 
