@@ -32,7 +32,6 @@ TestbedConfig control_testbed() {
   config.rack_count = kRackCount;
   config.detector.suspicion_grace = Duration::seconds(2.0);
   config.replication_rate_limit = mib_per_sec(64);
-  config.replication_burst = 128 * kMiB;
   config.routed_control_plane = true;
   // The sever gate cross-checks the counter against kTransferSevered trace
   // events, so the recorder must be live.

@@ -34,7 +34,6 @@ TestbedConfig storm_testbed(bool throttled) {
   config.detector.suspicion_grace = Duration::seconds(2.0);
   if (throttled) {
     config.replication_rate_limit = mib_per_sec(64);
-    config.replication_burst = 128 * kMiB;
   }
   return config;
 }

@@ -22,16 +22,9 @@ class Histogram {
   double bin_lo(std::size_t i) const;
   double bin_hi(std::size_t i) const;
 
-  /// Fraction of samples in bin i (0 when empty histogram).
-  double frequency(std::size_t i) const;
-
   /// Multi-line bar rendering; `label` heads the block, `unit` suffixes bins.
   std::string render(const std::string& label, const std::string& unit,
                      std::size_t bar_width = 50) const;
-
-  /// Adds another histogram's samples into this one. Both must share the
-  /// exact geometry (lo, hi, bin count) — checked.
-  void merge(const Histogram& other);
 
  private:
   double lo_;
@@ -54,14 +47,9 @@ class LogHistogram {
   std::size_t count_in_bin(std::size_t i) const { return counts_.at(i); }
   double bin_lo(std::size_t i) const;
   double bin_hi(std::size_t i) const;
-  double frequency(std::size_t i) const;
 
   std::string render(const std::string& label, const std::string& unit,
                      std::size_t bar_width = 50) const;
-
-  /// Adds another histogram's samples into this one. Both must share the
-  /// exact geometry (lo, base, bin count) — checked.
-  void merge(const LogHistogram& other);
 
  private:
   double lo_;

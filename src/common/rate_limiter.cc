@@ -4,18 +4,14 @@
 
 namespace ignem {
 
-RateLimiter::RateLimiter(Bandwidth rate, Bytes burst)
-    : rate_(rate),
-      burst_(burst),
-      burst_window_(rate > 0.0 ? transfer_time(burst, rate)
-                               : Duration::zero()) {
-  IGNEM_CHECK(rate >= 0.0);
+RateLimiter::RateLimiter(Bandwidth rate, Bytes burst) : rate_(rate) {
+  IGNEM_CHECK(rate > 0.0);
   IGNEM_CHECK(burst >= 0);
+  burst_window_ = transfer_time(burst, rate);
 }
 
 Duration RateLimiter::reserve(Bytes bytes, SimTime now) {
   IGNEM_CHECK(bytes >= 0);
-  if (rate_ <= 0.0) return Duration::zero();  // pacing disabled
   const Duration cost = transfer_time(bytes, rate_);
   if (tat_ < now) tat_ = now;  // Idle time refills the bucket (capped below).
   const SimTime earliest = tat_ - burst_window_;
@@ -23,15 +19,6 @@ Duration RateLimiter::reserve(Bytes bytes, SimTime now) {
       earliest > now ? earliest - now : Duration::zero();
   tat_ = tat_ + cost;
   return wait;
-}
-
-bool RateLimiter::try_acquire(Bytes bytes, SimTime now) {
-  IGNEM_CHECK(bytes >= 0);
-  if (rate_ <= 0.0) return true;  // pacing disabled
-  SimTime tat = tat_ < now ? now : tat_;
-  if (tat - burst_window_ > now) return false;
-  tat_ = tat + transfer_time(bytes, rate_);
-  return true;
 }
 
 }  // namespace ignem

@@ -1,24 +1,22 @@
 // Deterministic sim-time token bucket (GCRA formulation).
 //
-// Paces byte streams — re-replication traffic, scrub reads — against a
-// configured rate without scheduling any events of its own: callers ask
-// "how long must this transfer wait to conform?" and do their own
-// scheduling. State is a single theoretical-arrival-time in integer
-// microseconds, so the limiter is exactly reproducible and costs O(1)
-// per decision.
+// Paces re-replication traffic against the configured repair budget
+// without scheduling any events of its own: the ReplicationManager asks
+// "how long must this copy wait to conform?" and does its own scheduling.
+// State is a single theoretical-arrival-time in integer microseconds, so
+// the limiter is exactly reproducible and costs O(1) per decision.
+// Unthrottled repair has no limiter at all.
 #pragma once
 
 #include "common/units.h"
 
 namespace ignem {
 
-/// Token bucket over sim time. `rate` is the sustained allowance in
-/// bytes/sec; `burst` is how many bytes may pass instantaneously after an
-/// idle period before pacing kicks in. All math is integer microseconds
-/// (via transfer_time) so identical call sequences produce identical waits.
-/// A rate of zero means "pacing disabled": reserve() always answers "go
-/// now" and try_acquire() always succeeds — an unlimited budget, never an
-/// infinite wait, so a caller holding a concurrency slot cannot deadlock.
+/// Token bucket over sim time. `rate` (> 0, checked) is the sustained
+/// allowance in bytes/sec; `burst` is how many bytes may pass
+/// instantaneously after an idle period before pacing kicks in. All math is
+/// integer microseconds (via transfer_time) so identical call sequences
+/// produce identical waits.
 class RateLimiter {
  public:
   RateLimiter(Bandwidth rate, Bytes burst);
@@ -28,17 +26,8 @@ class RateLimiter {
   /// is unconditional — callers that reserve must eventually send.
   Duration reserve(Bytes bytes, SimTime now);
 
-  /// Commits `bytes` only if they conform right now (wait would be zero).
-  /// Returns false — and leaves the schedule untouched — otherwise. For
-  /// skip-don't-delay users like the scrubber.
-  bool try_acquire(Bytes bytes, SimTime now);
-
-  Bandwidth rate() const { return rate_; }
-  Bytes burst() const { return burst_; }
-
  private:
   Bandwidth rate_;
-  Bytes burst_;
   Duration burst_window_;   ///< transfer_time(burst, rate): slack a full bucket buys.
   SimTime tat_{0};          ///< Theoretical arrival time of the next conforming byte.
 };

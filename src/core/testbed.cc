@@ -47,9 +47,9 @@ Testbed::Testbed(TestbedConfig config)
   }
 
   // config_.rack_count is the single source of rack truth: the NameNode's
-  // placement, the repair targeting, and the network fabric must agree on
-  // who is off-rack.
-  network_ = std::make_unique<Network>(sim_, n, config_.network,
+  // placement, the repair targeting, and rack partitions must agree on who
+  // is off-rack.
+  network_ = std::make_unique<Network>(sim_, n, NetworkProfile{},
                                        config_.rack_count);
   network_->set_trace(trace_.get());
   if (config_.routed_control_plane) {
@@ -81,7 +81,7 @@ Testbed::Testbed(TestbedConfig config)
   replication_manager_->set_rpc_router(rpc_router_.get());
   if (config_.replication_rate_limit > 0.0) {
     repl_limiter_ = std::make_unique<RateLimiter>(
-        config_.replication_rate_limit, config_.replication_burst);
+        config_.replication_rate_limit, kReplicationBurst);
     replication_manager_->set_rate_limiter(repl_limiter_.get());
   }
 
@@ -170,7 +170,6 @@ Testbed::Testbed(TestbedConfig config)
       integrity_->report(node, block, cached, source);
     });
   }
-  dfs_->set_read_deadline(config_.integrity.read_deadline);
   if (config_.integrity.enable_scrubber) {
     scrubber_ = std::make_unique<Scrubber>(sim_, *namenode_,
                                            config_.integrity);
@@ -270,12 +269,17 @@ std::string Testbed::integrity_accounting_mismatch() const {
       }
     }
   }
-  // Cached-copy marks live exactly as long as the copy; with caches drained
-  // none may remain.
+  // Cached-copy marks live exactly as long as the copy: every mark must sit
+  // on a block the pool still holds.
   for (const auto& dn : datanodes_) {
-    if (dn->cache().corrupt_count() != 0) {
+    const BufferCache& pool = dn->cache();
+    std::size_t on_copies = 0;
+    for (const BlockId block : pool.blocks_sorted()) {
+      if (pool.is_corrupt(block)) ++on_copies;
+    }
+    if (on_copies != pool.corrupt_count()) {
       out << "node " << dn->id().value() << ": "
-          << dn->cache().corrupt_count()
+          << pool.corrupt_count() - on_copies
           << " pool corruption marks outlived their copies";
       return out.str();
     }

@@ -61,7 +61,6 @@ struct TestbedConfig {
   RunMode mode = RunMode::kHdfs;
   ClusterConfig cluster;
   IgnemConfig ignem;
-  NetworkProfile network;
   MediaType storage_media = MediaType::kHdd;
   /// Custom primary-device profile (defaults to profile_for(storage_media));
   /// lets experiments model non-standard hardware.
@@ -94,13 +93,11 @@ struct TestbedConfig {
   /// verification reads change the event stream of a clean run.
   IntegrityConfig integrity;
   /// Recovery-storm control: cluster-wide budget (bytes/sec) for
-  /// re-replication traffic, paced through a deterministic token bucket so a
-  /// mass failure cannot flood foreground jobs off the network. 0 keeps the
-  /// historical unthrottled behavior (bit-identical traces).
+  /// re-replication traffic, paced through a deterministic token bucket
+  /// (burst kReplicationBurst) so a mass failure cannot flood foreground
+  /// jobs off the network. 0 keeps the historical unthrottled behavior
+  /// (bit-identical traces).
   Bandwidth replication_rate_limit = 0.0;
-  /// Token-bucket burst for the re-replication limiter: this many bytes of
-  /// repair may start back-to-back before pacing kicks in.
-  Bytes replication_burst = 256 * kMiB;
   /// Control-plane fault domain (see docs/FAULTS.md "Control-plane
   /// partitions"): places the NameNode/RM/IgnemMaster on node 0's rack and
   /// routes every master<->slave control RPC (heartbeats, container grants,
@@ -115,6 +112,10 @@ struct TestbedConfig {
 /// Period of the per-node migration-memory sampler (Fig. 7), which runs in
 /// the modes that migrate data.
 inline constexpr Duration kMemorySamplePeriod = Duration::seconds(1.0);
+
+/// Token-bucket burst of the re-replication limiter: this many bytes of
+/// repair may start back-to-back before pacing kicks in.
+inline constexpr Bytes kReplicationBurst = 128 * kMiB;
 
 /// A job plus its arrival offset from workload start.
 struct ScheduledJob {
@@ -244,9 +245,8 @@ class Testbed : public FaultTarget {
 
   /// End-of-run integrity bookkeeping cross-check: every detected stored
   /// corruption was either invalidated or is still marked on a replica the
-  /// namespace knows, and no cached-copy corruption mark outlived its copy.
-  /// Assumes caches have drained (do not call in preload mode). Empty when
-  /// consistent.
+  /// namespace knows, and every cached-copy corruption mark sits on a copy
+  /// its pool still holds. Empty when consistent.
   std::string integrity_accounting_mismatch() const;
 
   /// The config/build fingerprint this run stamps into reports. Mode is

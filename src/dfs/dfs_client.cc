@@ -106,7 +106,7 @@ void DfsClient::retry_read(NodeId reader, BlockId block, JobId job,
                            Duration delay, std::uint64_t* cause) {
   // A permanently unreadable block must surface a terminal error, not
   // retry forever.
-  if (sim_.now() - start >= read_deadline_) {
+  if (sim_.now() - start >= kReadDeadline) {
     fail_read(reader, block, job, start, on_complete);
     return;
   }

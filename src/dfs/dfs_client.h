@@ -59,11 +59,10 @@ class DfsClient {
                   ReadCallback on_complete);
 
   static constexpr Duration kReadRetryDelay = Duration::millis(500);
-
-  /// Total time budget per read_block call across all retries
-  /// (IntegrityConfig::read_deadline plumbs the knob).
-  void set_read_deadline(Duration deadline) { read_deadline_ = deadline; }
-  Duration read_deadline() const { return read_deadline_; }
+  /// Total time budget per read_block call across all retries. Generous so
+  /// transient chaos outages (tens of seconds) never fail a job, while a
+  /// truly lost block still unblocks the sim.
+  static constexpr Duration kReadDeadline = Duration::seconds(600);
 
   /// Replica locations for scheduling, ordered so nodes holding a
   /// memory-resident copy come first.
@@ -114,7 +113,6 @@ class DfsClient {
   Network& network_;
   RunMetrics* metrics_;
   MigrationService* service_ = nullptr;
-  Duration read_deadline_ = Duration::seconds(600);
   DfsStats stats_;
   // Cached instrument pointers (see set_metrics_registry); null when off.
   HistogramMetric* read_latency_ = nullptr;

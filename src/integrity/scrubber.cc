@@ -6,12 +6,8 @@
 namespace ignem {
 
 Scrubber::Scrubber(Simulator& sim, NameNode& namenode, IntegrityConfig config)
-    : sim_(sim), namenode_(namenode) {
+    : namenode_(namenode) {
   IGNEM_CHECK(config.scrub_interval > Duration::zero());
-  if (config.scrub_rate_limit > 0.0) {
-    limiter_ = std::make_unique<RateLimiter>(config.scrub_rate_limit,
-                                             config.scrub_burst);
-  }
   const std::size_t n = namenode_.node_count();
   cursors_.assign(n, BlockId::invalid());
   tasks_.reserve(n);
@@ -37,13 +33,6 @@ void Scrubber::tick(std::size_t index) {
     next = dn->next_block_after(BlockId::invalid());
   }
   if (!next.valid()) return;  // node holds no blocks
-  if (limiter_ != nullptr &&
-      !limiter_->try_acquire(dn->block_size(next), sim_.now())) {
-    // Over budget: skip this tick without advancing the cursor, so the
-    // block is retried next interval rather than silently unscanned.
-    ++stats_.scans_throttled;
-    return;
-  }
   cursors_[index] = next;
   ++stats_.blocks_scanned;
   // Count before issuing our own read: anything in flight now (foreground
@@ -59,7 +48,7 @@ void Scrubber::tick(std::size_t index) {
   });
 }
 
-static_assert(sizeof(ScrubberStats) == 4 * sizeof(std::uint64_t),
+static_assert(sizeof(ScrubberStats) == 3 * sizeof(std::uint64_t),
               "name the new ScrubberStats field in Scrubber::add_counters");
 
 void Scrubber::add_counters(std::map<std::string, std::uint64_t>& counters,
@@ -67,7 +56,6 @@ void Scrubber::add_counters(std::map<std::string, std::uint64_t>& counters,
   counters["scrub.blocks_scanned"] += stats_.blocks_scanned;
   counters["scrub.corrupt_found"] += stats_.corrupt_found;
   counters["scrub.scans_contended"] += stats_.scans_contended;
-  counters["scrub.scans_throttled"] += stats_.scans_throttled;
   const auto per = [](std::uint64_t n, std::uint64_t d) {
     return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
   };

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rate_limiter.h"
 #include "dfs/namenode.h"
 #include "integrity/integrity_config.h"
 #include "sim/periodic.h"
@@ -30,9 +29,6 @@ struct ScrubberStats {
   /// requests in flight — the scrub-vs-foreground IO contention signal the
   /// metrics plane surfaces as a gauge (scrub.contention_ratio).
   std::uint64_t scans_contended = 0;
-  /// Ticks skipped because the scrub-rate budget was exhausted; the cursor
-  /// does not advance, so the block is rescanned next interval.
-  std::uint64_t scans_throttled = 0;
 };
 
 class Scrubber {
@@ -58,9 +54,7 @@ class Scrubber {
  private:
   void tick(std::size_t index);
 
-  Simulator& sim_;
   NameNode& namenode_;
-  std::unique_ptr<RateLimiter> limiter_;  // set when scrub_rate_limit > 0
   std::vector<std::unique_ptr<PeriodicTask>> tasks_;
   std::vector<BlockId> cursors_;  // last block scanned per node
   ScrubberStats stats_;

@@ -17,29 +17,11 @@ Network::Network(Simulator& sim, std::size_t node_count, NetworkProfile profile,
   IGNEM_CHECK(node_count > 0);
   BandwidthProfile bw;
   bw.sequential_bw = profile.nic_bw;
-  bw.degradation = profile.degradation;
-  bw.per_stream_cap = profile.per_flow_cap;
   nics_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
     nics_.push_back(std::make_unique<SharedBandwidthResource>(
         sim, "nic/" + std::to_string(i), bw));
   }
-  if (profile.rack_uplink_bw > 0.0) {
-    BandwidthProfile uplink;
-    uplink.sequential_bw = profile.rack_uplink_bw;
-    uplink.degradation = profile.degradation;
-    uplink.per_stream_cap = profile.rack_uplink_bw;
-    uplinks_.reserve(static_cast<std::size_t>(topology_.rack_count()));
-    for (int r = 0; r < topology_.rack_count(); ++r) {
-      uplinks_.push_back(std::make_unique<SharedBandwidthResource>(
-          sim, "uplink/" + std::to_string(r), uplink));
-    }
-  }
-}
-
-SharedBandwidthResource& Network::rack_uplink(int rack) {
-  IGNEM_CHECK(rack >= 0 && static_cast<std::size_t>(rack) < uplinks_.size());
-  return *uplinks_[static_cast<std::size_t>(rack)];
 }
 
 SharedBandwidthResource& Network::nic(NodeId node) {
@@ -89,23 +71,16 @@ void Network::transfer(NodeId src, NodeId dst, Bytes bytes,
                   EventClass::kTransfer);
     return;
   }
-  // Cross-rack traffic also traverses the source rack's oversubscribed
-  // uplink when the profile models one: NIC first (per-node egress), then
-  // the shared uplink channel in series. Intra-rack (or uplink-less)
-  // fabrics use the source NIC alone.
-  const bool via_uplink =
-      has_rack_uplinks() && !topology_.same_rack(src, dst);
   const std::uint32_t slot = track(src, dst);
   InFlight& f = flights_[slot];
   f.bytes = bytes;
   f.on_complete = std::move(on_complete);
   f.on_severed = std::move(on_severed);
-  sim_.schedule(profile_.rtt,
-                [this, slot, via_uplink] { start_stream(slot, via_uplink); },
+  sim_.schedule(profile_.rtt, [this, slot] { start_stream(slot); },
                 EventClass::kTransfer);
 }
 
-void Network::start_stream(std::uint32_t slot, bool via_uplink) {
+void Network::start_stream(std::uint32_t slot) {
   InFlight& f = flights_[slot];
   if (!reachable(f.src, f.dst)) {
     // The cut landed during the propagation delay: nothing moved.
@@ -116,19 +91,7 @@ void Network::start_stream(std::uint32_t slot, bool via_uplink) {
     return;
   }
   f.resource = &nic(f.src);
-  f.final_stage = !via_uplink;
-  if (!via_uplink) {
-    f.handle = f.resource->start(f.bytes, [this, slot] { finish(slot); });
-    return;
-  }
-  f.handle = f.resource->start(f.bytes, [this, slot] {
-    // NIC leg drained; hop onto the shared uplink. The flight is still
-    // tracked (a sever would have aborted this callback).
-    InFlight& fl = flights_[slot];
-    fl.resource = &rack_uplink(topology_.rack_of(fl.src));
-    fl.final_stage = true;
-    fl.handle = fl.resource->start(fl.bytes, [this, slot] { finish(slot); });
-  });
+  f.handle = f.resource->start(f.bytes, [this, slot] { finish(slot); });
 }
 
 void Network::finish(std::uint32_t slot) {
@@ -210,16 +173,11 @@ void Network::sever_partitioned_transfers() {
   for (const std::uint32_t slot : victims) {
     InFlight f = std::move(flights_[slot]);
     release(slot);
-    const std::int64_t stage_remaining = f.resource->remaining_bytes(f.handle);
-    IGNEM_CHECK(stage_remaining >= 0);
+    const std::int64_t remaining = f.resource->remaining_bytes(f.handle);
+    IGNEM_CHECK(remaining >= 0);
     const bool aborted = f.resource->abort(f.handle);
     IGNEM_CHECK(aborted);
-    // Only the final serial stage delivers toward dst; bytes progressed on
-    // an earlier leg (source NIC before the rack uplink) never crossed the
-    // cut and are refunded whole.
-    const Bytes progressed =
-        f.final_stage ? std::min(f.bytes, f.bytes - Bytes(stage_remaining))
-                      : Bytes(0);
+    const Bytes progressed = f.bytes - Bytes(remaining);
     const Bytes refunded = f.bytes - progressed;
     if (f.ingress) {
       // Attribute served bytes to admitted shares in order; the exact

@@ -6,7 +6,10 @@
 // is that datacenter network bandwidth is not a bottleneck — a 10 Gbps NIC
 // far outruns a contended HDD — so an egress-limited single-resource model
 // preserves the relevant behaviour: remote reads of migrated blocks are
-// nearly as fast as local ones.
+// nearly as fast as local ones. The fabric is flat: racks (Topology) shape
+// placement, repair targeting and rack partitions, never bandwidth. A
+// 32:1-oversubscribed rack uplink moved mean job time by ~0.2% on the
+// perfbench workloads, so no uplink is modeled.
 //
 // Partition semantics: read paths consult `reachable` before choosing a
 // source, every transfer re-checks reachability when its stream starts, and
@@ -33,20 +36,11 @@ namespace ignem {
 class MetricsRegistry;
 class HistogramMetric;
 
+/// The defaults are the paper's fabric, which the Testbed always builds;
+/// unit tests pass slower links.
 struct NetworkProfile {
   Bandwidth nic_bw = gib_per_sec(1.25);  ///< 10 Gbps.
-  Bandwidth per_flow_cap = gib_per_sec(1.25);
   Duration rtt = Duration::micros(200);
-  /// Aggregate NIC loss per extra concurrent flow (see BandwidthProfile).
-  /// Zero models the paper's uncontended datacenter fabric; experiments on
-  /// degraded networks (and the fault injector's contention windows) raise
-  /// it so concurrent flows genuinely slow each other down.
-  double degradation = 0.0;
-  /// Rack fabric: rack_uplink_bw > 0 adds one oversubscribed shared uplink
-  /// channel per rack that every cross-rack transfer must traverse after
-  /// its source NIC; zero (the default) keeps the flat single-switch fabric
-  /// and the historical event stream bit-identical.
-  Bandwidth rack_uplink_bw = 0.0;
 };
 
 class Network {
@@ -127,11 +121,6 @@ class Network {
   /// Arms the net.severed_bytes histogram (refunded bytes per sever).
   void set_metrics_registry(MetricsRegistry* registry);
 
-  /// The shared uplink channel of `rack`. Only valid when the profile set
-  /// rack_uplink_bw > 0.
-  SharedBandwidthResource& rack_uplink(int rack);
-  bool has_rack_uplinks() const { return !uplinks_.empty(); }
-
  private:
   /// One cross-node transfer, from the call until it completes or is
   /// severed. Slots are recycled, so tracking a transfer allocates nothing
@@ -141,13 +130,10 @@ class Network {
     NodeId src;  ///< Sender (fan-ins: the destination, stream owner).
     NodeId dst;
     Bytes bytes = 0;  ///< Stream total (fan-ins: admitted bytes).
-    /// Channel of the current stage; null during the propagation delay
-    /// (the stream start re-checks reachability, so cuts skip it).
+    /// The streaming NIC; null during the propagation delay (the stream
+    /// start re-checks reachability, so cuts skip it).
     SharedBandwidthResource* resource = nullptr;
     TransferHandle handle;
-    /// True once the stream is on its last serial stage; partial progress
-    /// only counts as delivered there (earlier legs never crossed the cut).
-    bool final_stage = true;
     bool ingress = false;
     Callback on_complete;                ///< Point-to-point flights.
     Callback on_severed;
@@ -160,7 +146,7 @@ class Network {
   std::uint32_t track(NodeId src, NodeId dst);
   /// Resets `slot` and returns it to the free list.
   void release(std::uint32_t slot);
-  void start_stream(std::uint32_t slot, bool via_uplink);
+  void start_stream(std::uint32_t slot);
   void start_ingress_stream(std::uint32_t slot);
   void finish(std::uint32_t slot);
   /// Records one sever (trace + counters) of `refunded` unserved bytes;
@@ -173,7 +159,6 @@ class Network {
   Topology topology_;
   ReachabilityMatrix reachability_;
   std::vector<std::unique_ptr<SharedBandwidthResource>> nics_;
-  std::vector<std::unique_ptr<SharedBandwidthResource>> uplinks_;
 
   std::vector<InFlight> flights_;
   std::vector<std::uint32_t> free_slots_;

@@ -2,9 +2,9 @@
 //
 // Topology::rack_for is the one rack-assignment rule (round-robin,
 // node % rack_count). The NameNode's placement policy uses it too, so
-// "off-rack" means the same thing to placement, repair targeting, and the
-// network fabric. rack_count == 1 collapses to the flat single-switch
-// cluster every earlier experiment assumed.
+// "off-rack" means the same thing to placement, repair targeting, and rack
+// partitions. rack_count == 1 collapses to the single-rack cluster every
+// earlier experiment assumed.
 #pragma once
 
 #include <cstdint>

@@ -36,6 +36,7 @@ struct ChaosResult {
   std::size_t over_replicated = 0; ///< Blocks above target after the drain.
   std::uint64_t transfers_severed = 0;  ///< Network's lifetime sever count.
   std::uint64_t severed_events = 0;     ///< kTransferSevered trace events.
+  std::uint64_t cache_copies_purged = 0;  ///< Corrupt cached copies dropped.
   std::string plan;  ///< For reproducing a failing seed.
 };
 
@@ -63,6 +64,10 @@ struct ChaosOptions {
   /// Adds one deterministic mid-run cut of the control node's *own* rack —
   /// the cluster loses its brain entirely — healed before the drain.
   bool control_rack_cut = false;
+  /// Submissions of each job. With 2, every job runs again 45 s after its
+  /// first arrival, so its inputs are read twice and the hot-data
+  /// promoter's two-read threshold is met.
+  int passes = 1;
 };
 
 ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
@@ -92,6 +97,14 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
       Duration::seconds(3.0 / static_cast<double>(scale));
   swim.seed = 100 + seed;
   auto jobs = build_swim_workload(testbed, swim);
+  const std::size_t first_pass = jobs.size();
+  for (int pass = 1; pass < options.passes; ++pass) {
+    for (std::size_t j = 0; j < first_pass; ++j) {
+      ScheduledJob again = jobs[j];
+      again.arrival = again.arrival + Duration::seconds(45.0 * pass);
+      jobs.push_back(std::move(again));
+    }
+  }
 
   Rng rng(options.plan_seed_base + seed);
   const FaultPlan plan = FaultPlan::random(
@@ -142,6 +155,8 @@ ChaosResult run_chaos(RunMode mode, std::uint64_t seed,
   result.replica_mismatch = testbed.replica_model_mismatch();
   result.integrity_mismatch = testbed.integrity_accounting_mismatch();
   result.unrepairable = testbed.replication_manager().stats().blocks_unrepairable;
+  result.cache_copies_purged =
+      testbed.integrity_manager().stats().cache_copies_purged;
   for (const JobRecord& job : testbed.metrics().jobs()) {
     if (job.failed) ++result.failed_jobs;
   }
@@ -228,12 +243,16 @@ TEST(Chaos, RandomFaultSweepHdfs) {
 TEST(Chaos, RandomFaultSweepHotData) {
   // The hot-data baseline's promoter lives in the DataNode process: a crash
   // must abort its in-flight page-ins and forget the blocks the pool lost.
+  // Two passes read every input twice, so blocks really get promoted.
   constexpr std::size_t kSeeds = 8;
-  const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
-    return run_chaos(RunMode::kHotDataPromotion, i);
-  });
+  ChaosOptions options;
+  options.passes = 2;
+  const auto results =
+      bench::run_indexed_sweep(kSeeds, [options](std::size_t i) {
+        return run_chaos(RunMode::kHotDataPromotion, i, options);
+      });
   for (const ChaosResult& result : results) {
-    expect_clean(result, 12u, /*pools_drain=*/false);
+    expect_clean(result, 24u, /*pools_drain=*/false);
   }
 }
 
@@ -260,14 +279,22 @@ TEST(Chaos, CorruptionChaosSweepIgnem) {
 
 TEST(Chaos, CorruptionChaosSweepHotData) {
   // Integrity purges drop promoted copies behind the promoter's back unless
-  // they go through it: its LRU must list no block its pool lost.
+  // they go through it: its LRU must list no block its pool lost. Two
+  // passes promote the inputs, so cache rot has copies to hit.
   constexpr std::size_t kSeeds = 8;
-  const auto results = bench::run_indexed_sweep(kSeeds, [](std::size_t i) {
-    return run_chaos(RunMode::kHotDataPromotion, i, corruption_options());
-  });
+  ChaosOptions options = corruption_options();
+  options.passes = 2;
+  const auto results =
+      bench::run_indexed_sweep(kSeeds, [options](std::size_t i) {
+        return run_chaos(RunMode::kHotDataPromotion, i, options);
+      });
+  std::uint64_t purged = 0;
   for (const ChaosResult& result : results) {
-    expect_clean(result, 12u, /*pools_drain=*/false);
+    expect_clean(result, 24u, /*pools_drain=*/false);
+    purged += result.cache_copies_purged;
   }
+  // The sweep must keep reaching the purge path it exists to test.
+  EXPECT_GT(purged, 0u) << "no seed purged a corrupt cached copy";
 }
 
 TEST(Chaos, CorruptionChaosSweepHdfs) {

@@ -36,20 +36,6 @@ TEST(Histogram, OutOfRangeClampsInsteadOfDropping) {
   EXPECT_EQ(h.total(), 2u);
 }
 
-TEST(Histogram, Frequencies) {
-  Histogram h(0.0, 4.0, 2);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  EXPECT_NEAR(h.frequency(0), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(h.frequency(1), 1.0 / 3.0, 1e-12);
-}
-
-TEST(Histogram, FrequencyOfEmptyIsZero) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_EQ(h.frequency(0), 0.0);
-}
-
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 5), CheckFailure);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckFailure);
@@ -94,49 +80,6 @@ TEST(LogHistogram, RejectsBadConstruction) {
   EXPECT_THROW(LogHistogram(0.0, 10.0, 3), CheckFailure);
   EXPECT_THROW(LogHistogram(1.0, 1.0, 3), CheckFailure);
   EXPECT_THROW(LogHistogram(1.0, 10.0, 0), CheckFailure);
-}
-
-TEST(Histogram, MergeCombinesBinsAndTotals) {
-  Histogram a(0.0, 10.0, 5);
-  a.add(1.0);
-  a.add(9.0);
-  Histogram b(0.0, 10.0, 5);
-  b.add(1.5);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.count_in_bin(0), 2u);
-  EXPECT_EQ(a.count_in_bin(4), 1u);
-  EXPECT_EQ(b.total(), 1u);  // source untouched
-}
-
-TEST(Histogram, MergeEmptyIsIdentity) {
-  Histogram a(0.0, 10.0, 5);
-  a.add(3.0);
-  a.merge(Histogram(0.0, 10.0, 5));
-  EXPECT_EQ(a.total(), 1u);
-}
-
-TEST(Histogram, MergeRejectsGeometryMismatch) {
-  Histogram a(0.0, 10.0, 5);
-  EXPECT_THROW(a.merge(Histogram(0.0, 10.0, 4)), CheckFailure);
-  EXPECT_THROW(a.merge(Histogram(0.0, 20.0, 5)), CheckFailure);
-}
-
-TEST(LogHistogram, MergeCombinesBinsAndTotals) {
-  LogHistogram a(0.001, 10.0, 6);
-  a.add(0.005);
-  LogHistogram b(0.001, 10.0, 6);
-  b.add(0.005);
-  b.add(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.count_in_bin(1), 2u);
-  EXPECT_EQ(a.count_in_bin(4), 1u);
-}
-
-TEST(LogHistogram, MergeRejectsGeometryMismatch) {
-  LogHistogram a(0.001, 10.0, 6);
-  EXPECT_THROW(a.merge(LogHistogram(0.01, 10.0, 6)), CheckFailure);
 }
 
 }  // namespace

@@ -169,7 +169,6 @@ TEST(Rpc, BackoffIsCappedExponential) {
 NetworkProfile slow_net() {
   NetworkProfile profile;
   profile.nic_bw = mib_per_sec(100);
-  profile.per_flow_cap = mib_per_sec(100);
   return profile;
 }
 

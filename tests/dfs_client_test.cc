@@ -179,11 +179,11 @@ TEST_F(DfsClientTest, ReadFailsTerminallyAtDeadline) {
   const BlockId block = one_block_file("/a");
   const NodeId holder = namenode_->block(block).replicas[0];
   datanodes_[static_cast<std::size_t>(holder.value())]->set_disk_failed(true);
-  client_->set_read_deadline(Duration::seconds(3));
+  const double deadline = DfsClient::kReadDeadline.to_seconds();
   const auto record = read(NodeId((holder.value() + 1) % 2), block);
   EXPECT_TRUE(record.failed);
-  EXPECT_GE(record.duration.to_seconds(), 3.0);
-  EXPECT_LT(record.duration.to_seconds(), 3.6);
+  EXPECT_GE(record.duration.to_seconds(), deadline);
+  EXPECT_LT(record.duration.to_seconds(), deadline + 0.6);
   ASSERT_EQ(metrics_.block_reads().size(), 1u);
   EXPECT_TRUE(metrics_.block_reads()[0].failed);
 }
@@ -195,7 +195,6 @@ TEST_F(DfsClientTest, ReadRecoversWhenDiskReturnsBeforeDeadline) {
   DataNode& dn = *datanodes_[static_cast<std::size_t>(holder.value())];
   dn.set_disk_failed(true);
   sim_.schedule(Duration::seconds(5), [&dn] { dn.set_disk_failed(false); });
-  client_->set_read_deadline(Duration::seconds(60));
   const auto record = read(NodeId((holder.value() + 1) % 2), block);
   EXPECT_FALSE(record.failed);
   EXPECT_GE(record.duration.to_seconds(), 5.0);

@@ -390,7 +390,6 @@ std::map<std::string, std::uint64_t> stats_fields(Testbed& testbed) {
     f["scrub.blocks_scanned"] += scrub.blocks_scanned;
     f["scrub.corrupt_found"] += scrub.corrupt_found;
     f["scrub.scans_contended"] += scrub.scans_contended;
-    f["scrub.scans_throttled"] += scrub.scans_throttled;
   }
 
   if (const IgnemMaster* master = testbed.ignem_master(); master != nullptr) {

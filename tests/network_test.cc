@@ -11,7 +11,6 @@ namespace {
 NetworkProfile test_profile() {
   NetworkProfile p;
   p.nic_bw = mib_per_sec(100);
-  p.per_flow_cap = mib_per_sec(100);
   p.rtt = Duration::millis(1);
   return p;
 }
@@ -98,34 +97,6 @@ TEST(Network, NodeCount) {
   Simulator sim;
   Network net(sim, 8, test_profile());
   EXPECT_EQ(net.node_count(), 8u);
-}
-
-TEST(Network, DegradationKnobReachesNics) {
-  // Regression: the profile's degradation field was once dropped when the
-  // NIC channels were built, making degraded-network experiments silent
-  // no-ops.
-  NetworkProfile profile = test_profile();
-  profile.degradation = 1.0;
-  Simulator sim;
-  Network net(sim, 2, profile);
-  EXPECT_DOUBLE_EQ(net.nic(NodeId(0)).profile().degradation, 1.0);
-}
-
-TEST(Network, DegradationSlowsConcurrentFlows) {
-  NetworkProfile profile = test_profile();
-  profile.degradation = 1.0;  // aggregate halves with a second flow
-  Simulator sim;
-  Network net(sim, 2, profile);
-  double t1 = -1, t2 = -1;
-  net.transfer(NodeId(0), NodeId(1), 50 * kMiB,
-               [&] { t1 = sim.now().to_seconds(); });
-  net.transfer(NodeId(0), NodeId(1), 50 * kMiB,
-               [&] { t2 = sim.now().to_seconds(); });
-  sim.run();
-  // Aggregate 100/(1+1) = 50 MiB/s shared by both: 100 MiB total takes 2 s
-  // (it would take 1 s with degradation = 0, see EgressSharedPerSourceNode).
-  EXPECT_NEAR(t1, 2.001, 1e-2);
-  EXPECT_NEAR(t2, 2.001, 1e-2);
 }
 
 }  // namespace
