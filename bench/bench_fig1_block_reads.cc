@@ -47,7 +47,7 @@ void main_impl() {
   report().metric("ram_vs_ssd_read_speedup", ssd.mean_read_s / ram.mean_read_s);
 
   for (const MediumResult* r : {&hdd, &ssd, &ram}) {
-    LogHistogram histogram(0.005, 2.0, 14);
+    Histogram histogram = Histogram::log(0.005, 2.0, 14);
     for (const double v : r->reads.values()) histogram.add(v);
     std::cout << histogram.render("Block reads from " + r->label, "s") << "\n";
   }

@@ -5,9 +5,11 @@ Starts at `struct TestbedConfig` in src/core/testbed.h. A field whose type
 is a bare struct defined under src/ (ClusterConfig, IntegrityConfig, ...) is
 opened and its own fields are counted; every other field is one settable
 value. For each value the census lists the bench/ and perfbench/ files that
-assign it: `.name =` for a top-level field, `.parent.name =` for a nested
-one. Tests and examples do not count: a setting only they use has no
-workload behind it.
+assign it through a variable the same file declares as `TestbedConfig v` or
+`TestbedConfig& v`: `v.name =` for a top-level field, `v.parent.name =` for
+a nested one. A same-named field of another struct (`swim.seed = 7`) does
+not count. Tests and examples do not count either: a setting only they use
+has no workload behind it.
 
 Prints one line per value and the total; exits 1 when some value is set by
 no bench or perfbench file.
@@ -25,6 +27,7 @@ WORKLOAD_DIRS = ("bench", "perfbench")
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp"}
 
 STRUCT_RE = re.compile(r"\bstruct\s+(\w+)\s*(?::[^{;]*)?\{")
+CONFIG_VAR_RE = re.compile(r"\b" + ROOT_STRUCT + r"\s*(?:&\s*|\s)(\w+)")
 
 
 def strip_comments(text):
@@ -99,13 +102,25 @@ def settable_values(structs, name, prefix=()):
 
 
 def workload_files(root):
+    """(path, text, names of its TestbedConfig variables) per source file."""
     files = []
     for directory in WORKLOAD_DIRS:
         for path in sorted((root / directory).rglob("*")):
             if path.suffix in SOURCE_SUFFIXES:
-                files.append((path.relative_to(root).as_posix(),
-                              strip_comments(path.read_text())))
+                text = strip_comments(path.read_text())
+                files.append((path.relative_to(root).as_posix(), text,
+                              set(CONFIG_VAR_RE.findall(text))))
     return files
+
+
+def assigns(text, config_vars, path):
+    """True when `text` sets `path` on one of its TestbedConfig variables."""
+    if not config_vars:
+        return False
+    receiver = "|".join(sorted(config_vars))
+    pattern = (r"\b(?:" + receiver + r")\." + r"\.".join(path) +
+               r"\s*=(?!=)")
+    return re.search(pattern, text) is not None
 
 
 def main():
@@ -117,8 +132,8 @@ def main():
     files = workload_files(root)
     unset = []
     for path in values:
-        assign = re.compile(r"\." + r"\.".join(path) + r"\s*=(?!=)")
-        setters = [name for name, text in files if assign.search(text)]
+        setters = [name for name, text, config_vars in files
+                   if assigns(text, config_vars, path)]
         dotted = ".".join(path)
         print(f"  {dotted:36} {', '.join(setters) or '-- no workload'}")
         if not setters:

@@ -7,56 +7,22 @@
 // kernel never needs. SmallFunction stores the common capture shapes used by
 // src/storage, src/dfs, src/cluster, and src/core (a `this` pointer plus a
 // few ids/byte counts) inline — the hot schedule/dispatch path performs no
-// allocation at all. Larger captures spill to a slab: fixed-size blocks
-// recycled through a thread-local free list, so even spill-heavy workloads
-// settle into steady-state reuse instead of hammering the global allocator.
+// allocation at all. Larger captures spill to the heap through plain
+// new/delete; a spill-heavy 512-node run measured no slower that way than
+// through a recycling slab (docs/PERF.md).
 //
 // Move-only by design (events fire once and the queue is the only owner);
 // any callable is accepted, including move-only lambdas that std::function
-// rejects. Thread safety matches the simulator's contract: a SmallFunction
-// is created, invoked, and destroyed on one thread. Distinct threads (the
-// bench sweep runner fans one Testbed per worker) each get their own slab
-// pool, so cross-thread sweeps need no locking.
+// rejects. A SmallFunction holds no per-thread state, so what a run does
+// never depends on the thread that ran it.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
-#include "common/slab_pool.h"
-
 namespace ignem {
-
-namespace detail {
-
-/// Spill blocks come in one fixed size: large enough for every capture the
-/// stack produces today, small enough to recycle without size classes.
-/// Callables larger still fall through to plain operator new. The pool
-/// carves blocks from chunks and recycles them forever (SlabPool), so a
-/// spill-heavy steady state performs zero heap calls — and the shared
-/// KernelAllocCounters prove it (see bench_microkernel).
-inline constexpr std::size_t kSlabBlockBytes = 256;
-
-using SpillPool = SlabPool<kSlabBlockBytes>;
-
-inline void* spill_alloc(std::size_t bytes) {
-  if (bytes <= kSlabBlockBytes) return SpillPool::local().allocate();
-  ++kernel_alloc_counters().heap_allocs;
-  return ::operator new(bytes);
-}
-
-inline void spill_free(void* block, std::size_t bytes) {
-  if (bytes <= kSlabBlockBytes) {
-    SpillPool::local().deallocate(block);
-  } else {
-    ++kernel_alloc_counters().heap_frees;
-    ::operator delete(block);
-  }
-}
-
-}  // namespace detail
 
 /// Move-only `void()` callable with inline storage for small captures.
 class SmallFunction {
@@ -77,17 +43,10 @@ class SmallFunction {
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(inline_)) Fn(std::forward<F>(f));
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
     } else {
-      void* block = detail::spill_alloc(sizeof(Fn));
-      try {
-        ::new (block) Fn(std::forward<F>(f));
-      } catch (...) {
-        detail::spill_free(block, sizeof(Fn));
-        throw;
-      }
-      spill_ = block;
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       ops_ = &spill_ops<Fn>;
     }
   }
@@ -112,26 +71,27 @@ class SmallFunction {
 
   ~SmallFunction() { reset(); }
 
-  void operator()() { ops_->invoke(target()); }
+  void operator()() { ops_->invoke(storage_); }
 
   explicit operator bool() const { return ops_ != nullptr; }
   bool operator==(std::nullptr_t) const { return ops_ == nullptr; }
 
  private:
+  /// Each takes the storage buffer: the callable itself when inline, a
+  /// pointer to it when spilled.
   struct Ops {
-    void (*invoke)(void*);
+    void (*invoke)(void* storage);
     /// Move-constructs dst's storage from src and destroys src's callable.
-    /// Null for spilled callables: the block pointer is stolen instead.
-    void (*relocate)(unsigned char* dst, void* src);
-    void (*destroy)(void*);
+    void (*relocate)(void* dst, void* src);
+    void (*destroy)(void* storage);
   };
 
   template <typename Fn>
   static constexpr Ops inline_ops = {
       [](void* p) { (*static_cast<Fn*>(p))(); },
-      [](unsigned char* dst, void* src) {
+      [](void* dst, void* src) {
         Fn* from = static_cast<Fn*>(src);
-        ::new (static_cast<void*>(dst)) Fn(std::move(*from));
+        ::new (dst) Fn(std::move(*from));
         from->~Fn();
       },
       [](void* p) { static_cast<Fn*>(p)->~Fn(); },
@@ -139,36 +99,25 @@ class SmallFunction {
 
   template <typename Fn>
   static constexpr Ops spill_ops = {
-      [](void* p) { (*static_cast<Fn*>(p))(); },
-      nullptr,
-      [](void* p) {
-        static_cast<Fn*>(p)->~Fn();
-        detail::spill_free(p, sizeof(Fn));
-      },
+      [](void* p) { (**static_cast<Fn**>(p))(); },
+      [](void* dst, void* src) { ::new (dst) Fn*(*static_cast<Fn**>(src)); },
+      [](void* p) { delete *static_cast<Fn**>(p); },
   };
-
-  void* target() { return spill_ != nullptr ? spill_ : inline_; }
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(target());
+      ops_->destroy(storage_);
       ops_ = nullptr;
-      spill_ = nullptr;
     }
   }
 
   void move_from(SmallFunction& other) noexcept {
     ops_ = other.ops_;
-    spill_ = other.spill_;
-    if (ops_ != nullptr && ops_->relocate != nullptr) {
-      ops_->relocate(inline_, other.inline_);
-    }
+    if (ops_ != nullptr) ops_->relocate(storage_, other.storage_);
     other.ops_ = nullptr;
-    other.spill_ = nullptr;
   }
 
-  alignas(std::max_align_t) unsigned char inline_[kInlineBytes];
-  void* spill_ = nullptr;
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
 

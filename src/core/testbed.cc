@@ -184,7 +184,6 @@ Testbed::Testbed(TestbedConfig config)
   // so the pinned trace hashes (recorded before metrics existed) hold. Time
   // series piggyback on the existing memory sampler rather than adding a
   // periodic event of their own.
-  sim_.enable_profiling();
   dfs_->set_metrics_registry(&registry_);
   network_->set_metrics_registry(&registry_);
   if (detector_ != nullptr) detector_->set_metrics_registry(&registry_);

@@ -35,20 +35,6 @@ std::int64_t HistogramMetric::bucket_hi(std::size_t i) {
   return i >= 63 ? INT64_MAX : (std::int64_t{1} << i);
 }
 
-void HistogramMetric::merge(const HistogramMetric& other) {
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 TimeSeries::TimeSeries(Duration window) : window_(window) {
   IGNEM_CHECK(window > Duration::zero());
 }

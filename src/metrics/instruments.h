@@ -9,8 +9,8 @@
 // component reports its own into the RunReport (metrics/report.h).
 //
 //   - HistogramMetric: log2-bucketed distribution of non-negative int64
-//     samples (latencies in microseconds, sizes in bytes). Fixed 64-bucket
-//     geometry, so any two histograms merge without rebinning.
+//     samples (latencies in microseconds, sizes in bytes) in a fixed
+//     64-bucket geometry.
 //   - TimeSeries: per-window aggregation (last/min/max/sum/count) of a
 //     signal sampled in sim time; windows roll over lazily on record, and
 //     windows nothing sampled into are simply absent.
@@ -25,8 +25,7 @@ namespace ignem {
 
 /// Log2-bucketed histogram over non-negative int64 samples. Bucket i holds
 /// samples whose bit width is i, i.e. bucket 0 = {0}, bucket i>=1 =
-/// [2^(i-1), 2^i). The geometry is fixed so independent histograms (e.g.
-/// per-shard) merge exactly.
+/// [2^(i-1), 2^i).
 class HistogramMetric {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -49,10 +48,6 @@ class HistogramMetric {
   static std::int64_t bucket_lo(std::size_t i);
   /// Exclusive upper bound of bucket i (1, 2, 4, 8, ...).
   static std::int64_t bucket_hi(std::size_t i);
-
-  /// Adds another histogram's samples into this one (same fixed geometry,
-  /// so the merge is exact: counts, sum, min, max all combine losslessly).
-  void merge(const HistogramMetric& other);
 
  private:
   std::uint64_t buckets_[kBuckets] = {};

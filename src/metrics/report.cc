@@ -171,15 +171,9 @@ void RunReport::write_json(std::ostream& os) const {
      << ",\n";
   for (std::size_t i = 0; i < kEventClassCount; ++i) {
     os << "    \"class." << event_class_name(static_cast<EventClass>(i))
-       << "\": " << kernel.class_counts[i] << ",\n";
+       << "\": " << kernel.class_counts[i]
+       << (i + 1 < kEventClassCount ? ",\n" : "\n  },\n");
   }
-  const KernelAllocCounters& alloc = kernel.alloc;
-  os << "    \"alloc.heap_allocs\": " << alloc.heap_allocs << ",\n";
-  os << "    \"alloc.heap_frees\": " << alloc.heap_frees << ",\n";
-  os << "    \"alloc.pool_hits\": " << alloc.pool_hits << ",\n";
-  os << "    \"alloc.chunk_carves\": " << alloc.chunk_carves << ",\n";
-  os << "    \"alloc.container_growths\": " << alloc.container_growths
-     << "\n  },\n";
 
   write_section(os, "counters", counters,
                 [&](std::uint64_t v) { os << v; });

@@ -76,7 +76,7 @@ class MemoryFootprint {
 
  private:
   double sum_gib_ = 0.0;
-  Histogram histogram_{0.0, 8.0, 16};
+  Histogram histogram_ = Histogram::linear(0.0, 8.0, 16);
 };
 
 class RunMetrics {

@@ -50,7 +50,6 @@ void EventQueue::release_slot(std::uint32_t slot) {
 EventHandle EventQueue::push(SimTime when, Action action, EventClass cls) {
   IGNEM_CHECK(action != nullptr);
   const std::uint32_t slot = acquire_slot(std::move(action), cls);
-  if (heap_.size() == heap_.capacity()) note_container_growth();
   heap_.emplace_back();  // grow; sift_up() fills it
   sift_up(heap_.size() - 1, HeapEntry{when.count_micros(), next_seq_++, slot});
   return EventHandle(pack(slot, slots_[slot].gen));

@@ -10,15 +10,15 @@
 // Storage: 24-byte (time, seq, slot) records move through the heap;
 // callbacks stay put in a slot arena (ChunkedVector — growth never
 // move-constructs live callbacks) recycled through a free list, so a warmed
-// queue's steady-state churn performs zero heap allocations (tracked by
-// KernelAllocCounters; bench_microkernel asserts the zero).
+// queue's steady-state churn of inline callbacks performs zero heap
+// allocations (bench_microkernel counts operator new calls to prove it).
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "common/slab_pool.h"
+#include "common/chunked_vector.h"
 #include "common/small_function.h"
 #include "common/units.h"
 

@@ -30,38 +30,23 @@ std::uint64_t Simulator::run_until(const std::function<bool()>& done,
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kSimRunStart, NodeId::invalid(),
                  BlockId::invalid(), JobId::invalid(), 0,
-                 static_cast<std::int64_t>(dispatched_));
+                 static_cast<std::int64_t>(profile_.events_dispatched));
   }
-  const bool profiled = profiling_;
-  const KernelAllocCounters alloc_before = kernel_alloc_counters();
   std::uint64_t n = 0;
   while (!queue_.empty() && !stop_requested_ && !done()) {
     if (queue_.next_time() > limit) break;
     auto [when, action] = queue_.pop();
     IGNEM_CHECK(when >= now_);
     now_ = when;
-    if (profiling_) {
-      ++profile_.events_dispatched;
-      ++profile_.class_counts[static_cast<std::size_t>(
-          queue_.last_popped_class())];
-      // Depth right after the pop: the events this one contends with.
-      const std::uint64_t depth = queue_.live_count();
-      profile_.pending_sum += depth;
-      if (depth > profile_.max_pending) profile_.max_pending = depth;
-    }
+    ++profile_.events_dispatched;
+    ++profile_.class_counts[static_cast<std::size_t>(
+        queue_.last_popped_class())];
+    // Depth right after the pop: the events this one contends with.
+    const std::uint64_t depth = queue_.live_count();
+    profile_.pending_sum += depth;
+    if (depth > profile_.max_pending) profile_.max_pending = depth;
     action();
     ++n;
-    ++dispatched_;
-  }
-  if (profiled) {
-    const KernelAllocCounters& after = kernel_alloc_counters();
-    KernelAllocCounters& alloc = profile_.alloc;
-    alloc.heap_allocs += after.heap_allocs - alloc_before.heap_allocs;
-    alloc.heap_frees += after.heap_frees - alloc_before.heap_frees;
-    alloc.pool_hits += after.pool_hits - alloc_before.pool_hits;
-    alloc.chunk_carves += after.chunk_carves - alloc_before.chunk_carves;
-    alloc.container_growths +=
-        after.container_growths - alloc_before.container_growths;
   }
   if (queue_.empty() && now_ < limit && limit != SimTime::max()) {
     now_ = limit;  // advance the clock to the requested horizon
@@ -69,7 +54,7 @@ std::uint64_t Simulator::run_until(const std::function<bool()>& done,
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kSimRunEnd, NodeId::invalid(),
                  BlockId::invalid(), JobId::invalid(), 0,
-                 static_cast<std::int64_t>(dispatched_));
+                 static_cast<std::int64_t>(profile_.events_dispatched));
   }
   return n;
 }

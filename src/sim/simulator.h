@@ -12,17 +12,16 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/slab_pool.h"
 #include "common/units.h"
 #include "obs/trace_recorder.h"
 #include "sim/event_queue.h"
 
 namespace ignem {
 
-/// Kernel self-profile accumulated while profiling is enabled (see
-/// Simulator::enable_profiling). Everything here is a pure function of the
-/// dispatch stream — no wall clock — so two identical seeded runs produce
-/// identical profiles and the numbers can appear in deterministic reports.
+/// Kernel self-profile, accumulated on every dispatch. Everything here is a
+/// pure function of the dispatch stream — no wall clock, no allocator state
+/// — so two identical seeded runs produce identical profiles on any thread
+/// and the numbers can appear in deterministic reports.
 struct KernelProfile {
   std::uint64_t events_dispatched = 0;
   /// Peak live-event count observed at dispatch time.
@@ -31,10 +30,6 @@ struct KernelProfile {
   std::uint64_t pending_sum = 0;
   /// Dispatches by EventClass tag (index = static_cast<size_t>(cls)).
   std::array<std::uint64_t, kEventClassCount> class_counts{};
-  /// Allocator activity during dispatch: the thread-local counters' growth
-  /// across each run*() call, read on the thread that dispatched, so a run
-  /// built on a sweep worker reports true deltas wherever it is read.
-  KernelAllocCounters alloc{};
 
   double mean_pending() const {
     return events_dispatched == 0
@@ -83,7 +78,9 @@ class Simulator {
   void stop() { stop_requested_ = true; }
 
   /// Number of events dispatched since construction.
-  std::uint64_t events_dispatched() const { return dispatched_; }
+  std::uint64_t events_dispatched() const {
+    return profile_.events_dispatched;
+  }
 
   /// Live events currently pending.
   std::size_t pending_events() const { return queue_.live_count(); }
@@ -91,18 +88,13 @@ class Simulator {
   /// Emits kSimRunStart/kSimRunEnd around each run; null disables.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Turns on per-dispatch self-profiling (class counts, queue depth,
-  /// allocator deltas). Off by default: the unprofiled dispatch loop pays
-  /// one branch per event.
-  void enable_profiling(bool on = true) { profiling_ = on; }
+  /// Class counts and queue depth over every dispatch since construction.
   const KernelProfile& profile() const { return profile_; }
 
  private:
   SimTime now_ = SimTime::zero();
   EventQueue queue_;
   bool stop_requested_ = false;
-  bool profiling_ = false;
-  std::uint64_t dispatched_ = 0;
   KernelProfile profile_;
   TraceRecorder* trace_ = nullptr;
 };

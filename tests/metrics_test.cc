@@ -1,13 +1,13 @@
 // The metrics plane's contract tests.
 //
 // Four layers of guarantees are pinned here:
-//   1. Instrument semantics — log2 histogram geometry and exact merges,
-//      windowed time-series rollover, registry identity and window checks.
+//   1. Instrument semantics — log2 histogram geometry, windowed
+//      time-series rollover, registry identity and window checks.
 //   2. Determinism — two identical seeded runs emit byte-identical
-//      RunReport JSON (each run in a fresh thread so thread_local kernel
-//      alloc counters start cold, exactly like two separate processes),
-//      a report read on another thread than the run's matches, and
-//      building a report twice gives the same bytes.
+//      RunReport JSON, whether they run at once on two threads or one
+//      after the other on one thread; a report read on another thread than
+//      the run's matches; and building a report twice gives the same
+//      bytes.
 //   3. Coverage — every field of every component *Stats struct reaches the
 //      report, summed over the components that own one.
 //   4. The memory footprint — the per-run aggregate Fig. 7 reads — matches
@@ -96,34 +96,6 @@ TEST(HistogramMetricTest, EmptyStatsAreZero) {
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.max(), 0);
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(HistogramMetricTest, MergeIsExact) {
-  HistogramMetric a;
-  a.record(1);
-  a.record(100);
-  HistogramMetric b;
-  b.record(7);
-  b.record(5000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum(), 5108);
-  EXPECT_EQ(a.min(), 1);
-  EXPECT_EQ(a.max(), 5000);
-  EXPECT_EQ(a.bucket_count(3), 1u);   // 7 lives in [4, 8)
-  EXPECT_EQ(a.bucket_count(13), 1u);  // 5000 lives in [4096, 8192)
-}
-
-TEST(HistogramMetricTest, MergeOfEmptyPreservesMinMax) {
-  HistogramMetric a;
-  a.record(5);
-  a.merge(HistogramMetric{});
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.min(), 5);
-  HistogramMetric empty;
-  empty.merge(a);
-  EXPECT_EQ(empty.min(), 5);
-  EXPECT_EQ(empty.max(), 5);
 }
 
 TEST(TimeSeriesTest, AggregatesWithinOneWindow) {
@@ -243,46 +215,41 @@ SwimConfig small_swim() {
   return config;
 }
 
-struct ReportRun {
-  std::string json;
-  std::uint64_t trace_hash = 0;  ///< 0 unless the config enables tracing.
-};
-
-// Runs a full seeded testbed in a fresh thread and returns its RunReport
-// JSON and trace hash. The fresh thread matters: kernel alloc counters are
-// thread_local, and a previous run on this thread would leave warmed slab
-// pools behind — a fresh thread reproduces the "separate process" baseline
-// the byte-identical guarantee is stated for.
-ReportRun run_in_fresh_thread(
-    const TestbedConfig& config = small_config(RunMode::kIgnem)) {
-  ReportRun out;
-  std::thread t([&out, &config] {
-    Testbed testbed(config);
-    testbed.run_workload(build_swim_workload(testbed, small_swim()));
-    std::ostringstream os;
-    testbed.build_run_report("determinism").write_json(os);
-    out.json = os.str();
-    out.trace_hash = testbed.trace_hash();
-  });
-  t.join();
-  return out;
+// Runs the seeded Ignem testbed and returns its RunReport JSON.
+std::string seeded_report_json() {
+  Testbed testbed(small_config(RunMode::kIgnem));
+  testbed.run_workload(build_swim_workload(testbed, small_swim()));
+  std::ostringstream os;
+  testbed.build_run_report("determinism").write_json(os);
+  return os.str();
 }
 
+// Two runs at once on two threads, as a sweep's workers run them.
 TEST(RunReportTest, ByteIdenticalAcrossIdenticalSeededRuns) {
-  const std::string first = run_in_fresh_thread().json;
-  const std::string second = run_in_fresh_thread().json;
+  std::string first;
+  std::string second;
+  std::thread a([&first] { first = seeded_report_json(); });
+  std::thread b([&second] { second = seeded_report_json(); });
+  a.join();
+  b.join();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
+}
+
+// One run after the other on one thread, as a sweep worker runs its next
+// index: nothing the first run leaves behind may reach the second's bytes.
+TEST(RunReportTest, ByteIdenticalOnOneThread) {
+  const std::string first = seeded_report_json();
+  const std::string second = seeded_report_json();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 }
 
 // Sweep benches run each Testbed on a worker thread and write its report
-// from the main thread. The allocator deltas must still describe the run,
-// not the reading thread's counters minus the worker's baseline.
+// from the main thread.
 TEST(RunReportTest, ReportReadOnAnotherThreadMatchesTheRunsThread) {
   std::promise<Testbed*> ran;
   std::promise<void> reported;
-  // The worker keeps the Testbed alive (and destroys it) itself: its
-  // pending callbacks live in the worker's thread-local slab pool.
   std::thread worker([&] {
     Testbed testbed(small_config(RunMode::kIgnem));
     testbed.run_workload(build_swim_workload(testbed, small_swim()));
@@ -293,7 +260,7 @@ TEST(RunReportTest, ReportReadOnAnotherThreadMatchesTheRunsThread) {
   ran.get_future().get()->build_run_report("determinism").write_json(os);
   reported.set_value();
   worker.join();
-  EXPECT_EQ(os.str(), run_in_fresh_thread().json);
+  EXPECT_EQ(os.str(), seeded_report_json());
 }
 
 TEST(RunReportTest, ContainsKernelProfileSeriesAndFingerprint) {
@@ -306,7 +273,7 @@ TEST(RunReportTest, ContainsKernelProfileSeriesAndFingerprint) {
        // run_mode_name spells the paper's capitalized labels.
        {"\"fingerprint\"", "\"hash\": \"0x", "\"mode\": \"Ignem\"",
         "\"kernel\"", "\"events_dispatched\"", "\"class.periodic\"",
-        "\"alloc.pool_hits\"", "\"dfs.read_latency_us\"",
+        "\"dfs.read_latency_us\"",
         "\"ignem.cache_hit_ratio\"", "\"ignem.locked_bytes\"",
         "\"tier.occupancy.t0\"", "\"summary\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing " << needle;
@@ -581,9 +548,7 @@ TEST(KernelProfileTest, ClassCountsSumToDispatched) {
   Testbed testbed(small_config(RunMode::kIgnem));
   testbed.run_workload(build_swim_workload(testbed, small_swim()));
   const KernelProfile& profile = testbed.sim().profile();
-  // Profiling was enabled before the first event, so the profile saw the
-  // whole run.
-  EXPECT_EQ(profile.events_dispatched, testbed.sim().events_dispatched());
+  EXPECT_GT(profile.events_dispatched, 0u);
   std::uint64_t by_class = 0;
   for (const std::uint64_t n : profile.class_counts) by_class += n;
   EXPECT_EQ(by_class, profile.events_dispatched);
@@ -634,7 +599,7 @@ TEST(ScrubMetricsTest, ProgressAndContentionSurfaceInReport) {
 // reduced them.
 struct RowModel {
   Samples nonzero_gib;  // Fig. 7's mean
-  Histogram histogram{0.0, 8.0, 16};  // Fig. 7's plot
+  Histogram histogram = Histogram::linear(0.0, 8.0, 16);  // Fig. 7's plot
   double ablation_mean_gib = 0.0;  // the ablation's mean in bytes, in GiB
 };
 
