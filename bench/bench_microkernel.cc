@@ -7,7 +7,7 @@
 //      the depth stays put; a warmed queue must churn with zero heap
 //      calls, counted by this binary's own operator new/delete.
 //   2. Raw dispatch throughput of the Simulator (push + drain), kernel
-//      self-profile included.
+//      self-profile included: the best of five 1M-event loops.
 //   3. Bandwidth churn on an HDD channel at 1, 2, 4 and 8 concurrent
 //      block-sized streams — the range a device sees in the scale runs
 //      (mean 1.0-1.6, peak 6). Every completion starts a successor.
@@ -181,24 +181,43 @@ void bench_event_churn(BenchReport& report) {
 
 // Every dispatch also updates the kernel self-profile (a class-count
 // increment plus queue-depth max/sum), so this rate includes the metrics
-// plane's whole hot-loop cost.
-void bench_dispatch(BenchReport& report) {
-  constexpr int kEvents = 1000000;
+// plane's whole hot-loop cost. One 1M push+drain per process swings by
+// ~30% on a shared host, so the loop runs kDispatchReps times, each on a
+// fresh Simulator, and the best rep is reported.
+constexpr int kDispatchEvents = 1000000;
+constexpr int kDispatchReps = 5;
+
+/// Host seconds for one push+drain of kDispatchEvents events.
+double dispatch_seconds(BenchReport& report) {
   Rng rng(7);
   Simulator sim;
   std::uint64_t fired = 0;
   const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEvents; ++i) {
+  for (int i = 0; i < kDispatchEvents; ++i) {
     sim.schedule(Duration::micros(rng.uniform_int(0, 1 << 20)),
                  [&fired] { ++fired; });
   }
   sim.run();
-  const double per_sec = kEvents / seconds_since(start);
-  IGNEM_CHECK(fired == kEvents);
-  IGNEM_CHECK(sim.profile().events_dispatched == kEvents);
+  const double seconds = seconds_since(start);
+  IGNEM_CHECK(fired == kDispatchEvents);
+  IGNEM_CHECK(sim.profile().events_dispatched == kDispatchEvents);
   report.add_events(sim.events_dispatched());
-  std::printf("event dispatch (1M push+drain): %10.0f events/s\n", per_sec);
+  return seconds;
+}
+
+void bench_dispatch(BenchReport& report) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kDispatchReps; ++rep) {
+    best = std::min(best, dispatch_seconds(report));
+  }
+  const double per_sec = kDispatchEvents / best;
+  const double ns_per_event = best * 1e9 / kDispatchEvents;
+  std::printf(
+      "event dispatch (1M push+drain, best of %d): %10.0f events/s "
+      "(%.1f ns/event)\n",
+      kDispatchReps, per_sec, ns_per_event);
   report.metric("dispatch_events_per_sec", per_sec);
+  report.metric("dispatch_ns_per_event", ns_per_event);
 }
 
 // ---------------------------------------------------------------------------

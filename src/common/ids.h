@@ -41,7 +41,6 @@ using NodeId = detail::StrongId<struct NodeTag>;
 using FileId = detail::StrongId<struct FileTag>;
 using BlockId = detail::StrongId<struct BlockTag>;
 using JobId = detail::StrongId<struct JobTag>;
-using TaskId = detail::StrongId<struct TaskTag>;
 using QueryId = detail::StrongId<struct QueryTag>;
 
 }  // namespace ignem

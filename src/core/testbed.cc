@@ -682,14 +682,16 @@ bool Testbed::run_workload_to(std::vector<ScheduledJob> jobs,
   for (auto& job : jobs) {
     job.spec.use_ignem = migration_on;
     const JobId id = next_job_id();
-    auto runner = std::make_unique<JobRunner>(sim_, *rm_, *dfs_, *network_,
-                                              &metrics_, id, job.spec);
+    auto runner = std::make_unique<JobRunner>(
+        sim_, *rm_, *dfs_, *network_, &metrics_, id, std::move(job.spec));
     JobRunner* raw = runner.get();
     runners_.push_back(std::move(runner));
     sim_.schedule(job.arrival, [this, raw] {
       raw->submit([this](const JobRecord&) { --jobs_remaining_; });
     });
   }
+  // Each runner owns its spec now; the list is not read again.
+  jobs = std::vector<ScheduledJob>();
 
   sim_.run_until([this] { return jobs_remaining_ == 0; }, deadline);
   const bool done = jobs_remaining_ == 0;

@@ -197,7 +197,7 @@ class Testbed : public FaultTarget {
   void corrupt_cached_replica(NodeId node, BlockId block);
 
   Simulator& sim() { return sim_; }
-  RunMetrics& metrics() { return metrics_; }
+  const RunMetrics& metrics() const { return metrics_; }
   /// The run's instrument registry, wired through every component.
   MetricsRegistry& metrics_registry() { return registry_; }
   const MetricsRegistry& metrics_registry() const { return registry_; }

@@ -97,7 +97,7 @@ void DfsClient::fail_read(NodeId reader, BlockId block, JobId job,
   record.duration = sim_.now() - start;
   record.failed = true;
   ++stats_.reads_failed;
-  if (metrics_ != nullptr) metrics_->add_block_read(record);
+  if (metrics_ != nullptr) metrics_->add_block_read(record.sample());
   on_complete(record);
 }
 
@@ -178,7 +178,7 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
             (from_memory ? read_latency_memory_ : read_latency_disk_)
                 ->record(us);
           }
-          if (metrics_ != nullptr) metrics_->add_block_read(record);
+          if (metrics_ != nullptr) metrics_->add_block_read(record.sample());
           cb(record);
         };
         if (remote) {

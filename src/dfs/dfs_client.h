@@ -33,6 +33,25 @@ struct DfsStats {
   std::uint64_t checksum_failovers = 0;///< Corrupt copy, failed over.
 };
 
+/// One block read as read_block hands it to its caller. The run's
+/// RunMetrics keeps only the BlockReadSample columns of it.
+struct BlockReadRecord {
+  BlockId block;
+  JobId job;
+  NodeId reader;
+  NodeId source;             ///< Replica that served the read (invalid if failed).
+  Bytes bytes = 0;
+  SimTime start;
+  Duration duration;
+  bool from_memory = false;  ///< Served from the locked buffer-cache pool.
+  bool remote = false;       ///< Read over the network from another node.
+  bool failed = false;       ///< Terminal error: retry deadline exhausted.
+
+  BlockReadSample sample() const {
+    return {start, duration, bytes, from_memory, remote, failed};
+  }
+};
+
 class DfsClient {
  public:
   using ReadCallback = std::function<void(const BlockReadRecord&)>;

@@ -30,7 +30,7 @@ JobRunner::JobRunner(Simulator& sim, ResourceManager& rm, DfsClient& dfs,
   for (const FileId file : spec_.inputs) {
     for (const BlockId block : dfs_.namenode().file(file).blocks) {
       const Bytes bytes = dfs_.namenode().block(block).size;
-      maps_.push_back(MapTask{TaskId(next_task_++), block, bytes});
+      maps_.push_back(MapTask{block, bytes});
       input_bytes_ += bytes;
     }
   }
@@ -93,12 +93,12 @@ void JobRunner::launch_map(std::size_t index, const ContainerGrant& grant) {
 
   sim_.schedule(spec_.compute.task_overhead, [this, index, grant, node, start,
                                               epoch] {
-    if (epoch != map_epoch_[index]) return;
+    if (!map_attempt_live(index, epoch)) return;
     const MapTask& task = maps_[index];
     dfs_.read_block(
         node, task.block, id_,
         [this, index, grant, node, start, epoch](const BlockReadRecord& read) {
-          if (epoch != map_epoch_[index]) return;
+          if (!map_attempt_live(index, epoch)) return;
           if (read.failed) {
             // Terminal read error: the input is unreadable everywhere (all
             // replicas lost or corrupt) and the deadline ran out. Fail the
@@ -116,21 +116,12 @@ void JobRunner::launch_map(std::size_t index, const ContainerGrant& grant) {
           const Duration compute =
               Duration::seconds(spec_.compute.map_cpu_secs_per_mib * mib_in);
           sim_.schedule(compute, [this, index, grant, node, start, epoch,
-                                  read] {
-            if (epoch != map_epoch_[index]) return;
-            const MapTask& task = maps_[index];
-            map_output_nodes_[node] += task.bytes;
+                                  read_time = read.duration] {
+            if (!map_attempt_live(index, epoch)) return;
+            map_output_nodes_[node] += maps_[index].bytes;
             if (metrics_ != nullptr) {
-              TaskRecord record;
-              record.task = task.id;
-              record.job = id_;
-              record.node = node;
-              record.kind = TaskKind::kMap;
-              record.input_bytes = task.bytes;
-              record.launch = start;
-              record.duration = sim_.now() - start;
-              record.read_time = read.duration;
-              metrics_->add_task(record);
+              metrics_->add_task(
+                  {TaskKind::kMap, start, sim_.now() - start, read_time});
             }
             rm_.release_container(grant);
             on_map_done();
@@ -180,19 +171,18 @@ void JobRunner::launch_reduce(std::size_t index, const ContainerGrant& grant) {
   const int epoch = reduce_epoch_[index];
   const Bytes shuffle_share = shuffle_bytes_ / reduce_count_;
   const Bytes output_share = output_bytes_ / reduce_count_;
-  const TaskId task_id(next_task_++);
 
   sim_.schedule(spec_.compute.task_overhead, [this, index, grant, node, start,
                                               epoch, shuffle_share,
-                                              output_share, task_id] {
-    if (epoch != reduce_epoch_[index]) return;
+                                              output_share] {
+    if (!reduce_attempt_live(index, epoch)) return;
     // Shuffle: fan-in through the reducer's NIC. Map outputs sit in the
     // senders' page caches, so the network is the chokepoint. Each sender's
     // share is gated on reachability; blocked shares retry until the
     // partition heals.
     run_shuffle(index, grant, node, start, epoch,
                 shuffle_shares(shuffle_share), shuffle_share, output_share,
-                task_id, sim_.now());
+                sim_.now());
   });
 }
 
@@ -226,17 +216,17 @@ void JobRunner::run_shuffle(std::size_t index, const ContainerGrant& grant,
                             NodeId node, SimTime start, int epoch,
                             std::vector<Network::IngressShare> shares,
                             Bytes shuffle_share, Bytes output_share,
-                            TaskId task_id, SimTime shuffle_start) {
+                            SimTime shuffle_start) {
   network_.ingress_transfer(
       node, std::move(shares),
       [this, index, grant, node, start, epoch, shuffle_share, output_share,
-       task_id, shuffle_start](Bytes arrived,
-                               std::vector<Network::IngressShare> unserved) {
+       shuffle_start](Bytes arrived,
+                      std::vector<Network::IngressShare> unserved) {
         (void)arrived;
-        if (epoch != reduce_epoch_[index]) return;
+        if (!reduce_attempt_live(index, epoch)) return;
         if (unserved.empty()) {
           finish_reduce(index, grant, node, start, epoch, shuffle_share,
-                        output_share, task_id);
+                        output_share);
           return;
         }
         if (sim_.now() - shuffle_start > kShuffleDeadline) {
@@ -250,12 +240,12 @@ void JobRunner::run_shuffle(std::size_t index, const ContainerGrant& grant,
         sim_.schedule(
             kShuffleRetryDelay,
             [this, index, grant, node, start, epoch, shuffle_share,
-             output_share, task_id, shuffle_start,
+             output_share, shuffle_start,
              unserved = std::move(unserved)]() mutable {
-              if (epoch != reduce_epoch_[index]) return;
+              if (!reduce_attempt_live(index, epoch)) return;
               run_shuffle(index, grant, node, start, epoch,
                           std::move(unserved), shuffle_share, output_share,
-                          task_id, shuffle_start);
+                          shuffle_start);
             },
             EventClass::kRetry);
       });
@@ -263,8 +253,7 @@ void JobRunner::run_shuffle(std::size_t index, const ContainerGrant& grant,
 
 void JobRunner::finish_reduce(std::size_t index, const ContainerGrant& grant,
                               NodeId node, SimTime start, int epoch,
-                              Bytes shuffle_share, Bytes output_share,
-                              TaskId task_id) {
+                              Bytes shuffle_share, Bytes output_share) {
   const double mib =
       static_cast<double>(shuffle_share) / static_cast<double>(kMiB);
   const Duration compute =
@@ -273,21 +262,12 @@ void JobRunner::finish_reduce(std::size_t index, const ContainerGrant& grant,
   // output to the DFS as they go. The write still rides the local
   // device channel, so write-heavy jobs (sort) contend with reads.
   auto barrier = std::make_shared<int>(2);
-  auto arm = [this, index, grant, node, start, epoch, shuffle_share, task_id,
-              barrier] {
+  auto arm = [this, index, grant, start, epoch, barrier] {
     if (--*barrier > 0) return;
-    if (epoch != reduce_epoch_[index]) return;
+    if (!reduce_attempt_live(index, epoch)) return;
     if (metrics_ != nullptr) {
-      TaskRecord record;
-      record.task = task_id;
-      record.job = id_;
-      record.node = node;
-      record.kind = TaskKind::kReduce;
-      record.input_bytes = shuffle_share;
-      record.launch = start;
-      record.duration = sim_.now() - start;
-      record.read_time = Duration::zero();
-      metrics_->add_task(record);
+      metrics_->add_task(
+          {TaskKind::kReduce, start, sim_.now() - start, Duration::zero()});
     }
     rm_.release_container(grant);
     on_reduce_done();
@@ -337,6 +317,14 @@ void JobRunner::complete() {
   record.end = sim_.now();
   record.duration = record.end - record.submit;
   record.failed = failed_;
+
+  // A finished job reads its per-task state no more. Superseded attempts
+  // still holding `this` drop out on finished_ before touching it.
+  maps_ = std::vector<MapTask>();
+  map_epoch_ = std::vector<int>();
+  reduce_epoch_ = std::vector<int>();
+  map_output_nodes_.clear();
+
   if (metrics_ != nullptr) metrics_->add_job(record);
   on_complete_(record);
 }

@@ -33,7 +33,9 @@ class JobRunner {
 
   /// Starts the job-submitter: migrate call (if enabled), optional injected
   /// lead-time, submission overhead, then scheduling. `on_complete` fires
-  /// once with the job's record. The runner must outlive the job.
+  /// once with the job's record. The runner must outlive the job: a
+  /// superseded attempt's continuations may still fire after it completes.
+  /// Completion frees the per-task state; the spec stays.
   void submit(CompletionCallback on_complete);
 
   JobId id() const { return id_; }
@@ -44,10 +46,19 @@ class JobRunner {
 
  private:
   struct MapTask {
-    TaskId id;
     BlockId block;
     Bytes bytes = 0;
   };
+
+  /// True while a continuation of map `index`'s attempt `epoch` is the
+  /// task's live attempt. A finished job has no live attempt (and has
+  /// freed the epochs), so a superseded attempt that fires late drops out.
+  bool map_attempt_live(std::size_t index, int epoch) const {
+    return !finished_ && epoch == map_epoch_[index];
+  }
+  bool reduce_attempt_live(std::size_t index, int epoch) const {
+    return !finished_ && epoch == reduce_epoch_[index];
+  }
 
   void enter_scheduler();
   void request_map(std::size_t index);
@@ -66,11 +77,11 @@ class JobRunner {
   void run_shuffle(std::size_t index, const ContainerGrant& grant,
                    NodeId node, SimTime start, int epoch,
                    std::vector<Network::IngressShare> shares,
-                   Bytes shuffle_share, Bytes output_share, TaskId task_id,
+                   Bytes shuffle_share, Bytes output_share,
                    SimTime shuffle_start);
   void finish_reduce(std::size_t index, const ContainerGrant& grant,
                      NodeId node, SimTime start, int epoch,
-                     Bytes shuffle_share, Bytes output_share, TaskId task_id);
+                     Bytes shuffle_share, Bytes output_share);
   void on_reduce_done();
   void finish_job();
   void complete();
@@ -90,7 +101,8 @@ class JobRunner {
   std::map<NodeId, Bytes> map_output_nodes_;
   // Attempt epochs: bumped when a task's container is lost to a node
   // failure. In-flight continuations of the old attempt compare their
-  // captured epoch and drop out, so a task never completes twice.
+  // captured epoch (map_attempt_live, reduce_attempt_live) and drop out, so
+  // a task never completes twice.
   std::vector<int> map_epoch_;
   std::vector<int> reduce_epoch_;
   Bytes input_bytes_ = 0;
@@ -104,7 +116,6 @@ class JobRunner {
   int reduce_count_ = 0;
   bool finished_ = false;
   bool failed_ = false;  ///< A map task's input became permanently unreadable.
-  std::int64_t next_task_ = 0;
 };
 
 }  // namespace ignem

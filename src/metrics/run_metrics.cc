@@ -63,11 +63,4 @@ double RunMetrics::memory_read_fraction() const {
   return static_cast<double>(hits) / static_cast<double>(completed);
 }
 
-void RunMetrics::clear() {
-  block_reads_.clear();
-  tasks_.clear();
-  jobs_.clear();
-  memory_footprint_ = MemoryFootprint{};
-}
-
 }  // namespace ignem

@@ -1,10 +1,21 @@
 // Run-level measurement collection.
 //
 // Every experiment drives the cluster with a RunMetrics sink attached;
-// benches aggregate these records into the paper's tables and figures.
-// Records are flat structs (no behaviour) so analysis code can slice them
-// freely. The memory sampler's per-node samples are the exception: they
-// are folded into one per-run MemoryFootprint instead of kept.
+// benches aggregate what it keeps into the paper's tables and figures. A
+// run keeps only what some reader reads, because the rows grow with the
+// run (one per block read, one per task) and set a long run's peak memory:
+//   - per block read, a 32-byte BlockReadSample: its start, duration and
+//     size and whether it was served from memory, crossed the network or
+//     failed. The Fig. 1/6 aggregates and the property tests read these.
+//     Which block, job, reader and replica it was stay on the
+//     BlockReadRecord that DfsClient::read_block hands its caller;
+//   - per task, a 32-byte TaskRecord: its kind, launch, duration and read
+//     time (Fig. 2, Table II). Which task, job and node it ran on and its
+//     input size are not kept; no reader asks for them;
+//   - per job, a whole JobRecord: a job has many reads and tasks, so its
+//     one row hardly moves the peak;
+//   - the memory sampler's per-node samples, folded into one per-run
+//     MemoryFootprint instead of kept.
 #pragma once
 
 #include <string>
@@ -17,33 +28,29 @@
 
 namespace ignem {
 
-/// One HDFS block read observed at a DataNode (paper Figs. 1 and 6).
-struct BlockReadRecord {
-  BlockId block;
-  JobId job;
-  NodeId reader;
-  NodeId source;             ///< Replica that served the read (invalid if failed).
-  Bytes bytes = 0;
+/// One HDFS block read, as the run keeps it (paper Figs. 1 and 6).
+struct BlockReadSample {
   SimTime start;
   Duration duration;
+  Bytes bytes = 0;
   bool from_memory = false;  ///< Served from the locked buffer-cache pool.
   bool remote = false;       ///< Read over the network from another node.
   bool failed = false;       ///< Terminal error: retry deadline exhausted.
 };
+static_assert(sizeof(BlockReadSample) == 32,
+              "a new column costs every block read of a run; see the header");
 
 enum class TaskKind { kMap, kReduce };
 
 /// One task execution (paper Fig. 2, Table II).
 struct TaskRecord {
-  TaskId task;
-  JobId job;
-  NodeId node;
   TaskKind kind = TaskKind::kMap;
-  Bytes input_bytes = 0;
   SimTime launch;
   Duration duration;
   Duration read_time;  ///< Portion spent reading input.
 };
+static_assert(sizeof(TaskRecord) == 32,
+              "a new column costs every task of a run; see the header");
 
 /// One job execution (paper Tables I/III, Figs. 5, 8, 9).
 struct JobRecord {
@@ -81,7 +88,7 @@ class MemoryFootprint {
 
 class RunMetrics {
  public:
-  void add_block_read(const BlockReadRecord& r) { block_reads_.push_back(r); }
+  void add_block_read(const BlockReadSample& r) { block_reads_.push_back(r); }
   void add_task(const TaskRecord& r) { tasks_.push_back(r); }
   void add_job(const JobRecord& r) { jobs_.push_back(r); }
   /// One node's locked bytes at one sampler tick.
@@ -89,7 +96,7 @@ class RunMetrics {
     memory_footprint_.add(locked_bytes);
   }
 
-  const std::vector<BlockReadRecord>& block_reads() const { return block_reads_; }
+  const std::vector<BlockReadSample>& block_reads() const { return block_reads_; }
   const std::vector<TaskRecord>& tasks() const { return tasks_; }
   const std::vector<JobRecord>& jobs() const { return jobs_; }
   const MemoryFootprint& memory_footprint() const { return memory_footprint_; }
@@ -105,10 +112,8 @@ class RunMetrics {
   /// Fraction of block reads served from memory.
   double memory_read_fraction() const;
 
-  void clear();
-
  private:
-  std::vector<BlockReadRecord> block_reads_;
+  std::vector<BlockReadSample> block_reads_;
   std::vector<TaskRecord> tasks_;
   std::vector<JobRecord> jobs_;
   MemoryFootprint memory_footprint_;

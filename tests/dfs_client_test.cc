@@ -203,12 +203,14 @@ TEST_F(DfsClientTest, ReadRecoversWhenDiskReturnsBeforeDeadline) {
 TEST_F(DfsClientTest, MetricsRecorded) {
   build(2, 2);
   const BlockId block = one_block_file("/a");
-  read(NodeId(0), block, JobId(42));
-  ASSERT_EQ(metrics_.block_reads().size(), 1u);
-  const auto& record = metrics_.block_reads()[0];
+  const auto record = read(NodeId(0), block, JobId(42));
   EXPECT_EQ(record.job, JobId(42));
   EXPECT_EQ(record.reader, NodeId(0));
-  EXPECT_EQ(record.bytes, 64 * kMiB);
+  ASSERT_EQ(metrics_.block_reads().size(), 1u);
+  const auto& sample = metrics_.block_reads()[0];
+  EXPECT_EQ(sample.bytes, 64 * kMiB);
+  EXPECT_EQ(sample.start, record.start);
+  EXPECT_EQ(sample.duration, record.duration);
 }
 
 TEST_F(DfsClientTest, MigrateWithoutServiceIsNoOp) {

@@ -118,17 +118,6 @@ TEST(EdgeCases, EmptyMetricsAggregatesAreZero) {
   EXPECT_EQ(metrics.memory_read_fraction(), 0.0);
 }
 
-TEST(EdgeCases, MetricsClearResetsEverything) {
-  Testbed testbed(small(RunMode::kHdfs));
-  testbed.run_workload(
-      {{Duration::zero(), make_grep_job(testbed, "/g", 64 * kMiB)}});
-  EXPECT_FALSE(testbed.metrics().jobs().empty());
-  testbed.metrics().clear();
-  EXPECT_TRUE(testbed.metrics().jobs().empty());
-  EXPECT_TRUE(testbed.metrics().tasks().empty());
-  EXPECT_TRUE(testbed.metrics().block_reads().empty());
-}
-
 TEST(EdgeCases, LargeClusterSmokes) {
   TestbedConfig config = small(RunMode::kIgnem);
   config.cluster.node_count = 40;  // well past the paper's scale

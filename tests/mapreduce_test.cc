@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,96 @@ TEST(JobRunner, HdfsModeClearsUseIgnem) {
   JobRunner* runner = testbed.submit_job(spec, nullptr);
   EXPECT_FALSE(runner->spec().use_ignem);
   testbed.run_until_jobs_done();
+}
+
+// A superseded map attempt whose read returns after its job completed: the
+// job has freed its per-task state by then, so the continuation must drop
+// out on the finished job before it looks up its attempt. The map's reader
+// loses its disk and is cut off from every other replica mid-read; the RM
+// declares it dead, the map re-runs elsewhere and the job completes while
+// the old read still retries. Then the old read ends: `heal` lifts the cut
+// and it is served, otherwise it waits out DfsClient::kReadDeadline and
+// fails.
+void superseded_read_returns_after_completion(bool heal) {
+  TestbedConfig config = small_config();
+  config.fault_tolerance = true;
+  config.check_invariants = true;
+  Testbed testbed(config);
+  const JobSpec spec = map_only_spec(testbed, "/in", 64 * kMiB);
+  std::optional<JobRecord> done;
+  testbed.submit_job(spec, [&](const JobRecord& record) { done = record; });
+
+  const auto& events = testbed.trace()->events();
+  auto first_event = [&](TraceEventType type) -> const TraceEvent* {
+    for (const TraceEvent& e : events) {
+      if (e.type == type) return &e;
+    }
+    return nullptr;
+  };
+  // Bounded waits: periodic heartbeats keep the queue busy forever, so a
+  // regression fails an assertion instead of hanging the binary.
+  testbed.sim().run_until(
+      [&] { return first_event(TraceEventType::kBlockReadStart) != nullptr; },
+      SimTime::zero() + Duration::seconds(60));
+  ASSERT_NE(first_event(TraceEventType::kBlockReadStart), nullptr);
+  const TraceEvent* grant = first_event(TraceEventType::kContainerAllocate);
+  ASSERT_NE(grant, nullptr);
+  const NodeId reader = grant->node;
+  const SimTime cut = testbed.sim().now();
+  testbed.begin_disk_fail_stop(reader);
+  testbed.begin_network_partition(reader, /*variant=*/0);
+
+  testbed.sim().run_until([&] { return done.has_value(); },
+                          cut + DfsClient::kReadDeadline);
+  ASSERT_TRUE(done.has_value());
+  const SimTime end = done->end;
+  if (heal) {
+    testbed.end_network_partition(reader, /*variant=*/0);
+    testbed.end_disk_fail_stop(reader);
+  }
+  testbed.sim().run(cut + DfsClient::kReadDeadline + Duration::seconds(30));
+
+  // The path was reached: exactly one read (the old attempt's) ended after
+  // its job had, and it started no later than the cut.
+  const RunMetrics& metrics = testbed.metrics();
+  std::size_t late = 0;
+  for (const BlockReadSample& read : metrics.block_reads()) {
+    if (read.start + read.duration <= end) continue;
+    ++late;
+    EXPECT_LE(read.start, cut);
+    EXPECT_EQ(read.failed, !heal);
+  }
+  EXPECT_EQ(late, 1u);
+
+  // The job's record and its one task row are the surviving attempt's.
+  ASSERT_EQ(metrics.jobs().size(), 1u);
+  EXPECT_FALSE(metrics.jobs()[0].failed);
+  EXPECT_FALSE(done->failed);
+  EXPECT_EQ(metrics.jobs()[0].end, end);
+  ASSERT_EQ(metrics.tasks().size(), 1u);
+  const TaskRecord& task = metrics.tasks()[0];
+  EXPECT_EQ(task.kind, TaskKind::kMap);
+  EXPECT_GT(task.launch, cut);
+  EXPECT_LE(task.launch + task.duration, end);
+  std::size_t surviving_reads = 0;
+  for (const BlockReadSample& read : metrics.block_reads()) {
+    if (read.start >= task.launch && read.start + read.duration <= end) {
+      ++surviving_reads;
+      EXPECT_FALSE(read.failed);
+      EXPECT_EQ(read.duration, task.read_time);
+    }
+  }
+  EXPECT_EQ(surviving_reads, 1u);
+  EXPECT_TRUE(testbed.invariant_checker()->ok())
+      << testbed.invariant_checker()->report();
+}
+
+TEST(JobRunner, SupersededReadServedAfterJobCompletes) {
+  superseded_read_returns_after_completion(/*heal=*/true);
+}
+
+TEST(JobRunner, SupersededReadFailsAfterJobCompletes) {
+  superseded_read_returns_after_completion(/*heal=*/false);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 //   3. Coverage — every field of every component *Stats struct reaches the
 //      report, summed over the components that own one.
 //   4. The memory footprint — the per-run aggregate Fig. 7 reads — matches
-//      the per-sample rows it replaced, bit for bit.
+//      the per-sample rows it replaced, bit for bit, and so does every
+//      aggregate over the 32-byte read and task rows against the 64-byte
+//      rows they replaced.
 // Inertness — recording never perturbs the simulation — is pinned by the
 // trace hashes in kernel_regression_test: they predate the metrics plane
 // and every Testbed now records metrics.
@@ -39,6 +41,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/testbed.h"
+#include "dfs/dfs_client.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "metrics/instruments.h"
@@ -681,6 +684,207 @@ TEST(MemoryFootprintTest, MatchesPerSampleRowModel) {
   EXPECT_GE(empty_runs, 1u);
   EXPECT_GT(zeros, 0u);
   EXPECT_GT(above_range, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Read and task rows
+
+// The model: the 64-byte rows a run used to keep (a read's row is the
+// BlockReadRecord the client still hands its caller) and the aggregate
+// loops that read them.
+struct FullTaskRow {
+  std::int64_t task = 0;
+  JobId job;
+  NodeId node;
+  TaskKind kind = TaskKind::kMap;
+  Bytes input_bytes = 0;
+  SimTime launch;
+  Duration duration;
+  Duration read_time;
+};
+
+static_assert(sizeof(BlockReadRecord) == 64 && sizeof(FullTaskRow) == 64);
+
+struct FullRowModel {
+  std::vector<BlockReadRecord> reads;
+  std::vector<FullTaskRow> tasks;
+
+  Samples task_durations_seconds(TaskKind kind) const {
+    Samples s;
+    for (const auto& t : tasks) {
+      if (t.kind == kind) s.add(t.duration.to_seconds());
+    }
+    return s;
+  }
+  Samples block_read_seconds() const {
+    Samples s;
+    s.reserve(reads.size());
+    for (const auto& r : reads) {
+      if (!r.failed) s.add(r.duration.to_seconds());
+    }
+    return s;
+  }
+  double mean_map_task_seconds() const {
+    return task_durations_seconds(TaskKind::kMap).mean();
+  }
+  double mean_block_read_seconds() const {
+    return block_read_seconds().mean();
+  }
+  double memory_read_fraction() const {
+    std::size_t hits = 0;
+    std::size_t completed = 0;
+    for (const auto& r : reads) {
+      if (r.failed) continue;
+      ++completed;
+      if (r.from_memory) ++hits;
+    }
+    if (completed == 0) return 0.0;
+    return static_cast<double>(hits) / static_cast<double>(completed);
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_samples(const Samples& got, const Samples& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.count(), want.count()) << what;
+  for (std::size_t i = 0; i < got.count(); ++i) {
+    ASSERT_EQ(bits(got.values()[i]), bits(want.values()[i]))
+        << what << " value " << i;
+  }
+}
+
+void expect_matches_model(const RunMetrics& metrics,
+                          const FullRowModel& model, const std::string& at) {
+  expect_same_samples(metrics.block_read_seconds(),
+                      model.block_read_seconds(), at + " block reads");
+  expect_same_samples(metrics.task_durations_seconds(TaskKind::kMap),
+                      model.task_durations_seconds(TaskKind::kMap),
+                      at + " map tasks");
+  expect_same_samples(metrics.task_durations_seconds(TaskKind::kReduce),
+                      model.task_durations_seconds(TaskKind::kReduce),
+                      at + " reduce tasks");
+  EXPECT_EQ(bits(metrics.memory_read_fraction()),
+            bits(model.memory_read_fraction()))
+      << at;
+  EXPECT_EQ(bits(metrics.mean_block_read_seconds()),
+            bits(model.mean_block_read_seconds()))
+      << at;
+  EXPECT_EQ(bits(metrics.mean_map_task_seconds()),
+            bits(model.mean_map_task_seconds()))
+      << at;
+
+  ASSERT_EQ(metrics.block_reads().size(), model.reads.size()) << at;
+  for (std::size_t i = 0; i < model.reads.size(); ++i) {
+    const BlockReadSample& got = metrics.block_reads()[i];
+    const BlockReadRecord& want = model.reads[i];
+    ASSERT_TRUE(got.start == want.start && got.duration == want.duration &&
+                got.bytes == want.bytes &&
+                got.from_memory == want.from_memory &&
+                got.remote == want.remote && got.failed == want.failed)
+        << at << " read row " << i;
+  }
+  ASSERT_EQ(metrics.tasks().size(), model.tasks.size()) << at;
+  for (std::size_t i = 0; i < model.tasks.size(); ++i) {
+    const TaskRecord& got = metrics.tasks()[i];
+    const FullTaskRow& want = model.tasks[i];
+    ASSERT_TRUE(got.kind == want.kind && got.launch == want.launch &&
+                got.duration == want.duration &&
+                got.read_time == want.read_time)
+        << at << " task row " << i;
+  }
+}
+
+/// Zero with probability 1/16, a span far past any run (up to ~30 years of
+/// simulated time) with probability 1/16, else up to `typical`.
+Duration draw_duration(Rng& rng, Duration typical, std::size_t& zero,
+                       std::size_t& huge) {
+  const double u = rng.next_double();
+  if (u < 1.0 / 16) {
+    ++zero;
+    return Duration::zero();
+  }
+  if (u < 2.0 / 16) {
+    ++huge;
+    return Duration(rng.uniform_int(std::int64_t{1} << 40,
+                                    std::int64_t{1} << 50));
+  }
+  return Duration(rng.uniform_int(1, typical.count_micros()));
+}
+
+TEST(RunMetricsRows, MatchFullRowModel) {
+  std::size_t failed = 0, memory = 0, remote = 0, tail = 0, maps = 0,
+              reduces = 0, zero = 0, huge = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(test::seed_for(4000 + seed));
+    RunMetrics metrics;
+    FullRowModel model;
+    SimTime now = SimTime::zero();
+    for (int i = 1; i <= 5000; ++i) {
+      now = now + Duration(rng.uniform_int(0, 2'000'000));
+      if (rng.bernoulli(0.6)) {
+        // A read as DfsClient::read_block completes it: terminal failures,
+        // memory- and disk-served, local and remote, whole and tail blocks.
+        BlockReadRecord read;
+        read.block = BlockId(rng.uniform_int(0, 1 << 20));
+        read.job = JobId(rng.uniform_int(0, 12'800));
+        read.reader = NodeId(rng.uniform_int(0, 511));
+        read.failed = rng.bernoulli(0.08);
+        read.from_memory = rng.bernoulli(0.45);
+        read.remote = rng.bernoulli(0.3);
+        read.source = read.failed ? NodeId::invalid()
+                                  : NodeId(rng.uniform_int(0, 511));
+        read.bytes = rng.bernoulli(0.2) ? rng.uniform_int(1, 64 * kMiB - 1)
+                                        : 64 * kMiB;
+        read.start = now;
+        read.duration = read.failed
+                            ? DfsClient::kReadDeadline +
+                                  Duration(rng.uniform_int(0, 500'000))
+                            : draw_duration(rng, Duration::seconds(30), zero,
+                                            huge);
+        failed += read.failed ? 1 : 0;
+        memory += read.from_memory ? 1 : 0;
+        remote += read.remote ? 1 : 0;
+        tail += read.bytes < 64 * kMiB ? 1 : 0;
+        metrics.add_block_read(read.sample());
+        model.reads.push_back(read);
+      } else {
+        FullTaskRow task;
+        task.task = i;
+        task.job = JobId(rng.uniform_int(0, 12'800));
+        task.node = NodeId(rng.uniform_int(0, 511));
+        task.kind = rng.bernoulli(0.7) ? TaskKind::kMap : TaskKind::kReduce;
+        task.input_bytes = rng.uniform_int(0, 64 * kMiB);
+        task.launch = now;
+        task.duration = draw_duration(rng, Duration::seconds(120), zero, huge);
+        task.read_time =
+            task.kind == TaskKind::kMap
+                ? Duration(rng.uniform_int(0, task.duration.count_micros()))
+                : Duration::zero();
+        maps += task.kind == TaskKind::kMap ? 1 : 0;
+        reduces += task.kind == TaskKind::kReduce ? 1 : 0;
+        metrics.add_task(
+            {task.kind, task.launch, task.duration, task.read_time});
+        model.tasks.push_back(task);
+      }
+      // Every 250 records; the last check is at the stream's end.
+      if (i % 250 == 0) {
+        expect_matches_model(metrics, model,
+                             "seed " + std::to_string(seed) + " record " +
+                                 std::to_string(i));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  // The streams reached every kind of record the aggregates branch on.
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(memory, 0u);
+  EXPECT_GT(remote, 0u);
+  EXPECT_GT(tail, 0u);
+  EXPECT_GT(maps, 0u);
+  EXPECT_GT(reduces, 0u);
+  EXPECT_GT(zero, 0u);
+  EXPECT_GT(huge, 0u);
 }
 
 }  // namespace
