@@ -35,8 +35,8 @@ void main_impl() {
             << TextTable::percent(speedup(hdfs, ignem) / speedup(hdfs, ram))
             << " of the upper-bound benefit (paper: ~60%)\n";
 
-  // Structured run report for the Ignem run: kernel self-profile, per-tier
-  // occupancy series, cache-hit timeline. CI uploads it as an artifact.
+  // Structured run report for the Ignem run: kernel self-profile,
+  // locked-bytes series, cache-hit timeline. CI uploads it as an artifact.
   write_run_report(*runs[1], "table1_swim");
 
   // Hardware cost of the modeled per-node hierarchy — the denominator of

@@ -224,10 +224,6 @@ void IgnemSlave::drop_block(BlockId block) {
     case Phase::kInMemory:
       datanode_.cache().unlock(block);
       ++stats_.evictions;
-      if (trace_ != nullptr) {
-        trace_->emit(TraceEventType::kEviction, datanode_.id(), block,
-                     JobId::invalid(), it->second.bytes);
-      }
       break;
     case Phase::kMigrating:
       // Never reached: callers defer to on_migration_complete.
@@ -314,10 +310,6 @@ void IgnemSlave::purge_all() {
     if (state.phase == Phase::kInMemory) {
       datanode_.cache().unlock(block);
       ++stats_.evictions;
-      if (trace_ != nullptr) {
-        trace_->emit(TraceEventType::kEviction, datanode_.id(), block,
-                     JobId::invalid(), state.bytes);
-      }
     }
   }
   blocks_.clear();

@@ -104,8 +104,9 @@ class IgnemSlave : public BlockReadListener {
   /// no one tracks).
   std::vector<std::pair<BlockId, JobId>> tracked_references() const;
 
-  /// Emits kMigrationStart/kMigrationComplete/kEviction and wires the
-  /// underlying queue's enqueue/dequeue/drop events.
+  /// Emits kMigrationStart/kMigrationComplete and wires the underlying
+  /// queue's enqueue/dequeue/drop events. An eviction's one record is the
+  /// pool's kCacheUnlock.
   void set_trace(TraceRecorder* trace) {
     trace_ = trace;
     queue_.set_trace(trace, datanode_.id());

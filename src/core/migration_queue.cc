@@ -54,24 +54,15 @@ void MigrationQueue::emit(TraceEventType type, const PendingMigration& m) const 
 
 void MigrationQueue::push(const PendingMigration& m) {
   IGNEM_CHECK(m.block.valid() && m.job.valid() && m.bytes > 0);
-  const auto [it, inserted] = entries_.insert(m);
-  if (inserted) {
-    ++block_refcount_[m.block];
-    emit(TraceEventType::kMigrationEnqueue, m);
-  }
+  if (entries_.insert(m).second) emit(TraceEventType::kMigrationEnqueue, m);
 }
 
 std::optional<PendingMigration> MigrationQueue::pop() {
   if (entries_.empty()) return std::nullopt;
   PendingMigration m = *entries_.begin();
   entries_.erase(entries_.begin());
-  if (--block_refcount_[m.block] == 0) block_refcount_.erase(m.block);
   emit(TraceEventType::kMigrationDequeue, m);
   return m;
-}
-
-const PendingMigration* MigrationQueue::peek() const {
-  return entries_.empty() ? nullptr : &*entries_.begin();
 }
 
 const PendingMigration* MigrationQueue::peek_ready(SimTime now) const {
@@ -86,7 +77,6 @@ std::optional<PendingMigration> MigrationQueue::pop_ready(SimTime now) {
     if (it->not_before > now) continue;
     PendingMigration m = *it;
     entries_.erase(it);
-    if (--block_refcount_[m.block] == 0) block_refcount_.erase(m.block);
     emit(TraceEventType::kMigrationDequeue, m);
     return m;
   }
@@ -102,21 +92,6 @@ std::optional<SimTime> MigrationQueue::next_ready_time(SimTime now) const {
   return earliest;
 }
 
-std::size_t MigrationQueue::erase_job(JobId job) {
-  std::size_t removed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->job == job) {
-      if (--block_refcount_[it->block] == 0) block_refcount_.erase(it->block);
-      emit(TraceEventType::kMigrationDrop, *it);
-      it = entries_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
 std::size_t MigrationQueue::erase_block(BlockId block) {
   std::size_t removed = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
@@ -128,24 +103,7 @@ std::size_t MigrationQueue::erase_block(BlockId block) {
       ++it;
     }
   }
-  if (removed > 0) block_refcount_.erase(block);
   return removed;
-}
-
-bool MigrationQueue::erase(BlockId block, JobId job) {
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->block == block && it->job == job) {
-      if (--block_refcount_[block] == 0) block_refcount_.erase(block);
-      emit(TraceEventType::kMigrationDrop, *it);
-      entries_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool MigrationQueue::contains(BlockId block) const {
-  return block_refcount_.contains(block);
 }
 
 }  // namespace ignem

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "common/ids.h"
 #include "common/units.h"
@@ -45,11 +44,8 @@ class MigrationQueue {
   /// Removes and returns the highest-priority entry, or nullopt when empty.
   std::optional<PendingMigration> pop();
 
-  /// Peeks without removing.
-  const PendingMigration* peek() const;
-
-  /// Like peek/pop, but skip entries still serving their retry backoff
-  /// (`not_before > now`).
+  /// Like pop, but skip entries still serving their retry backoff
+  /// (`not_before > now`); peek_ready does not remove.
   const PendingMigration* peek_ready(SimTime now) const;
   std::optional<PendingMigration> pop_ready(SimTime now);
 
@@ -57,16 +53,9 @@ class MigrationQueue {
   /// none are backed off — when the slave should wake to re-check.
   std::optional<SimTime> next_ready_time(SimTime now) const;
 
-  /// Drops all entries for `job`; returns how many were removed.
-  std::size_t erase_job(JobId job);
-
   /// Drops all entries for `block` (any job); returns how many were removed.
   std::size_t erase_block(BlockId block);
 
-  /// Drops the specific (block, job) entry if present.
-  bool erase(BlockId block, JobId job);
-
-  bool contains(BlockId block) const;
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
 
@@ -86,7 +75,6 @@ class MigrationQueue {
   };
 
   std::set<PendingMigration, Order> entries_;
-  std::unordered_map<BlockId, int> block_refcount_;
   TraceRecorder* trace_ = nullptr;
   NodeId trace_node_;
 };

@@ -31,7 +31,6 @@ Testbed::Testbed(TestbedConfig config)
       checker_ = std::make_unique<InvariantChecker>();
       trace_->add_observer(checker_.get());
     }
-    sim_.set_trace(trace_.get());
   }
 
   namenode_ = std::make_unique<NameNode>(rng_.fork(1), config_.replication,
@@ -233,9 +232,12 @@ std::string Testbed::replica_model_mismatch() const {
       }
     }
   }
-  for (const auto& [block_id, nodes] : model->blocks()) {
-    if (!namenode_->all_blocks().contains(block_id)) {
-      out << "trace has replicas for block " << block_id.value()
+  const std::vector<std::vector<NodeId>>& traced = model->blocks();
+  for (std::size_t block = 0; block < traced.size(); ++block) {
+    if (!traced[block].empty() &&
+        !namenode_->all_blocks().contains(
+            BlockId(static_cast<std::int64_t>(block)))) {
+      out << "trace has replicas for block " << block
           << " unknown to the NameNode";
       return out.str();
     }
@@ -311,14 +313,12 @@ HotDataPromoter* Testbed::hot_data_promoter(NodeId node) {
 void Testbed::sample_memory() {
   // Aggregates for the registry time series (filled while walking nodes).
   Bytes total_locked = 0;
-  Bytes total_capacity = 0;
   std::size_t total_queue_depth = 0;
 
   for (const auto& dn : datanodes_) {
     const Bytes locked = dn->cache().used();
     metrics_.add_memory_sample(locked);
     total_locked += locked;
-    total_capacity += dn->cache().capacity();
   }
   for (const auto& slave : slaves_) total_queue_depth += slave->queue_depth();
 
@@ -334,9 +334,6 @@ void Testbed::sample_memory() {
                        ? 0.0
                        : static_cast<double>(reads.memory_reads) /
                              static_cast<double>(reads.reads_completed));
-  registry_.series("tier.occupancy.t0", w)  // pools are never 0-sized
-      .record(now, static_cast<double>(total_locked) /
-                       static_cast<double>(total_capacity));
   if (scrubber_ != nullptr) {
     registry_.series("scrub.blocks_scanned", w)
         .record(now, static_cast<double>(scrubber_->stats().blocks_scanned));
@@ -373,7 +370,7 @@ void Testbed::fail_node(NodeId node) {
   IGNEM_CHECK_MSG(dn.alive(),
                   "fail_node: node " << node.value() << " is already down");
   // Crash event first: the slave purge and cache reclamation below emit
-  // unlock/eviction events the NodeDownRule only permits on a down node.
+  // unlock events the NodeDownRule only permits on a down node.
   emit_fault_event(TraceEventType::kFaultNodeCrash, node);
   // The slave and the hot-data promoter live in the DataNode process.
   IgnemSlave* slave = ignem_slave(node);

@@ -138,9 +138,6 @@ void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
     return;
   }
   if (trace_ != nullptr) {
-    trace_->emit(from_memory ? TraceEventType::kCacheHit
-                             : TraceEventType::kCacheMiss,
-                 id_, block, job, size);
     trace_->emit(TraceEventType::kBlockReadStart, id_, block, job, size);
   }
   ++(from_memory ? stats_.pool_reads : stats_.home_reads);

@@ -175,9 +175,9 @@ class DataNode {
   }
   void report_corruption(BlockId block, bool cached, CorruptionSource source);
 
-  /// Emits kReplicaAdd, kBlockReadStart/End, and kCacheHit/Miss; also wires
-  /// both devices (silent at wiring) and the pool (emits kCacheInit now)
-  /// into the same recorder.
+  /// Emits kReplicaAdd and kBlockReadStart/End; also wires both devices'
+  /// bandwidth channels (silent at wiring) and the pool (emits kCacheInit
+  /// now) into the same recorder.
   void set_trace(TraceRecorder* trace);
 
  private:

@@ -1,5 +1,6 @@
 #include "obs/invariant_checker.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -42,41 +43,44 @@ void MonotoneTimeRule::check(const TraceEvent& event,
 
 void ReplicaAccountingRule::check(const TraceEvent& event,
                                   std::vector<InvariantViolation>& out) {
-  switch (event.type) {
-    case TraceEventType::kReplicaAdd: {
-      const auto [it, inserted] = blocks_[event.block].insert(event.node);
-      (void)it;
-      if (!inserted) {
-        std::ostringstream os;
-        os << "node " << event.node << " already holds a replica of block "
-           << event.block;
-        violate(event, os.str(), out);
-      }
-      break;
-    }
-    case TraceEventType::kReplicaInvalidate: {
-      const auto it = blocks_.find(event.block);
-      if (it == blocks_.end() || it->second.erase(event.node) == 0) {
-        std::ostringstream os;
-        os << "node " << event.node
-           << " invalidated a replica it never held of block " << event.block;
-        violate(event, os.str(), out);
-      }
-      break;
-    }
-    default:
-      break;
+  const bool add = event.type == TraceEventType::kReplicaAdd;
+  if (!add && event.type != TraceEventType::kReplicaInvalidate) return;
+  IGNEM_CHECK_MSG(event.block.valid(), trace_event_name(event.type)
+                                           << " without a block");
+  const auto index = static_cast<std::size_t>(event.block.value());
+  if (index >= blocks_.size()) blocks_.resize(index + 1);
+  std::vector<NodeId>& nodes = blocks_[index];
+  const auto it = std::find(nodes.begin(), nodes.end(), event.node);
+  const bool held = it != nodes.end();
+  if (add && !held) {
+    nodes.push_back(event.node);
+    return;
   }
+  if (!add && held) {
+    nodes.erase(it);
+    return;
+  }
+  std::ostringstream os;
+  if (add) {
+    os << "node " << event.node << " already holds a replica of block "
+       << event.block;
+  } else {
+    os << "node " << event.node
+       << " invalidated a replica it never held of block " << event.block;
+  }
+  violate(event, os.str(), out);
 }
 
 std::size_t ReplicaAccountingRule::replica_count(BlockId block) const {
-  const auto it = blocks_.find(block);
-  return it == blocks_.end() ? 0 : it->second.size();
+  const auto index = static_cast<std::size_t>(block.value());
+  return block.valid() && index < blocks_.size() ? blocks_[index].size() : 0;
 }
 
 bool ReplicaAccountingRule::has_replica(BlockId block, NodeId node) const {
-  const auto it = blocks_.find(block);
-  return it != blocks_.end() && it->second.contains(node);
+  const auto index = static_cast<std::size_t>(block.value());
+  if (!block.valid() || index >= blocks_.size()) return false;
+  const std::vector<NodeId>& nodes = blocks_[index];
+  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
 }
 
 // ---------------------------------------------------------------------------
@@ -84,13 +88,6 @@ bool ReplicaAccountingRule::has_replica(BlockId block, NodeId node) const {
 void ReadProvenanceRule::check(const TraceEvent& event,
                                std::vector<InvariantViolation>& out) {
   switch (event.type) {
-    case TraceEventType::kReplicaAdd:
-      replicas_[event.block].insert(event.node);
-      break;
-    case TraceEventType::kReplicaInvalidate:
-      // The on-disk copy is gone; any later read there is a provenance bug.
-      replicas_[event.block].erase(event.node);
-      break;
     case TraceEventType::kNodeDead:
       dead_nodes_.insert(event.node);
       break;
@@ -98,8 +95,9 @@ void ReadProvenanceRule::check(const TraceEvent& event,
       dead_nodes_.erase(event.node);
       break;
     case TraceEventType::kBlockReadStart: {
-      const auto it = replicas_.find(event.block);
-      if (it == replicas_.end() || !it->second.contains(event.node)) {
+      // An invalidated copy is gone from the map too: a later read there is
+      // a provenance bug.
+      if (!replicas_.has_replica(event.block, event.node)) {
         std::ostringstream os;
         os << "block " << event.block << " read on node " << event.node
            << " which never received a replica of it";
@@ -394,7 +392,7 @@ InvariantChecker::InvariantChecker(bool install_default_rules) {
   auto replica_rule = std::make_unique<ReplicaAccountingRule>();
   replica_rule_ = replica_rule.get();
   add_rule(std::move(replica_rule));
-  add_rule(std::make_unique<ReadProvenanceRule>());
+  add_rule(std::make_unique<ReadProvenanceRule>(*replica_rule_));
   add_rule(std::make_unique<BandwidthConservationRule>());
   add_rule(std::make_unique<CacheCapacityRule>());
   add_rule(std::make_unique<SingleMigrationRule>());

@@ -8,7 +8,8 @@
 //   ReplicaAccountingRule     a node never gains a replica it already holds;
 //                             the event-derived replica map stays exact
 //   ReadProvenanceRule        a block is never read on a node it was never
-//                             written to, nor on a namespace-dead node
+//                             written to (per ReplicaAccountingRule's map),
+//                             nor on a namespace-dead node
 //   BandwidthConservationRule per-stream shares never sum past a channel's
 //                             sequential capacity
 //   CacheCapacityRule         a locked-page pool never exceeds its capacity
@@ -83,6 +84,8 @@ class MonotoneTimeRule : public InvariantRule {
   std::uint64_t last_seq_ = 0;
 };
 
+/// The checker's one replica map, built from kReplicaAdd and
+/// kReplicaInvalidate.
 class ReplicaAccountingRule : public InvariantRule {
  public:
   const char* name() const override { return "replica_accounting"; }
@@ -91,20 +94,26 @@ class ReplicaAccountingRule : public InvariantRule {
 
   std::size_t replica_count(BlockId block) const;
   bool has_replica(BlockId block, NodeId node) const;
-  const std::map<BlockId, std::set<NodeId>>& blocks() const { return blocks_; }
+  /// Indexed by block id (dense from 0): the nodes holding a replica, in
+  /// the order they gained it. Ids past the end have never had one.
+  const std::vector<std::vector<NodeId>>& blocks() const { return blocks_; }
 
  private:
-  std::map<BlockId, std::set<NodeId>> blocks_;
+  std::vector<std::vector<NodeId>> blocks_;
 };
 
+/// Reads `replicas`' map, so it must be added after that rule. It reads the
+/// map only on kBlockReadStart, which the accounting rule ignores.
 class ReadProvenanceRule : public InvariantRule {
  public:
+  explicit ReadProvenanceRule(const ReplicaAccountingRule& replicas)
+      : replicas_(replicas) {}
   const char* name() const override { return "read_provenance"; }
   void check(const TraceEvent& event,
              std::vector<InvariantViolation>& out) override;
 
  private:
-  std::map<BlockId, std::set<NodeId>> replicas_;
+  const ReplicaAccountingRule& replicas_;
   std::unordered_set<NodeId> dead_nodes_;
 };
 
@@ -222,6 +231,7 @@ class InvariantChecker : public TraceObserver {
   }
 
   /// The event-derived replica model (null without the default rules).
+  /// ReadProvenanceRule reads the same one.
   const ReplicaAccountingRule* replica_model() const { return replica_rule_; }
 
   /// Human-readable one-per-line violation report (test diagnostics).

@@ -18,19 +18,12 @@
 namespace ignem {
 
 enum class TraceEventType : std::uint8_t {
-  // Simulation kernel.
-  kSimRunStart,       ///< run_until() entered; detail = events dispatched so far.
-  kSimRunEnd,         ///< run_until() returned; detail = events dispatched.
-  // Storage devices and bandwidth channels.
-  kDeviceReadStart,   ///< bytes = request size.
-  kDeviceReadEnd,     ///< bytes = request size.
-  kDeviceWriteStart,  ///< bytes = request size.
-  kDeviceWriteEnd,    ///< bytes = request size.
+  // Bandwidth channels (storage devices and NICs).
   kBandwidthChange,   ///< detail = active streams, value = per-stream rate,
                       ///< bytes = channel sequential capacity (B/s).
   // Locked-page pool (buffer cache): the one record of a block copy moving
-  // into RAM (lock, commit) or out of it (unlock). kCacheInit is emitted at
-  // wiring, so an event mask set after construction keeps it.
+  // into RAM (lock, commit) or out of it (unlock, which is also the one
+  // record of a slave eviction). kCacheInit is emitted at wiring.
   kCacheInit,         ///< bytes = pool capacity.
   kCacheLock,         ///< a new copy locked without IO (preload, instant
                       ///< migration); bytes = block size, detail = pool
@@ -43,8 +36,6 @@ enum class TraceEventType : std::uint8_t {
   kCacheCommit,       ///< a paged-in copy became visible; bytes = block
                       ///< size, detail = pool used after.
   kCacheCancel,       ///< bytes = reservation, detail = pool used after.
-  kCacheHit,          ///< block served from the locked pool.
-  kCacheMiss,         ///< block served from the primary device.
   // DFS namespace and read path.
   kFileCreate,        ///< bytes = file size, detail = block count.
   kReplicaAdd,        ///< node gained a replica of block; bytes = block size.
@@ -69,7 +60,6 @@ enum class TraceEventType : std::uint8_t {
   kMigrationDrop,     ///< queued entry erased (job done / missed read).
   kMigrationStart,    ///< slave began paging the block in.
   kMigrationComplete, ///< block is memory-resident.
-  kEviction,          ///< reference list drained; block unlocked.
   kHotPromote,        ///< hot-data baseline promoted block;
                       ///< detail = access count at promotion.
   // Fault injection and failure detection (src/fault). Fault-free runs

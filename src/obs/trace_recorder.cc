@@ -37,12 +37,6 @@ std::uint64_t get_u64(std::istream& is) {
 
 const char* trace_event_name(TraceEventType type) {
   switch (type) {
-    case TraceEventType::kSimRunStart: return "sim_run_start";
-    case TraceEventType::kSimRunEnd: return "sim_run_end";
-    case TraceEventType::kDeviceReadStart: return "device_read_start";
-    case TraceEventType::kDeviceReadEnd: return "device_read_end";
-    case TraceEventType::kDeviceWriteStart: return "device_write_start";
-    case TraceEventType::kDeviceWriteEnd: return "device_write_end";
     case TraceEventType::kBandwidthChange: return "bandwidth_change";
     case TraceEventType::kCacheInit: return "cache_init";
     case TraceEventType::kCacheLock: return "cache_lock";
@@ -50,8 +44,6 @@ const char* trace_event_name(TraceEventType type) {
     case TraceEventType::kCacheReserve: return "cache_reserve";
     case TraceEventType::kCacheCommit: return "cache_commit";
     case TraceEventType::kCacheCancel: return "cache_cancel";
-    case TraceEventType::kCacheHit: return "cache_hit";
-    case TraceEventType::kCacheMiss: return "cache_miss";
     case TraceEventType::kFileCreate: return "file_create";
     case TraceEventType::kReplicaAdd: return "replica_add";
     case TraceEventType::kNodeDead: return "node_dead";
@@ -71,7 +63,6 @@ const char* trace_event_name(TraceEventType type) {
     case TraceEventType::kMigrationDrop: return "migration_drop";
     case TraceEventType::kMigrationStart: return "migration_start";
     case TraceEventType::kMigrationComplete: return "migration_complete";
-    case TraceEventType::kEviction: return "eviction";
     case TraceEventType::kHotPromote: return "hot_promote";
     case TraceEventType::kFaultNodeCrash: return "fault_node_crash";
     case TraceEventType::kFaultMasterCrash: return "fault_master_crash";
@@ -106,17 +97,7 @@ const char* trace_event_name(TraceEventType type) {
   return "?";
 }
 
-TraceRecorder::TraceRecorder() : hash_(kFnvTraceOffset) { mask_.fill(true); }
-
-void TraceRecorder::set_enabled(TraceEventType type, bool enabled) {
-  IGNEM_CHECK(type != TraceEventType::kCount);
-  mask_[static_cast<std::size_t>(type)] = enabled;
-}
-
-void TraceRecorder::enable_only(std::initializer_list<TraceEventType> types) {
-  mask_.fill(false);
-  for (const TraceEventType type : types) set_enabled(type, true);
-}
+TraceRecorder::TraceRecorder() : hash_(kFnvTraceOffset) {}
 
 void TraceRecorder::add_observer(TraceObserver* observer) {
   IGNEM_CHECK(observer != nullptr);
@@ -126,7 +107,6 @@ void TraceRecorder::add_observer(TraceObserver* observer) {
 void TraceRecorder::emit(TraceEventType type, NodeId node, BlockId block,
                          JobId job, Bytes bytes, std::int64_t detail,
                          double value) {
-  if (!mask_[static_cast<std::size_t>(type)]) return;
   TraceEvent event;
   event.seq = next_seq_++;
   event.time = clock_ ? clock_() : SimTime::zero();
@@ -211,12 +191,6 @@ std::vector<TraceEvent> TraceRecorder::read_binary(std::istream& is) {
     events.push_back(event);
   }
   return events;
-}
-
-void TraceRecorder::clear() {
-  events_.clear();
-  next_seq_ = 0;
-  hash_ = kFnvTraceOffset;
 }
 
 }  // namespace ignem

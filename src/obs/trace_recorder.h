@@ -6,14 +6,11 @@
 // this when `enable_trace` is set), every emitted event is stamped with a
 // sequence number and the simulated time, appended to the in-memory trace,
 // folded into a running FNV-1a hash, and forwarded to any registered
-// observers (the InvariantChecker is one). A per-type mask filters events
-// before any of that happens — golden traces use a coarse mask so the
-// checked-in file stays small and free of floating-point rates.
+// observers (the InvariantChecker is one). Every emitted event is recorded:
+// a reader that wants a slice (the golden trace) selects it from events().
 #pragma once
 
-#include <array>
 #include <functional>
-#include <initializer_list>
 #include <iosfwd>
 #include <vector>
 
@@ -21,7 +18,7 @@
 
 namespace ignem {
 
-/// Receives every recorded (post-mask) event, in emission order.
+/// Receives every recorded event, in emission order.
 class TraceObserver {
  public:
   virtual ~TraceObserver() = default;
@@ -40,16 +37,6 @@ class TraceRecorder {
   /// Source of event timestamps; Testbed binds this to Simulator::now.
   /// Unset, events are stamped SimTime::zero().
   void set_clock(Clock clock) { clock_ = std::move(clock); }
-
-  /// Enables/disables one event type. All types start enabled.
-  void set_enabled(TraceEventType type, bool enabled);
-
-  /// Disables everything except `types` (coarse golden-trace masks).
-  void enable_only(std::initializer_list<TraceEventType> types);
-
-  bool enabled(TraceEventType type) const {
-    return mask_[static_cast<std::size_t>(type)];
-  }
 
   /// Records one event. `seq` and `time` are assigned here; callers fill
   /// the payload fields only.
@@ -82,12 +69,8 @@ class TraceRecorder {
   /// Serializes one event as a JSONL line (shared with TraceDiff output).
   static void append_jsonl(std::ostream& os, const TraceEvent& event);
 
-  /// Drops recorded events and resets seq/hash; observers and mask stay.
-  void clear();
-
  private:
   Clock clock_;
-  std::array<bool, kTraceEventTypeCount> mask_;
   std::vector<TraceEvent> events_;
   std::vector<TraceObserver*> observers_;
   std::uint64_t next_seq_ = 0;

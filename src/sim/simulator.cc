@@ -27,11 +27,6 @@ std::uint64_t Simulator::run(SimTime until) {
 std::uint64_t Simulator::run_until(const std::function<bool()>& done,
                                    SimTime limit) {
   stop_requested_ = false;
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kSimRunStart, NodeId::invalid(),
-                 BlockId::invalid(), JobId::invalid(), 0,
-                 static_cast<std::int64_t>(profile_.events_dispatched));
-  }
   std::uint64_t n = 0;
   while (!queue_.empty() && !stop_requested_ && !done()) {
     if (queue_.next_time() > limit) break;
@@ -50,11 +45,6 @@ std::uint64_t Simulator::run_until(const std::function<bool()>& done,
   }
   if (queue_.empty() && now_ < limit && limit != SimTime::max()) {
     now_ = limit;  // advance the clock to the requested horizon
-  }
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kSimRunEnd, NodeId::invalid(),
-                 BlockId::invalid(), JobId::invalid(), 0,
-                 static_cast<std::int64_t>(profile_.events_dispatched));
   }
   return n;
 }

@@ -13,7 +13,6 @@
 #include <functional>
 
 #include "common/units.h"
-#include "obs/trace_recorder.h"
 #include "sim/event_queue.h"
 
 namespace ignem {
@@ -85,9 +84,6 @@ class Simulator {
   /// Live events currently pending.
   std::size_t pending_events() const { return queue_.live_count(); }
 
-  /// Emits kSimRunStart/kSimRunEnd around each run; null disables.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
   /// Class counts and queue depth over every dispatch since construction.
   const KernelProfile& profile() const { return profile_; }
 
@@ -96,7 +92,6 @@ class Simulator {
   EventQueue queue_;
   bool stop_requested_ = false;
   KernelProfile profile_;
-  TraceRecorder* trace_ = nullptr;
 };
 
 }  // namespace ignem

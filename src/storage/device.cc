@@ -79,39 +79,24 @@ Duration StorageDevice::sample_access_latency() {
 }
 
 void StorageDevice::set_trace(TraceRecorder* trace, NodeId node) {
-  trace_ = trace;
-  trace_node_ = node;
   channel_.set_trace(trace, node);
 }
 
-TransferHandle StorageDevice::submit(Bytes bytes, bool is_write,
-                                     Callback on_complete) {
+TransferHandle StorageDevice::submit(Bytes bytes, Callback on_complete) {
   IGNEM_CHECK(bytes >= 0);
-  if (trace_ != nullptr) {
-    trace_->emit(is_write ? TraceEventType::kDeviceWriteStart
-                          : TraceEventType::kDeviceReadStart,
-                 trace_node_, BlockId::invalid(), JobId::invalid(), bytes);
-  }
   const TransferHandle handle(next_id_++);
   const Duration latency = sample_access_latency();
   Request req;
   req.in_latency = true;
   req.latency.timer = sim_.schedule(
-      latency, [this, id = handle.id(), bytes, is_write,
+      latency, [this, id = handle.id(), bytes,
                 cb = std::move(on_complete)]() mutable {
         auto it = requests_.find(id);
         IGNEM_CHECK(it != requests_.end());
         it->second.in_latency = false;
         it->second.transfer.channel_handle =
-            channel_.start(bytes, [this, id, bytes, is_write,
-                                   cb = std::move(cb)] {
+            channel_.start(bytes, [this, id, cb = std::move(cb)] {
               requests_.erase(id);
-              if (trace_ != nullptr) {
-                trace_->emit(is_write ? TraceEventType::kDeviceWriteEnd
-                                      : TraceEventType::kDeviceReadEnd,
-                             trace_node_, BlockId::invalid(), JobId::invalid(),
-                             bytes);
-              }
               cb();
             });
       });
@@ -120,11 +105,11 @@ TransferHandle StorageDevice::submit(Bytes bytes, bool is_write,
 }
 
 TransferHandle StorageDevice::read(Bytes bytes, Callback on_complete) {
-  return submit(bytes, /*is_write=*/false, std::move(on_complete));
+  return submit(bytes, std::move(on_complete));
 }
 
 TransferHandle StorageDevice::write(Bytes bytes, Callback on_complete) {
-  return submit(bytes, /*is_write=*/true, std::move(on_complete));
+  return submit(bytes, std::move(on_complete));
 }
 
 bool StorageDevice::abort(TransferHandle handle) {

@@ -67,14 +67,14 @@ class StorageDevice {
   MediaType media() const { return profile_.media; }
   const DeviceProfile& profile() const { return profile_; }
 
-  /// Emits kDevice{Read,Write}{Start,End} and wires the bandwidth channel's
-  /// kBandwidthChange stream; `node` attributes the device to its owner.
+  /// Wires the bandwidth channel's kBandwidthChange stream; `node`
+  /// attributes the device to its owner.
   void set_trace(TraceRecorder* trace, NodeId node);
 
  private:
   struct PendingRequest;
 
-  TransferHandle submit(Bytes bytes, bool is_write, Callback on_complete);
+  TransferHandle submit(Bytes bytes, Callback on_complete);
   Duration sample_access_latency();
 
   Simulator& sim_;
@@ -82,8 +82,6 @@ class StorageDevice {
   DeviceProfile profile_;
   Rng rng_;
   SharedBandwidthResource channel_;
-  TraceRecorder* trace_ = nullptr;
-  NodeId trace_node_;
 
   // Requests waiting out their access latency, keyed by our public handle.
   struct LatencyPhase {

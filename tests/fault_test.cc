@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -208,6 +210,116 @@ TEST(FaultInjector, CorruptionFaultsArePointEventsWithNoRecovery) {
   EXPECT_EQ(injector.injected(), 2u);
   EXPECT_EQ(target.calls,
             (std::vector<std::string>{"corrupt@1", "cache-corrupt@3"}));
+}
+
+// The fault markers are the trace's one record of which fault was injected
+// where. One window of every FaultKind, each alone in time, driven through
+// the injector into a traced, invariant-checked Ignem Testbed: each begin
+// and end marker appears once, at its window's edge, on the faulted node,
+// with the detail the catalog in trace_event.h gives it.
+TEST(FaultInjector, EveryKindMarksItsWindowInTheTrace) {
+  TestbedConfig config;
+  config.mode = RunMode::kIgnem;
+  config.cluster.node_count = 4;
+  config.rack_count = 2;
+  config.replication = 2;
+  config.fault_tolerance = true;
+  config.enable_trace = true;
+  config.check_invariants = true;
+  Testbed testbed(config);
+  // Every replica locked in its node's pool, so the cached-copy fault lands.
+  const FileId file = testbed.create_file("/f", 4 * kDefaultBlockSize);
+  testbed.preload({file});
+  const NodeId holder = testbed.namenode()
+                            .block(testbed.namenode().file(file).blocks[0])
+                            .replicas[0];
+
+  struct Marker {
+    TraceEventType type;
+    NodeId node;
+    std::int64_t detail;
+    int at_s;
+  };
+  FaultPlan plan;
+  std::vector<Marker> want;
+  // One window of `kind` on `node`: its begin marker and, unless it is a
+  // point fault with no recovery, its end marker on the same node.
+  const auto window = [&](FaultKind kind, NodeId node, int at_s, int for_s,
+                          double severity, TraceEventType begin,
+                          std::int64_t begin_detail,
+                          std::optional<TraceEventType> end = std::nullopt,
+                          std::int64_t end_detail = 0) {
+    plan.faults.push_back({kind, Duration::seconds(at_s),
+                           Duration::seconds(for_s), node, severity});
+    want.push_back({begin, node, begin_detail, at_s});
+    if (end) want.push_back({*end, node, end_detail, at_s + for_s});
+  };
+  // The corruption faults come first: a crash reclaims the locked pool.
+  window(FaultKind::kCacheCorrupt, holder, 1, 0, 1.0,
+         TraceEventType::kFaultBlockCorrupt, 1);
+  window(FaultKind::kBlockCorrupt, holder, 2, 0, 1.0,
+         TraceEventType::kFaultBlockCorrupt, 0);
+  window(FaultKind::kNodeCrash, NodeId(1), 10, 10, 1.0,
+         TraceEventType::kFaultNodeCrash, 0,
+         TraceEventType::kRecoverNodeRestart);
+  window(FaultKind::kMasterCrash, NodeId::invalid(), 30, 10, 1.0,
+         TraceEventType::kFaultMasterCrash, 0,
+         TraceEventType::kRecoverMasterRestart);
+  // A point fault: the supervisor restarts the slave at once.
+  window(FaultKind::kSlaveCrash, NodeId(2), 50, 0, 1.0,
+         TraceEventType::kFaultSlaveCrash, 0,
+         TraceEventType::kRecoverSlaveRestart);
+  window(FaultKind::kDiskFailStop, NodeId(3), 60, 10, 1.0,
+         TraceEventType::kFaultDiskFailStop, 0, TraceEventType::kRecoverDisk,
+         0);
+  // Severity sets the hog-stream count the begin marker carries.
+  window(FaultKind::kDiskFailSlow, NodeId(0), 80, 10, 3.0,
+         TraceEventType::kFaultDiskFailSlow, 3, TraceEventType::kRecoverDisk,
+         1);
+  window(FaultKind::kNetworkDegrade, NodeId(1), 100, 10, 2.0,
+         TraceEventType::kFaultNetworkDegrade, 2,
+         TraceEventType::kRecoverNetwork);
+  window(FaultKind::kHeartbeatDelay, NodeId(2), 120, 10, 1.0,
+         TraceEventType::kFaultHeartbeatDelay, 0,
+         TraceEventType::kRecoverHeartbeat);
+  // Severity 1 picks the outbound-only variant.
+  window(FaultKind::kNetworkPartition, NodeId(3), 140, 10, 1.0,
+         TraceEventType::kPartitionStart, 1, TraceEventType::kPartitionHeal,
+         1);
+  window(FaultKind::kRackPartition, NodeId(0), 160, 10, 1.0,
+         TraceEventType::kPartitionStart, 3, TraceEventType::kPartitionHeal,
+         3);
+
+  FaultInjector injector(testbed.sim(), testbed, plan);
+  injector.arm();
+  testbed.sim().run(SimTime::zero() + Duration::seconds(200));
+  EXPECT_EQ(injector.injected(), plan.faults.size());
+
+  const std::vector<TraceEvent>& events = testbed.trace()->events();
+  for (const Marker& m : want) {
+    SCOPED_TRACE(::testing::Message() << trace_event_name(m.type) << " on node "
+                                      << m.node << " at " << m.at_s << " s");
+    std::vector<TraceEvent> found;
+    for (const TraceEvent& e : events) {
+      if (e.type == m.type && e.node == m.node && e.detail == m.detail) {
+        found.push_back(e);
+      }
+    }
+    ASSERT_EQ(found.size(), 1u);
+    EXPECT_EQ(found[0].time, SimTime::zero() + Duration::seconds(m.at_s));
+  }
+  // No marker beyond those: each type appears as often as the plan asks.
+  for (const Marker& m : want) {
+    const auto planned = std::count_if(
+        want.begin(), want.end(),
+        [&](const Marker& other) { return other.type == m.type; });
+    const auto traced = std::count_if(
+        events.begin(), events.end(),
+        [&](const TraceEvent& e) { return e.type == m.type; });
+    EXPECT_EQ(traced, planned) << trace_event_name(m.type);
+  }
+  EXPECT_TRUE(testbed.invariant_checker()->ok())
+      << testbed.invariant_checker()->report();
 }
 
 TestbedConfig small_testbed() {

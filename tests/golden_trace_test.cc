@@ -1,11 +1,11 @@
 // Golden-trace regression: the quickstart scenario's event trace, diffed
 // line by line against a checked-in JSONL file.
 //
-// The scenario (pins::run_quickstart, tests/pin_scenarios.h) records under
-// a coarse event mask, so the file stays small and every line is
-// integer-exact (doubles are serialized as bit patterns). Any behavioral
-// change to scheduling, placement, migration, or the read path shows up as
-// a one-line diff here.
+// The scenario (pins::run_quickstart, tests/pin_scenarios.h) records every
+// event; the file keeps its golden slice (pins::golden_slice), so it stays
+// small and every line is integer-exact (doubles are serialized as bit
+// patterns). Any behavioral change to scheduling, placement, migration, or
+// the read path shows up as a one-line diff here.
 //
 // Regenerating after an intentional change: `scripts/regen_pins.sh
 // <base-ref>` compares the scenario between the base and the working tree
@@ -34,7 +34,7 @@ std::string golden_path() {
 
 std::string run_quickstart_trace() {
   std::ostringstream out;
-  pins::run_quickstart()->trace()->write_jsonl(out);
+  pins::golden_slice(*pins::run_quickstart()->trace())->write_jsonl(out);
   return out.str();
 }
 

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "bench/sweep_runner.h"
+#include "common/rng.h"
 #include "core/testbed.h"
 #include "obs/invariant_checker.h"
 #include "obs/trace_recorder.h"
@@ -23,6 +29,21 @@ struct RuleHarness {
   explicit RuleHarness(std::unique_ptr<InvariantRule> rule)
       : checker(/*install_default_rules=*/false) {
     checker.add_rule(std::move(rule));
+    recorder.add_observer(&checker);
+  }
+
+  TraceRecorder recorder;
+  InvariantChecker checker;
+};
+
+/// ReadProvenanceRule reads the replica map of the ReplicaAccountingRule
+/// added before it, as in the default rule set.
+struct ProvenanceHarness {
+  ProvenanceHarness() : checker(/*install_default_rules=*/false) {
+    auto replicas = std::make_unique<ReplicaAccountingRule>();
+    auto provenance = std::make_unique<ReadProvenanceRule>(*replicas);
+    checker.add_rule(std::move(replicas));
+    checker.add_rule(std::move(provenance));
     recorder.add_observer(&checker);
   }
 
@@ -64,7 +85,7 @@ TEST(InvariantRules, ReplicaAccountingFiresOnDuplicateAdd) {
 }
 
 TEST(InvariantRules, ReadProvenanceFiresOnUnwrittenNode) {
-  RuleHarness h(std::make_unique<ReadProvenanceRule>());
+  ProvenanceHarness h;
   h.recorder.emit(TraceEventType::kReplicaAdd, NodeId(0), BlockId(5),
                   JobId::invalid(), 64 * kMiB);
   // Node 3 never received block 5.
@@ -75,7 +96,7 @@ TEST(InvariantRules, ReadProvenanceFiresOnUnwrittenNode) {
 }
 
 TEST(InvariantRules, ReadProvenanceFiresOnDeadNode) {
-  RuleHarness h(std::make_unique<ReadProvenanceRule>());
+  ProvenanceHarness h;
   h.recorder.emit(TraceEventType::kReplicaAdd, NodeId(1), BlockId(5),
                   JobId::invalid(), 64 * kMiB);
   h.recorder.emit(TraceEventType::kNodeDead, NodeId(1));
@@ -83,7 +104,7 @@ TEST(InvariantRules, ReadProvenanceFiresOnDeadNode) {
                   JobId(1), 64 * kMiB);
   ASSERT_FALSE(h.checker.ok());
   // Revival clears the state: the same read is legal again.
-  RuleHarness h2(std::make_unique<ReadProvenanceRule>());
+  ProvenanceHarness h2;
   h2.recorder.emit(TraceEventType::kReplicaAdd, NodeId(1), BlockId(5),
                    JobId::invalid(), 64 * kMiB);
   h2.recorder.emit(TraceEventType::kNodeDead, NodeId(1));
@@ -204,6 +225,229 @@ TEST(InvariantRules, HotPromotionAcceptsHotBlock) {
   h.recorder.emit(TraceEventType::kHotPromote, NodeId(0), BlockId(1),
                   JobId::invalid(), 64 * kMiB, /*detail=*/2, /*value=*/2.0);
   EXPECT_TRUE(h.checker.ok()) << h.checker.report();
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the shared flat replica model against the two map/set copies
+// it replaced, kept here as the model.
+
+/// ReplicaAccountingRule as it stood with its own std::map of std::sets.
+class MapReplicaAccountingModel : public InvariantRule {
+ public:
+  const char* name() const override { return "replica_accounting"; }
+  void check(const TraceEvent& event,
+             std::vector<InvariantViolation>& out) override {
+    switch (event.type) {
+      case TraceEventType::kReplicaAdd:
+        if (!blocks_[event.block].insert(event.node).second) {
+          std::ostringstream os;
+          os << "node " << event.node << " already holds a replica of block "
+             << event.block;
+          violate(event, os.str(), out);
+        }
+        break;
+      case TraceEventType::kReplicaInvalidate: {
+        const auto it = blocks_.find(event.block);
+        if (it == blocks_.end() || it->second.erase(event.node) == 0) {
+          std::ostringstream os;
+          os << "node " << event.node
+             << " invalidated a replica it never held of block "
+             << event.block;
+          violate(event, os.str(), out);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  std::size_t replica_count(BlockId block) const {
+    const auto it = blocks_.find(block);
+    return it == blocks_.end() ? 0 : it->second.size();
+  }
+  bool has_replica(BlockId block, NodeId node) const {
+    const auto it = blocks_.find(block);
+    return it != blocks_.end() && it->second.contains(node);
+  }
+
+ private:
+  std::map<BlockId, std::set<NodeId>> blocks_;
+};
+
+/// ReadProvenanceRule as it stood with its own second copy of the map.
+class MapReadProvenanceModel : public InvariantRule {
+ public:
+  const char* name() const override { return "read_provenance"; }
+  void check(const TraceEvent& event,
+             std::vector<InvariantViolation>& out) override {
+    switch (event.type) {
+      case TraceEventType::kReplicaAdd:
+        replicas_[event.block].insert(event.node);
+        break;
+      case TraceEventType::kReplicaInvalidate:
+        replicas_[event.block].erase(event.node);
+        break;
+      case TraceEventType::kNodeDead:
+        dead_nodes_.insert(event.node);
+        break;
+      case TraceEventType::kNodeAlive:
+        dead_nodes_.erase(event.node);
+        break;
+      case TraceEventType::kBlockReadStart: {
+        const auto it = replicas_.find(event.block);
+        if (it == replicas_.end() || !it->second.contains(event.node)) {
+          std::ostringstream os;
+          os << "block " << event.block << " read on node " << event.node
+             << " which never received a replica of it";
+          violate(event, os.str(), out);
+        }
+        if (dead_nodes_.contains(event.node)) {
+          std::ostringstream os;
+          os << "block " << event.block << " read on dead node "
+             << event.node;
+          violate(event, os.str(), out);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+ private:
+  std::map<BlockId, std::set<NodeId>> replicas_;
+  std::unordered_set<NodeId> dead_nodes_;
+};
+
+// 20 seeded streams of 5,000 events over up to 64 blocks and 8 nodes:
+// adds (some duplicates), invalidates (some of replicas never held), node
+// deaths and rejoins, and reads on holders, non-holders and dead nodes. Both
+// checkers hear every event; after each one their new violations must agree
+// in rule, seq and message, and every 250 events the two replica maps must
+// agree on every (block, node).
+TEST(InvariantDifferential, FlatReplicaModelMatchesMapModel) {
+  constexpr int kSeeds = 20;
+  constexpr int kEvents = 5000;
+  constexpr int kCompareEvery = 250;
+  constexpr std::int64_t kMaxBlocks = 64;
+  constexpr std::int64_t kMaxNodes = 8;
+  struct Coverage {
+    int add = 0, duplicate_add = 0, invalidate = 0, phantom_invalidate = 0;
+    int death = 0, rejoin = 0;
+    int read_held = 0, read_unheld = 0, read_dead = 0;
+  } seen;
+
+  for (int stream = 0; stream < kSeeds; ++stream) {
+    const std::uint64_t seed = test::seed_for(9100 + stream);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const std::int64_t blocks = rng.uniform_int(1, kMaxBlocks);
+    const std::int64_t nodes = rng.uniform_int(1, kMaxNodes);
+
+    InvariantChecker flat(/*install_default_rules=*/false);
+    auto flat_rule = std::make_unique<ReplicaAccountingRule>();
+    const ReplicaAccountingRule& flat_replicas = *flat_rule;
+    flat.add_rule(std::move(flat_rule));
+    flat.add_rule(std::make_unique<ReadProvenanceRule>(flat_replicas));
+    InvariantChecker model(/*install_default_rules=*/false);
+    auto model_rule = std::make_unique<MapReplicaAccountingModel>();
+    const MapReplicaAccountingModel& model_replicas = *model_rule;
+    model.add_rule(std::move(model_rule));
+    model.add_rule(std::make_unique<MapReadProvenanceModel>());
+    TraceRecorder recorder;
+    recorder.add_observer(&flat);
+    recorder.add_observer(&model);
+
+    std::vector<bool> dead(static_cast<std::size_t>(nodes), false);
+    const auto pick_where = [&](auto&& wanted) {
+      std::vector<NodeId> candidates;
+      for (std::int64_t n = 0; n < nodes; ++n) {
+        if (wanted(NodeId(n))) candidates.push_back(NodeId(n));
+      }
+      if (candidates.empty()) return NodeId(rng.uniform_int(0, nodes - 1));
+      return candidates[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(candidates.size()) - 1))];
+    };
+
+    std::size_t compared = 0;
+    for (int i = 0; i < kEvents; ++i) {
+      const BlockId block(rng.uniform_int(0, blocks - 1));
+      NodeId node(rng.uniform_int(0, nodes - 1));
+      const double kind = rng.next_double();
+      if (kind < 0.35) {
+        ++(model_replicas.has_replica(block, node) ? seen.duplicate_add
+                                                   : seen.add);
+        recorder.emit(TraceEventType::kReplicaAdd, node, block,
+                      JobId::invalid(), 64 * kMiB);
+      } else if (kind < 0.5) {
+        ++(model_replicas.has_replica(block, node) ? seen.invalidate
+                                                   : seen.phantom_invalidate);
+        recorder.emit(TraceEventType::kReplicaInvalidate, node, block,
+                      JobId::invalid(), 64 * kMiB);
+      } else if (kind < 0.56) {
+        ++seen.death;
+        dead[static_cast<std::size_t>(node.value())] = true;
+        recorder.emit(TraceEventType::kNodeDead, node);
+      } else if (kind < 0.62) {
+        node = pick_where([&](NodeId n) {
+          return dead[static_cast<std::size_t>(n.value())];
+        });
+        if (dead[static_cast<std::size_t>(node.value())]) ++seen.rejoin;
+        dead[static_cast<std::size_t>(node.value())] = false;
+        recorder.emit(TraceEventType::kNodeAlive, node);
+      } else {
+        // A holder, any node, or a dead node, each a third of the time.
+        const std::int64_t target = rng.uniform_int(0, 2);
+        if (target == 0) {
+          node = pick_where(
+              [&](NodeId n) { return model_replicas.has_replica(block, n); });
+        } else if (target == 2) {
+          node = pick_where([&](NodeId n) {
+            return dead[static_cast<std::size_t>(n.value())];
+          });
+        }
+        if (dead[static_cast<std::size_t>(node.value())]) ++seen.read_dead;
+        ++(model_replicas.has_replica(block, node) ? seen.read_held
+                                                   : seen.read_unheld);
+        recorder.emit(TraceEventType::kBlockReadStart, node, block, JobId(1),
+                      64 * kMiB);
+      }
+
+      ASSERT_EQ(flat.violations().size(), model.violations().size())
+          << "after event " << i << ":\nflat:\n"
+          << flat.report() << "model:\n"
+          << model.report();
+      for (; compared < model.violations().size(); ++compared) {
+        const InvariantViolation& got = flat.violations()[compared];
+        const InvariantViolation& want = model.violations()[compared];
+        EXPECT_EQ(got.rule, want.rule) << "event " << i;
+        EXPECT_EQ(got.seq, want.seq) << "event " << i;
+        EXPECT_EQ(got.message, want.message) << "event " << i;
+      }
+      if ((i + 1) % kCompareEvery != 0) continue;
+      for (std::int64_t b = 0; b < kMaxBlocks; ++b) {
+        ASSERT_EQ(flat_replicas.replica_count(BlockId(b)),
+                  model_replicas.replica_count(BlockId(b)))
+            << "block " << b << " after event " << i;
+        for (std::int64_t n = 0; n < kMaxNodes; ++n) {
+          ASSERT_EQ(flat_replicas.has_replica(BlockId(b), NodeId(n)),
+                    model_replicas.has_replica(BlockId(b), NodeId(n)))
+              << "block " << b << ", node " << n << " after event " << i;
+        }
+      }
+    }
+  }
+  // Every branch of both rules was taken.
+  EXPECT_GT(seen.add, 0);
+  EXPECT_GT(seen.duplicate_add, 0);
+  EXPECT_GT(seen.invalidate, 0);
+  EXPECT_GT(seen.phantom_invalidate, 0);
+  EXPECT_GT(seen.death, 0);
+  EXPECT_GT(seen.rejoin, 0);
+  EXPECT_GT(seen.read_held, 0);
+  EXPECT_GT(seen.read_unheld, 0);
+  EXPECT_GT(seen.read_dead, 0);
 }
 
 // ---------------------------------------------------------------------------

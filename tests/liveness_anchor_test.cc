@@ -10,16 +10,16 @@
 //   - pins::anchor_digest, a digest of its events sorted by (time, type,
 //     node, block, job, bytes, detail, value): the same events at the same
 //     times, whatever their order within one instant;
-//   - on the direct path, the masked trace hash itself: the same events in
-//     the same order. On the routed path two monitors that hear the same
+//   - on the direct path, the trace hash itself: the same events in the
+//     same order. On the routed path two monitors that hear the same
 //     beat can readmit a node in either order at one instant, so only the
 //     sorted digest is pinned there.
 //
 // Re-pinned when failure and rejoin handling began walking the node's own
-// replica table in block-id order, which moves repair order. Last re-pinned
-// when the tier move events left every traced run (the pool's cache events
-// record each move), which also renumbers the event types after them; no
-// job moved.
+// replica table in block-id order, which moves repair order. Re-pinned with
+// no job moved when the tier move events left every traced run (the pool's
+// cache events record each move), and again when nine unread or restating
+// event types left it; both renumber the event types after them.
 //
 // The constants are hard-coded and never regenerated automatically. A change
 // that moves fault-tolerant behaviour on purpose runs
@@ -85,36 +85,36 @@ AnchorStats anchor_stats(const pins::AnchorCase& c) {
 struct AnchorPin {
   pins::AnchorCase scenario;
   std::uint64_t digest;
-  /// The masked trace hash; pinned on the direct path only (0 when routed).
+  /// The trace hash; pinned on the direct path only (0 when routed).
   std::uint64_t trace_hash;
 };
 
 // See the file comment for how these were captured.
 constexpr AnchorPin kPins[] = {
-    {{false, 0, 0}, 16452290041212503299ull, 10896462049211424917ull},
-    {{false, 0, 1}, 13209739132430504373ull, 10974988898722182839ull},
-    {{false, 0, 2}, 15598564377796376440ull, 16347744373680299370ull},
-    {{false, 0, 3}, 14516193575770363339ull, 13650860842511420053ull},
-    {{false, 0, 4}, 3563692765468244441ull, 6786097322009857433ull},
-    {{false, 0, 5}, 8774860687780815482ull, 2334543747825713472ull},
-    {{false, 6, 0}, 7064342127078581458ull, 5114838551163433528ull},
-    {{false, 6, 1}, 282655040307074088ull, 7475847630075776392ull},
-    {{false, 6, 2}, 7879151106113006100ull, 9008224015107857290ull},
-    {{false, 6, 3}, 15473995309242782851ull, 18405416766768047597ull},
-    {{false, 6, 4}, 15265614734644886511ull, 9380803315758534351ull},
-    {{false, 6, 5}, 14839260863721721764ull, 4199147448048183032ull},
-    {{true, 0, 0}, 7546107019893252331ull, 0ull},
-    {{true, 0, 1}, 9318289038562715831ull, 0ull},
-    {{true, 0, 2}, 3544681841431919775ull, 0ull},
-    {{true, 0, 3}, 4593187512885633953ull, 0ull},
-    {{true, 0, 4}, 306180829362637159ull, 0ull},
-    {{true, 0, 5}, 14616911418216885598ull, 0ull},
-    {{true, 6, 0}, 1400823480048520403ull, 0ull},
-    {{true, 6, 1}, 16146976812052564790ull, 0ull},
-    {{true, 6, 2}, 2697188100769232846ull, 0ull},
-    {{true, 6, 3}, 12561516937711527537ull, 0ull},
-    {{true, 6, 4}, 10883363910356271045ull, 0ull},
-    {{true, 6, 5}, 11652173015604003721ull, 0ull},
+    {{false, 0, 0}, 350387930914076863ull, 12748907493793094639ull},
+    {{false, 0, 1}, 9589389301972255270ull, 2600804730272416498ull},
+    {{false, 0, 2}, 12142683308911228167ull, 11876506823418014309ull},
+    {{false, 0, 3}, 8836559231070367821ull, 685640307359649711ull},
+    {{false, 0, 4}, 7585324312644677704ull, 6956695050506671274ull},
+    {{false, 0, 5}, 1770249003678539178ull, 10210794154269840780ull},
+    {{false, 6, 0}, 4451225985431623738ull, 15298576333487706404ull},
+    {{false, 6, 1}, 17780404625579114192ull, 10008030999579508506ull},
+    {{false, 6, 2}, 1325151692478860220ull, 12486061984782938150ull},
+    {{false, 6, 3}, 12157656251849320313ull, 16645219213694333317ull},
+    {{false, 6, 4}, 12539299454208817689ull, 4372839661854187701ull},
+    {{false, 6, 5}, 9744129664243766429ull, 16627244543977320213ull},
+    {{true, 0, 0}, 5615486570482612108ull, 0ull},
+    {{true, 0, 1}, 4003612404553462434ull, 0ull},
+    {{true, 0, 2}, 13502803469609792752ull, 0ull},
+    {{true, 0, 3}, 13062733269867793369ull, 0ull},
+    {{true, 0, 4}, 6554732768569661699ull, 0ull},
+    {{true, 0, 5}, 11469525805752451530ull, 0ull},
+    {{true, 6, 0}, 15822102977406793324ull, 0ull},
+    {{true, 6, 1}, 11951332841828384497ull, 0ull},
+    {{true, 6, 2}, 14101190272608547758ull, 0ull},
+    {{true, 6, 3}, 3453451002106185564ull, 0ull},
+    {{true, 6, 4}, 7850570363434876055ull, 0ull},
+    {{true, 6, 5}, 14375161767453184325ull, 0ull},
 };
 
 TEST(LivenessAnchor, FaultTolerantTracesMatchTwoStreamCapture) {

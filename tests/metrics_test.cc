@@ -278,7 +278,7 @@ TEST(RunReportTest, ContainsKernelProfileSeriesAndFingerprint) {
         "\"kernel\"", "\"events_dispatched\"", "\"class.periodic\"",
         "\"dfs.read_latency_us\"",
         "\"ignem.cache_hit_ratio\"", "\"ignem.locked_bytes\"",
-        "\"tier.occupancy.t0\"", "\"summary\""}) {
+        "\"summary\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing " << needle;
   }
 }

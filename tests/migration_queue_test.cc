@@ -55,43 +55,15 @@ TEST(MigrationQueue, BlocksOfOneJobKeepArrivalOrder) {
   EXPECT_EQ(q.pop()->block, BlockId(3));
 }
 
-TEST(MigrationQueue, PeekDoesNotRemove) {
-  MigrationQueue q(QueueOrder::kFifo);
-  q.push(make(1, 1, 1, 1));
-  ASSERT_NE(q.peek(), nullptr);
-  EXPECT_EQ(q.peek()->block, BlockId(1));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(MigrationQueue(QueueOrder::kFifo).peek(), nullptr);
-}
-
-TEST(MigrationQueue, EraseJobRemovesAllItsEntries) {
-  MigrationQueue q(QueueOrder::kFifo);
-  q.push(make(1, 1, 1, 1));
-  q.push(make(2, 1, 1, 2));
-  q.push(make(3, 2, 1, 3));
-  EXPECT_EQ(q.erase_job(JobId(1)), 2u);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_FALSE(q.contains(BlockId(1)));
-  EXPECT_TRUE(q.contains(BlockId(3)));
-}
-
 TEST(MigrationQueue, EraseBlockRemovesAllJobsEntries) {
   MigrationQueue q(QueueOrder::kFifo);
   q.push(make(1, 1, 1, 1));
   q.push(make(1, 2, 1, 2));  // two jobs want block 1
   q.push(make(2, 1, 1, 3));
   EXPECT_EQ(q.erase_block(BlockId(1)), 2u);
-  EXPECT_FALSE(q.contains(BlockId(1)));
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(MigrationQueue, EraseSpecificEntry) {
-  MigrationQueue q(QueueOrder::kFifo);
-  q.push(make(1, 1, 1, 1));
-  q.push(make(1, 2, 1, 2));
-  EXPECT_TRUE(q.erase(BlockId(1), JobId(1)));
-  EXPECT_FALSE(q.erase(BlockId(1), JobId(1)));
-  EXPECT_TRUE(q.contains(BlockId(1)));  // job 2's entry remains
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop()->block, BlockId(2));
+  EXPECT_EQ(q.erase_block(BlockId(1)), 0u);
 }
 
 TEST(MigrationQueue, DuplicateEntryIgnored) {
@@ -99,8 +71,8 @@ TEST(MigrationQueue, DuplicateEntryIgnored) {
   q.push(make(1, 1, 1, 1));
   q.push(make(1, 1, 1, 1));
   EXPECT_EQ(q.size(), 1u);
-  q.pop();
-  EXPECT_FALSE(q.contains(BlockId(1)));
+  EXPECT_EQ(q.pop()->block, BlockId(1));
+  EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(MigrationQueue, LargestJobFirst) {

@@ -4,7 +4,8 @@
 // reads the comparison.
 //
 //   pin_dump dump <dir>              runs each scenario; writes
-//                                    <dir>/<name>.trace (binary trace),
+//                                    <dir>/<name>.trace (the binary trace
+//                                    or, for the golden, its slice),
 //                                    <dir>/pins.txt ("<name> <pin values>")
 //                                    and <dir>/types.txt (this build's
 //                                    event-type names in enum order)
@@ -60,7 +61,7 @@ int dump(const std::string& dir) {
         const pins::PinnedRun run = scenario.run();
         const std::string path = trace_path(dir, scenario.name);
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        run.testbed->trace()->write_binary(out);
+        (run.slice ? *run.slice : *run.testbed->trace()).write_binary(out);
         if (!out.good()) throw std::runtime_error("cannot write " + path);
         return scenario.name + " " + run.pin;
       });

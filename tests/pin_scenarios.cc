@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -39,9 +40,23 @@ GoogleTestbedConfig kernel_google() {
   return config;
 }
 
+/// What the golden file keeps. Bandwidth and the rest of the pool's events
+/// are covered by the trace-hash pins; leaving them out keeps the
+/// checked-in file reviewable and free of floating-point rates.
+constexpr TraceEventType kGoldenTypes[] = {
+    TraceEventType::kCacheInit,         TraceEventType::kCacheUnlock,
+    TraceEventType::kFileCreate,        TraceEventType::kReplicaAdd,
+    TraceEventType::kJobRegister,       TraceEventType::kJobComplete,
+    TraceEventType::kContainerAllocate, TraceEventType::kContainerRelease,
+    TraceEventType::kMigrateRequest,    TraceEventType::kEvictRequest,
+    TraceEventType::kMigrationEnqueue,  TraceEventType::kMigrationDequeue,
+    TraceEventType::kMigrationStart,    TraceEventType::kMigrationComplete,
+    TraceEventType::kBlockReadEnd,
+};
+
 PinnedRun hashed(std::unique_ptr<Testbed> testbed) {
   const std::string pin = "hash=" + std::to_string(testbed->trace_hash());
-  return {std::move(testbed), pin};
+  return {std::move(testbed), pin, nullptr};
 }
 
 }  // namespace
@@ -79,29 +94,6 @@ std::unique_ptr<Testbed> run_quickstart() {
   config.enable_trace = true;
   auto testbed = std::make_unique<Testbed>(config);
 
-  // Coarse mask: control-plane and migration events only. Device-level and
-  // bandwidth events are covered by trace_hash determinism tests; leaving
-  // them out keeps the checked-in file reviewable. Events emitted while the
-  // Testbed is wired (one kCacheInit per node) precede the mask and stay.
-  testbed->trace()->enable_only({
-      TraceEventType::kFileCreate,
-      TraceEventType::kReplicaAdd,
-      TraceEventType::kJobRegister,
-      TraceEventType::kJobComplete,
-      TraceEventType::kContainerAllocate,
-      TraceEventType::kContainerRelease,
-      TraceEventType::kMigrateRequest,
-      TraceEventType::kEvictRequest,
-      TraceEventType::kMigrationEnqueue,
-      TraceEventType::kMigrationDequeue,
-      TraceEventType::kMigrationStart,
-      TraceEventType::kMigrationComplete,
-      TraceEventType::kEviction,
-      TraceEventType::kCacheHit,
-      TraceEventType::kCacheMiss,
-      TraceEventType::kBlockReadEnd,
-  });
-
   const FileId input = testbed->create_file("/data/logs", 1 * kGiB);
   JobSpec job;
   job.name = "log-scan";
@@ -110,6 +102,21 @@ std::unique_ptr<Testbed> run_quickstart() {
   job.compute.map_output_ratio = 0.05;
   testbed->run_workload({{Duration::zero(), job}});
   return testbed;
+}
+
+std::unique_ptr<TraceRecorder> golden_slice(const TraceRecorder& trace) {
+  auto slice = std::make_unique<TraceRecorder>();
+  auto now = std::make_shared<SimTime>();
+  slice->set_clock([now] { return *now; });
+  for (const TraceEvent& e : trace.events()) {
+    if (std::find(std::begin(kGoldenTypes), std::end(kGoldenTypes), e.type) ==
+        std::end(kGoldenTypes)) {
+      continue;
+    }
+    *now = e.time;
+    slice->emit(e.type, e.node, e.block, e.job, e.bytes, e.detail, e.value);
+  }
+  return slice;
 }
 
 std::vector<AnchorCase> anchor_cases() {
@@ -139,8 +146,6 @@ AnchorRun run_anchor(const AnchorCase& c) {
   AnchorRun run;
   run.testbed = std::make_unique<Testbed>(config);
   Testbed& testbed = *run.testbed;
-  testbed.trace()->set_enabled(TraceEventType::kSimRunStart, false);
-  testbed.trace()->set_enabled(TraceEventType::kSimRunEnd, false);
 
   SwimConfig swim;
   swim.job_count = 48;
@@ -219,9 +224,10 @@ std::vector<Scenario> all_scenarios() {
                    }});
   }
   out.push_back({"golden.quickstart", [] {
-                   PinnedRun run{run_quickstart(), ""};
+                   PinnedRun run{run_quickstart(), "", nullptr};
+                   run.slice = golden_slice(*run.testbed->trace());
                    std::ostringstream jsonl;
-                   run.testbed->trace()->write_jsonl(jsonl);
+                   run.slice->write_jsonl(jsonl);
                    const std::string text = jsonl.str();
                    run.pin = "lines=" +
                              std::to_string(std::count(text.begin(),
@@ -244,7 +250,7 @@ std::vector<Scenario> all_scenarios() {
              pin += " hash=" + std::to_string(testbed.trace_hash());
            }
            if (!anchor.completed) pin += " WEDGED";
-           return PinnedRun{std::move(anchor.testbed), pin};
+           return PinnedRun{std::move(anchor.testbed), pin, nullptr};
          }});
   }
   return out;

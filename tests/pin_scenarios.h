@@ -18,6 +18,7 @@
 
 #include "core/testbed.h"
 #include "obs/trace_event.h"
+#include "obs/trace_recorder.h"
 
 namespace ignem::pins {
 
@@ -42,10 +43,17 @@ inline constexpr RunMode kKernelGoogleModes[] = {RunMode::kHdfs,
 
 // ---------------------------------------------------------------------------
 // Golden trace: examples/quickstart.cpp's exact setup (8-node Ignem
-// cluster, seed 1, one 1 GiB file, one log-scan job) under a coarse event
-// mask set after wiring. The pin is the JSONL text of the trace.
+// cluster, seed 1, one 1 GiB file, one log-scan job). The pin is the JSONL
+// text of the trace's golden slice.
 
 std::unique_ptr<Testbed> run_quickstart();
+
+/// The golden slice of `trace`: the events of the types the golden file
+/// keeps (the control plane, migrations, block reads and the pools' lock
+/// and unlock edges), re-recorded in order at their own times, so that seq
+/// counts the slice alone and write_jsonl/write_binary serve it. The golden
+/// test and the pin dumper both write this slice.
+std::unique_ptr<TraceRecorder> golden_slice(const TraceRecorder& trace);
 
 // ---------------------------------------------------------------------------
 // Liveness anchor: 8 Ignem nodes on 2 racks running 48 SWIM jobs with the
@@ -53,9 +61,8 @@ std::unique_ptr<Testbed> run_quickstart();
 // plane, each with suspicion grace 0 s and 6 s, times six fault seeds.
 // Each seed's plan is eight faults drawn by FaultPlan::random over
 // kLoudFaultKinds | kPartitionFaultKinds; seed 5 also cuts the control
-// node's own rack for 18 s mid-run. kSimRunStart and kSimRunEnd are
-// masked: they carry the dispatched-event count, which is not behaviour.
-// The pins are anchor_digest() and, on the direct path, the trace hash.
+// node's own rack for 18 s mid-run. The pins are anchor_digest() and, on
+// the direct path, the trace hash.
 
 struct AnchorCase {
   bool routed;
@@ -89,6 +96,8 @@ std::uint64_t anchor_digest(std::vector<TraceEvent> events);
 struct PinnedRun {
   std::unique_ptr<Testbed> testbed;  ///< Its trace holds the events.
   std::string pin;  ///< The values the tests pin, as "key=value ..." text.
+  /// The events the tests pin, when not the whole trace (the golden slice).
+  std::unique_ptr<TraceRecorder> slice;
 };
 
 struct Scenario {
