@@ -17,12 +17,14 @@
 //      HDD of the paper's testbed in 64 MiB blocks.
 //   6. Replica placement (NameNode::create_file) at 128 nodes in 4 racks,
 //      512 in 16 (the scale benchmark's swim shape) and 2048 in 64.
+//   7. ResourceManager heartbeats at the queue depths the SWIM ladder's RM
+//      holds: 16 requests at 128 nodes, 57 at 512 and 226 at 2048.
 //
 // Timing is wall-clock (steady_clock). Every headline number lands in
 // BENCH_microkernel.json via BenchReport; scripts/perf_smoke.sh gates the
-// four machine-independent ratios (depth growth of queue churn, stream
+// five machine-independent ratios (depth growth of queue churn, stream
 // growth of bandwidth churn, block-count growth of the scrub cursor,
-// node-count growth of placement).
+// node-count growth of placement, queue-depth growth of RM heartbeats).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "bench/experiment_common.h"
+#include "cluster/resource_manager.h"
 #include "common/rng.h"
 #include "core/migration_queue.h"
 #include "dfs/datanode.h"
@@ -421,16 +424,100 @@ void bench_placement(BenchReport& report) {
   report.metric("placement_growth", last_ns / first_ns);
 }
 
+// ---------------------------------------------------------------------------
+// 7. RM heartbeats at ladder queue depths.
+
+/// Host ns per heartbeat of a standalone ResourceManager on `nodes` nodes
+/// (the ladder's: 6 slots, 3 s heartbeats and locality delay) that holds
+/// `depth` requests. Each request prefers 3 distinct random nodes, as
+/// a block's replicas do; each grant re-requests at once (launch delay
+/// zero) and holds its container 5 s. Times ~80k heartbeats after two warm
+/// intervals, so every shape times the same number of beats; stores the
+/// queue length the RM sampled in `mean_queue`.
+double rm_heartbeat_ns(std::size_t nodes, std::size_t depth,
+                       double& mean_queue) {
+  constexpr std::size_t kBeats = 80000;
+  Simulator sim;
+  ClusterConfig cluster;
+  cluster.node_count = nodes;
+  cluster.slots_per_node = 6;
+  cluster.container_launch = Duration::zero();
+  ResourceManager rm(sim, cluster);
+  Rng rng(nodes);
+  std::function<void()> request = [&] {
+    ContainerRequest r;
+    r.job = JobId(1);
+    while (r.preferred.size() < 3) {
+      const NodeId node(
+          rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1));
+      if (std::find(r.preferred.begin(), r.preferred.end(), node) ==
+          r.preferred.end()) {
+        r.preferred.push_back(node);
+      }
+    }
+    r.on_allocated = [&](const ContainerGrant& grant) {
+      request();
+      sim.schedule(Duration::seconds(5.0),
+                   [&rm, grant] { rm.release_container(grant); });
+    };
+    rm.request_container(std::move(r));
+  };
+  for (std::size_t i = 0; i < depth; ++i) request();
+  const Duration interval = cluster.heartbeat_interval;
+  sim.run(SimTime::zero() + interval * 2);
+  const auto intervals = static_cast<double>(kBeats / nodes);
+  const auto start = std::chrono::steady_clock::now();
+  sim.run(sim.now() + interval * intervals);
+  const double ns = seconds_since(start) * 1e9 /
+                    (static_cast<double>(nodes) * intervals);
+  mean_queue = rm.mean_queue_length();
+  return ns;
+}
+
+void bench_rm_heartbeat(BenchReport& report) {
+  struct Shape {
+    std::size_t nodes;
+    std::size_t depth;
+  };
+  constexpr Shape kShapes[] = {{128, 16}, {512, 57}, {2048, 226}};
+  constexpr int kReps = 5;
+  std::printf("RM heartbeat (3 preferred nodes per request, 5 s holds, "
+              "best of %d):\n", kReps);
+  std::printf("  %8s %6s %11s %10s\n", "nodes", "depth", "mean queue",
+              "ns/beat");
+  double first_ns = 0;
+  double last_ns = 0;
+  for (const Shape& shape : kShapes) {
+    double best = std::numeric_limits<double>::infinity();
+    double mean_queue = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      best = std::min(best, rm_heartbeat_ns(shape.nodes, shape.depth,
+                                            mean_queue));
+    }
+    std::printf("  %8zu %6zu %11.1f %10.1f\n", shape.nodes, shape.depth,
+                mean_queue, best);
+    report.metric("rm_heartbeat_ns_d" + std::to_string(shape.depth), best);
+    if (first_ns == 0) first_ns = best;
+    last_ns = best;
+  }
+  // The indexed queue pays per grant and per stale handle popped, not per
+  // queued request; a scan of the queue grows ~4x from depth 16 to 226.
+  std::printf("  cost growth depth %zu -> %zu: %.2fx\n", kShapes[0].depth,
+              kShapes[2].depth, last_ns / first_ns);
+  report.metric("rm_heartbeat_growth", last_ns / first_ns);
+}
+
 void main_impl() {
   print_header(
       "Microkernel: event queue, dispatch, bandwidth channel, scrub cursor, "
-      "placement");
+      "placement, RM heartbeat");
   bench_event_churn(report());
   bench_dispatch(report());
   bench_bandwidth_churn(report());
   bench_migration_queue(report());
   bench_scrub_cursor(report());
   bench_placement(report());
+  bench_rm_heartbeat(report());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@ ResourceManager::ResourceManager(Simulator& sim, ClusterConfig config)
   nodes_.reserve(config_.node_count);
   heartbeats_.reserve(config_.node_count);
   last_beat_.resize(config_.node_count, SimTime::zero());
+  by_node_.resize(config_.node_count);
   for (std::size_t i = 0; i < config_.node_count; ++i) {
     const NodeId id(static_cast<std::int64_t>(i));
     nodes_.push_back(std::make_unique<NodeManager>(id, config_.slots_per_node));
@@ -49,7 +50,58 @@ bool ResourceManager::is_job_running(JobId job) const {
 
 void ResourceManager::request_container(ContainerRequest request) {
   IGNEM_CHECK(request.on_allocated != nullptr);
-  queue_.push_back(QueuedRequest{std::move(request), sim_.now()});
+  std::uint32_t slot = 0;
+  if (vacant_.empty()) {
+    slot = static_cast<std::uint32_t>(queued_.size());
+    queued_.emplace_back();
+  } else {
+    slot = vacant_.back();
+    vacant_.pop_back();
+  }
+  const QueueRef ref{slot, next_seq_++};
+  if (request.preferred.empty()) {
+    enqueue(location_free_, ref);
+  } else {
+    enqueue(located_, ref);
+    // A node named twice gets two handles; the second is a tombstone by the
+    // time it reaches the front. A node outside the cluster never beats, so
+    // such a preference only ever matters to the delay pass.
+    for (const NodeId node : request.preferred) {
+      if (node.valid() &&
+          static_cast<std::size_t>(node.value()) < config_.node_count) {
+        enqueue(by_node_[static_cast<std::size_t>(node.value())], ref);
+      }
+    }
+  }
+  queued_[slot] = QueuedRequest{std::move(request), sim_.now(), ref.seq};
+  ++pending_;
+}
+
+ResourceManager::QueueRef ResourceManager::RefFifo::pop_front() {
+  const QueueRef ref = refs[head++];
+  if (head == refs.size()) {
+    refs.clear();
+    head = 0;
+  } else if (2 * head >= refs.size()) {
+    // Moves at most as many handles as were popped since the last shift.
+    refs.erase(refs.begin(), refs.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return ref;
+}
+
+bool ResourceManager::drop_dead_front(RefFifo& fifo) {
+  while (!fifo.empty() && queued_[fifo.front().slot].seq != fifo.front().seq) {
+    fifo.pop_front();
+  }
+  return !fifo.empty();
+}
+
+void ResourceManager::enqueue(RefFifo& fifo, QueueRef ref) {
+  // A node whose heartbeat is halted never pops its list, so tombstones
+  // are dropped here too.
+  drop_dead_front(fifo);
+  fifo.refs.push_back(ref);
 }
 
 void ResourceManager::release_container(const ContainerGrant& grant) {
@@ -138,19 +190,12 @@ NodeManager& ResourceManager::node_manager(NodeId node) {
   return *nodes_[static_cast<std::size_t>(node.value())];
 }
 
-bool ResourceManager::prefers(const ContainerRequest& request,
-                              NodeId node) const {
-  if (request.preferred.empty()) return true;
-  return std::find(request.preferred.begin(), request.preferred.end(), node) !=
-         request.preferred.end();
-}
-
 void ResourceManager::on_heartbeat(NodeId node) {
   // The NameNode side hears the beat first: a node readmitted after a halt
   // rejoins the namespace before it gets slots back.
   if (heartbeat_listener_ != nullptr) heartbeat_listener_(node);
   ++heartbeat_count_;
-  queue_length_accum_ += queue_.size();
+  queue_length_accum_ += pending_;
   last_beat_[static_cast<std::size_t>(node.value())] = sim_.now();
   NodeManager& manager = node_manager(node);
   if (!manager.alive()) {
@@ -168,60 +213,72 @@ void ResourceManager::on_heartbeat(NodeId node) {
   // heartbeat, so e.g. a reduce wave spreads across the cluster instead of
   // piling onto whichever node beats first (YARN's round-robin offers).
   std::size_t unpreferred_budget = std::max<std::size_t>(
-      1, (queue_.size() + config_.node_count - 1) / config_.node_count);
+      1, (pending_ + config_.node_count - 1) / config_.node_count);
 
-  // Two passes over the FIFO: first requests that prefer this node, then —
-  // delay scheduling — requests that have outwaited the locality delay.
-  for (const bool locality_pass : {true, false}) {
-    auto it = queue_.begin();
-    while (it != queue_.end() && manager.free_slots() > 0) {
-      const bool unpreferred = it->request.preferred.empty();
-      // The fair-share budget binds location-free requests in both passes;
-      // the delay-scheduling relaxation only waives *locality*, it is not a
-      // license for one node to drain the whole queue.
-      const bool budget_ok = !unpreferred || unpreferred_budget > 0;
-      const bool eligible =
-          locality_pass
-              ? prefers(it->request, node) && budget_ok
-              : sim_.now() - it->enqueued >= config_.locality_delay &&
-                    budget_ok;
-      if (!eligible) {
-        ++it;
-        continue;
-      }
-      if (unpreferred) --unpreferred_budget;
-      manager.allocate();
-      if (trace_ != nullptr) {
-        trace_->emit(TraceEventType::kContainerAllocate, node,
-                     BlockId::invalid(), it->request.job);
-      }
-      const ContainerGrant grant{next_container_++, node};
-      active_.emplace(grant.id, ActiveContainer{node, it->request.job,
-                                                std::move(it->request.on_lost)});
-      auto on_allocated = std::move(it->request.on_allocated);
-      it = queue_.erase(it);
-      // Container launch overhead (binary shipping + JVM warm-up) before the
-      // task code runs. If the node is declared dead before launch finishes
-      // the grant is purged and the callback never fires (on_lost already
-      // re-requested).
-      auto launch = [this, cb = std::move(on_allocated), grant]() {
-        sim_.schedule(config_.container_launch, [this, cb, grant] {
-          if (!active_.contains(grant.id)) return;
-          cb(grant);
-        });
-      };
-      if (router_ == nullptr) {
-        launch();
-      } else {
-        // Routed: the grant travels control node -> slave. When the RPC
-        // cannot land before the deadline (the slave's rack is cut off),
-        // the slot is reclaimed so the owner re-requests elsewhere instead
-        // of waiting on a container that will never start.
-        router_->call(router_->control_node(), grant.node, std::move(launch),
-                      [this, grant](RpcOutcome) { reclaim_grant(grant); });
-      }
+  // Locality pass: the requests that prefer this node and, while the
+  // budget lasts, location-free ones, merged by sequence number: the order
+  // a FIFO scan meets them in. Every request in either list is eligible, so
+  // the pass grants from the fronts until slots or candidates run out.
+  RefFifo& preferring = by_node_[static_cast<std::size_t>(node.value())];
+  while (manager.free_slots() > 0) {
+    const bool has_preferring = drop_dead_front(preferring);
+    const bool has_free =
+        unpreferred_budget > 0 && drop_dead_front(location_free_);
+    if (!has_preferring && !has_free) break;
+    if (has_free && (!has_preferring || location_free_.front().seq <
+                                            preferring.front().seq)) {
+      --unpreferred_budget;
+      grant(manager, node, location_free_.pop_front());
+    } else {
+      grant(manager, node, preferring.pop_front());
     }
-    if (manager.free_slots() == 0) break;
+  }
+  // Delay scheduling: located requests that have outwaited the locality
+  // delay. Enqueue times rise with the sequence number, so those are a
+  // prefix of the list. The budget binds here too (waiving locality is no
+  // license to drain the queue), and it leaves this pass no location-free
+  // request: the locality pass stops early only when the slots run out,
+  // and otherwise drains the location-free list or the budget.
+  while (manager.free_slots() > 0 && drop_dead_front(located_) &&
+         sim_.now() - queued_[located_.front().slot].enqueued >=
+             config_.locality_delay) {
+    grant(manager, node, located_.pop_front());
+  }
+}
+
+void ResourceManager::grant(NodeManager& manager, NodeId node, QueueRef ref) {
+  QueuedRequest& queued = queued_[ref.slot];
+  manager.allocate();
+  if (trace_ != nullptr) {
+    trace_->emit(TraceEventType::kContainerAllocate, node, BlockId::invalid(),
+                 queued.request.job);
+  }
+  const ContainerGrant grant{next_container_++, node};
+  active_.emplace(grant.id, ActiveContainer{node, queued.request.job,
+                                            std::move(queued.request.on_lost)});
+  auto on_allocated = std::move(queued.request.on_allocated);
+  queued.seq = 0;  // every handle to this request is now a tombstone
+  vacant_.push_back(ref.slot);
+  --pending_;
+  // Container launch overhead (binary shipping + JVM warm-up) before the
+  // task code runs. If the node is declared dead before launch finishes
+  // the grant is purged and the callback never fires (on_lost already
+  // re-requested).
+  auto launch = [this, cb = std::move(on_allocated), grant]() {
+    sim_.schedule(config_.container_launch, [this, cb, grant] {
+      if (!active_.contains(grant.id)) return;
+      cb(grant);
+    });
+  };
+  if (router_ == nullptr) {
+    launch();
+  } else {
+    // Routed: the grant travels control node -> slave. When the RPC
+    // cannot land before the deadline (the slave's rack is cut off),
+    // the slot is reclaimed so the owner re-requests elsewhere instead
+    // of waiting on a container that will never start.
+    router_->call(router_->control_node(), grant.node, std::move(launch),
+                  [this, grant](RpcOutcome) { reclaim_grant(grant); });
   }
 }
 

@@ -7,6 +7,14 @@
 // with delay scheduling: a request holds out for a preferred node until it
 // has waited `locality_delay`, then accepts any node.
 //
+// The queue is indexed so a heartbeat never walks it: each request gets a
+// sequence number and sits in FIFO lists of (slot, seq) handles, one per
+// node it prefers, plus one of location-free and one of located requests.
+// A heartbeat takes from the fronts of its node's list and the
+// location-free list, merged in sequence order, then from the front of the
+// located list: exactly the grants a FIFO scan of the queue would make
+// (docs/PERF.md §11).
+//
 // That NodeManager beat is the node's only heartbeat. A listener (the
 // Testbed wires the NameNode-side FailureDetector) hears each delivered
 // beat just before the scheduler does, so both liveness monitors read one
@@ -14,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -105,7 +112,7 @@ class ResourceManager : public JobLivenessOracle {
 
   const ClusterConfig& config() const { return config_; }
   NodeManager& node_manager(NodeId node);
-  std::size_t pending_requests() const { return queue_.size(); }
+  std::size_t pending_requests() const { return pending_; }
 
   /// Mean number of requests waiting, sampled at heartbeats (diagnostics).
   double mean_queue_length() const;
@@ -127,7 +134,6 @@ class ResourceManager : public JobLivenessOracle {
   /// the slot and let the owner re-request via on_lost.
   void reclaim_grant(const ContainerGrant& grant);
   void declare_node_dead(NodeId node);
-  bool prefers(const ContainerRequest& request, NodeId node) const;
 
   Simulator& sim_;
   ClusterConfig config_;
@@ -142,8 +148,39 @@ class ResourceManager : public JobLivenessOracle {
   struct QueuedRequest {
     ContainerRequest request;
     SimTime enqueued;
+    std::uint64_t seq = 0;  ///< 0 while the slot is vacant.
   };
-  std::deque<QueuedRequest> queue_;
+  /// A request's place in one index list. It goes stale (a tombstone) once
+  /// the request is granted, since its slot no longer holds `seq`.
+  struct QueueRef {
+    std::uint32_t slot;
+    std::uint64_t seq;
+  };
+  /// A FIFO of handles in sequence order, consumed from the front. A vector
+  /// with a head index rather than a std::deque, which allocates ~600 B even
+  /// when empty: there is one of these per node.
+  struct RefFifo {
+    std::vector<QueueRef> refs;
+    std::size_t head = 0;
+
+    bool empty() const { return head == refs.size(); }
+    const QueueRef& front() const { return refs[head]; }
+    QueueRef pop_front();
+  };
+
+  /// Pops tombstones off the front; true if a live handle remains.
+  bool drop_dead_front(RefFifo& fifo);
+  void enqueue(RefFifo& fifo, QueueRef ref);
+  /// Hands the request in `ref` a slot on `node` and frees its queue slot.
+  void grant(NodeManager& manager, NodeId node, QueueRef ref);
+
+  std::vector<QueuedRequest> queued_;  // slab; a grant's slot is reused
+  std::vector<std::uint32_t> vacant_;  // free slots of queued_
+  std::vector<RefFifo> by_node_;       // index == NodeId value
+  RefFifo location_free_;
+  RefFifo located_;
+  std::uint64_t next_seq_ = 1;
+  std::size_t pending_ = 0;  // live requests
   std::unordered_set<JobId> running_jobs_;
 
   struct ActiveContainer {
