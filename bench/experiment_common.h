@@ -177,9 +177,9 @@ inline TestbedConfig paper_testbed(RunMode mode,
   config.cluster.locality_delay = Duration::seconds(3.0);
   config.cluster.container_launch = Duration::seconds(1.0);
   // 128 GB servers: large enough for the vmtouch configuration to pin all
-  // input replicas; Ignem itself restricts its own pool (config.ignem).
+  // input replicas. The pool is also an Ignem slave's only budget: it locks
+  // each migrated block there until the block's last job reads it or ends.
   config.cache_capacity_per_node = 100 * kGiB;
-  config.ignem.slave_memory_capacity = 16 * kGiB;
   config.replication = 3;
   config.block_size = 64 * kMiB;
   config.seed = 42;

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Settings census: every settable value of TestbedConfig needs a workload.
+"""Settings census: every settable value of TestbedConfig needs a workload
+and a reader.
 
 Starts at `struct TestbedConfig` in src/core/testbed.h. A field whose type
 is a bare struct defined under src/ (ClusterConfig, IntegrityConfig, ...) is
@@ -11,8 +12,18 @@ a nested one. A same-named field of another struct (`swim.seed = 7`) does
 not count. Tests and examples do not count either: a setting only they use
 has no workload behind it.
 
-Prints one line per value and the total; exits 1 when some value is set by
-no bench or perfbench file.
+A value is read when some file under src/ accesses a member of its name
+(`.name` or `->name`) other than to assign it. This matches by name alone,
+so a same-named member of another struct counts as a reader.
+
+UNREAD names the values nothing under src/ reads that a workload file
+still sets, each with that file: the census accepts them only while that
+file sets them and nothing reads them, so each entry lapses once the file
+changes or a reader appears.
+
+Prints one line per value and the totals; exits 1 when some value is set by
+no bench or perfbench file, or read by no file under src/ outside UNREAD,
+or when an UNREAD entry no longer holds.
 
 Usage: python3 scripts/settings_census.py [repo-root]
 """
@@ -25,6 +36,12 @@ ROOT_STRUCT = "TestbedConfig"
 ROOT_HEADER = "src/core/testbed.h"
 WORKLOAD_DIRS = ("bench", "perfbench")
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp"}
+
+# Value -> the workload file that sets it. perfbench/ changes only in a
+# benchmark change, which deletes this value (ROADMAP.md).
+UNREAD = {
+    "ignem.slave_memory_capacity": "perfbench/runner.cc",
+}
 
 STRUCT_RE = re.compile(r"\bstruct\s+(\w+)\s*(?::[^{;]*)?\{")
 CONFIG_VAR_RE = re.compile(r"\b" + ROOT_STRUCT + r"\s*(?:&\s*|\s)(\w+)")
@@ -113,6 +130,20 @@ def workload_files(root):
     return files
 
 
+def source_texts(directory):
+    """Comment-stripped text of every source file under `directory`."""
+    return [strip_comments(path.read_text())
+            for path in sorted(directory.rglob("*"))
+            if path.suffix in SOURCE_SUFFIXES]
+
+
+def reads(texts, path):
+    """True when some text accesses member `path[-1]` other than to assign
+    it."""
+    pattern = r"(?:\.|->)" + path[-1] + r"\b(?!\s*=(?!=))"
+    return any(re.search(pattern, text) for text in texts)
+
+
 def assigns(text, config_vars, path):
     """True when `text` sets `path` on one of its TestbedConfig variables."""
     if not config_vars:
@@ -130,20 +161,34 @@ def main():
         sys.exit(f"struct {ROOT_STRUCT} not found under {root / 'src'}")
     values = settable_values(structs, ROOT_STRUCT)
     files = workload_files(root)
-    unset = []
+    src_texts = source_texts(root / "src")
+    unset, unread, lapsed = [], [], []
     for path in values:
         setters = [name for name, text, config_vars in files
                    if assigns(text, config_vars, path)]
         dotted = ".".join(path)
-        print(f"  {dotted:36} {', '.join(setters) or '-- no workload'}")
+        is_read = reads(src_texts, path)
+        note = "" if is_read else "  [read by nothing under src/]"
+        print(f"  {dotted:36} {', '.join(setters) or '-- no workload'}{note}")
         if not setters:
             unset.append(dotted)
+        if dotted in UNREAD:
+            if is_read or UNREAD[dotted] not in setters:
+                lapsed.append(dotted)
+        elif not is_read:
+            unread.append(dotted)
     print(f"{len(values)} settable values in {ROOT_STRUCT} ({ROOT_HEADER}), "
-          f"{len(unset)} set by no bench or perfbench file")
+          f"{len(unset)} set by no bench or perfbench file, "
+          f"{len(unread)} read by no file under src/ "
+          f"(excepted: {', '.join(sorted(UNREAD))})")
     if unset:
         print("unset: " + ", ".join(unset))
-        return 1
-    return 0
+    if unread:
+        print("unread: " + ", ".join(unread))
+    for dotted in lapsed:
+        print(f"lapsed exception: {dotted} is read under src/ or no longer "
+              f"set by {UNREAD[dotted]}; drop it from UNREAD")
+    return 1 if unset or unread or lapsed else 0
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/small_function.h"
 
 namespace ignem {
 
@@ -169,19 +170,22 @@ void ResourceManager::declare_node_dead(NodeId node) {
     trace_->emit(TraceEventType::kFaultDetectedDead, node, BlockId::invalid(),
                  JobId::invalid(), 0, /*detail=*/1);  // 1 = ResourceManager
   }
-  // Purge the node's containers and let their owners re-request elsewhere.
-  std::vector<std::function<void()>> lost;
+  // Purge the node's containers and let their owners re-request elsewhere,
+  // in grant order.
+  std::vector<std::pair<std::uint64_t, std::function<void()>>> lost;
   for (auto it = active_.begin(); it != active_.end();) {
     if (it->second.node == node) {
       if (it->second.on_lost != nullptr) {
-        lost.push_back(std::move(it->second.on_lost));
+        lost.emplace_back(it->first, std::move(it->second.on_lost));
       }
       it = active_.erase(it);
     } else {
       ++it;
     }
   }
-  for (auto& cb : lost) cb();
+  std::sort(lost.begin(), lost.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [id, cb] : lost) cb();
 }
 
 NodeManager& ResourceManager::node_manager(NodeId node) {
@@ -254,9 +258,9 @@ void ResourceManager::grant(NodeManager& manager, NodeId node, QueueRef ref) {
                  queued.request.job);
   }
   const ContainerGrant grant{next_container_++, node};
-  active_.emplace(grant.id, ActiveContainer{node, queued.request.job,
-                                            std::move(queued.request.on_lost)});
-  auto on_allocated = std::move(queued.request.on_allocated);
+  active_.emplace(grant.id,
+                  ActiveContainer{node, std::move(queued.request.on_allocated),
+                                  std::move(queued.request.on_lost)});
   queued.seq = 0;  // every handle to this request is now a tombstone
   vacant_.push_back(ref.slot);
   --pending_;
@@ -264,11 +268,16 @@ void ResourceManager::grant(NodeManager& manager, NodeId node, QueueRef ref) {
   // task code runs. If the node is declared dead before launch finishes
   // the grant is purged and the callback never fires (on_lost already
   // re-requested).
-  auto launch = [this, cb = std::move(on_allocated), grant]() {
-    sim_.schedule(config_.container_launch, [this, cb, grant] {
-      if (!active_.contains(grant.id)) return;
-      cb(grant);
-    });
+  auto start = [this, grant] {
+    const auto it = active_.find(grant.id);
+    if (it == active_.end()) return;
+    auto on_allocated = std::move(it->second.on_allocated);
+    on_allocated(grant);
+  };
+  static_assert(sizeof(start) <= SmallFunction::kInlineBytes,
+                "the launch event must not spill out of SmallFunction");
+  auto launch = [this, start] {
+    sim_.schedule(config_.container_launch, start);
   };
   if (router_ == nullptr) {
     launch();

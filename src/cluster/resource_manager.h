@@ -23,8 +23,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -87,11 +87,20 @@ class ResourceManager : public JobLivenessOracle {
   /// (node declared dead) is a no-op.
   void release_container(const ContainerGrant& grant);
 
+  /// True while `grant` is an active container: granted, and neither
+  /// released nor lost (its node declared dead, or its launch RPC
+  /// undeliverable; `on_lost` fired). A task attempt is its container, so
+  /// the owner's continuations drop out once this turns false.
+  bool holds(const ContainerGrant& grant) const {
+    return active_.contains(grant.id);
+  }
+
   /// Missed-heartbeat failure detection, one scan: declares dead each node
   /// silent for more than kLivenessTimeout, frees its slots, and fires
-  /// `on_lost` for every container it ran. No grace window. The caller
-  /// runs it every kLivenessCheckInterval (the Testbed, only with fault
-  /// tolerance on, so fault-free runs schedule no extra events).
+  /// `on_lost` for every container it ran, in container-id (grant) order.
+  /// No grace window. The caller runs it every kLivenessCheckInterval (the
+  /// Testbed, only with fault tolerance on, so fault-free runs schedule no
+  /// extra events).
   void check_liveness();
 
   /// Hears every beat that reaches the control plane, just before the
@@ -185,10 +194,11 @@ class ResourceManager : public JobLivenessOracle {
 
   struct ActiveContainer {
     NodeId node;
-    JobId job;
+    /// Fired once the launch overhead has passed; empty after that.
+    std::function<void(const ContainerGrant&)> on_allocated;
     std::function<void()> on_lost;
   };
-  std::map<std::uint64_t, ActiveContainer> active_;  // ordered: determinism
+  std::unordered_map<std::uint64_t, ActiveContainer> active_;  // by grant id
   std::uint64_t next_container_ = 1;
   std::vector<SimTime> last_beat_;  // index == NodeId value
 

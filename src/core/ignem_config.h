@@ -20,9 +20,10 @@ enum class QueueOrder {
 const char* queue_order_name(QueueOrder policy);
 
 struct IgnemConfig {
-  /// Per-slave cap on locked migration memory (§III-B2). The paper's
-  /// worst-case analysis (§II-C2) shows ~12.5 GB suffices for 50 concurrent
-  /// 256 MB readers; we default to 16 GiB on 128 GB nodes.
+  /// Read by nothing: a slave's only budget is its node's pool
+  /// (TestbedConfig::cache_capacity_per_node). Kept only because
+  /// perfbench/runner.cc sets it; scripts/settings_census.py names it as
+  /// its one unread exception, and the next benchmark change deletes it.
   Bytes slave_memory_capacity = 16 * kGiB;
 
   QueueOrder policy = QueueOrder::kSmallestJobFirst;

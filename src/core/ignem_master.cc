@@ -49,7 +49,7 @@ void IgnemMaster::process(const MigrationRequest& request) {
 }
 
 void IgnemMaster::do_migrate(const MigrationRequest& request) {
-  job_info_[request.job] = {request.job_input_bytes, request.eviction};
+  job_info_[request.job] = request.job_input_bytes;
   // Build one batch per slave so each slave costs a single RPC (§III-A6).
   std::map<NodeId, std::vector<PendingMigration>> batches;
   for (const FileId file : request.files) {
@@ -75,7 +75,6 @@ void IgnemMaster::do_migrate(const MigrationRequest& request) {
         command.bytes = namenode_.block(block_id).size;
         command.job = request.job;
         command.job_input_bytes = request.job_input_bytes;
-        command.eviction = request.eviction;
         batches[target].push_back(command);
         ++stats_.migrate_commands;
       }
@@ -185,8 +184,7 @@ bool IgnemMaster::reroute_away(
   command.block = block;
   command.bytes = namenode_.block(block).size;
   command.job = job;
-  command.job_input_bytes = info->second.first;
-  command.eviction = info->second.second;
+  command.job_input_bytes = info->second;
   command.not_before = sim_.now() + backoff;
   batches[replacement].push_back(command);
   targets.push_back(replacement);

@@ -134,9 +134,9 @@ class IgnemMaster : public MigrationService {
   /// Soft state: which slave(s) hold each (job, block) migration. One entry
   /// in the paper's design; more when replicas_to_migrate > 1.
   std::map<std::pair<JobId, BlockId>, std::vector<NodeId>> chosen_;
-  /// Per-job request parameters, kept while the job is live so rerouted
-  /// migrations carry the same priority and eviction mode.
-  std::map<JobId, std::pair<Bytes, EvictionMode>> job_info_;
+  /// Per-job input bytes, kept while the job is live so rerouted
+  /// migrations carry the same priority.
+  std::map<JobId, Bytes> job_info_;
   /// Reroute attempts per (job, block), for the backoff schedule.
   std::map<std::pair<JobId, BlockId>, int> retries_;
   MasterStats stats_;

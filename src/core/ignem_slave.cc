@@ -41,7 +41,6 @@ void IgnemSlave::add_reference(BlockId block, JobId job) {
   if (std::find(state.jobs.begin(), state.jobs.end(), job) ==
       state.jobs.end()) {
     state.jobs.push_back(job);
-    job_blocks_[job].insert(block);
   }
 }
 
@@ -50,7 +49,6 @@ void IgnemSlave::handle_migrate_batch(
   if (!datanode_.alive()) return;  // RPC to a crashed process is lost
   for (PendingMigration command : commands) {
     ++stats_.commands_received;
-    job_modes_[command.job] = command.eviction;
     const auto it = blocks_.find(command.block);
     const bool is_new = it == blocks_.end();
     add_reference(command.block, command.job);
@@ -66,6 +64,7 @@ void IgnemSlave::handle_migrate_batch(
 }
 
 void IgnemSlave::maybe_start() {
+  bool cleaned = false;
   while (!current_.has_value()) {
     if (!datanode_.alive()) return;
     const SimTime now = sim_.now();
@@ -92,14 +91,15 @@ void IgnemSlave::maybe_start() {
               ? 1.0
               : static_cast<double>(cache.used()) /
                     static_cast<double>(cache.capacity());
-      if (occupancy >= kCleanupOccupancyThreshold) {
-        cleanup_dead_jobs();
+      // One round per call. It may reap the head itself, so after a round
+      // that removed anything the loop looks up the queue head afresh.
+      if (!cleaned && occupancy >= kCleanupOccupancyThreshold) {
+        cleaned = true;
+        if (cleanup_dead_jobs()) continue;
       }
-      if (cache.available() < state.bytes) {
-        // Stalled: commands wait until memory frees or a missed read
-        // discards them (§III-B2).
-        return;
-      }
+      // Stalled: commands wait until memory frees or a missed read
+      // discards them (§III-B2).
+      return;
     }
 
     const PendingMigration m = *queue_.pop_ready(now);
@@ -191,27 +191,19 @@ void IgnemSlave::on_migration_complete(BlockId block, Bytes bytes) {
   maybe_start();
 }
 
-void IgnemSlave::remove_reference(BlockId block, JobId job, bool missed_read) {
+bool IgnemSlave::remove_reference(BlockId block, JobId job, bool missed_read) {
   const auto it = blocks_.find(block);
-  if (it == blocks_.end()) return;
+  if (it == blocks_.end()) return false;
   BlockState& state = it->second;
   const auto jit = std::find(state.jobs.begin(), state.jobs.end(), job);
-  if (jit == state.jobs.end()) return;
+  if (jit == state.jobs.end()) return false;
   state.jobs.erase(jit);
-  if (const auto jb = job_blocks_.find(job); jb != job_blocks_.end()) {
-    jb->second.erase(block);
-    if (jb->second.empty()) {
-      job_blocks_.erase(jb);
-      job_modes_.erase(job);
-    }
-  }
   if (missed_read && state.phase == Phase::kQueued) {
     ++stats_.commands_discarded_missed_read;
   }
-  if (state.jobs.empty() && state.phase != Phase::kMigrating) {
-    drop_block(block);
-    maybe_start();  // queue may have been memory-stalled
-  }
+  if (!state.jobs.empty() || state.phase == Phase::kMigrating) return false;
+  drop_block(block);
+  return true;
 }
 
 void IgnemSlave::drop_block(BlockId block) {
@@ -229,48 +221,39 @@ void IgnemSlave::drop_block(BlockId block) {
       // Never reached: callers defer to on_migration_complete.
       IGNEM_CHECK(false);
   }
-  for (const JobId job : it->second.jobs) {
-    if (const auto jb = job_blocks_.find(job); jb != job_blocks_.end()) {
-      jb->second.erase(block);
-      if (jb->second.empty()) {
-        job_blocks_.erase(jb);
-        job_modes_.erase(job);
-      }
-    }
-  }
   blocks_.erase(it);
 }
 
 void IgnemSlave::handle_evict_batch(JobId job,
                                     const std::vector<BlockId>& blocks) {
+  bool dropped = false;
   for (const BlockId block : blocks) {
-    remove_reference(block, job, /*missed_read=*/false);
+    dropped |= remove_reference(block, job, /*missed_read=*/false);
   }
+  if (dropped) maybe_start();  // the queue may have been memory-stalled
 }
 
 void IgnemSlave::on_block_read(NodeId node, BlockId block, JobId job) {
   IGNEM_CHECK(node == datanode_.id());
-  const auto mode = job_modes_.find(job);
-  if (mode == job_modes_.end()) return;  // not an Ignem-tracked job here
-  if (mode->second != EvictionMode::kImplicit) return;
-  remove_reference(block, job, /*missed_read=*/true);
+  if (remove_reference(block, job, /*missed_read=*/true)) maybe_start();
 }
 
-void IgnemSlave::cleanup_dead_jobs() {
+bool IgnemSlave::cleanup_dead_jobs() {
   ++stats_.cleanup_rounds;
-  std::vector<JobId> jobs;
-  jobs.reserve(job_blocks_.size());
-  for (const auto& [job, _] : job_blocks_) jobs.push_back(job);
-  for (const JobId job : jobs) {
-    if (liveness_ != nullptr && liveness_->is_job_running(job)) continue;
-    const auto it = job_blocks_.find(job);
-    if (it == job_blocks_.end()) continue;
-    const std::vector<BlockId> blocks(it->second.begin(), it->second.end());
-    for (const BlockId block : blocks) {
-      ++stats_.references_reaped;
-      remove_reference(block, job, /*missed_read=*/false);
+  std::vector<std::pair<BlockId, JobId>> dead;
+  for (const auto& [block, state] : blocks_) {
+    for (const JobId job : state.jobs) {
+      if (liveness_ == nullptr || !liveness_->is_job_running(job)) {
+        dead.emplace_back(block, job);
+      }
     }
   }
+  std::sort(dead.begin(), dead.end());
+  for (const auto& [block, job] : dead) {
+    ++stats_.references_reaped;
+    remove_reference(block, job, /*missed_read=*/false);
+  }
+  return !dead.empty();
 }
 
 void IgnemSlave::on_master_failure() {
@@ -292,56 +275,44 @@ bool IgnemSlave::purge_block(BlockId block) {
   return had_copy;
 }
 
-void IgnemSlave::purge_all() {
-  // Drop every reference, abort the in-flight migration, and unlock
-  // everything.
-  wake_pending_ = false;
-  if (current_.has_value()) {
-    datanode_.primary_device().abort(current_->transfer);
-    datanode_.cache().cancel_reservation(current_->bytes);
-    if (trace_ != nullptr) {
-      // detail=1 marks an aborted (not finished) migration.
-      trace_->emit(TraceEventType::kMigrationComplete, datanode_.id(),
-                   current_->block, JobId::invalid(), current_->bytes, 1);
-    }
-    current_.reset();
+void IgnemSlave::abort_migration() {
+  if (!current_.has_value()) return;
+  datanode_.primary_device().abort(current_->transfer);
+  // A failed DataNode process already wiped the pool, reservation included
+  // (DataNode::fail()); otherwise the reservation goes back here.
+  BufferCache& pool = datanode_.cache();
+  if (pool.reserved() >= current_->bytes) {
+    pool.cancel_reservation(current_->bytes);
   }
+  if (trace_ != nullptr) {
+    // detail=1 marks an aborted (not finished) migration.
+    trace_->emit(TraceEventType::kMigrationComplete, datanode_.id(),
+                 current_->block, JobId::invalid(), current_->bytes, 1);
+  }
+  current_.reset();
+}
+
+void IgnemSlave::purge_all() {
+  // Abort the in-flight migration, unlock everything, and drop every
+  // reference.
+  abort_migration();
   for (const auto& [block, state] : blocks_) {
     if (state.phase == Phase::kInMemory) {
       datanode_.cache().unlock(block);
       ++stats_.evictions;
     }
   }
-  blocks_.clear();
-  job_blocks_.clear();
-  job_modes_.clear();
-  while (queue_.pop().has_value()) {
-  }
+  reset();
 }
 
 void IgnemSlave::reset() {
+  abort_migration();
   wake_pending_ = false;
-  if (current_.has_value()) {
-    datanode_.primary_device().abort(current_->transfer);
-    // The locked pool itself is wiped by DataNode::fail(); only drop our
-    // bookkeeping here. If the DataNode process survived (reset without
-    // fail), the reservation must still be returned.
-    BufferCache& pool = datanode_.cache();
-    if (pool.reserved() >= current_->bytes) {
-      pool.cancel_reservation(current_->bytes);
-    }
-    if (trace_ != nullptr) {
-      trace_->emit(TraceEventType::kMigrationComplete, datanode_.id(),
-                   current_->block, JobId::invalid(), current_->bytes, 1);
-    }
-    current_.reset();
-  }
   blocks_.clear();
-  job_blocks_.clear();
-  job_modes_.clear();
   while (queue_.pop().has_value()) {
   }
-  // The locked pool itself is reclaimed by DataNode::fail().
+  // Unlocking is the caller's: DataNode::fail() reclaims the whole pool,
+  // and purge_all() unlocks each resident block first.
 }
 
 static_assert(sizeof(SlaveStats) == 7 * sizeof(std::uint64_t),

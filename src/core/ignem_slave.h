@@ -5,11 +5,11 @@
 //    by default, FIFO for the ablation), never preempting a started
 //    migration, one block at a time to avoid disk-contention collapse;
 //  - is work-conserving: an idle disk starts the next migration immediately;
-//  - keeps a reference list of job IDs per migrated block and evicts a block
-//    exactly when its list empties (Do-not-harm: no pressure-driven
+//  - keeps one table: a reference list of job IDs per block, and evicts a
+//    block exactly when its list empties (Do-not-harm: no pressure-driven
 //    eviction, §III-A3);
-//  - supports explicit eviction (job-completion evict RPC) and implicit
-//    eviction (reference dropped when the job reads the block, §III-A4);
+//  - drops a job's reference both when the job reads the block and when its
+//    job-completion evict RPC arrives (§III-A4);
 //  - on memory-threshold pressure, queries the cluster scheduler for job
 //    liveness and reaps references held by dead jobs;
 //  - purges itself when the master fails, and loses its locked pool (but no
@@ -21,7 +21,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -61,8 +60,10 @@ class IgnemSlave : public BlockReadListener {
   /// One batched evict RPC: drop `job` from each block's reference list.
   void handle_evict_batch(JobId job, const std::vector<BlockId>& blocks);
 
-  /// DataNode read hook — implements implicit eviction and missed-read
-  /// discard (a block read from disk no longer needs migrating for that job).
+  /// DataNode read hook: the reading job drops its reference, which evicts
+  /// the block once no other job needs it, and discards a still-queued
+  /// command (a block read from disk no longer needs migrating for that
+  /// job).
   void on_block_read(NodeId node, BlockId block, JobId job) override;
 
   /// The master failed: purge all reference lists to match its empty state.
@@ -128,15 +129,24 @@ class IgnemSlave : public BlockReadListener {
   };
 
   void add_reference(BlockId block, JobId job);
-  /// Removes one job reference; evicts/cancels when the list empties.
-  void remove_reference(BlockId block, JobId job, bool missed_read);
+  /// Removes one job reference; evicts/cancels when the list empties and
+  /// returns whether it did. Starts no work: each entry point calls
+  /// maybe_start once, at its end, if it dropped a block.
+  bool remove_reference(BlockId block, JobId job, bool missed_read);
   void drop_block(BlockId block);
+  /// Starts the queue head if none is in flight. When the head does not fit
+  /// and the pool is past kCleanupOccupancyThreshold, runs one cleanup
+  /// round per call and, if it reaped anything, looks at the head again.
   void maybe_start();
   /// Arms a single wake event at the earliest retry-backoff expiry so a
   /// backed-off queue gets re-examined without polling.
   void schedule_ready_wake();
   void on_migration_complete(BlockId block, Bytes bytes);
-  void cleanup_dead_jobs();
+  /// Removes every reference held by a job the scheduler no longer runs, in
+  /// (block, job) order; returns whether it removed any.
+  bool cleanup_dead_jobs();
+  /// Aborts the in-flight page-in, if any, and returns its reservation.
+  void abort_migration();
 
   Simulator& sim_;
   DataNode& datanode_;
@@ -146,8 +156,6 @@ class IgnemSlave : public BlockReadListener {
 
   MigrationQueue queue_;
   std::unordered_map<BlockId, BlockState> blocks_;
-  std::unordered_map<JobId, std::unordered_set<BlockId>> job_blocks_;
-  std::unordered_map<JobId, EvictionMode> job_modes_;
   std::optional<ActiveMigration> current_;
   std::uint64_t next_seq_ = 1;
   bool wake_pending_ = false;  ///< A ready-wake event is armed for wake_time_.

@@ -26,7 +26,6 @@ struct PendingMigration {
   Bytes bytes = 0;
   JobId job;
   Bytes job_input_bytes = 0;
-  EvictionMode eviction = EvictionMode::kImplicit;
   std::uint64_t arrival_seq = 0;  ///< Global command order (submission order).
   /// Earliest start time (retry backoff). Not part of the priority order:
   /// a backed-off entry keeps its place but is skipped until ready.

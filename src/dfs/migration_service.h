@@ -17,14 +17,8 @@ enum class MigrationOp {
   kEvict,    ///< Drop this job from the blocks' reference lists.
 };
 
-enum class EvictionMode {
-  kExplicit,  ///< Blocks stay locked until the job submitter sends kEvict.
-  kImplicit,  ///< A job's reference is dropped as soon as it reads the block.
-};
-
 struct MigrationRequest {
   MigrationOp op = MigrationOp::kMigrate;
-  EvictionMode eviction = EvictionMode::kImplicit;
   JobId job;
   Bytes job_input_bytes = 0;  ///< Used by slaves to prioritize small jobs.
   std::vector<FileId> files;

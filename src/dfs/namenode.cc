@@ -144,10 +144,9 @@ std::vector<NodeId> NameNode::place_replicas(std::size_t count) {
 FileId NameNode::create_file(const std::string& path, Bytes size) {
   IGNEM_CHECK(size > 0);
   IGNEM_CHECK_MSG(!paths_.contains(path), "duplicate path: " << path);
-  const FileId id(next_file_++);
+  const FileId id(static_cast<std::int64_t>(files_.size()));
   FileInfo info;
   info.id = id;
-  info.path = path;
   info.size = size;
   for (Bytes offset = 0; offset < size; offset += block_size_) {
     const Bytes block_bytes = std::min(block_size_, size - offset);
@@ -169,14 +168,15 @@ FileId NameNode::create_file(const std::string& path, Bytes size) {
                  static_cast<std::int64_t>(info.blocks.size()));
   }
   paths_.emplace(path, id);
-  files_.emplace(id, std::move(info));
+  files_.push_back(std::move(info));
   return id;
 }
 
 const FileInfo& NameNode::file(FileId id) const {
-  const auto it = files_.find(id);
-  IGNEM_CHECK_MSG(it != files_.end(), "unknown file " << id.value());
-  return it->second;
+  IGNEM_CHECK_MSG(
+      id.valid() && static_cast<std::size_t>(id.value()) < files_.size(),
+      "unknown file " << id.value());
+  return files_[static_cast<std::size_t>(id.value())];
 }
 
 FileId NameNode::lookup(const std::string& path) const {

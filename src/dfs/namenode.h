@@ -24,7 +24,6 @@ namespace ignem {
 
 struct FileInfo {
   FileId id;
-  std::string path;
   Bytes size = 0;
   std::vector<BlockId> blocks;
 };
@@ -153,12 +152,11 @@ class NameNode {
   std::vector<bool> alive_;                       // index == NodeId value
   std::vector<NodeId> live_;                      // ascending ids
   std::vector<std::vector<NodeId>> rack_live_;    // per rack, ascending ids
-  std::unordered_map<FileId, FileInfo> files_;
+  std::vector<FileInfo> files_;  // index == FileId value
   std::unordered_map<std::string, FileId> paths_;
   std::unordered_map<BlockId, BlockInfo> blocks_;
   // Ordered so repair iterates corrupt replicas deterministically.
   std::map<BlockId, std::set<NodeId>> corrupt_;
-  std::int64_t next_file_ = 0;
   std::int64_t next_block_ = 0;
 };
 

@@ -51,7 +51,6 @@ void JobRunner::submit(CompletionCallback on_complete) {
   if (spec_.use_ignem) {
     MigrationRequest request;
     request.op = MigrationOp::kMigrate;
-    request.eviction = spec_.eviction;
     request.job = id_;
     request.job_input_bytes = input_bytes_;
     request.files = spec_.inputs;
@@ -65,7 +64,6 @@ void JobRunner::submit(CompletionCallback on_complete) {
 
 void JobRunner::enter_scheduler() {
   rm_.register_job(id_);
-  map_epoch_.assign(maps_.size(), 0);
   for (std::size_t i = 0; i < maps_.size(); ++i) request_map(i);
 }
 
@@ -78,27 +76,21 @@ void JobRunner::request_map(std::size_t index) {
   request.on_allocated = [this, index](const ContainerGrant& grant) {
     launch_map(index, grant);
   };
-  request.on_lost = [this, index] {
-    ++map_epoch_[index];
-    request_map(index);
-  };
+  request.on_lost = [this, index] { request_map(index); };
   rm_.request_container(std::move(request));
 }
 
 void JobRunner::launch_map(std::size_t index, const ContainerGrant& grant) {
   const SimTime start = sim_.now();
-  const NodeId node = grant.node;
-  const int epoch = map_epoch_[index];
   first_task_start_ = std::min(first_task_start_, start);
 
-  sim_.schedule(spec_.compute.task_overhead, [this, index, grant, node, start,
-                                              epoch] {
-    if (!map_attempt_live(index, epoch)) return;
+  sim_.schedule(spec_.compute.task_overhead, [this, index, grant, start] {
+    if (!rm_.holds(grant)) return;
     const MapTask& task = maps_[index];
     dfs_.read_block(
-        node, task.block, id_,
-        [this, index, grant, node, start, epoch](const BlockReadRecord& read) {
-          if (!map_attempt_live(index, epoch)) return;
+        grant.node, task.block, id_,
+        [this, index, grant, start](const BlockReadRecord& read) {
+          if (!rm_.holds(grant)) return;
           if (read.failed) {
             // Terminal read error: the input is unreadable everywhere (all
             // replicas lost or corrupt) and the deadline ran out. Fail the
@@ -115,10 +107,10 @@ void JobRunner::launch_map(std::size_t index, const ContainerGrant& grant) {
               static_cast<double>(task.bytes) / static_cast<double>(kMiB);
           const Duration compute =
               Duration::seconds(spec_.compute.map_cpu_secs_per_mib * mib_in);
-          sim_.schedule(compute, [this, index, grant, node, start, epoch,
+          sim_.schedule(compute, [this, index, grant, start,
                                   read_time = read.duration] {
-            if (!map_attempt_live(index, epoch)) return;
-            map_output_nodes_[node] += maps_[index].bytes;
+            if (!rm_.holds(grant)) return;
+            map_output_nodes_[grant.node] += maps_[index].bytes;
             if (metrics_ != nullptr) {
               metrics_->add_task(
                   {TaskKind::kMap, start, sim_.now() - start, read_time});
@@ -146,42 +138,28 @@ void JobRunner::start_reduce_stage() {
     finish_job();
     return;
   }
-  reduce_epoch_.assign(static_cast<std::size_t>(reduce_count_), 0);
-  for (int i = 0; i < reduce_count_; ++i) {
-    request_reduce(static_cast<std::size_t>(i));
-  }
+  for (int i = 0; i < reduce_count_; ++i) request_reduce();
 }
 
-void JobRunner::request_reduce(std::size_t index) {
+void JobRunner::request_reduce() {
   ContainerRequest request;
   request.job = id_;
-  request.on_allocated = [this, index](const ContainerGrant& grant) {
-    launch_reduce(index, grant);
+  request.on_allocated = [this](const ContainerGrant& grant) {
+    launch_reduce(grant);
   };
-  request.on_lost = [this, index] {
-    ++reduce_epoch_[index];
-    request_reduce(index);
-  };
+  request.on_lost = [this] { request_reduce(); };
   rm_.request_container(std::move(request));
 }
 
-void JobRunner::launch_reduce(std::size_t index, const ContainerGrant& grant) {
+void JobRunner::launch_reduce(const ContainerGrant& grant) {
   const SimTime start = sim_.now();
-  const NodeId node = grant.node;
-  const int epoch = reduce_epoch_[index];
-  const Bytes shuffle_share = shuffle_bytes_ / reduce_count_;
-  const Bytes output_share = output_bytes_ / reduce_count_;
-
-  sim_.schedule(spec_.compute.task_overhead, [this, index, grant, node, start,
-                                              epoch, shuffle_share,
-                                              output_share] {
-    if (!reduce_attempt_live(index, epoch)) return;
+  sim_.schedule(spec_.compute.task_overhead, [this, grant, start] {
+    if (!rm_.holds(grant)) return;
     // Shuffle: fan-in through the reducer's NIC. Map outputs sit in the
     // senders' page caches, so the network is the chokepoint. Each sender's
     // share is gated on reachability; blocked shares retry until the
     // partition heals.
-    run_shuffle(index, grant, node, start, epoch,
-                shuffle_shares(shuffle_share), shuffle_share, output_share,
+    run_shuffle(grant, start, shuffle_shares(shuffle_bytes_ / reduce_count_),
                 sim_.now());
   });
 }
@@ -212,21 +190,17 @@ std::vector<Network::IngressShare> JobRunner::shuffle_shares(
   return shares;
 }
 
-void JobRunner::run_shuffle(std::size_t index, const ContainerGrant& grant,
-                            NodeId node, SimTime start, int epoch,
+void JobRunner::run_shuffle(const ContainerGrant& grant, SimTime start,
                             std::vector<Network::IngressShare> shares,
-                            Bytes shuffle_share, Bytes output_share,
                             SimTime shuffle_start) {
   network_.ingress_transfer(
-      node, std::move(shares),
-      [this, index, grant, node, start, epoch, shuffle_share, output_share,
-       shuffle_start](Bytes arrived,
-                      std::vector<Network::IngressShare> unserved) {
+      grant.node, std::move(shares),
+      [this, grant, start, shuffle_start](
+          Bytes arrived, std::vector<Network::IngressShare> unserved) {
         (void)arrived;
-        if (!reduce_attempt_live(index, epoch)) return;
+        if (!rm_.holds(grant)) return;
         if (unserved.empty()) {
-          finish_reduce(index, grant, node, start, epoch, shuffle_share,
-                        output_share);
+          finish_reduce(grant, start);
           return;
         }
         if (sim_.now() - shuffle_start > kShuffleDeadline) {
@@ -239,32 +213,27 @@ void JobRunner::run_shuffle(std::size_t index, const ContainerGrant& grant,
         }
         sim_.schedule(
             kShuffleRetryDelay,
-            [this, index, grant, node, start, epoch, shuffle_share,
-             output_share, shuffle_start,
+            [this, grant, start, shuffle_start,
              unserved = std::move(unserved)]() mutable {
-              if (!reduce_attempt_live(index, epoch)) return;
-              run_shuffle(index, grant, node, start, epoch,
-                          std::move(unserved), shuffle_share, output_share,
-                          shuffle_start);
+              if (!rm_.holds(grant)) return;
+              run_shuffle(grant, start, std::move(unserved), shuffle_start);
             },
             EventClass::kRetry);
       });
 }
 
-void JobRunner::finish_reduce(std::size_t index, const ContainerGrant& grant,
-                              NodeId node, SimTime start, int epoch,
-                              Bytes shuffle_share, Bytes output_share) {
-  const double mib =
-      static_cast<double>(shuffle_share) / static_cast<double>(kMiB);
+void JobRunner::finish_reduce(const ContainerGrant& grant, SimTime start) {
+  const double mib = static_cast<double>(shuffle_bytes_ / reduce_count_) /
+                     static_cast<double>(kMiB);
   const Duration compute =
       Duration::seconds(spec_.compute.reduce_cpu_secs_per_mib * mib);
   // Merge compute and the output write overlap: reducers stream merged
   // output to the DFS as they go. The write still rides the local
   // device channel, so write-heavy jobs (sort) contend with reads.
   auto barrier = std::make_shared<int>(2);
-  auto arm = [this, index, grant, start, epoch, barrier] {
+  auto arm = [this, grant, start, barrier] {
     if (--*barrier > 0) return;
-    if (!reduce_attempt_live(index, epoch)) return;
+    if (!rm_.holds(grant)) return;
     if (metrics_ != nullptr) {
       metrics_->add_task(
           {TaskKind::kReduce, start, sim_.now() - start, Duration::zero()});
@@ -273,8 +242,9 @@ void JobRunner::finish_reduce(std::size_t index, const ContainerGrant& grant,
     on_reduce_done();
   };
   sim_.schedule(compute, arm);
+  const Bytes output_share = output_bytes_ / reduce_count_;
   if (output_share > 0) {
-    dfs_.namenode().datanode(node)->write(output_share, arm);
+    dfs_.namenode().datanode(grant.node)->write(output_share, arm);
   } else {
     arm();
   }
@@ -300,7 +270,6 @@ void JobRunner::complete() {
   if (spec_.use_ignem) {
     MigrationRequest request;
     request.op = MigrationOp::kEvict;
-    request.eviction = spec_.eviction;
     request.job = id_;
     request.job_input_bytes = input_bytes_;
     request.files = spec_.inputs;
@@ -318,11 +287,10 @@ void JobRunner::complete() {
   record.duration = record.end - record.submit;
   record.failed = failed_;
 
-  // A finished job reads its per-task state no more. Superseded attempts
-  // still holding `this` drop out on finished_ before touching it.
+  // A finished job reads its per-task state no more: every attempt has
+  // released its container, so a superseded one that fires late drops out
+  // on rm_.holds before touching it.
   maps_ = std::vector<MapTask>();
-  map_epoch_ = std::vector<int>();
-  reduce_epoch_ = std::vector<int>();
   map_output_nodes_.clear();
 
   if (metrics_ != nullptr) metrics_->add_job(record);

@@ -33,9 +33,12 @@ class JobRunner {
 
   /// Starts the job-submitter: migrate call (if enabled), optional injected
   /// lead-time, submission overhead, then scheduling. `on_complete` fires
-  /// once with the job's record. The runner must outlive the job: a
-  /// superseded attempt's continuations may still fire after it completes.
-  /// Completion frees the per-task state; the spec stays.
+  /// once with the job's record. A task attempt is its container: each
+  /// continuation drops out unless the ResourceManager still holds the
+  /// attempt's grant, so a superseded attempt (its container lost) never
+  /// completes the task. The runner must outlive the job, since such
+  /// continuations may still fire after it completes; they read only the
+  /// ResourceManager. Completion frees the per-task state; the spec stays.
   void submit(CompletionCallback on_complete);
 
   JobId id() const { return id_; }
@@ -50,23 +53,13 @@ class JobRunner {
     Bytes bytes = 0;
   };
 
-  /// True while a continuation of map `index`'s attempt `epoch` is the
-  /// task's live attempt. A finished job has no live attempt (and has
-  /// freed the epochs), so a superseded attempt that fires late drops out.
-  bool map_attempt_live(std::size_t index, int epoch) const {
-    return !finished_ && epoch == map_epoch_[index];
-  }
-  bool reduce_attempt_live(std::size_t index, int epoch) const {
-    return !finished_ && epoch == reduce_epoch_[index];
-  }
-
   void enter_scheduler();
   void request_map(std::size_t index);
   void launch_map(std::size_t index, const ContainerGrant& grant);
   void on_map_done();
   void start_reduce_stage();
-  void request_reduce(std::size_t index);
-  void launch_reduce(std::size_t index, const ContainerGrant& grant);
+  void request_reduce();
+  void launch_reduce(const ContainerGrant& grant);
   /// Splits `total` shuffle bytes across the nodes that produced map
   /// output, proportional to their share of it (remainder to the last
   /// node), so the fan-in can be partition-gated per sender.
@@ -74,14 +67,10 @@ class JobRunner {
   /// One fan-in round of a reduce task's shuffle. Shares blocked by a
   /// partition (or refunded when the stream was severed) retry after a
   /// delay until they drain or the shuffle deadline fails the job.
-  void run_shuffle(std::size_t index, const ContainerGrant& grant,
-                   NodeId node, SimTime start, int epoch,
+  void run_shuffle(const ContainerGrant& grant, SimTime start,
                    std::vector<Network::IngressShare> shares,
-                   Bytes shuffle_share, Bytes output_share,
                    SimTime shuffle_start);
-  void finish_reduce(std::size_t index, const ContainerGrant& grant,
-                     NodeId node, SimTime start, int epoch,
-                     Bytes shuffle_share, Bytes output_share);
+  void finish_reduce(const ContainerGrant& grant, SimTime start);
   void on_reduce_done();
   void finish_job();
   void complete();
@@ -99,12 +88,6 @@ class JobRunner {
   /// Where map output materialized (node -> bytes of map input processed
   /// there): the shuffle's sender set.
   std::map<NodeId, Bytes> map_output_nodes_;
-  // Attempt epochs: bumped when a task's container is lost to a node
-  // failure. In-flight continuations of the old attempt compare their
-  // captured epoch (map_attempt_live, reduce_attempt_live) and drop out, so
-  // a task never completes twice.
-  std::vector<int> map_epoch_;
-  std::vector<int> reduce_epoch_;
   Bytes input_bytes_ = 0;
   Bytes shuffle_bytes_ = 0;
   Bytes output_bytes_ = 0;

@@ -35,7 +35,6 @@ struct JobSpec {
 
   /// Whether the job submitter issues the one-line Ignem migrate call.
   bool use_ignem = false;
-  EvictionMode eviction = EvictionMode::kImplicit;
 
   /// Sleep inserted between the migrate call and job submission — the
   /// Fig. 8 "Ignem+10s" lead-time injection. Counted in job duration.

@@ -72,7 +72,6 @@ TEST(EdgeCases, RepeatedPreloadIsIdempotent) {
 TEST(EdgeCases, BlockAlreadyInMemoryServesSecondJobWithoutRemigration) {
   Testbed testbed(small(RunMode::kIgnem));
   JobSpec first = make_grep_job(testbed, "/shared", 64 * kMiB);
-  first.eviction = EvictionMode::kExplicit;
   // Two jobs over the same file, back to back. The second job's migrate
   // command finds the block already resident (or queued) — reference
   // bookkeeping must not double-migrate.

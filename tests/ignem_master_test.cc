@@ -35,7 +35,6 @@ class IgnemMasterTest : public ::testing::Test {
   MigrationRequest migrate_request(FileId file, std::int64_t job) {
     MigrationRequest r;
     r.op = MigrationOp::kMigrate;
-    r.eviction = EvictionMode::kExplicit;
     r.job = JobId(job);
     r.job_input_bytes = namenode_->file(file).size;
     r.files = {file};

@@ -197,7 +197,6 @@ TEST(Integrity, CorruptCachedCopyIsPurgedAndReadFallsBackToCleanDisk) {
   command.bytes = 64 * kMiB;
   command.job = JobId(1);
   command.job_input_bytes = 64 * kMiB;
-  command.eviction = EvictionMode::kExplicit;
   slave->handle_migrate_batch({command});
   testbed.sim().run(SimTime::zero() + Duration::seconds(30));
   ASSERT_TRUE(slave->holds(block));

@@ -13,7 +13,15 @@
 // RpcRouter whose links to some nodes are cut for a while. Both runs stop
 // after every heartbeat, where every trace event (each grant's node and
 // request tag, in order), every launched grant (tag, container id, node),
-// pending_requests() and mean_queue_length() must match.
+// every on_lost call (in order), pending_requests() and mean_queue_length()
+// must match.
+//
+// The same streams check ResourceManager::holds against an attempt-epoch
+// model, the JobRunner's bookkeeping before a task attempt became its
+// container: each task has an epoch that its on_lost bumps, and a launched
+// attempt is live while its epoch is current and it has not released. After
+// every heartbeat, liveness scan and fault, holds(grant) must equal that
+// for every outstanding attempt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +32,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -333,8 +342,10 @@ class Harness {
         rm_(sim_, cluster(shape)),
         rng_(seed),
         halted_(shape.nodes, false),
-        liveness_(sim_, kLivenessCheckInterval,
-                  [this] { rm_.check_liveness(); }) {
+        liveness_(sim_, kLivenessCheckInterval, [this] {
+          rm_.check_liveness();
+          verify_attempts("liveness scan");
+        }) {
     trace_.set_clock([this] { return sim_.now(); });
     rm_.set_trace(&trace_);
     if (shape.routed) {
@@ -359,8 +370,40 @@ class Harness {
     return beat_;
   }
 
+  /// Checks holds(grant) against the attempt-epoch model for every
+  /// outstanding attempt (the real RM only; the scan model has no holds).
+  /// A dead attempt is checked once, then dropped from the list.
+  void verify_attempts(const char* where) {
+    if constexpr (std::is_same_v<Rm, ResourceManager>) {
+      std::size_t kept = 0;
+      for (const std::size_t index : outstanding_) {
+        const Attempt& a = attempts_[index];
+        const bool live = !a.released && a.epoch == epoch_[a.task];
+        if (rm_.holds(a.grant) != live && attempt_failure_.empty()) {
+          std::ostringstream out;
+          out << where << " at t=" << sim_.now().count_micros()
+              << "us: container " << a.grant.id << " of task " << a.task
+              << " (epoch " << a.epoch << ", now " << epoch_[a.task]
+              << (a.released ? ", released" : "") << ") holds "
+              << rm_.holds(a.grant) << ", model " << live;
+          attempt_failure_ = out.str();
+        }
+        if (live) {
+          outstanding_[kept++] = index;
+        } else if (!a.released) {
+          ++lost_launched_;
+        }
+      }
+      outstanding_.resize(kept);
+      ++attempt_checks_;
+    }
+  }
+
   Simulator& sim() { return sim_; }
   Rm& rm() { return rm_; }
+  const std::string& attempt_failure() const { return attempt_failure_; }
+  std::uint64_t attempt_checks() const { return attempt_checks_; }
+  std::uint64_t lost_launched() const { return lost_launched_; }
   const TraceRecorder& trace() const { return trace_; }
   const std::vector<Launch>& launches() const { return launches_; }
   NodeId last_beat() const { return last_beat_; }
@@ -393,7 +436,13 @@ class Harness {
         rng_.uniform_int(0, static_cast<std::int64_t>(shape_.nodes) - 1));
   }
 
+  /// A new task's first request.
   void request() {
+    epoch_.push_back(0);
+    request_for(epoch_.size() - 1);
+  }
+
+  void request_for(std::size_t task) {
     ContainerRequest r;
     const std::uint64_t tag = next_tag_++;
     r.job = JobId(static_cast<std::int64_t>(tag));
@@ -401,19 +450,25 @@ class Harness {
     for (std::int64_t i = 0; i < count; ++i) {
       r.preferred.push_back(random_node());
     }
-    r.on_allocated = [this, tag](const ContainerGrant& grant) {
+    r.on_allocated = [this, tag, task](const ContainerGrant& grant) {
       launches_.push_back({tag, grant.id, grant.node, sim_.now()});
+      const std::size_t attempt = attempts_.size();
+      attempts_.push_back({grant, task, epoch_[task], false});
+      outstanding_.push_back(attempt);
       if (rng_.next_double() < 0.3) request();
       const Duration hold = grid(4.0 * static_cast<double>(shape_.nodes));
-      sim_.schedule(hold, [this, grant] {
+      sim_.schedule(hold, [this, grant, attempt] {
+        // Stale when the grant's node was declared dead meanwhile.
         rm_.release_container(grant);
+        attempts_[attempt].released = true;
         // A second release of the same grant must be a no-op.
         if (rng_.next_double() < 0.1) rm_.release_container(grant);
       });
     };
-    r.on_lost = [this, tag] {
+    r.on_lost = [this, tag, task] {
       lost_.push_back(tag);
-      request();
+      ++epoch_[task];
+      request_for(task);
     };
     rm_.request_container(std::move(r));
   }
@@ -460,6 +515,7 @@ class Harness {
     }
     sim_.schedule(Duration::seconds(rng_.uniform_int(5, 30)),
                   [this] { fault(); });
+    verify_attempts("fault");
   }
 
   Shape shape_;
@@ -477,6 +533,20 @@ class Harness {
   std::vector<std::uint64_t> lost_;
   std::uint64_t long_halt_resumed_ = 0;
   bool beat_ = false;
+
+  // The attempt-epoch model.
+  struct Attempt {
+    ContainerGrant grant;
+    std::size_t task;
+    int epoch;
+    bool released;
+  };
+  std::vector<int> epoch_;                // index == task
+  std::vector<Attempt> attempts_;         // every launched attempt
+  std::vector<std::size_t> outstanding_;  // attempts_ still to check
+  std::uint64_t lost_launched_ = 0;  // lost before their own release
+  std::uint64_t attempt_checks_ = 0;
+  std::string attempt_failure_;
 };
 
 std::string describe(const TraceEvent& e) {
@@ -501,6 +571,8 @@ struct StreamTotals {
   std::uint64_t lost = 0;
   std::uint64_t rpc_failures = 0;
   std::uint64_t long_halts_resumed = 0;
+  std::uint64_t lost_launched = 0;   // of `lost`, attempts that launched
+  std::uint64_t attempt_checks = 0;  // holds-vs-model passes
   std::size_t max_pending = 0;
 };
 
@@ -511,6 +583,7 @@ void run_stream(const Shape& shape, std::uint64_t seed, StreamTotals& totals) {
   Harness<FifoScanModel> model(shape, seed);
   std::size_t events_checked = 0;
   std::size_t launches_checked = 0;
+  std::size_t lost_checked = 0;
   std::uint64_t beats = 0;
   while (true) {
     const bool real_beat = real.next_heartbeat();
@@ -541,6 +614,13 @@ void run_stream(const Shape& shape, std::uint64_t seed, StreamTotals& totals) {
                       << ", scan tag " << b.tag << " id " << b.id << " node "
                       << b.node.value();
     }
+    ASSERT_EQ(real.lost().size(), model.lost().size()) << "heartbeat " << beats;
+    for (; lost_checked < real.lost().size(); ++lost_checked) {
+      ASSERT_EQ(real.lost()[lost_checked], model.lost()[lost_checked])
+          << "on_lost call " << lost_checked << " out of grant order";
+    }
+    real.verify_attempts("heartbeat");
+    ASSERT_EQ(real.attempt_failure(), "") << "heartbeat " << beats;
     ASSERT_EQ(real.rm().pending_requests(), model.rm().pending_requests())
         << "heartbeat " << beats;
     ASSERT_EQ(real.rm().mean_queue_length(), model.rm().mean_queue_length())
@@ -562,6 +642,8 @@ void run_stream(const Shape& shape, std::uint64_t seed, StreamTotals& totals) {
   totals.lost += model.lost().size();
   totals.rpc_failures += model.rpc().timeouts + model.rpc().unreachable;
   totals.long_halts_resumed += model.long_halt_resumed();
+  totals.lost_launched += real.lost_launched();
+  totals.attempt_checks += real.attempt_checks();
 }
 
 TEST(ResourceManagerQueue, MatchesFifoScanModel) {
@@ -601,8 +683,10 @@ TEST(ResourceManagerQueue, MatchesFifoScanModel) {
               << b.budget_out_delay << ", slots out mid-pass "
               << b.slots_out_mid_pass << ", deaths " << totals->deaths
               << ", rejoins " << b.rejoins << ", lost " << totals->lost
+              << " (" << totals->lost_launched << " launched)"
               << ", rpc failures " << totals->rpc_failures << ", max pending "
-              << totals->max_pending << "\n";
+              << totals->max_pending << ", holds checks "
+              << totals->attempt_checks << "\n";
     EXPECT_GT(b.node_list_grants, 0u);
     EXPECT_GT(b.free_grants_locality, 0u);
     // Unreachable in the scan: its locality pass stops early only when the
@@ -617,6 +701,8 @@ TEST(ResourceManagerQueue, MatchesFifoScanModel) {
     EXPECT_GT(totals->deaths, 0u);
     EXPECT_GT(totals->lost, 0u);
     EXPECT_EQ(totals->long_halts_resumed, 12u);
+    EXPECT_GT(totals->lost_launched, 0u);
+    EXPECT_GT(totals->attempt_checks, totals->heartbeats);
   }
   EXPECT_GT(routed.rpc_failures, 0u);
 }
