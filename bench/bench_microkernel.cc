@@ -19,12 +19,17 @@
 //      512 in 16 (the scale benchmark's swim shape) and 2048 in 64.
 //   7. ResourceManager heartbeats at the queue depths the SWIM ladder's RM
 //      holds: 16 requests at 128 nodes, 57 at 512 and 226 at 2048.
+//   8. A block touch on 512 nodes at 1,074 and 16,384 blocks per node: the
+//      slave's page-in verify (DataNode::is_corrupt) and a read's replica
+//      choice (DfsClient::choose_replica), with the replica-table search a
+//      disk read still makes (DataNode::block_size) beside them, ungated.
 //
 // Timing is wall-clock (steady_clock). Every headline number lands in
 // BENCH_microkernel.json via BenchReport; scripts/perf_smoke.sh gates the
-// five machine-independent ratios (depth growth of queue churn, stream
+// six machine-independent ratios (depth growth of queue churn, stream
 // growth of bandwidth churn, block-count growth of the scrub cursor,
-// node-count growth of placement, queue-depth growth of RM heartbeats).
+// node-count growth of placement, queue-depth growth of RM heartbeats,
+// block-count growth of a block touch).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -44,7 +49,9 @@
 #include "common/rng.h"
 #include "core/migration_queue.h"
 #include "dfs/datanode.h"
+#include "dfs/dfs_client.h"
 #include "dfs/namenode.h"
+#include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "storage/bandwidth_resource.h"
@@ -507,10 +514,129 @@ void bench_rm_heartbeat(BenchReport& report) {
   report.metric("rm_heartbeat_growth", last_ns / first_ns);
 }
 
+// ---------------------------------------------------------------------------
+// 8. Block touch at per-node block counts.
+
+struct BlockTouchNs {
+  double verify = 0;  ///< DataNode::is_corrupt, the page-in verify.
+  double choice = 0;  ///< DfsClient::choose_replica, a read's source.
+  double search = 0;  ///< DataNode::block_size, the replica-table search.
+};
+
+/// 512 DataNodes, each holding `blocks` replicas: block b lives on nodes b,
+/// b+1 and b+2 (mod 512), ids ascending per node as set-up appends them.
+/// Each probed block has a pool copy on its first holder, as a migrated
+/// block has before its read. Consecutive probes go to different nodes, as
+/// reads across a cluster do, so no table stays warm (the scrub cursor's
+/// set-up in section 5). The choice gets the BlockInfo a read resolves from
+/// the NameNode. Each loop stops after the probe list or ~30 ms. Returns
+/// host ns per call.
+BlockTouchNs block_touch_ns(std::int64_t blocks) {
+  constexpr std::int64_t kNodes = 512;
+  constexpr std::size_t kProbes = 1 << 15;
+  Simulator sim;
+  NameNode namenode(Rng(1), 3);
+  std::vector<std::unique_ptr<DataNode>> nodes;
+  for (std::int64_t n = 0; n < kNodes; ++n) {
+    nodes.push_back(std::make_unique<DataNode>(
+        sim, NodeId(n), hdd_profile(), 8 * kGiB, Rng(n)));
+    namenode.register_datanode(nodes.back().get());
+  }
+  Network network(sim, kNodes, NetworkProfile{});
+  DfsClient client(sim, namenode, network, nullptr);
+  const std::int64_t distinct = blocks * kNodes / 3;
+  for (std::int64_t b = 0; b < distinct; ++b) {
+    for (std::int64_t r = 0; r < 3; ++r) {
+      nodes[static_cast<std::size_t>((b + r) % kNodes)]->add_block(BlockId(b),
+                                                                  64 * kMiB);
+    }
+  }
+  struct Probe {
+    BlockInfo info;
+    NodeId reader;
+    const DataNode* holder;  // the replica a page-in verifies
+  };
+  Rng rng(13);
+  std::vector<Probe> probes;
+  probes.reserve(kProbes);
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    // Probe i lands on node i mod 512 as its first holder.
+    const std::int64_t first = static_cast<std::int64_t>(i) % kNodes;
+    const std::int64_t b =
+        first + kNodes * rng.uniform_int(0, distinct / kNodes - 1);
+    Probe probe;
+    probe.info.id = BlockId(b);
+    probe.info.size = 64 * kMiB;
+    for (std::int64_t r = 0; r < 3; ++r) {
+      probe.info.replicas.push_back(NodeId((b + r) % kNodes));
+    }
+    probe.reader = NodeId(rng.uniform_int(0, kNodes - 1));
+    const std::int64_t holder = (b + rng.uniform_int(0, 2)) % kNodes;
+    probe.holder = nodes[static_cast<std::size_t>(holder)].get();
+    nodes[static_cast<std::size_t>(first)]->cache().lock(BlockId(b), 64 * kMiB);
+    probes.push_back(std::move(probe));
+  }
+  const auto time_loop = [&](const auto& touch) {
+    std::int64_t checksum = 0;
+    std::size_t calls = 0;
+    const auto start = std::chrono::steady_clock::now();
+    while (calls < kProbes &&
+           (calls % 64 != 0 || seconds_since(start) < 0.03)) {
+      checksum += touch(probes[calls++]);
+    }
+    const double ns = seconds_since(start) * 1e9 / static_cast<double>(calls);
+    IGNEM_CHECK(checksum >= 0);
+    return ns;
+  };
+  BlockTouchNs ns;
+  ns.verify = time_loop([](const Probe& p) -> std::int64_t {
+    return p.holder->is_corrupt(p.info.id) ? 1 : 0;
+  });
+  ns.choice = time_loop([&client](const Probe& p) {
+    return client.choose_replica(p.reader, p.info).value();
+  });
+  ns.search = time_loop([](const Probe& p) {
+    return p.holder->block_size(p.info.id);
+  });
+  return ns;
+}
+
+void bench_block_touch(BenchReport& report) {
+  constexpr std::int64_t kShape = 1074;      // perfbench shape.blocks_per_node
+  constexpr std::int64_t kFullDisk = 16384;  // 1 TB / 64 MiB
+  std::printf("block touch (512 nodes, consecutive calls on different "
+              "nodes):\n");
+  std::printf("  %10s %10s %10s %10s\n", "blocks/node", "verify ns",
+              "choice ns", "search ns");
+  const BlockTouchNs shape = block_touch_ns(kShape);
+  std::printf("  %10lld %10.1f %10.1f %10.1f\n", static_cast<long long>(kShape),
+              shape.verify, shape.choice, shape.search);
+  const BlockTouchNs full = block_touch_ns(kFullDisk);
+  std::printf("  %10lld %10.1f %10.1f %10.1f\n",
+              static_cast<long long>(kFullDisk), full.verify, full.choice,
+              full.search);
+  report.metric("block_touch_verify_ns_b1074", shape.verify);
+  report.metric("block_touch_verify_ns_b16384", full.verify);
+  report.metric("block_touch_choice_ns_b1074", shape.choice);
+  report.metric("block_touch_choice_ns_b16384", full.choice);
+  report.metric("block_touch_search_ns_b1074", shape.search);
+  report.metric("block_touch_search_ns_b16384", full.search);
+  // The verify and the choice read no replica table, so their cost stays
+  // flat as the tables grow; the search grows like the scrub cursor's.
+  const double growth =
+      (full.verify + full.choice) / (shape.verify + shape.choice);
+  std::printf("  cost growth %lld -> %lld blocks/node: verify + choice "
+              "%.2fx, search %.2fx\n",
+              static_cast<long long>(kShape),
+              static_cast<long long>(kFullDisk), growth,
+              full.search / shape.search);
+  report.metric("block_touch_growth", growth);
+}
+
 void main_impl() {
   print_header(
       "Microkernel: event queue, dispatch, bandwidth channel, scrub cursor, "
-      "placement, RM heartbeat");
+      "placement, RM heartbeat, block touch");
   bench_event_churn(report());
   bench_dispatch(report());
   bench_bandwidth_churn(report());
@@ -518,6 +644,7 @@ void main_impl() {
   bench_scrub_cursor(report());
   bench_placement(report());
   bench_rm_heartbeat(report());
+  bench_block_touch(report());
 }
 
 }  // namespace

@@ -17,7 +17,10 @@
 #     index's binary searches 1.2-1.6x);
 #   - rm_heartbeat_growth: ResourceManager heartbeat at 2048 nodes with 226
 #     queued requests over 128 nodes with 16 (a scan of the queue grows
-#     4-6x, the indexed queue 0.8-1.3x).
+#     4-6x, the indexed queue 0.8-1.3x);
+#   - block_touch_growth: a page-in verify plus a read's replica choice at
+#     16,384 blocks per node over 1,074, 512 nodes (a verify that searches
+#     the replica table grows ~2.4x, the rot-mark probe ~0.9x).
 # Takes the best of IGNEM_PERF_RUNS runs (default 3) so a noisy scheduler
 # tick does not fail the gate; a real regression shows up in every run. The
 # bench itself aborts if a warmed queue calls operator new or delete.
@@ -53,7 +56,8 @@ baseline_path, work, runs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 baseline = json.load(open(baseline_path))
 
 GATED = ["event_churn_depth_growth", "bw_churn_stream_growth",
-         "scrub_cursor_growth", "placement_growth", "rm_heartbeat_growth"]
+         "scrub_cursor_growth", "placement_growth", "rm_heartbeat_growth",
+         "block_touch_growth"]
 TOLERANCE = 0.25
 
 best = {}

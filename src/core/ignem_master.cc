@@ -52,9 +52,13 @@ void IgnemMaster::do_migrate(const MigrationRequest& request) {
   job_info_[request.job] = request.job_input_bytes;
   // Build one batch per slave so each slave costs a single RPC (§III-A6).
   std::map<NodeId, std::vector<PendingMigration>> batches;
+  std::vector<NodeId> locations;  // one block's live replicas, reused
   for (const FileId file : request.files) {
     for (const BlockId block_id : namenode_.file(file).blocks) {
-      std::vector<NodeId> locations = namenode_.live_locations(block_id);
+      const BlockInfo& info = namenode_.block(block_id);
+      locations.clear();
+      namenode_.for_each_live_location(
+          info, [&locations](NodeId node) { locations.push_back(node); });
       if (locations.empty()) continue;  // wholly failed block; nothing to do
       // Randomly choose replicas_to_migrate distinct replicas; the paper's
       // design (§III-A2) migrates exactly one.
@@ -72,15 +76,15 @@ void IgnemMaster::do_migrate(const MigrationRequest& request) {
         const NodeId target = locations[i];
         PendingMigration command;
         command.block = block_id;
-        command.bytes = namenode_.block(block_id).size;
+        command.bytes = info.size;
         command.job = request.job;
         command.job_input_bytes = request.job_input_bytes;
         batches[target].push_back(command);
         ++stats_.migrate_commands;
       }
-      chosen_[{request.job, block_id}] =
-          std::vector<NodeId>(locations.begin(),
-                              locations.begin() + static_cast<std::ptrdiff_t>(count));
+      migrations_[{request.job, block_id}].targets.assign(
+          locations.begin(),
+          locations.begin() + static_cast<std::ptrdiff_t>(count));
     }
   }
   send_migrate_batches(batches);
@@ -90,14 +94,13 @@ void IgnemMaster::do_evict(const MigrationRequest& request) {
   std::map<NodeId, std::vector<BlockId>> batches;
   for (const FileId file : request.files) {
     for (const BlockId block_id : namenode_.file(file).blocks) {
-      retries_.erase({request.job, block_id});
-      const auto it = chosen_.find({request.job, block_id});
-      if (it == chosen_.end()) continue;  // unknown (e.g. post-restart)
-      for (const NodeId node : it->second) {
+      const auto it = migrations_.find({request.job, block_id});
+      if (it == migrations_.end()) continue;  // unknown (e.g. post-restart)
+      for (const NodeId node : it->second.targets) {
         batches[node].push_back(block_id);
         ++stats_.evict_commands;
       }
-      chosen_.erase(it);
+      migrations_.erase(it);
     }
   }
   job_info_.erase(request.job);
@@ -140,22 +143,22 @@ void IgnemMaster::send_evict_batch(NodeId node, JobId job,
 
 void IgnemMaster::fail() {
   failed_ = true;
-  chosen_.clear();
+  migrations_.clear();
   job_info_.clear();
-  retries_.clear();
   for (IgnemSlave* slave : slaves_) slave->on_master_failure();
 }
 
 void IgnemMaster::restart() { failed_ = false; }
 
-bool IgnemMaster::reroute_away(
-    const std::pair<JobId, BlockId>& key, std::vector<NodeId>& targets,
-    NodeId away, std::map<NodeId, std::vector<PendingMigration>>& batches) {
+void IgnemMaster::reroute_away(
+    const MigrationKey& key, Migration& migration, NodeId away,
+    std::map<NodeId, std::vector<PendingMigration>>& batches) {
+  std::vector<NodeId>& targets = migration.targets;
   const auto pos = std::find(targets.begin(), targets.end(), away);
-  if (pos == targets.end()) return false;
+  if (pos == targets.end()) return;
   targets.erase(pos);
   const auto [job, block] = key;
-  const int attempt = ++retries_[key];
+  const int attempt = ++migration.retries;
   NodeId replacement = NodeId::invalid();
   if (attempt <= kMaxMigrationRetries) {
     // A surviving replica not already chosen, whose process and disk are
@@ -174,7 +177,7 @@ bool IgnemMaster::reroute_away(
   const auto info = job_info_.find(job);
   if (!replacement.valid() || info == job_info_.end()) {
     // Out of retries or replicas (or the job already finished): drop.
-    return targets.empty();
+    return;
   }
   const Duration backoff =
       std::min(kRetryBackoffBase *
@@ -193,7 +196,6 @@ bool IgnemMaster::reroute_away(
     trace_->emit(TraceEventType::kMigrationRetry, replacement, block, job,
                  command.bytes, attempt);
   }
-  return false;
 }
 
 void IgnemMaster::send_migrate_batches(
@@ -217,31 +219,32 @@ void IgnemMaster::send_migrate_batches(
   }
 }
 
-void IgnemMaster::on_node_failure(NodeId node) {
-  if (failed_) return;
-  std::map<NodeId, std::vector<PendingMigration>> batches;
-  for (auto it = chosen_.begin(); it != chosen_.end();) {
-    if (reroute_away(it->first, it->second, node, batches)) {
-      it = chosen_.erase(it);
-    } else {
-      ++it;
+void IgnemMaster::reroute_all_away(NodeId away, BlockId block) {
+  std::vector<MigrationTable::value_type*> hit;
+  for (auto& entry : migrations_) {
+    if (block.valid() && entry.first.second != block) continue;
+    const std::vector<NodeId>& targets = entry.second.targets;
+    if (std::find(targets.begin(), targets.end(), away) != targets.end()) {
+      hit.push_back(&entry);
     }
+  }
+  std::sort(hit.begin(), hit.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  std::map<NodeId, std::vector<PendingMigration>> batches;
+  for (auto* entry : hit) {
+    reroute_away(entry->first, entry->second, away, batches);
   }
   send_migrate_batches(batches);
 }
 
+void IgnemMaster::on_node_failure(NodeId node) {
+  if (failed_) return;
+  reroute_all_away(node, BlockId::invalid());
+}
+
 void IgnemMaster::on_replica_corrupt(BlockId block, NodeId node) {
   if (failed_) return;
-  std::map<NodeId, std::vector<PendingMigration>> batches;
-  for (auto it = chosen_.begin(); it != chosen_.end();) {
-    if (it->first.second == block &&
-        reroute_away(it->first, it->second, node, batches)) {
-      it = chosen_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  send_migrate_batches(batches);
+  reroute_all_away(node, block);
 }
 
 void IgnemMaster::on_node_rejoin(NodeId node) {
@@ -253,10 +256,10 @@ void IgnemMaster::on_node_rejoin(NodeId node) {
         IgnemSlave* slave = slaves_[static_cast<std::size_t>(node.value())];
         std::map<JobId, std::vector<BlockId>> evict;
         for (const auto& [block, job] : slave->tracked_references()) {
-          const auto it = chosen_.find({job, block});
-          if (it != chosen_.end() &&
-              std::find(it->second.begin(), it->second.end(), node) !=
-                  it->second.end()) {
+          const auto it = migrations_.find({job, block});
+          if (it != migrations_.end() &&
+              std::find(it->second.targets.begin(), it->second.targets.end(),
+                        node) != it->second.targets.end()) {
             // Still the chosen target: the cached copy is simply back.
             ++stats_.rejoin_reclaimed;
             continue;
@@ -266,7 +269,7 @@ void IgnemMaster::on_node_rejoin(NodeId node) {
             // migration during the outage. Re-adopt the surviving copy so
             // the job-end evict RPC reaches it — an extra cached replica
             // beats a leaked one.
-            chosen_[{job, block}].push_back(node);
+            migrations_[{job, block}].targets.push_back(node);
             ++stats_.rejoin_reclaimed;
             continue;
           }
@@ -291,9 +294,11 @@ void IgnemMaster::on_node_rejoin(NodeId node) {
 }
 
 NodeId IgnemMaster::chosen_replica(JobId job, BlockId block) const {
-  const auto it = chosen_.find({job, block});
-  if (it == chosen_.end() || it->second.empty()) return NodeId::invalid();
-  return it->second.front();
+  const auto it = migrations_.find({job, block});
+  if (it == migrations_.end() || it->second.targets.empty()) {
+    return NodeId::invalid();
+  }
+  return it->second.targets.front();
 }
 
 static_assert(sizeof(MasterStats) == 8 * sizeof(std::uint64_t),

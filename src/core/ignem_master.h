@@ -14,6 +14,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -105,14 +106,37 @@ class IgnemMaster : public MigrationService {
 
  private:
   void process(const MigrationRequest& request);
+  /// Soft state of one (job, block) migration: the slave(s) holding it (one
+  /// in the paper's design; more when replicas_to_migrate > 1) and its
+  /// reroute attempts, for the backoff schedule. A reroute that finds no
+  /// replacement leaves the entry with no targets, so a copy re-adopted on
+  /// rejoin keeps counting attempts; the job's evict and fail() drop it.
+  struct Migration {
+    std::vector<NodeId> targets;
+    int retries = 0;
+  };
+  using MigrationKey = std::pair<JobId, BlockId>;
+  struct MigrationKeyHash {
+    std::size_t operator()(const MigrationKey& key) const noexcept {
+      const auto job = static_cast<std::uint64_t>(key.first.value());
+      const auto block = static_cast<std::uint64_t>(key.second.value());
+      return std::hash<std::uint64_t>()(job * 0x9E3779B97F4A7C15ULL ^ block);
+    }
+  };
+  using MigrationTable =
+      std::unordered_map<MigrationKey, Migration, MigrationKeyHash>;
+
   void do_migrate(const MigrationRequest& request);
   void do_evict(const MigrationRequest& request);
-  /// Drops `away` from one chosen_ entry's target list and reroutes that
-  /// migration to a surviving replica (capped exponential backoff), appending
-  /// the command to `batches`. Returns true when the entry ended up with no
-  /// targets and no replacement, i.e. the caller should erase it.
-  bool reroute_away(const std::pair<JobId, BlockId>& key,
-                    std::vector<NodeId>& targets, NodeId away,
+  /// Reroutes every migration with a target on `away` — of `block` only,
+  /// when valid — in (job, block) order, the order their commands reach
+  /// the slaves' batches, and ships the batches.
+  void reroute_all_away(NodeId away, BlockId block);
+  /// Drops `away` from one migration's target list and reroutes it to a
+  /// surviving replica (capped exponential backoff), appending the command
+  /// to `batches`.
+  void reroute_away(const MigrationKey& key, Migration& migration,
+                    NodeId away,
                     std::map<NodeId, std::vector<PendingMigration>>& batches);
   /// Ships each per-slave batch after one RPC latency.
   void send_migrate_batches(
@@ -131,14 +155,13 @@ class IgnemMaster : public MigrationService {
   std::vector<IgnemSlave*> slaves_;
   bool failed_ = false;
 
-  /// Soft state: which slave(s) hold each (job, block) migration. One entry
-  /// in the paper's design; more when replicas_to_migrate > 1.
-  std::map<std::pair<JobId, BlockId>, std::vector<NodeId>> chosen_;
+  /// Every (job, block) migration: O(1) to insert, find and erase on the
+  /// per-block paths; walked (sorted) only when a node fails or a replica
+  /// rots.
+  MigrationTable migrations_;
   /// Per-job input bytes, kept while the job is live so rerouted
   /// migrations carry the same priority.
-  std::map<JobId, Bytes> job_info_;
-  /// Reroute attempts per (job, block), for the backoff schedule.
-  std::map<std::pair<JobId, BlockId>, int> retries_;
+  std::unordered_map<JobId, Bytes> job_info_;
   MasterStats stats_;
 };
 

@@ -36,26 +36,18 @@ std::vector<std::pair<BlockId, JobId>> IgnemSlave::tracked_references() const {
   return refs;
 }
 
-void IgnemSlave::add_reference(BlockId block, JobId job) {
-  BlockState& state = blocks_[block];
-  if (std::find(state.jobs.begin(), state.jobs.end(), job) ==
-      state.jobs.end()) {
-    state.jobs.push_back(job);
-  }
-}
-
 void IgnemSlave::handle_migrate_batch(
     const std::vector<PendingMigration>& commands) {
   if (!datanode_.alive()) return;  // RPC to a crashed process is lost
   for (PendingMigration command : commands) {
     ++stats_.commands_received;
-    const auto it = blocks_.find(command.block);
-    const bool is_new = it == blocks_.end();
-    add_reference(command.block, command.job);
-    BlockState& state = blocks_[command.block];
+    BlockState& state = blocks_.try_emplace(command.block).first->second;
+    if (std::find(state.jobs.begin(), state.jobs.end(), command.job) ==
+        state.jobs.end()) {
+      state.jobs.push_back(command.job);
+    }
     state.bytes = command.bytes;
-    if (is_new) state.phase = Phase::kQueued;
-    if (state.phase == Phase::kQueued) {
+    if (state.phase == Phase::kQueued) {  // a new block starts queued
       command.arrival_seq = next_seq_++;
       queue_.push(command);
     }
@@ -168,7 +160,7 @@ void IgnemSlave::on_migration_complete(BlockId block, Bytes bytes) {
     const auto bad = blocks_.find(block);
     IGNEM_CHECK(bad != blocks_.end());
     bad->second.phase = Phase::kQueued;  // nothing locked: plain drop
-    drop_block(block);
+    drop_block(bad);
     datanode_.report_corruption(block, /*cached=*/false,
                                 CorruptionSource::kMigration);
     maybe_start();
@@ -186,7 +178,7 @@ void IgnemSlave::on_migration_complete(BlockId block, Bytes bytes) {
   it->second.phase = Phase::kInMemory;
   if (it->second.jobs.empty()) {
     // Every interested job finished or read from disk mid-migration.
-    drop_block(block);
+    drop_block(it);
   }
   maybe_start();
 }
@@ -202,13 +194,12 @@ bool IgnemSlave::remove_reference(BlockId block, JobId job, bool missed_read) {
     ++stats_.commands_discarded_missed_read;
   }
   if (!state.jobs.empty() || state.phase == Phase::kMigrating) return false;
-  drop_block(block);
+  drop_block(it);
   return true;
 }
 
-void IgnemSlave::drop_block(BlockId block) {
-  const auto it = blocks_.find(block);
-  if (it == blocks_.end()) return;
+void IgnemSlave::drop_block(BlockTable::iterator it) {
+  const BlockId block = it->first;
   switch (it->second.phase) {
     case Phase::kQueued:
       queue_.erase_block(block);
@@ -270,7 +261,7 @@ bool IgnemSlave::purge_block(BlockId block) {
     return false;
   }
   const bool had_copy = it->second.phase == Phase::kInMemory;
-  drop_block(block);
+  drop_block(it);
   maybe_start();  // the queue may have been memory-stalled
   return had_copy;
 }

@@ -128,12 +128,14 @@ class IgnemSlave : public BlockReadListener {
     TransferHandle transfer;
   };
 
-  void add_reference(BlockId block, JobId job);
+  using BlockTable = std::unordered_map<BlockId, BlockState>;
+
   /// Removes one job reference; evicts/cancels when the list empties and
   /// returns whether it did. Starts no work: each entry point calls
   /// maybe_start once, at its end, if it dropped a block.
   bool remove_reference(BlockId block, JobId job, bool missed_read);
-  void drop_block(BlockId block);
+  /// Dequeues or unlocks a queued or resident block and forgets it.
+  void drop_block(BlockTable::iterator it);
   /// Starts the queue head if none is in flight. When the head does not fit
   /// and the pool is past kCleanupOccupancyThreshold, runs one cleanup
   /// round per call and, if it reaped anything, looks at the head again.
@@ -155,7 +157,7 @@ class IgnemSlave : public BlockReadListener {
   TraceRecorder* trace_ = nullptr;
 
   MigrationQueue queue_;
-  std::unordered_map<BlockId, BlockState> blocks_;
+  BlockTable blocks_;
   std::optional<ActiveMigration> current_;
   std::uint64_t next_seq_ = 1;
   bool wake_pending_ = false;  ///< A ready-wake event is armed for wake_time_.

@@ -45,15 +45,16 @@ void DataNode::set_trace(TraceRecorder* trace) {
 void DataNode::add_block(BlockId block, Bytes size) {
   IGNEM_CHECK(block.valid());
   IGNEM_CHECK(size > 0);
-  // The write path creates the replica's checksum; a re-written replica
-  // (repair over an old copy) is clean again.
-  const Replica replica{block, size, expected_checksum(block, size)};
+  const Replica replica{block, size};
   const auto it = seek(replicas_, block);
   if (it != replicas_.end() && it->block == block) {
     *it = replica;
   } else {
     replicas_.insert(it, replica);  // at end() during set-up: an append
   }
+  // The write path creates the replica's checksum; a re-written replica
+  // (repair over an old copy) is clean again.
+  if (!rotten_.empty()) rotten_.erase(block);
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kReplicaAdd, id_, block, JobId::invalid(),
                  size);
@@ -74,11 +75,10 @@ const DataNode::Replica* DataNode::find(BlockId block) const {
 }
 
 std::uint64_t DataNode::stored_checksum(BlockId block) const {
-  const Replica* replica = find(block);
-  IGNEM_CHECK_MSG(replica != nullptr, "block " << block.value()
-                                               << " not on node "
-                                               << id_.value());
-  return replica->checksum;
+  // Rot damages the stored data; its checksum stops matching the expected
+  // one, by a fixed pattern so a twice-corrupted copy stays bad.
+  return expected_checksum(block, block_size(block)) ^
+         (is_corrupt(block) ? 0xDEADBEEFDEADBEEFULL : 0);
 }
 
 Bytes DataNode::block_size(BlockId block) const {
@@ -92,6 +92,7 @@ Bytes DataNode::block_size(BlockId block) const {
 void DataNode::remove_block(BlockId block) {
   const auto it = seek(replicas_, block);
   if (it != replicas_.end() && it->block == block) replicas_.erase(it);
+  if (!rotten_.empty()) rotten_.erase(block);
   // A disk read of a deleted replica can no longer finish; a read of a
   // still-promoted copy is unaffected (the migration plane owns that copy
   // and purges it).
@@ -99,14 +100,11 @@ void DataNode::remove_block(BlockId block) {
 }
 
 void DataNode::corrupt_block(BlockId block) {
-  const auto it = seek(replicas_, block);
-  IGNEM_CHECK_MSG(it != replicas_.end() && it->block == block,
-                  "corrupting block " << block.value()
-                                      << " not stored on node "
-                                      << id_.value());
-  // Rot damages the stored data; its checksum stops matching the expected
-  // one. Assigning (not XOR-ing in place) keeps a twice-corrupted copy bad.
-  it->checksum = expected_checksum(block, it->size) ^ 0xDEADBEEFDEADBEEFULL;
+  IGNEM_CHECK_MSG(has_block(block), "corrupting block "
+                                        << block.value()
+                                        << " not stored on node "
+                                        << id_.value());
+  rotten_.insert(block);
 }
 
 std::vector<BlockId> DataNode::blocks_sorted() const {
@@ -126,9 +124,10 @@ void DataNode::report_corruption(BlockId block, bool cached,
   if (reporter_) reporter_(id_, block, cached, source);
 }
 
-void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
-  const Bytes size = block_size(block);
-  const bool from_memory = alive_ && pool_.contains(block);
+void DataNode::read_block(BlockId block, Bytes size, JobId job,
+                          ReadCallback on_complete) {
+  const Bytes* pooled = alive_ ? pool_.find(block) : nullptr;
+  const bool from_memory = pooled != nullptr;
   if (!alive_ || (disk_failed_ && !from_memory)) {
     // The serving process (or its disk) is gone: fail on the next sim step
     // so the client can fall back to another replica.
@@ -137,6 +136,13 @@ void DataNode::read_block(BlockId block, JobId job, ReadCallback on_complete) {
     });
     return;
   }
+  // The copy this read serves must hold the size the caller resolved; only
+  // a disk read searches the replica table for it.
+  const Bytes served = from_memory ? *pooled : block_size(block);
+  IGNEM_CHECK_MSG(served == size, "reading " << size << " B of block "
+                                             << block.value() << " from a "
+                                             << served << " B copy on node "
+                                             << id_.value());
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kBlockReadStart, id_, block, job, size);
   }

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -93,18 +94,20 @@ class DataNode {
   /// copy), so every healthy replica of a block agrees.
   static std::uint64_t expected_checksum(BlockId block, Bytes size);
 
-  /// The checksum stored alongside the replica at write time. Verification
-  /// is stored-vs-expected; rot shows up as a mismatch.
+  /// The checksum stored alongside the replica: the expected one as
+  /// written, a rot pattern once the replica rots. Verification is
+  /// stored-vs-expected; rot shows up as a mismatch.
   std::uint64_t stored_checksum(BlockId block) const;
 
-  /// Silent bit-rot: flips bits in the stored replica's checksum so the
-  /// next verification pass (read, scrub, migration verify) mismatches.
-  /// The damage survives process restarts — rot lives on the platter.
+  /// Silent bit-rot: marks the stored replica rotten so the next
+  /// verification pass (read, scrub, migration verify) mismatches. The
+  /// damage survives process restarts — rot lives on the platter — and a
+  /// re-write (add_block) or removal clears it.
   void corrupt_block(BlockId block);
+  /// Whether a verification pass over the stored replica would fail: a probe
+  /// of the rot marks, which are almost always empty, not of the table.
   bool is_corrupt(BlockId block) const {
-    const Replica* replica = find(block);
-    return replica != nullptr &&
-           replica->checksum != expected_checksum(block, replica->size);
+    return !rotten_.empty() && rotten_.contains(block);
   }
   /// Corrupts the promoted in-memory copy instead (the home replica stays
   /// good). Delegates to the pool, so eviction discards the mark.
@@ -116,12 +119,16 @@ class DataNode {
   std::vector<BlockId> blocks_sorted() const;
   BlockId next_block_after(BlockId cursor) const;
 
-  /// Reads a block for `job`; a pool copy serves it at RAM speed, otherwise
-  /// the primary device does. Fires the listener after the read completes,
-  /// then the callback. On a dead node or fail-stopped disk the callback
-  /// fires asynchronously with `failed = true` (no kBlockReadStart is
-  /// emitted) so the client can retry another replica.
-  void read_block(BlockId block, JobId job, ReadCallback on_complete);
+  /// Reads `size` bytes of a block for `job`; a pool copy serves it at RAM
+  /// speed, otherwise the primary device does. The caller supplies the size
+  /// it resolved (the client's BlockInfo, the repair order's bytes); it must
+  /// match the copy served — the pool entry, or for a disk read the replica
+  /// table. Fires the listener after the read completes, then the callback.
+  /// On a dead node or fail-stopped disk the callback fires asynchronously
+  /// with `failed = true` (no kBlockReadStart is emitted) so the client can
+  /// retry another replica.
+  void read_block(BlockId block, Bytes size, JobId job,
+                  ReadCallback on_complete);
 
   /// Scrubber entry point: pays a full checksum read of the stored replica
   /// through the home device, emits kScrub, and reports corruption like
@@ -154,6 +161,7 @@ class DataNode {
   /// enter and leave through the pool: lock()/reserve()+commit_reservation()
   /// and unlock().
   StorageDevice& primary_device() { return primary_; }
+  const StorageDevice& primary_device() const { return primary_; }
   BufferCache& cache() { return pool_; }
   const BufferCache& cache() const { return pool_; }
   /// True when the pool holds a copy of `block` (reads skip the home
@@ -197,14 +205,18 @@ class DataNode {
   // The replica table, sorted by block id: lookups and the scrub cursor are
   // binary searches. Set-up appends (block ids are handed out in increasing
   // order); repair inserts in place, so never keep a pointer across
-  // add_block()/remove_block(). Rot only ever damages `checksum`.
+  // add_block()/remove_block(). The read and page-in paths never search it
+  // but for a disk read's size check.
   struct Replica {
     BlockId block;
     Bytes size;
-    std::uint64_t checksum;
   };
   std::vector<Replica> replicas_;
   const Replica* find(BlockId block) const;  // null when not stored
+  // Stored replicas that rotted, each one in replicas_ too: add_block (a
+  // re-write) and remove_block clear a mark, as the pool's marks go with
+  // its copies.
+  std::unordered_set<BlockId> rotten_;
   bool alive_ = true;
   bool disk_failed_ = false;
   BlockReadListener* listener_ = nullptr;

@@ -36,49 +36,47 @@ void DfsClient::add_counters(
   counters["dfs.checksum_failovers"] += stats_.checksum_failovers;
 }
 
-NodeId DfsClient::choose_replica(NodeId reader, BlockId block) const {
+NodeId DfsClient::choose_replica(NodeId reader, const BlockInfo& info) const {
   // A replica is usable when its node is in the namespace map, its
   // process is up, either the block sits in locked memory or the disk
   // works, and no active partition separates it from the reader. (During
   // an undetected crash the namespace still lists the node; the physical
   // alive() check keeps us off it. The reachability check is a single
-  // integer compare on a healthy fabric.)
-  std::vector<NodeId> locations;
-  for (const NodeId node : namenode_.live_locations(block)) {
+  // integer compare on a healthy fabric.) One pass over the usable replicas
+  // in placement order, one pool probe each, notes the best of every rank
+  // below.
+  bool local = false;         // the reader holds a usable replica
+  bool local_cached = false;  // ... with a memory-resident copy
+  NodeId cached = NodeId::invalid();  // first usable replica in memory
+  NodeId least = NodeId::invalid();   // least-loaded device, lowest id on ties
+  std::size_t least_load = 0;
+  namenode_.for_each_live_location(info, [&](NodeId node) {
     const DataNode* dn = namenode_.datanode(node);
-    if (!dn->alive()) continue;
-    if (!dn->has_promoted_copy(block) && !dn->disk_ok()) continue;
-    if (!network_.reachable(node, reader)) continue;
-    locations.push_back(node);
-  }
-  if (locations.empty()) return NodeId::invalid();
-  const bool reader_has_replica =
-      std::find(locations.begin(), locations.end(), reader) != locations.end();
-
-  // 1. Local memory-resident copy.
-  if (reader_has_replica &&
-      namenode_.datanode(reader)->has_promoted_copy(block)) {
-    return reader;
-  }
-  // 2. Any memory-resident copy (remote RAM + network beats local disk).
-  for (const NodeId node : locations) {
-    if (namenode_.datanode(node)->has_promoted_copy(block)) return node;
-  }
-  // 3. Local disk.
-  if (reader_has_replica) return reader;
-  // 4. Remote disk: pick the least-loaded replica's device, breaking ties by
-  //    node id for determinism.
-  NodeId best = locations.front();
-  std::size_t best_load = namenode_.datanode(best)->primary_device().active_requests();
-  for (const NodeId node : locations) {
-    const std::size_t load =
-        namenode_.datanode(node)->primary_device().active_requests();
-    if (load < best_load || (load == best_load && node < best)) {
-      best = node;
-      best_load = load;
+    if (!dn->alive()) return;
+    const bool in_memory = dn->has_promoted_copy(info.id);
+    if (!in_memory && !dn->disk_ok()) return;
+    if (!network_.reachable(node, reader)) return;
+    if (node == reader) {
+      local = true;
+      local_cached = in_memory;
     }
-  }
-  return best;
+    if (in_memory && !cached.valid()) cached = node;
+    const std::size_t load = dn->primary_device().active_requests();
+    if (!least.valid() || load < least_load ||
+        (load == least_load && node < least)) {
+      least = node;
+      least_load = load;
+    }
+  });
+  // 1. Local memory-resident copy.
+  if (local_cached) return reader;
+  // 2. Any memory-resident copy (remote RAM + network beats local disk).
+  if (cached.valid()) return cached;
+  // 3. Local disk.
+  if (local) return reader;
+  // 4. Remote disk: the least-loaded replica's device, breaking ties by node
+  //    id for determinism (invalid when no replica is usable).
+  return least;
 }
 
 void DfsClient::read_block(NodeId reader, BlockId block, JobId job,
@@ -122,7 +120,8 @@ void DfsClient::retry_read(NodeId reader, BlockId block, JobId job,
 
 void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
                              SimTime start, ReadCallback on_complete) {
-  const NodeId source = choose_replica(reader, block);
+  const BlockInfo& info = namenode_.block(block);
+  const NodeId source = choose_replica(reader, info);
   if (!source.valid()) {
     // Every replica is on a crashed node, a failed disk, or marked corrupt.
     // Wait for recovery or re-replication to restore one, then try again.
@@ -130,12 +129,11 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
                kReadRetryDelay, nullptr);
     return;
   }
-  DataNode* source_node = namenode_.datanode(source);
-  const Bytes bytes = namenode_.block(block).size;
+  const Bytes bytes = info.size;
   const bool remote = source != reader;
 
-  source_node->read_block(
-      block, job,
+  namenode_.datanode(source)->read_block(
+      block, bytes, job,
       [this, reader, source, block, job, bytes, start, remote,
        cb = std::move(on_complete)](const BlockReadResult& local) {
         if (local.failed) {
@@ -150,9 +148,10 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
           // If the exclusion did not take (no integrity plane wired), back
           // off instead so the retry loop advances sim time toward the
           // deadline rather than spinning.
-          const Duration delay = choose_replica(reader, block) == source
-                                     ? kReadRetryDelay
-                                     : Duration::zero();
+          const Duration delay =
+              choose_replica(reader, namenode_.block(block)) == source
+                  ? kReadRetryDelay
+                  : Duration::zero();
           retry_read(reader, block, job, start, cb, delay,
                      &stats_.checksum_failovers);
           return;
@@ -198,11 +197,19 @@ void DfsClient::attempt_read(NodeId reader, BlockId block, JobId job,
 }
 
 std::vector<NodeId> DfsClient::preferred_locations(BlockId block) const {
-  std::vector<NodeId> locations = namenode_.live_locations(block);
-  std::stable_partition(locations.begin(), locations.end(),
-                        [this, block](NodeId node) {
-                          return namenode_.datanode(node)->has_promoted_copy(block);
-                        });
+  const BlockInfo& info = namenode_.block(block);
+  std::vector<NodeId> locations;
+  locations.reserve(info.replicas.size());
+  std::size_t in_memory = 0;  // the memory-resident prefix
+  namenode_.for_each_live_location(info, [&](NodeId node) {
+    locations.push_back(node);
+    if (namenode_.datanode(node)->has_promoted_copy(block)) {
+      // Move it to the prefix's end; the disk-only ones shift up, in order.
+      std::rotate(locations.begin() + static_cast<std::ptrdiff_t>(in_memory),
+                  locations.end() - 1, locations.end());
+      ++in_memory;
+    }
+  });
   return locations;
 }
 

@@ -84,8 +84,14 @@ class DfsClient {
   static constexpr Duration kReadDeadline = Duration::seconds(600);
 
   /// Replica locations for scheduling, ordered so nodes holding a
-  /// memory-resident copy come first.
+  /// memory-resident copy come first (each group in placement order).
   std::vector<NodeId> preferred_locations(BlockId block) const;
+
+  /// The replica a read by `reader` of `info`'s block goes to now, by the
+  /// preference order above; invalid() when none is usable. One pass over
+  /// the replicas, one pool probe each, no allocation; read_block calls it
+  /// once per attempt with the BlockInfo it resolved.
+  NodeId choose_replica(NodeId reader, const BlockInfo& info) const;
 
   /// The paper's DFSClient::migrate extension. No-op when no migration
   /// service (i.e. stock HDFS) is configured.
@@ -108,9 +114,6 @@ class DfsClient {
   const NameNode& namenode() const { return namenode_; }
 
  private:
-  /// Picks the replica to read from; invalid() when none is reachable.
-  NodeId choose_replica(NodeId reader, BlockId block) const;
-
   /// One read attempt; re-schedules itself on failure until the deadline.
   /// `start` is the time of the original request, preserved across retries.
   void attempt_read(NodeId reader, BlockId block, JobId job, SimTime start,

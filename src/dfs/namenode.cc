@@ -192,12 +192,8 @@ const BlockInfo& NameNode::block(BlockId id) const {
 
 std::vector<NodeId> NameNode::live_locations(BlockId id) const {
   std::vector<NodeId> out;
-  const auto corrupt = corrupt_.find(id);
-  for (const NodeId node : block(id).replicas) {
-    if (!is_node_alive(node)) continue;
-    if (corrupt != corrupt_.end() && corrupt->second.contains(node)) continue;
-    out.push_back(node);
-  }
+  for_each_live_location(block(id),
+                         [&out](NodeId node) { out.push_back(node); });
   return out;
 }
 

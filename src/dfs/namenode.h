@@ -58,6 +58,17 @@ class NameNode {
   /// leave the namespace map) and to copies not marked corrupt — a replica
   /// that failed a checksum pass is never handed to a reader again.
   std::vector<NodeId> live_locations(BlockId id) const;
+  /// Calls `visit(node)` for each of live_locations(info.id), in the same
+  /// (placement) order, without building the vector.
+  template <typename Visit>
+  void for_each_live_location(const BlockInfo& info, Visit&& visit) const {
+    const auto corrupt = corrupt_.find(info.id);
+    for (const NodeId node : info.replicas) {
+      if (!is_node_alive(node)) continue;
+      if (corrupt != corrupt_.end() && corrupt->second.contains(node)) continue;
+      visit(node);
+    }
+  }
 
   /// Corrupt-replica tracking (HDFS corruptReplicas analogue). A mark keeps
   /// the replica in the namespace — so the repair pipeline can see it — but

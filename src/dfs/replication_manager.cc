@@ -265,7 +265,7 @@ void ReplicationManager::do_start_copy(BlockId block, NodeId source,
   // Read from the surviving replica's disk, ship over the network, write on
   // the target — the normal repair pipeline, contending with foreground IO.
   namenode_.datanode(source)->read_block(
-      block, JobId::invalid(),
+      block, bytes, JobId::invalid(),
       [this, block, source, target, bytes](const BlockReadResult& read) {
         if (read.failed || read.corrupt) {
           // Source crashed mid-read, or its checksum pass just exposed

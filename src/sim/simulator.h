@@ -69,7 +69,11 @@ class Simulator {
   std::uint64_t run(SimTime until = SimTime::max());
 
   /// Runs until the queue drains, a limit is reached, or the predicate
-  /// returns true (checked after each event).
+  /// returns true. The predicate is tested before each pop, and only while
+  /// an event is pending and no stop() is requested: a predicate already
+  /// true dispatches nothing, and the state left by an event that drains
+  /// the queue or calls stop() is never tested. A caller that must observe
+  /// every event's state tests once more after the call.
   std::uint64_t run_until(const std::function<bool()>& done,
                           SimTime limit = SimTime::max());
 

@@ -55,11 +55,10 @@ bool BufferCache::reserve(Bytes bytes) {
 void BufferCache::commit_reservation(BlockId block, Bytes bytes) {
   IGNEM_CHECK(block.valid());
   IGNEM_CHECK_MSG(reserved_ >= bytes, "committing more than reserved");
-  IGNEM_CHECK_MSG(!entries_.contains(block),
-                  "block " << block.value() << " already locked");
+  const bool fresh = entries_.try_emplace(block, bytes).second;
+  IGNEM_CHECK_MSG(fresh, "block " << block.value() << " already locked");
   reserved_ -= bytes;
-  entries_.emplace(block, bytes);
-  corrupt_.erase(block);  // a fresh copy starts clean
+  if (!corrupt_.empty()) corrupt_.erase(block);  // a fresh copy starts clean
   used_ += bytes;
   ++stats_.promotes;
   emit(TraceEventType::kCacheCommit, block, bytes);
@@ -78,7 +77,7 @@ bool BufferCache::unlock(BlockId block) {
   used_ -= bytes;
   IGNEM_CHECK(used_ >= 0);
   entries_.erase(it);
-  corrupt_.erase(block);
+  if (!corrupt_.empty()) corrupt_.erase(block);
   ++stats_.demotes;
   emit(TraceEventType::kCacheUnlock, block, bytes);
   return true;

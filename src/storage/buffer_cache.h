@@ -63,13 +63,21 @@ class BufferCache {
   /// injection). The mark lives exactly as long as the copy: unlock, clear,
   /// or a fresh lock/commit of the block discards it.
   void mark_corrupt(BlockId block);
-  bool is_corrupt(BlockId block) const { return corrupt_.contains(block); }
+  bool is_corrupt(BlockId block) const {
+    return !corrupt_.empty() && corrupt_.contains(block);
+  }
   std::size_t corrupt_count() const { return corrupt_.size(); }
 
   /// Locked block ids in ascending order (deterministic fault-target picks).
   std::vector<BlockId> blocks_sorted() const;
 
   bool contains(BlockId block) const { return entries_.contains(block); }
+  /// The bytes locked for `block`, or null when the pool holds no copy: one
+  /// probe answers both whether a read is served from memory and its size.
+  const Bytes* find(BlockId block) const {
+    const auto it = entries_.find(block);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
   Bytes used() const { return used_ + reserved_; }
   Bytes locked() const { return used_; }
   Bytes reserved() const { return reserved_; }

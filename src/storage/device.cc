@@ -86,21 +86,23 @@ TransferHandle StorageDevice::submit(Bytes bytes, Callback on_complete) {
   IGNEM_CHECK(bytes >= 0);
   const TransferHandle handle(next_id_++);
   const Duration latency = sample_access_latency();
-  Request req;
-  req.in_latency = true;
-  req.latency.timer = sim_.schedule(
-      latency, [this, id = handle.id(), bytes,
-                cb = std::move(on_complete)]() mutable {
-        auto it = requests_.find(id);
-        IGNEM_CHECK(it != requests_.end());
-        it->second.in_latency = false;
-        it->second.transfer.channel_handle =
-            channel_.start(bytes, [this, id, cb = std::move(cb)] {
-              requests_.erase(id);
-              cb();
-            });
-      });
-  requests_.emplace(handle.id(), req);
+  auto start_transfer = [this, id = handle.id(), bytes] {
+    const auto it = requests_.find(id);
+    IGNEM_CHECK(it != requests_.end());
+    it->second.in_latency = false;
+    it->second.channel_handle = channel_.start(bytes, [this, id] {
+      const auto done = requests_.find(id);
+      IGNEM_CHECK(done != requests_.end());
+      const Callback cb = std::move(done->second.on_complete);
+      requests_.erase(done);
+      cb();
+    });
+  };
+  static_assert(sizeof(start_transfer) <= SmallFunction::kInlineBytes,
+                "the access-latency event must not spill out of SmallFunction");
+  Request& request = requests_[handle.id()];
+  request.on_complete = std::move(on_complete);
+  request.timer = sim_.schedule(latency, start_transfer);
   return handle;
 }
 
@@ -117,9 +119,9 @@ bool StorageDevice::abort(TransferHandle handle) {
   const auto it = requests_.find(handle.id());
   if (it == requests_.end()) return false;
   if (it->second.in_latency) {
-    sim_.cancel(it->second.latency.timer);
+    sim_.cancel(it->second.timer);
   } else {
-    channel_.abort(it->second.transfer.channel_handle);
+    channel_.abort(it->second.channel_handle);
   }
   requests_.erase(it);
   return true;

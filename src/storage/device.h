@@ -7,10 +7,10 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -83,19 +83,17 @@ class StorageDevice {
   Rng rng_;
   SharedBandwidthResource channel_;
 
-  // Requests waiting out their access latency, keyed by our public handle.
-  struct LatencyPhase {
-    EventHandle timer;
-  };
-  struct TransferPhase {
-    TransferHandle channel_handle;
-  };
+  // Outstanding requests, keyed by our public handle: the access-latency
+  // timer until it fires, then the channel transfer. The entry keeps the
+  // caller's callback, so neither phase's closure carries it. Looked up by
+  // id only, never walked.
   struct Request {
-    bool in_latency;
-    LatencyPhase latency;
-    TransferPhase transfer;
+    bool in_latency = true;
+    EventHandle timer;
+    TransferHandle channel_handle;
+    Callback on_complete;
   };
-  std::map<std::uint64_t, Request> requests_;
+  std::unordered_map<std::uint64_t, Request> requests_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -44,7 +44,7 @@ class DataNodeTest : public ::testing::Test {
 TEST_F(DataNodeTest, DiskReadIsSlowCacheReadIsFast) {
   node_.add_block(BlockId(1), 64 * kMiB);
   BlockReadResult disk{};
-  node_.read_block(BlockId(1), JobId(1),
+  node_.read_block(BlockId(1), 64 * kMiB, JobId(1),
                    [&](const BlockReadResult& r) { disk = r; });
   sim_.run();
   EXPECT_FALSE(disk.from_memory);
@@ -52,7 +52,7 @@ TEST_F(DataNodeTest, DiskReadIsSlowCacheReadIsFast) {
 
   ASSERT_TRUE(node_.cache().lock(BlockId(1), 64 * kMiB));
   BlockReadResult ram{};
-  node_.read_block(BlockId(1), JobId(1),
+  node_.read_block(BlockId(1), 64 * kMiB, JobId(1),
                    [&](const BlockReadResult& r) { ram = r; });
   sim_.run();
   EXPECT_TRUE(ram.from_memory);
@@ -63,7 +63,8 @@ TEST_F(DataNodeTest, ListenerFiresAfterRead) {
   RecordingListener listener;
   node_.set_read_listener(&listener);
   node_.add_block(BlockId(7), 1 * kMiB);
-  node_.read_block(BlockId(7), JobId(3), [](const BlockReadResult&) {});
+  node_.read_block(BlockId(7), 1 * kMiB, JobId(3),
+                   [](const BlockReadResult&) {});
   EXPECT_TRUE(listener.events.empty());  // fires on completion, not start
   sim_.run();
   ASSERT_EQ(listener.events.size(), 1u);
@@ -73,7 +74,7 @@ TEST_F(DataNodeTest, ListenerFiresAfterRead) {
 }
 
 TEST_F(DataNodeTest, ReadUnknownBlockRejected) {
-  EXPECT_THROW(node_.read_block(BlockId(9), JobId(1),
+  EXPECT_THROW(node_.read_block(BlockId(9), 64 * kMiB, JobId(1),
                                 [](const BlockReadResult&) {}),
                CheckFailure);
 }
@@ -87,7 +88,7 @@ TEST_F(DataNodeTest, FailClearsCacheAndBlocksReads) {
   // Dead-node IO fails asynchronously (so clients can retry a replica)
   // rather than crashing the caller.
   BlockReadResult result;
-  node_.read_block(BlockId(1), JobId(1),
+  node_.read_block(BlockId(1), 64 * kMiB, JobId(1),
                    [&](const BlockReadResult& r) { result = r; });
   bool write_done = false;
   node_.write(1, [&] { write_done = true; });
@@ -104,10 +105,11 @@ TEST_F(DataNodeTest, RestartServesFromDiskAgain) {
   EXPECT_TRUE(node_.alive());
   EXPECT_TRUE(node_.has_block(BlockId(1)));  // disk data survives
   bool read_done = false;
-  node_.read_block(BlockId(1), JobId(1), [&](const BlockReadResult& r) {
-    read_done = true;
-    EXPECT_FALSE(r.from_memory);  // the locked pool did not survive
-  });
+  node_.read_block(BlockId(1), 64 * kMiB, JobId(1),
+                   [&](const BlockReadResult& r) {
+                     read_done = true;
+                     EXPECT_FALSE(r.from_memory);  // the pool did not survive
+                   });
   sim_.run();
   EXPECT_TRUE(read_done);
 }
@@ -126,16 +128,17 @@ TEST_F(DataNodeTest, BlockSizeLookup) {
   EXPECT_THROW(node_.block_size(BlockId(3)), CheckFailure);
 }
 
-// The sorted replica table against an ordered-map model. Each seeded stream
-// mixes what set-up and repair do to a node: ascending appends, re-replication
-// of older ids into the middle, re-adds of a stored id (which come back
-// clean), removals (some of absent ids) and rot. After every operation the
-// touched block, a random id and the scrub cursor must agree with the model,
-// and the whole table is compared every kSweepEvery operations and at the end.
+// The sorted replica table and its rot marks against an ordered-map model.
+// Each seeded stream mixes what set-up and repair do to a node: ascending
+// appends, re-replication of older ids into the middle, re-adds of a stored
+// id (which come back clean), removals (some of absent ids) and rot (some
+// of absent ids, which is rejected). After every operation the touched
+// block, a random id and the scrub cursor must agree with the model, and the
+// whole table is compared every kSweepEvery operations and at the end.
 TEST(DataNodeReplicaTable, MatchesOrderedMapModel) {
   struct Replica {
     Bytes size;
-    std::uint64_t checksum;
+    bool rotten = false;  ///< Marked by rot; cleared by a re-add.
   };
   constexpr int kSeeds = 20;
   constexpr int kOps = 5000;
@@ -151,7 +154,7 @@ TEST(DataNodeReplicaTable, MatchesOrderedMapModel) {
     const auto add = [&](BlockId block) {
       const Bytes size = rng.uniform_int(1, 64) * kMiB;
       node.add_block(block, size);
-      model[block] = {size, DataNode::expected_checksum(block, size)};
+      model[block] = {size, false};
     };
     // The first stored id at or after a random one.
     const auto some_stored = [&] {
@@ -169,11 +172,12 @@ TEST(DataNodeReplicaTable, MatchesOrderedMapModel) {
       const Replica& replica = it->second;
       ASSERT_EQ(node.block_size(block), replica.size)
           << block << " at op " << op;
-      ASSERT_EQ(node.stored_checksum(block), replica.checksum)
+      ASSERT_EQ(node.is_corrupt(block), replica.rotten)
           << block << " at op " << op;
-      ASSERT_EQ(node.is_corrupt(block),
-                replica.checksum !=
-                    DataNode::expected_checksum(block, replica.size))
+      // Verification is stored-vs-expected checksum; rot is the mismatch.
+      ASSERT_EQ(node.stored_checksum(block) ==
+                    DataNode::expected_checksum(block, replica.size),
+                !replica.rotten)
           << block << " at op " << op;
     };
     const auto check_cursor = [&](BlockId cursor) {
@@ -201,16 +205,21 @@ TEST(DataNodeReplicaTable, MatchesOrderedMapModel) {
                       : some_stored();
         node.remove_block(touched);
         model.erase(touched);
-      } else {
+      } else if (kind < 97) {
+        // The mark must survive every later insert and erase of other ids.
         touched = some_stored();
         node.corrupt_block(touched);
-        // The rot pattern is the node's own; the model pins that it differs
-        // from a clean copy and survives every later insert and erase.
-        Replica& replica = model[touched];
-        replica.checksum = node.stored_checksum(touched);
-        ASSERT_NE(replica.checksum,
-                  DataNode::expected_checksum(touched, replica.size))
-            << "op " << op;
+        model[touched].rotten = true;
+      } else {
+        // Rot needs a stored replica; an absent id leaves no mark behind.
+        touched = BlockId(rng.uniform_int(0, last_id + 1));
+        if (model.contains(touched)) {
+          node.corrupt_block(touched);
+          model[touched].rotten = true;
+        } else {
+          ASSERT_THROW(node.corrupt_block(touched), CheckFailure)
+              << touched << " at op " << op;
+        }
       }
 
       ASSERT_EQ(node.block_count(), model.size()) << "op " << op;

@@ -342,7 +342,7 @@ TEST(FaultWindows, DiskFailSlowThrottlesReads) {
     const NodeId holder = testbed.namenode().block(block).replicas[0];
     double t = -1;
     testbed.datanode(holder).read_block(
-        block, JobId(1), [&](const BlockReadResult& r) {
+        block, 64 * kMiB, JobId(1), [&](const BlockReadResult& r) {
           ASSERT_FALSE(r.failed);
           t = r.duration.to_seconds();
         });
@@ -368,7 +368,7 @@ TEST(FaultWindows, DiskRecoversAfterWindowEnds) {
   EXPECT_EQ(testbed.datanode(holder).primary_device().active_requests(), 0u);
   double t = -1;
   testbed.datanode(holder).read_block(
-      block, JobId(1),
+      block, 64 * kMiB, JobId(1),
       [&](const BlockReadResult& r) { t = r.duration.to_seconds(); });
   testbed.sim().run(SimTime::zero() + Duration::seconds(60));
   // Back at full speed: a 64 MiB HDD read takes well under 2 s.

@@ -23,7 +23,7 @@ class HotDataUnitTest : public ::testing::Test {
   }
 
   void read(std::int64_t block) {
-    datanode_->read_block(BlockId(block), JobId(1),
+    datanode_->read_block(BlockId(block), 64 * kMiB, JobId(1),
                           [](const BlockReadResult&) {});
     sim_.run();
   }
@@ -58,7 +58,7 @@ TEST_F(HotDataUnitTest, PromotedBlockServedFromMemory) {
   read(1);
   read(1);
   BlockReadResult third{};
-  datanode_->read_block(BlockId(1), JobId(1),
+  datanode_->read_block(BlockId(1), 64 * kMiB, JobId(1),
                         [&](const BlockReadResult& r) { third = r; });
   sim_.run();
   EXPECT_TRUE(third.from_memory);
@@ -155,7 +155,7 @@ TEST(HotDataIntegration, NodeCrashMidPageInAbortsThePromotion) {
   const auto read_twice = [&] {
     for (int i = 0; i < 2; ++i) {
       bool done = false;
-      datanode.read_block(block, JobId(1),
+      datanode.read_block(block, 64 * kMiB, JobId(1),
                           [&](const BlockReadResult&) { done = true; });
       testbed.sim().run_until([&] { return done; });
     }
@@ -193,10 +193,11 @@ TEST(HotDataIntegration, CorruptCopyPurgeLeavesTheLruList) {
   const auto read = [&] {
     BlockReadResult result;
     bool done = false;
-    datanode.read_block(block, JobId(1), [&](const BlockReadResult& r) {
-      result = r;
-      done = true;
-    });
+    datanode.read_block(block, 64 * kMiB, JobId(1),
+                        [&](const BlockReadResult& r) {
+                          result = r;
+                          done = true;
+                        });
     testbed.sim().run_until([&] { return done; });
     return result;
   };

@@ -168,7 +168,8 @@ TEST_F(IgnemSlaveTest, ImplicitEvictionOnRead) {
   sim_.run();
   ASSERT_TRUE(datanode_->cache().contains(BlockId(1)));
   // The job reads the block: reference drops, block evicted.
-  datanode_->read_block(BlockId(1), JobId(1), [](const BlockReadResult&) {});
+  datanode_->read_block(BlockId(1), 64 * kMiB, JobId(1),
+                        [](const BlockReadResult&) {});
   sim_.run();
   EXPECT_FALSE(datanode_->cache().contains(BlockId(1)));
 }
@@ -178,7 +179,8 @@ TEST_F(IgnemSlaveTest, ForeignJobReadsDoNotEvict) {
   auto cmd = command(1, 1, 64 * kMiB, 64 * kMiB);
   slave_->handle_migrate_batch({cmd});
   sim_.run();
-  datanode_->read_block(BlockId(1), JobId(99), [](const BlockReadResult&) {});
+  datanode_->read_block(BlockId(1), 64 * kMiB, JobId(99),
+                        [](const BlockReadResult&) {});
   sim_.run();
   EXPECT_TRUE(datanode_->cache().contains(BlockId(1)));
 }
@@ -191,7 +193,8 @@ TEST_F(IgnemSlaveTest, MissedReadDiscardsQueuedCommand) {
   auto queued = command(2, 2, 10 * kGiB, 64 * kMiB);
   slave_->handle_migrate_batch({first, queued});
   // Job 2's read beats its migration (block 2 is queued behind block 1).
-  datanode_->read_block(BlockId(2), JobId(2), [](const BlockReadResult&) {});
+  datanode_->read_block(BlockId(2), 64 * kMiB, JobId(2),
+                        [](const BlockReadResult&) {});
   sim_.run();
   EXPECT_EQ(slave_->stats().commands_discarded_missed_read, 1u);
   EXPECT_FALSE(datanode_->cache().contains(BlockId(2)));  // never migrated
@@ -455,6 +458,10 @@ std::string run_stream(std::uint64_t seed, StreamTotals& totals) {
   const auto random_block = [&] {
     return BlockId(rng.uniform_int(0, kStreamBlocks - 1));
   };
+  const auto read = [&](BlockId block, JobId job) {
+    datanode.read_block(block, sizes[static_cast<std::size_t>(block.value())],
+                        job, [](const BlockReadResult&) {});
+  };
 
   for (int step = 0; step < 400 && failure.empty(); ++step) {
     const std::int64_t roll = rng.uniform_int(0, 99);
@@ -480,8 +487,7 @@ std::string run_stream(std::uint64_t seed, StreamTotals& totals) {
       }
       slave.handle_evict_batch(random_job(), blocks);
     } else if (roll < 60) {
-      datanode.read_block(random_block(), random_job(),
-                          [](const BlockReadResult&) {});
+      read(random_block(), random_job());
     } else if (roll < 72) {
       const JobId job = random_job();
       if (!liveness.running.erase(job)) liveness.running.insert(job);

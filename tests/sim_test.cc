@@ -124,6 +124,54 @@ TEST(Simulator, RunUntilPredicateStopsEarly) {
   EXPECT_EQ(count, 4);
 }
 
+// run_until tests its predicate before each pop, and only while an event is
+// pending: the state an event leaves when it drains the queue is never
+// tested. Every test and bench that stops on a predicate depends on exactly
+// this loop.
+TEST(Simulator, RunUntilTestsPredicateBeforeEachPop) {
+  Simulator sim;
+  int count = 0;
+  std::vector<int> seen;  // `count` at each test of the predicate
+  const auto never = [&] {
+    seen.push_back(count);
+    return false;
+  };
+  for (int i = 1; i <= 3; ++i) {
+    sim.schedule(Duration::seconds(i), [&] { ++count; });
+  }
+  // Draining: tested before each of the three pops; the empty queue ends the
+  // loop before a fourth test, so the state after event 3 is never seen.
+  EXPECT_EQ(sim.run_until(never), 3u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
+
+  // Stopping at `limit`: an event is still pending past it, so the state
+  // the last event before it left is tested once, and then the limit ends
+  // the run.
+  for (int i = 4; i <= 6; ++i) {
+    sim.schedule(Duration::seconds(1), [&] { ++count; });
+    sim.schedule(Duration::seconds(10), [&] { ++count; });
+  }
+  seen.clear();
+  EXPECT_EQ(sim.run_until(never, sim.now() + Duration::seconds(1)), 3u);
+  EXPECT_EQ(count, 6);
+  EXPECT_EQ(seen, (std::vector<int>{3, 4, 5, 6}));
+
+  // A predicate already true dispatches nothing.
+  EXPECT_EQ(sim.run_until([] { return true; }), 0u);
+  EXPECT_EQ(sim.pending_events(), 3u);
+
+  // A predicate that turns true on an event's state stops before the next
+  // pop: the one test after that event is the one that ends the run.
+  seen.clear();
+  EXPECT_EQ(sim.run_until([&] {
+              seen.push_back(count);
+              return count == 7;
+            }),
+            1u);
+  EXPECT_EQ(seen, (std::vector<int>{6, 7}));
+  EXPECT_EQ(sim.pending_events(), 2u);
+}
+
 TEST(Simulator, StopRequestHaltsRun) {
   Simulator sim;
   int count = 0;

@@ -48,7 +48,7 @@ TEST(DataNodeTiers, ServingTierPrefersThePoolCopy) {
   node.add_block(block, 64 * kMiB);
   const auto read = [&] {
     BlockReadResult result;
-    node.read_block(block, JobId(1),
+    node.read_block(block, 64 * kMiB, JobId(1),
                     [&](const BlockReadResult& r) { result = r; });
     sim.run();
     return result;
