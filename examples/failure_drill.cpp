@@ -40,11 +40,9 @@ int main() {
     std::cout << "[t=22s] replacement master serving requests\n";
   });
   // t=35s: slave 3's DataNode process is killed and restarted. Disk data
-  // survives; the locked pool does not.
+  // survives; the locked pool and the slave's state do not.
   testbed.sim().schedule(Duration::seconds(35), [&] {
-    testbed.ignem_slave(NodeId(3))->reset();
-    testbed.datanode(NodeId(3)).fail();
-    testbed.datanode(NodeId(3)).restart();
+    testbed.crash_slave(NodeId(3));
     std::cout << "[t=35s] slave 3 restarted; its migrations start fresh\n";
   });
 

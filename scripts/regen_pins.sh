@@ -19,7 +19,7 @@
 #    moved, max and mean |d end| in seconds). A summary table, headed by
 #    the one-sided types it dropped, closes the section.
 # 3. Builds the working tree's pin tests and prints fresh constants through
-#    IGNEM_PRINT_KERNEL_HASHES=1 and IGNEM_PRINT_ANCHOR_DIGESTS=1, then
+#    IGNEM_PRINT_KERNEL_HASHES=1 and IGNEM_PRINT_ANCHOR_HASHES=1, then
 #    rewrites tests/golden/quickstart_trace.jsonl (IGNEM_REGEN_GOLDEN=1).
 #
 # The report goes to stdout, build logs to stderr. Build trees live under
@@ -77,8 +77,8 @@ IGNEM_PRINT_KERNEL_HASHES=1 "$WORK/tree/tests/kernel_regression_test" \
   grep 'RunMode::'
 
 echo
-echo "# Fresh liveness_anchor_test constants (IGNEM_PRINT_ANCHOR_DIGESTS=1)"
-IGNEM_PRINT_ANCHOR_DIGESTS=1 "$WORK/tree/tests/liveness_anchor_test" |
+echo "# Fresh liveness_anchor_test constants (IGNEM_PRINT_ANCHOR_HASHES=1)"
+IGNEM_PRINT_ANCHOR_HASHES=1 "$WORK/tree/tests/liveness_anchor_test" |
   grep '^    {{'
 
 echo

@@ -12,7 +12,7 @@ ResourceManager::ResourceManager(Simulator& sim, ClusterConfig config)
   IGNEM_CHECK(config_.node_count > 0);
   nodes_.reserve(config_.node_count);
   heartbeats_.reserve(config_.node_count);
-  last_beat_.resize(config_.node_count, SimTime::zero());
+  silencers_.resize(config_.node_count, 0);
   by_node_.resize(config_.node_count);
   for (std::size_t i = 0; i < config_.node_count; ++i) {
     const NodeId id(static_cast<std::int64_t>(i));
@@ -116,16 +116,20 @@ void ResourceManager::release_container(const ContainerGrant& grant) {
 void ResourceManager::halt_heartbeat(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < config_.node_count);
-  heartbeats_[static_cast<std::size_t>(node.value())].reset();
+  const auto i = static_cast<std::size_t>(node.value());
+  if (silencers_[i]++ == 0) heartbeats_[i].reset();
 }
 
 void ResourceManager::resume_heartbeat(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < config_.node_count);
-  heartbeats_[static_cast<std::size_t>(node.value())] =
-      std::make_unique<PeriodicTask>(
-          sim_, config_.heartbeat_interval, config_.heartbeat_interval,
-          [this, node] { send_heartbeat(node); });
+  const auto i = static_cast<std::size_t>(node.value());
+  IGNEM_CHECK_MSG(silencers_[i] > 0, "resume_heartbeat: node "
+                                         << node.value() << " is not halted");
+  if (--silencers_[i] > 0) return;  // another silencer still holds it
+  heartbeats_[i] = std::make_unique<PeriodicTask>(
+      sim_, config_.heartbeat_interval, config_.heartbeat_interval,
+      [this, node] { send_heartbeat(node); });
 }
 
 void ResourceManager::send_heartbeat(NodeId node) {
@@ -134,8 +138,8 @@ void ResourceManager::send_heartbeat(NodeId node) {
     return;
   }
   // Routed: the beat is a datagram from the NodeManager to the control
-  // node. A partition drops it on the floor, so both liveness monitors see
-  // genuine silence instead of the Testbed having to suppress the task.
+  // node. A partition drops it on the floor, so the failure detector sees
+  // genuine silence instead of the Testbed having to halt the beat.
   router_->oneway(node, router_->control_node(),
                   [this, node] { on_heartbeat(node); });
 }
@@ -152,24 +156,10 @@ void ResourceManager::reclaim_grant(const ContainerGrant& grant) {
   if (on_lost != nullptr) on_lost();
 }
 
-void ResourceManager::check_liveness() {
-  const SimTime now = sim_.now();
-  for (std::size_t i = 0; i < last_beat_.size(); ++i) {
-    if (!nodes_[i]->alive()) continue;  // declared dead, not rejoined
-    if (now - last_beat_[i] > kLivenessTimeout) {
-      declare_node_dead(NodeId(static_cast<std::int64_t>(i)));
-    }
-  }
-}
-
 void ResourceManager::declare_node_dead(NodeId node) {
   NodeManager& manager = node_manager(node);
   manager.set_alive(false);
   manager.reset_slots();
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kFaultDetectedDead, node, BlockId::invalid(),
-                 JobId::invalid(), 0, /*detail=*/1);  // 1 = ResourceManager
-  }
   // Purge the node's containers and let their owners re-request elsewhere,
   // in grant order.
   std::vector<std::pair<std::uint64_t, std::function<void()>>> lost;
@@ -188,6 +178,14 @@ void ResourceManager::declare_node_dead(NodeId node) {
   for (auto& [id, cb] : lost) cb();
 }
 
+void ResourceManager::readmit_node(NodeId node) {
+  NodeManager& manager = node_manager(node);
+  IGNEM_CHECK_MSG(!manager.alive(), "readmit_node: node "
+                                        << node.value() << " is not dead");
+  manager.set_alive(true);
+  manager.reset_slots();
+}
+
 NodeManager& ResourceManager::node_manager(NodeId node) {
   IGNEM_CHECK(node.valid() &&
               static_cast<std::size_t>(node.value()) < nodes_.size());
@@ -195,23 +193,12 @@ NodeManager& ResourceManager::node_manager(NodeId node) {
 }
 
 void ResourceManager::on_heartbeat(NodeId node) {
-  // The NameNode side hears the beat first: a node readmitted after a halt
-  // rejoins the namespace before it gets slots back.
+  // The failure detector hears the beat first: a node declared dead
+  // rejoins (readmit_node) before the scheduler offers its slots.
   if (heartbeat_listener_ != nullptr) heartbeat_listener_(node);
   ++heartbeat_count_;
   queue_length_accum_ += pending_;
-  last_beat_[static_cast<std::size_t>(node.value())] = sim_.now();
   NodeManager& manager = node_manager(node);
-  if (!manager.alive()) {
-    // A beat from a declared-dead node: it restarted (or was only silenced
-    // by a heartbeat delay). Readmit it with a clean slate of slots.
-    manager.set_alive(true);
-    manager.reset_slots();
-    if (trace_ != nullptr) {
-      trace_->emit(TraceEventType::kRecoverNodeRejoin, node,
-                   BlockId::invalid(), JobId::invalid(), 0, /*detail=*/1);
-    }
-  }
 
   // A node only takes its fair share of location-free requests per
   // heartbeat, so e.g. a reduce wave spreads across the cluster instead of

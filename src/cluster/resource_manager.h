@@ -16,9 +16,9 @@
 // (docs/PERF.md §11).
 //
 // That NodeManager beat is the node's only heartbeat. A listener (the
-// Testbed wires the NameNode-side FailureDetector) hears each delivered
-// beat just before the scheduler does, so both liveness monitors read one
-// stream.
+// Testbed wires the FailureDetector) hears each delivered beat just before
+// the scheduler does. The RM judges no liveness itself: the detector's
+// verdicts reach it through declare_node_dead and readmit_node.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,6 @@
 #include "cluster/node_manager.h"
 #include "common/ids.h"
 #include "common/units.h"
-#include "net/control_plane.h"
 #include "net/rpc.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
@@ -95,13 +94,13 @@ class ResourceManager : public JobLivenessOracle {
     return active_.contains(grant.id);
   }
 
-  /// Missed-heartbeat failure detection, one scan: declares dead each node
-  /// silent for more than kLivenessTimeout, frees its slots, and fires
+  /// Failure detection declared `node` dead: frees its slots and fires
   /// `on_lost` for every container it ran, in container-id (grant) order.
-  /// No grace window. The caller runs it every kLivenessCheckInterval (the
-  /// Testbed, only with fault tolerance on, so fault-free runs schedule no
-  /// extra events).
-  void check_liveness();
+  /// The node is offered no slots until readmit_node.
+  void declare_node_dead(NodeId node);
+  /// Failure detection readmitted `node`, which it had declared dead (its
+  /// beat came back): the node rejoins with a clean slate of slots.
+  void readmit_node(NodeId node);
 
   /// Hears every beat that reaches the control plane, just before the
   /// scheduler handles it. Null (the default) hears nothing.
@@ -109,8 +108,9 @@ class ResourceManager : public JobLivenessOracle {
     heartbeat_listener_ = std::move(listener);
   }
 
-  /// Crash support: stops / restarts the node's heartbeat, so both the RM
-  /// and the heartbeat listener see the silence (and the rejoin).
+  /// Heartbeat silencers (a crash, a heartbeat-delay window, an unrouted
+  /// partition) nest per node: the beat stops at the first halt and
+  /// resumes, one interval later, only when the last silencer lifts.
   void halt_heartbeat(NodeId node);
   void resume_heartbeat(NodeId node);
 
@@ -129,8 +129,8 @@ class ResourceManager : public JobLivenessOracle {
   /// Emits kJobRegister/kJobComplete and kContainerAllocate/Release.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  /// Routes heartbeats (oneway: dropped across a cut, so both liveness
-  /// monitors see real silence) and container-grant deliveries (reliable
+  /// Routes heartbeats (oneway: dropped across a cut, so the failure
+  /// detector sees real silence) and container-grant deliveries (reliable
   /// call: an undeliverable grant reclaims its slot and fires on_lost)
   /// through the control node. Null — the default — keeps the historical
   /// direct paths, event-for-event.
@@ -142,7 +142,6 @@ class ResourceManager : public JobLivenessOracle {
   /// A granted container whose launch RPC never reached the node: return
   /// the slot and let the owner re-request via on_lost.
   void reclaim_grant(const ContainerGrant& grant);
-  void declare_node_dead(NodeId node);
 
   Simulator& sim_;
   ClusterConfig config_;
@@ -150,8 +149,9 @@ class ResourceManager : public JobLivenessOracle {
   RpcRouter* router_ = nullptr;
   std::vector<std::unique_ptr<NodeManager>> nodes_;
   // One per node, index == NodeId value; null while the node's heartbeat is
-  // halted.
+  // halted, that is while its silencer count is positive.
   std::vector<std::unique_ptr<PeriodicTask>> heartbeats_;
+  std::vector<int> silencers_;
   std::function<void(NodeId)> heartbeat_listener_;
 
   struct QueuedRequest {
@@ -200,7 +200,6 @@ class ResourceManager : public JobLivenessOracle {
   };
   std::unordered_map<std::uint64_t, ActiveContainer> active_;  // by grant id
   std::uint64_t next_container_ = 1;
-  std::vector<SimTime> last_beat_;  // index == NodeId value
 
   std::uint64_t heartbeat_count_ = 0;
   std::uint64_t queue_length_accum_ = 0;

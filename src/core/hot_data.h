@@ -53,16 +53,17 @@ class HotDataPromoter : public BlockReadListener {
   /// True when `block` is on this promoter's LRU list of promoted copies.
   bool promoted(BlockId block) const { return lru_index_.contains(block); }
 
-  /// Integrity purge of a corrupt copy: forgets `block`'s LRU entry and
-  /// drops its pool copy, so the list names only copies the pool holds. The
-  /// access count stays, so the block's next clean read promotes it again.
-  /// Returns true when a copy was dropped.
-  bool purge_block(BlockId block);
+  /// Integrity purge of a corrupt copy (DataNode::purge_cached_copy):
+  /// forgets `block`'s LRU entry and drops its pool copy, so the list names
+  /// only copies the pool holds. The access count stays, so the block's
+  /// next clean read promotes it again. Returns true when a copy was
+  /// dropped.
+  bool purge_block(BlockId block) override;
 
   /// The DataNode process failed: aborts in-flight page-ins and forgets
-  /// every access count and promoted block (DataNode::fail() reclaims the
-  /// pool itself). Call it before DataNode::fail().
-  void reset();
+  /// every access count and promoted block. DataNode::fail() calls this,
+  /// then reclaims the pool itself.
+  void reset() override;
 
   /// Emits kHotPromote (detail=observed reads, value=threshold) on each
   /// promotion decision.

@@ -69,22 +69,22 @@ class IgnemSlave : public BlockReadListener {
   /// The master failed: purge all reference lists to match its empty state.
   void on_master_failure();
 
-  /// Integrity purge: drops one block's migration state — queued command or
-  /// memory-resident copy — and every job reference to it (the copy is
-  /// corrupt, or its disk replica was invalidated so the copy is
-  /// unreachable). An in-flight page-in is left alone: its completion
-  /// verifies the source and aborts there. Returns true when a locked copy
-  /// was actually unlocked.
-  bool purge_block(BlockId block);
+  /// Integrity purge (DataNode::purge_cached_copy): drops one block's
+  /// migration state — queued command or memory-resident copy — and every
+  /// job reference to it (the copy is corrupt, or its disk replica was
+  /// invalidated so the copy is unreachable). An in-flight page-in is left
+  /// alone: its completion verifies the source and aborts there. Returns
+  /// true when a locked copy was actually unlocked.
+  bool purge_block(BlockId block) override;
 
   /// Drops every migration and reference and unlocks all memory. Also used
   /// when the master orders a rejoining (spuriously-declared-dead) slave to
   /// resynchronize with state the master no longer tracks.
   void purge_all();
 
-  /// The slave process failed: all state is gone (the DataNode clears the
-  /// locked pool). Call DataNode::fail()/restart() alongside.
-  void reset();
+  /// The slave process failed: all state is gone. DataNode::fail() calls
+  /// this, then reclaims the locked pool.
+  void reset() override;
 
   const SlaveStats& stats() const { return stats_; }
   /// Adds every SlaveStats field to `counters` under its report name

@@ -1,7 +1,6 @@
 #include "core/testbed.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/check.h"
@@ -55,18 +54,13 @@ Testbed::Testbed(TestbedConfig config)
     rpc_router_ = std::make_unique<RpcRouter>(sim_, *network_, RpcConfig{});
     rpc_router_->set_trace(trace_.get());
   }
-  hb_suppress_depth_.assign(n, 0);
   rm_ = std::make_unique<ResourceManager>(sim_, config_.cluster);
   if (config_.fault_tolerance) {
-    // One scan runs both liveness monitors: the RM's (no grace), then the
-    // NameNode side's (suspicion, false-dead accounting, recovery hooks).
-    // Created before every other periodic task, so that at an instant they
-    // share, liveness is checked before samplers and scrub ticks run.
+    // The failure detector's scan. Created before every other periodic
+    // task, so that at an instant they share, liveness is checked before
+    // samplers and scrub ticks run.
     liveness_scan_ = std::make_unique<PeriodicTask>(
-        sim_, kLivenessCheckInterval, [this] {
-          rm_->check_liveness();
-          detector_->check();
-        });
+        sim_, kLivenessCheckInterval, [this] { detector_->check(); });
   }
   rm_->set_trace(trace_.get());
   rm_->set_rpc_router(rpc_router_.get());
@@ -124,20 +118,24 @@ Testbed::Testbed(TestbedConfig config)
     detector_->set_trace(trace_.get());
     detector_->set_rpc_router(rpc_router_.get());
     detector_->set_on_node_dead([this](NodeId node) {
-      // handle_node_failure marks the node dead in the namespace and queues
-      // re-replication; the Ignem master then reroutes the migrations it had
-      // routed to the dead slave.
-      replication_manager_->handle_node_failure(node, config_.replication);
+      // The RM fails the node's containers, so their tasks re-run
+      // elsewhere; handle_node_failure marks the node dead in the namespace
+      // and queues re-replication; the Ignem master then reroutes the
+      // migrations it had routed to the dead slave.
+      rm_->declare_node_dead(node);
+      replication_manager_->handle_node_failure(node);
       if (master_ != nullptr) master_->on_node_failure(node);
     });
     detector_->set_on_node_rejoined([this](NodeId node) {
-      // Heal-side reconciliation first: repairs that raced the node's return
-      // may have left blocks over-replicated, so the namespace sheds the
-      // excess before the master re-adopts the node's cached copies.
-      replication_manager_->handle_node_rejoin(node, config_.replication);
+      // The RM offers the node's slots again. Heal-side reconciliation
+      // next: repairs that raced the node's return may have left blocks
+      // over-replicated, so the namespace sheds the excess before the
+      // master re-adopts the node's cached copies.
+      rm_->readmit_node(node);
+      replication_manager_->handle_node_rejoin(node);
       if (master_ != nullptr) master_->on_node_rejoin(node);
     });
-    // The node's one heartbeat reaches the NameNode side first.
+    // The node's one heartbeat reaches the detector first.
     rm_->set_heartbeat_listener(
         [this](NodeId node) { detector_->on_heartbeat(node); });
   }
@@ -145,21 +143,9 @@ Testbed::Testbed(TestbedConfig config)
   // Data-integrity plane. The manager schedules nothing and reports only
   // fire when a checksum pass actually finds rot, so fault-free traces stay
   // bit-identical; only the opt-in scrubber generates background events.
-  integrity_ = std::make_unique<IntegrityManager>(
-      *namenode_, *replication_manager_, config_.replication);
+  integrity_ = std::make_unique<IntegrityManager>(*namenode_,
+                                                  *replication_manager_);
   integrity_->set_trace(trace_.get());
-  integrity_->set_cache_purger([this](NodeId node, BlockId block) {
-    // The slave owns its copies' references and the promoter its LRU list;
-    // without either the copy is dropped directly.
-    if (IgnemSlave* slave = ignem_slave(node); slave != nullptr) {
-      return slave->purge_block(block);
-    }
-    if (HotDataPromoter* promoter = hot_data_promoter(node);
-        promoter != nullptr) {
-      return promoter->purge_block(block);
-    }
-    return datanode(node).cache().unlock(block);
-  });
   integrity_->set_on_disk_corrupt([this](BlockId block, NodeId node) {
     if (master_ != nullptr) master_->on_replica_corrupt(block, node);
   });
@@ -343,277 +329,6 @@ void Testbed::sample_memory() {
 bool Testbed::migration_enabled() const {
   return config_.mode == RunMode::kIgnem ||
          config_.mode == RunMode::kInstantMigration;
-}
-
-namespace {
-
-/// Effectively infinite at simulated bandwidths (~decades of transfer time):
-/// a hog transfer never completes on its own; the end of the fault window
-/// aborts it.
-constexpr Bytes kHogBytes = Bytes{1} << 50;
-
-int hog_streams(double severity) {
-  return std::max(1, static_cast<int>(std::lround(severity)));
-}
-
-}  // namespace
-
-void Testbed::emit_fault_event(TraceEventType type, NodeId node,
-                               std::uint64_t detail) {
-  if (trace_ != nullptr) {
-    trace_->emit(type, node, BlockId::invalid(), JobId::invalid(), 0, detail);
-  }
-}
-
-void Testbed::fail_node(NodeId node) {
-  DataNode& dn = datanode(node);
-  IGNEM_CHECK_MSG(dn.alive(),
-                  "fail_node: node " << node.value() << " is already down");
-  // Crash event first: the slave purge and cache reclamation below emit
-  // unlock events the NodeDownRule only permits on a down node.
-  emit_fault_event(TraceEventType::kFaultNodeCrash, node);
-  // The slave and the hot-data promoter live in the DataNode process.
-  IgnemSlave* slave = ignem_slave(node);
-  if (slave != nullptr) slave->reset();
-  HotDataPromoter* promoter = hot_data_promoter(node);
-  if (promoter != nullptr) promoter->reset();
-  dn.fail();
-  rm_->halt_heartbeat(node);
-}
-
-void Testbed::restart_node(NodeId node) {
-  DataNode& dn = datanode(node);
-  IGNEM_CHECK_MSG(!dn.alive(),
-                  "restart_node: node " << node.value() << " is not down");
-  emit_fault_event(TraceEventType::kRecoverNodeRestart, node);
-  dn.restart();
-  // Re-registration is heartbeat-driven: the NameNode and RM each readmit
-  // the node when its first post-restart beat lands. If a heartbeat-delay or
-  // partition window is still open, the restarted node stays silent until
-  // that window's own end lifts the suppression.
-  if (hb_suppress_depth_[static_cast<std::size_t>(node.value())] == 0) {
-    rm_->resume_heartbeat(node);
-  }
-}
-
-void Testbed::crash_master() {
-  if (master_ == nullptr || master_->failed()) return;
-  emit_fault_event(TraceEventType::kFaultMasterCrash, NodeId::invalid());
-  master_->fail();
-}
-
-void Testbed::restart_master() {
-  if (master_ == nullptr || !master_->failed()) return;
-  master_->restart();
-  emit_fault_event(TraceEventType::kRecoverMasterRestart, NodeId::invalid());
-}
-
-void Testbed::crash_slave(NodeId node) {
-  IgnemSlave* slave = ignem_slave(node);
-  if (slave == nullptr) return;
-  DataNode& dn = datanode(node);
-  if (!dn.alive()) return;  // the whole server is already down
-  emit_fault_event(TraceEventType::kFaultSlaveCrash, node);
-  // The slave shares the DataNode process (§III-B), so its crash drops all
-  // locked memory; supervision restarts the process immediately (a point
-  // fault), so only reads in flight at the crash instant fail.
-  slave->reset();
-  dn.fail();
-  dn.restart();
-  emit_fault_event(TraceEventType::kRecoverSlaveRestart, node);
-}
-
-void Testbed::begin_disk_fail_stop(NodeId node) {
-  emit_fault_event(TraceEventType::kFaultDiskFailStop, node);
-  datanode(node).set_disk_failed(true);
-}
-
-void Testbed::end_disk_fail_stop(NodeId node) {
-  datanode(node).set_disk_failed(false);
-  emit_fault_event(TraceEventType::kRecoverDisk, node, /*detail=*/0);
-}
-
-void Testbed::begin_disk_fail_slow(NodeId node, double severity) {
-  const int streams = hog_streams(severity);
-  emit_fault_event(TraceEventType::kFaultDiskFailSlow, node,
-                   static_cast<std::uint64_t>(streams));
-  StorageDevice& device = datanode(node).primary_device();
-  auto& hogs = disk_hogs_[node];
-  for (int i = 0; i < streams; ++i) {
-    hogs.push_back(device.read(kHogBytes, [] {}));
-  }
-}
-
-void Testbed::end_disk_fail_slow(NodeId node) {
-  StorageDevice& device = datanode(node).primary_device();
-  for (const TransferHandle handle : disk_hogs_[node]) device.abort(handle);
-  disk_hogs_.erase(node);
-  emit_fault_event(TraceEventType::kRecoverDisk, node, /*detail=*/1);
-}
-
-void Testbed::begin_network_degrade(NodeId node, double severity) {
-  const int streams = hog_streams(severity);
-  emit_fault_event(TraceEventType::kFaultNetworkDegrade, node,
-                   static_cast<std::uint64_t>(streams));
-  SharedBandwidthResource& nic = network_->nic(node);
-  auto& hogs = net_hogs_[node];
-  for (int i = 0; i < streams; ++i) {
-    hogs.push_back(nic.start(kHogBytes, [] {}));
-  }
-}
-
-void Testbed::end_network_degrade(NodeId node) {
-  SharedBandwidthResource& nic = network_->nic(node);
-  for (const TransferHandle handle : net_hogs_[node]) nic.abort(handle);
-  net_hogs_.erase(node);
-  emit_fault_event(TraceEventType::kRecoverNetwork, node);
-}
-
-void Testbed::suppress_heartbeats(NodeId node) {
-  if (++hb_suppress_depth_[static_cast<std::size_t>(node.value())] > 1) {
-    return;  // already silenced by another window
-  }
-  rm_->halt_heartbeat(node);
-}
-
-void Testbed::release_heartbeats(NodeId node) {
-  int& depth = hb_suppress_depth_[static_cast<std::size_t>(node.value())];
-  IGNEM_CHECK(depth > 0);
-  if (--depth > 0) return;  // another window still holds the node silent
-  // A node that crashed during the window stays silent; its own restart
-  // resumes the beats.
-  if (!datanode(node).alive()) return;
-  rm_->resume_heartbeat(node);
-}
-
-void Testbed::begin_heartbeat_delay(NodeId node) {
-  emit_fault_event(TraceEventType::kFaultHeartbeatDelay, node);
-  suppress_heartbeats(node);
-}
-
-void Testbed::end_heartbeat_delay(NodeId node) {
-  emit_fault_event(TraceEventType::kRecoverHeartbeat, node);
-  release_heartbeats(node);
-}
-
-void Testbed::begin_network_partition(NodeId node, int variant) {
-  emit_fault_event(TraceEventType::kPartitionStart, node,
-                   static_cast<std::uint64_t>(variant));
-  ReachabilityMatrix& matrix = network_->reachability();
-  switch (variant) {
-    case 0:
-      matrix.block_outbound(node);
-      matrix.block_inbound(node);
-      break;
-    case 1: matrix.block_outbound(node); break;
-    case 2: matrix.block_inbound(node); break;
-    default:
-      IGNEM_CHECK_MSG(false, "unknown partition variant " << variant);
-  }
-  network_->sever_partitioned_transfers();
-  // Heartbeats travel node -> NameNode/RM, so any outbound cut silences
-  // them. An inbound-only cut leaves them flowing: the node looks alive to
-  // the detector while nobody can actually send it data — the asymmetric
-  // shape that makes reachability checks on the read/repair paths matter.
-  // With a routed control plane the beats are real RPCs gated on the same
-  // matrix, so the Testbed no longer needs to fake the silence.
-  if (rpc_router_ == nullptr && (variant == 0 || variant == 1)) {
-    suppress_heartbeats(node);
-  }
-}
-
-void Testbed::end_network_partition(NodeId node, int variant) {
-  emit_fault_event(TraceEventType::kPartitionHeal, node,
-                   static_cast<std::uint64_t>(variant));
-  ReachabilityMatrix& matrix = network_->reachability();
-  switch (variant) {
-    case 0:
-      matrix.unblock_outbound(node);
-      matrix.unblock_inbound(node);
-      break;
-    case 1: matrix.unblock_outbound(node); break;
-    case 2: matrix.unblock_inbound(node); break;
-    default:
-      IGNEM_CHECK_MSG(false, "unknown partition variant " << variant);
-  }
-  if (rpc_router_ == nullptr && (variant == 0 || variant == 1)) {
-    release_heartbeats(node);
-  }
-}
-
-void Testbed::begin_rack_partition(NodeId node) {
-  emit_fault_event(TraceEventType::kPartitionStart, node, /*detail=*/3);
-  const int rack = network_->topology().rack_of(node);
-  const std::vector<NodeId> members = network_->topology().rack_members(rack);
-  network_->reachability().block_group(rack, members);
-  network_->sever_partitioned_transfers();
-  // Unrouted legacy model: the control plane (NameNode/RM/detector) is
-  // assumed to live outside the cut rack, so every member's heartbeats
-  // stop; intra-rack data traffic still flows. With a routed control plane
-  // the beats gate on the matrix itself — which also gets the control
-  // node's own rack right: cutting *its* rack silences everyone else.
-  if (rpc_router_ == nullptr) {
-    for (const NodeId member : members) suppress_heartbeats(member);
-  }
-}
-
-void Testbed::end_rack_partition(NodeId node) {
-  emit_fault_event(TraceEventType::kPartitionHeal, node, /*detail=*/3);
-  const int rack = network_->topology().rack_of(node);
-  network_->reachability().unblock_group(rack);
-  if (rpc_router_ == nullptr) {
-    for (const NodeId member : network_->topology().rack_members(rack)) {
-      release_heartbeats(member);
-    }
-  }
-}
-
-void Testbed::corrupt_block(NodeId node) {
-  const DataNode& dn = datanode(node);
-  std::vector<BlockId> candidates;
-  for (const BlockId block : dn.blocks_sorted()) {
-    if (!dn.is_corrupt(block)) candidates.push_back(block);
-  }
-  if (candidates.empty()) return;  // nothing stored, or all already rotten
-  corrupt_replica(node, candidates[static_cast<std::size_t>(rng_.uniform_int(
-                            0, static_cast<std::int64_t>(candidates.size()) -
-                                   1))]);
-}
-
-void Testbed::corrupt_cached_block(NodeId node) {
-  const BufferCache& cache = datanode(node).cache();
-  std::vector<BlockId> candidates;
-  for (const BlockId block : cache.blocks_sorted()) {
-    if (!cache.is_corrupt(block)) candidates.push_back(block);
-  }
-  if (candidates.empty()) return;  // empty pool: the fault lands on nothing
-  corrupt_cached_replica(
-      node, candidates[static_cast<std::size_t>(rng_.uniform_int(
-                0, static_cast<std::int64_t>(candidates.size()) - 1))]);
-}
-
-void Testbed::corrupt_replica(NodeId node, BlockId block) {
-  DataNode& dn = datanode(node);
-  IGNEM_CHECK_MSG(dn.has_block(block),
-                  "corrupt_replica: node " << node.value()
-                                           << " does not store the block");
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kFaultBlockCorrupt, node, block,
-                 JobId::invalid(), dn.block_size(block), 0);
-  }
-  dn.corrupt_block(block);
-}
-
-void Testbed::corrupt_cached_replica(NodeId node, BlockId block) {
-  DataNode& dn = datanode(node);
-  IGNEM_CHECK_MSG(dn.cache().contains(block),
-                  "corrupt_cached_replica: node "
-                      << node.value() << " has no locked copy of the block");
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kFaultBlockCorrupt, node, block,
-                 JobId::invalid(), namenode_->block(block).size, 1);
-  }
-  dn.corrupt_cached_copy(block);
 }
 
 JobRunner* Testbed::submit_job(JobSpec spec,

@@ -78,11 +78,11 @@ struct TestbedConfig {
   bool enable_trace = false;
   /// Runs the live InvariantChecker over the trace (implies enable_trace).
   bool check_invariants = false;
-  /// Enables the fault-tolerance stack: heartbeat failure detection on
-  /// both the NameNode side and the ResourceManager (one 1 s scan runs
-  /// both), re-replication of under-replicated blocks, and Ignem migration
-  /// rerouting. Off by default because the scan's events change the
-  /// dispatched-event count and would break bit-identical fault-free
+  /// Enables the fault-tolerance stack: heartbeat failure detection (a
+  /// 1 s scan whose verdicts the NameNode side and the ResourceManager
+  /// both follow), re-replication of under-replicated blocks, and Ignem
+  /// migration rerouting. Off by default because the scan's events change
+  /// the dispatched-event count and would break bit-identical fault-free
   /// traces.
   bool fault_tolerance = false;
   /// Detector suspicion grace, used when fault_tolerance is set.
@@ -166,8 +166,9 @@ class Testbed : public FaultTarget {
   bool migration_enabled() const;
 
   // FaultTarget — the injector's application surface, also callable directly
-  // by tests. Each method emits the matching kFault*/kRecover* trace event
-  // and applies the fault to every affected component.
+  // by tests (testbed_faults.cc). Each method emits the matching
+  // kFault*/kRecover* trace event and applies the fault to every affected
+  // component.
   void fail_node(NodeId node) override;
   void restart_node(NodeId node) override;
   void crash_master() override;
@@ -266,13 +267,6 @@ class Testbed : public FaultTarget {
   bool run_workload_to(std::vector<ScheduledJob> jobs, SimTime deadline);
   void emit_fault_event(TraceEventType type, NodeId node,
                         std::uint64_t detail = 0);
-  /// Depth-counted heartbeat silencing shared by heartbeat-delay windows and
-  /// partitions (which may overlap on one node): beats halt when the first
-  /// suppressor arrives and resume only when the last one lifts — and only
-  /// if the node is still alive (a crash during the window stays silent
-  /// until its own restart).
-  void suppress_heartbeats(NodeId node);
-  void release_heartbeats(NodeId node);
 
   TestbedConfig config_;
   // Declared before every traced component so it is destroyed after them
@@ -291,7 +285,7 @@ class Testbed : public FaultTarget {
   /// components then keep their historical direct-call paths).
   std::unique_ptr<RpcRouter> rpc_router_;
   std::unique_ptr<ResourceManager> rm_;
-  /// Both liveness monitors' scan (null unless fault_tolerance).
+  /// The failure detector's scan (null unless fault_tolerance).
   std::unique_ptr<PeriodicTask> liveness_scan_;
   std::unique_ptr<DfsClient> dfs_;
   std::unique_ptr<ReplicationManager> replication_manager_;
@@ -315,8 +309,6 @@ class Testbed : public FaultTarget {
   // aborted (never completed) when the window closes.
   std::map<NodeId, std::vector<TransferHandle>> disk_hogs_;
   std::map<NodeId, std::vector<TransferHandle>> net_hogs_;
-  /// Per-node heartbeat-suppression depth (see suppress_heartbeats).
-  std::vector<int> hb_suppress_depth_;
 };
 
 }  // namespace ignem

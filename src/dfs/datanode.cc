@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/fnv.h"
 
 namespace ignem {
 
@@ -61,24 +60,9 @@ void DataNode::add_block(BlockId block, Bytes size) {
   }
 }
 
-std::uint64_t DataNode::expected_checksum(BlockId block, Bytes size) {
-  // FNV-1a over the block identity and size — a stand-in for a content
-  // digest that every clean replica agrees on.
-  const std::uint64_t h =
-      fnv1a_word(kFnvOffset, static_cast<std::uint64_t>(block.value()));
-  return fnv1a_word(h, static_cast<std::uint64_t>(size));
-}
-
 const DataNode::Replica* DataNode::find(BlockId block) const {
   const auto it = seek(replicas_, block);
   return it != replicas_.end() && it->block == block ? &*it : nullptr;
-}
-
-std::uint64_t DataNode::stored_checksum(BlockId block) const {
-  // Rot damages the stored data; its checksum stops matching the expected
-  // one, by a fixed pattern so a twice-corrupted copy stays bad.
-  return expected_checksum(block, block_size(block)) ^
-         (is_corrupt(block) ? 0xDEADBEEFDEADBEEFULL : 0);
 }
 
 Bytes DataNode::block_size(BlockId block) const {
@@ -257,6 +241,7 @@ void DataNode::abort_pending_reads(const StorageDevice* device,
 }
 
 void DataNode::fail() {
+  if (listener_ != nullptr) listener_->reset();
   alive_ = false;
   pool_.clear();  // the OS reclaims the dead process's locked pages
   abort_pending_reads(nullptr);

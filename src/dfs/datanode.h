@@ -6,7 +6,9 @@
 // replica). A promoted copy in the pool serves a block at RAM speed,
 // otherwise the primary device does. The Ignem slave (core module) plugs
 // into the DataNode via the pool/device accessors and the BlockReadListener
-// hook (used for implicit eviction, §III-B2).
+// hook (used for implicit eviction, §III-B2). The plug-in lives in the
+// DataNode process: the process's crash resets it, and an integrity purge
+// of a pool copy goes through it.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +27,20 @@
 
 namespace ignem {
 
-/// Observes completed block reads on a DataNode (e.g. the Ignem slave's
-/// implicit-eviction hook). Reads carry the job ID, as in the paper's
-/// modified HDFS read calls.
+/// The DataNode's plug-in (the Ignem slave or the hot-data promoter): it
+/// observes completed block reads (the slave's implicit-eviction hook) and
+/// owns the pool copies it put there. Reads carry the job ID, as in the
+/// paper's modified HDFS read calls.
 class BlockReadListener {
  public:
   virtual ~BlockReadListener() = default;
   virtual void on_block_read(NodeId node, BlockId block, JobId job) = 0;
+  /// Drops the plug-in's pool copy of `block` and its state about the
+  /// block; true when a locked copy was unlocked.
+  virtual bool purge_block(BlockId block) = 0;
+  /// The DataNode process failed: forget every copy and abort every
+  /// page-in. The DataNode reclaims the pool itself right after.
+  virtual void reset() = 0;
 };
 
 /// Block reads per serving tier (hit rate = pool_reads / all reads).
@@ -89,16 +98,6 @@ class DataNode {
   /// owns it).
   void remove_block(BlockId block);
 
-  /// The checksum a clean replica of (block, size) must carry. Content-
-  /// addressed (a pure function of identity, not of which node holds the
-  /// copy), so every healthy replica of a block agrees.
-  static std::uint64_t expected_checksum(BlockId block, Bytes size);
-
-  /// The checksum stored alongside the replica: the expected one as
-  /// written, a rot pattern once the replica rots. Verification is
-  /// stored-vs-expected; rot shows up as a mismatch.
-  std::uint64_t stored_checksum(BlockId block) const;
-
   /// Silent bit-rot: marks the stored replica rotten so the next
   /// verification pass (read, scrub, migration verify) mismatches. The
   /// damage survives process restarts — rot lives on the platter — and a
@@ -112,6 +111,13 @@ class DataNode {
   /// Corrupts the promoted in-memory copy instead (the home replica stays
   /// good). Delegates to the pool, so eviction discards the mark.
   void corrupt_cached_copy(BlockId block) { pool_.mark_corrupt(block); }
+  /// Integrity purge of the pool's copy of `block`: through the plug-in,
+  /// which owns its copies, or straight out of the pool when there is none.
+  /// True when a locked copy was unlocked.
+  bool purge_cached_copy(BlockId block) {
+    return listener_ != nullptr ? listener_->purge_block(block)
+                                : pool_.unlock(block);
+  }
 
   /// Stored block ids in ascending order, and the smallest id strictly
   /// greater than `cursor` (invalid when none) — the scrubber's scan
@@ -145,10 +151,10 @@ class DataNode {
   /// callers' completion barriers never hang.
   void write(Bytes bytes, std::function<void()> on_complete);
 
-  /// Process failure: all locked memory in the pool is reclaimed by the
-  /// OS; stored blocks persist on disk. In-flight reads are aborted
-  /// and their callbacks fired with `failed = true`. `restart()` brings
-  /// the process back.
+  /// Process failure: the plug-in is reset, then all locked memory in the
+  /// pool is reclaimed by the OS; stored blocks persist on disk. In-flight
+  /// reads are aborted and their callbacks fired with `failed = true`.
+  /// `restart()` brings the process back.
   void fail();
   void restart();
 

@@ -42,6 +42,9 @@ class NameNode {
   NameNode(const NameNode&) = delete;
   NameNode& operator=(const NameNode&) = delete;
 
+  /// The target replica count every block is held to.
+  int replication() const { return replication_; }
+
   /// Registers a DataNode. Nodes must be registered before files exist.
   void register_datanode(DataNode* node);
 

@@ -34,9 +34,7 @@ ReplicationManager::ReplicationManager(Simulator& sim, NameNode& namenode,
   IGNEM_CHECK(max_concurrent >= 1);
 }
 
-void ReplicationManager::handle_node_failure(NodeId node,
-                                             int target_replication) {
-  target_replication_ = target_replication;
+void ReplicationManager::handle_node_failure(NodeId node) {
   if (namenode_.is_node_alive(node)) namenode_.set_node_alive(node, false);
   // The node's own replica table lists exactly the blocks the namespace
   // places on it (create_file, add_replica and invalidate_replica keep the
@@ -44,7 +42,7 @@ void ReplicationManager::handle_node_failure(NodeId node,
   for (const BlockId block : namenode_.datanode(node)->blocks_sorted()) {
     if (queued_.contains(block)) continue;
     const auto live = namenode_.live_locations(block);
-    if (live.size() >= static_cast<std::size_t>(target_replication)) continue;
+    if (live.size() >= factor()) continue;
     queue_.push_back(block);
     queued_.insert(block);
     ++stats_.blocks_scheduled;
@@ -52,15 +50,13 @@ void ReplicationManager::handle_node_failure(NodeId node,
   pump();
 }
 
-void ReplicationManager::handle_node_rejoin(NodeId node,
-                                            int target_replication) {
-  target_replication_ = target_replication;
+void ReplicationManager::handle_node_rejoin(NodeId node) {
   // The same walk: the rejoined node is never a victim, so invalidation
   // leaves its table alone.
   for (const BlockId block : namenode_.datanode(node)->blocks_sorted()) {
     while (true) {
       const auto live = namenode_.live_locations(block);
-      if (live.size() <= static_cast<std::size_t>(target_replication_)) break;
+      if (live.size() <= factor()) break;
       // Victim choice: never the rejoined node (the Ignem master is about
       // to reclaim its cached state), prefer copies nobody promoted into
       // memory, and break ties toward the larger node id — typically the
@@ -89,9 +85,7 @@ void ReplicationManager::handle_node_rejoin(NodeId node,
   }
 }
 
-void ReplicationManager::handle_corrupt_replica(BlockId block,
-                                                int target_replication) {
-  target_replication_ = target_replication;
+void ReplicationManager::handle_corrupt_replica(BlockId block) {
   if (queued_.contains(block)) return;
   queue_.push_back(block);
   queued_.insert(block);
@@ -131,8 +125,7 @@ void ReplicationManager::repair(BlockId block) {
   // keep the block in repair regardless — they must be invalidated.
   const std::vector<NodeId> corrupt = namenode_.corrupt_replicas(block);
   auto live = namenode_.live_locations(block);
-  if (corrupt.empty() &&
-      live.size() >= static_cast<std::size_t>(target_replication_)) {
+  if (corrupt.empty() && live.size() >= factor()) {
     queued_.erase(block);
     pump();
     return;
@@ -165,7 +158,7 @@ void ReplicationManager::repair(BlockId block) {
       ++stats_.corrupt_invalidated;
     }
     live = namenode_.live_locations(block);
-    if (live.size() >= static_cast<std::size_t>(target_replication_)) {
+    if (live.size() >= factor()) {
       queued_.erase(block);
       pump();
       return;
@@ -288,8 +281,7 @@ void ReplicationManager::do_start_copy(BlockId block, NodeId source,
               retry_later(block);  // target died during the write
               return;
             }
-            if (namenode_.live_locations(block).size() >=
-                static_cast<std::size_t>(target_replication_)) {
+            if (namenode_.live_locations(block).size() >= factor()) {
               // A rejoin restored the factor while this copy was in flight.
               // Registering it would leave the block over-replicated with no
               // later trigger to trim it, so the fresh copy is discarded.
@@ -302,8 +294,7 @@ void ReplicationManager::do_start_copy(BlockId block, NodeId source,
             namenode_.add_replica(block, target);
             ++stats_.blocks_repaired;
             stats_.bytes_repaired += bytes;
-            if (namenode_.live_locations(block).size() <
-                static_cast<std::size_t>(target_replication_)) {
+            if (namenode_.live_locations(block).size() < factor()) {
               // Still short (several replicas were lost or invalidated):
               // keep the block in repair for another round.
               queue_.push_back(block);

@@ -50,26 +50,26 @@ class ReplicationManager {
   ReplicationManager& operator=(const ReplicationManager&) = delete;
 
   /// Marks the node dead and queues repairs, in ascending block id, for
-  /// every block it holds that dropped below its target replication and is
-  /// not already queued. Safe to call for an already-dead node
+  /// every block it holds that dropped below the NameNode's replication
+  /// factor and is not already queued. Safe to call for an already-dead node
   /// (only newly under-replicated blocks are queued); a repair whose source
   /// or target dies mid-copy is retried on a fresh pair after a short
   /// backoff.
-  void handle_node_failure(NodeId node, int target_replication);
+  void handle_node_failure(NodeId node);
 
   /// Rejoin reconciliation: a falsely-declared node came back with its
-  /// replicas intact, so blocks it holds may now exceed their target
+  /// replicas intact, so blocks it holds may now exceed the replication
   /// factor. Deletes excess copies (kExcessReplicaDeleted), preferring to
   /// keep the rejoined node's copy and drop the youngest repair copies
   /// elsewhere. Walks the node's replica table in ascending block id.
-  void handle_node_rejoin(NodeId node, int target_replication);
+  void handle_node_rejoin(NodeId node);
 
   /// Queues repair for a block with a corrupt-marked replica. The corrupt
   /// copies are invalidated only once a verified live source exists (never
   /// delete the last copy, however bad); with no good copy anywhere the
   /// block counts as unrepairable and the marks stay, so readers keep
   /// failing rather than silently consuming rot.
-  void handle_corrupt_replica(BlockId block, int target_replication);
+  void handle_corrupt_replica(BlockId block);
 
   const ReplicationStats& stats() const { return stats_; }
   /// Adds every ReplicationStats field to `counters` under its report name
@@ -106,6 +106,10 @@ class ReplicationManager {
   void do_start_copy(BlockId block, NodeId source, NodeId target, Bytes bytes);
   /// A repair attempt died mid-copy: put the block back after `kRetryDelay`.
   void retry_later(BlockId block);
+  /// The NameNode's replication factor, as a replica count.
+  std::size_t factor() const {
+    return static_cast<std::size_t>(namenode_.replication());
+  }
 
   static constexpr Duration kRetryDelay = Duration::seconds(1);
 
@@ -117,7 +121,6 @@ class ReplicationManager {
   RateLimiter* limiter_ = nullptr;
   RpcRouter* router_ = nullptr;
   int max_concurrent_;
-  int target_replication_ = 3;
   int in_flight_ = 0;
   bool pumping_ = false;  ///< Reentrancy guard: repair() paths call pump().
   std::deque<BlockId> queue_;

@@ -4,13 +4,14 @@
 // through HDFS heartbeats, not announced. The detector owns no heartbeat
 // stream: it hears each node's one heartbeat (the ResourceManager's
 // NodeManager beat, which the Testbed forwards through `on_heartbeat`)
-// and records it with the NameNode. `check`, which the Testbed runs every
-// kLivenessCheckInterval right after the RM's own scan, declares dead each
-// node silent past the liveness timeout (and grace), firing the
-// `on_node_dead` hook (wired by Testbed to re-replication and Ignem
-// migration rerouting). A beat from a declared-dead node readmits it via
+// and records it with the NameNode. It is the cluster's one judge of node
+// liveness. `check`, which the Testbed runs every kLivenessCheckInterval,
+// declares dead each node silent past the liveness timeout (and grace),
+// firing the `on_node_dead` hook (wired by the Testbed to the RM, which
+// fails the node's containers, then re-replication and Ignem migration
+// rerouting). A beat from a declared-dead node readmits it via
 // `on_node_rejoined` (restart, or a spurious death under a heartbeat delay
-// or partition).
+// or partition), which the Testbed wires to the same components.
 //
 // Constructed only when fault tolerance is enabled.
 #pragma once
@@ -67,8 +68,8 @@ class FailureDetector {
     on_node_rejoined_ = std::move(hook);
   }
 
-  /// Emits kFaultDetectedDead / kRecoverNodeRejoin with detail = 0
-  /// (NameNode-side detection).
+  /// Emits kFaultDetectedDead / kRecoverNodeRejoin (detail 0), one per
+  /// death and rejoin, and kNodeSuspect / kFalseDead.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
   /// The routed control plane, if any. Beats travel on it, so a node

@@ -18,7 +18,9 @@ void IntegrityManager::report(NodeId node, BlockId block, bool cached,
                    JobId::invalid(), bytes,
                    static_cast<std::int64_t>(source), 1.0);
     }
-    if (purger_ && purger_(node, block)) ++stats_.cache_copies_purged;
+    if (namenode_.datanode(node)->purge_cached_copy(block)) {
+      ++stats_.cache_copies_purged;
+    }
     return;
   }
   // Stored-replica corruption. Dedupe against the NameNode's mark state:
@@ -36,11 +38,13 @@ void IntegrityManager::report(NodeId node, BlockId block, bool cached,
                  0.0);
   }
   namenode_.mark_replica_corrupt(block, node);
-  replication_.handle_corrupt_replica(block, target_replication_);
+  replication_.handle_corrupt_replica(block);
   // The node can no longer serve this block at all (live_locations excludes
   // marked replicas), so a cached copy there — however clean — is dead
   // weight; drop it and any migration state pointing at it.
-  if (purger_ && purger_(node, block)) ++stats_.cache_copies_purged;
+  if (namenode_.datanode(node)->purge_cached_copy(block)) {
+    ++stats_.cache_copies_purged;
+  }
   if (on_disk_corrupt_) on_disk_corrupt_(block, node);
 }
 

@@ -3,10 +3,10 @@
 // The paper evaluates one setting of each of these HDFS/YARN mechanisms:
 // Ignem inherits HDFS heartbeat liveness for fault tolerance (§III-A5) and
 // costs one RPC hop per command batch (§III-A6). They are constants of the
-// model, not experiment axes. Both liveness monitors — the NameNode-side
-// FailureDetector and the ResourceManager's — read one heartbeat per node
-// (the NodeManager beat, every ClusterConfig::heartbeat_interval), run in
-// one scan and use the same values.
+// model, not experiment axes. The one liveness monitor, the
+// FailureDetector, reads one heartbeat per node (the NodeManager beat,
+// every ClusterConfig::heartbeat_interval); the ResourceManager follows
+// its verdicts.
 #pragma once
 
 #include "common/units.h"
@@ -22,7 +22,7 @@ inline constexpr Duration kRpcLatency = Duration::millis(1);
 /// ~10 min; compressed so experiments stay short).
 inline constexpr Duration kLivenessTimeout = Duration::seconds(12.0);
 
-/// Period of the one scan that runs both liveness monitors.
+/// Period of the FailureDetector's liveness scan.
 inline constexpr Duration kLivenessCheckInterval = Duration::seconds(1.0);
 
 }  // namespace ignem

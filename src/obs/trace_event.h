@@ -71,11 +71,11 @@ enum class TraceEventType : std::uint8_t {
   kFaultDiskFailSlow,   ///< gray failure began; detail = injected hog streams.
   kFaultNetworkDegrade, ///< NIC contention window began; detail = hog streams.
   kFaultHeartbeatDelay, ///< node's heartbeats suppressed (process still runs).
-  kFaultDetectedDead,   ///< a detector declared node dead after missed
-                        ///< heartbeats; detail = 0 NameNode, 1 ResourceManager.
+  kFaultDetectedDead,   ///< the failure detector declared node dead after
+                        ///< missed heartbeats; detail = 0.
   kRecoverNodeRestart,  ///< crashed server's processes are back up.
-  kRecoverNodeRejoin,   ///< detector readmitted a beating node;
-                        ///< detail = 0 NameNode, 1 ResourceManager.
+  kRecoverNodeRejoin,   ///< the failure detector readmitted a beating
+                        ///< node; detail = 0.
   kRecoverMasterRestart,///< replacement master serving requests.
   kRecoverSlaveRestart, ///< slave process restarted with empty state.
   kRecoverDisk,         ///< disk fault window (fail-stop or fail-slow) ended.

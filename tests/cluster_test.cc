@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "core/testbed.h"
 #include "sim/simulator.h"
 
 namespace ignem {
@@ -136,11 +140,8 @@ TEST(ResourceManager, DeadNodeStopsAllocating) {
   Simulator sim;
   const ClusterConfig config = small_cluster(2, 1);
   ResourceManager rm(sim, config);
-  // Node 0 falls silent; one liveness scan past the timeout (plus a beat,
-  // so node 1 has beaten recently) declares it dead.
-  rm.halt_heartbeat(NodeId(0));
-  sim.run(SimTime::zero() + kLivenessTimeout + config.heartbeat_interval);
-  rm.check_liveness();
+  // Failure detection declares node 0 dead; the RM follows the verdict.
+  rm.declare_node_dead(NodeId(0));
   ASSERT_TRUE(rm.is_node_marked_dead(NodeId(0)));
   ASSERT_FALSE(rm.is_node_marked_dead(NodeId(1)));
   std::vector<NodeId> allocated;
@@ -154,6 +155,80 @@ TEST(ResourceManager, DeadNodeStopsAllocating) {
   ASSERT_EQ(allocated.size(), 1u);  // only node 1 has capacity
   EXPECT_EQ(allocated[0], NodeId(1));
   EXPECT_EQ(rm.pending_requests(), 1u);
+  // Readmitted, node 0 takes the waiting request at its next beat.
+  rm.readmit_node(NodeId(0));
+  EXPECT_FALSE(rm.is_node_marked_dead(NodeId(0)));
+  sim.run(SimTime::zero() + Duration::seconds(33));
+  ASSERT_EQ(allocated.size(), 2u);
+  EXPECT_EQ(allocated[1], NodeId(0));
+}
+
+// Heartbeat silencers nest: a crash (fail_node .. restart_node), a
+// heartbeat-delay window and an unrouted partition, on one node, in every
+// order of their six begin and end steps that begins each before it ends
+// (90 orders). The beat stops at the first begin and resumes once the
+// last open silencer lifts, its first beat one interval later, so a
+// restart inside an open window stays silent. Steps are 5 s apart, off
+// the 3 s beat grid.
+TEST(ResourceManager, HeartbeatSilencersNestInEveryOrder) {
+  constexpr int kSteps = 6;  // step 2k begins silencer k, step 2k+1 ends it
+  std::vector<int> order = {0, 1, 2, 3, 4, 5};
+  int orders = 0;
+  do {
+    bool valid = true;
+    for (int k = 0; k < 3; ++k) {
+      const auto pos = [&](int step) {
+        return std::find(order.begin(), order.end(), step) - order.begin();
+      };
+      if (pos(2 * k) > pos(2 * k + 1)) valid = false;
+    }
+    if (!valid) continue;
+    ++orders;
+    SCOPED_TRACE("order " + std::to_string(orders));
+    TestbedConfig config;
+    config.cluster = small_cluster(1, 1);
+    Testbed testbed(config);
+    Simulator& sim = testbed.sim();
+    std::vector<SimTime> beats;
+    testbed.resource_manager().set_heartbeat_listener(
+        [&](NodeId) { beats.push_back(sim.now()); });
+    const NodeId node(0);
+    const std::function<void()> steps[kSteps] = {
+        [&] { testbed.fail_node(node); },
+        [&] { testbed.restart_node(node); },
+        [&] { testbed.begin_heartbeat_delay(node); },
+        [&] { testbed.end_heartbeat_delay(node); },
+        [&] { testbed.begin_network_partition(node, /*variant=*/0); },
+        [&] { testbed.end_network_partition(node, /*variant=*/0); },
+    };
+    const Duration interval = config.cluster.heartbeat_interval;
+    const SimTime end = SimTime::zero() + Duration::seconds(50);
+    std::vector<SimTime> expected;
+    for (SimTime t = SimTime::zero() + interval;
+         t < SimTime::zero() + Duration::seconds(10.5); t = t + interval) {
+      expected.push_back(t);  // the node's first beat lands at one interval
+    }
+    int open = 0;
+    for (int i = 0; i < kSteps; ++i) {
+      const Duration at = Duration::seconds(10.5 + 5.0 * i);
+      sim.schedule(at, steps[order[static_cast<std::size_t>(i)]]);
+      const bool begins = order[static_cast<std::size_t>(i)] % 2 == 0;
+      open += begins ? 1 : -1;
+      if (open > 0) continue;
+      // The last lift: beats resume one interval later, until the next
+      // step (5 s on) or the end.
+      const SimTime next = i + 1 < kSteps
+                               ? SimTime::zero() + at + Duration::seconds(5)
+                               : end;
+      for (SimTime t = SimTime::zero() + at + interval; t < next;
+           t = t + interval) {
+        expected.push_back(t);
+      }
+    }
+    sim.run(end);
+    EXPECT_EQ(beats, expected);
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 90);
 }
 
 TEST(ResourceManager, ContainerLaunchDelayApplied) {

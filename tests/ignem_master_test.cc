@@ -667,10 +667,7 @@ TEST(IgnemMasterTable, MatchesMapModel) {
       } else if (roll < 57) {  // a crash, declared dead
         if (!model.namenode.is_node_alive(node)) continue;
         both([&](auto& w) {
-          if (w.dn(node).alive()) {
-            w.slave(node).reset();
-            w.dn(node).fail();
-          }
+          if (w.dn(node).alive()) w.dn(node).fail();
           w.namenode.set_node_alive(node, false);
           w.master.on_node_failure(node);
         });

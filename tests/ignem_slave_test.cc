@@ -301,8 +301,7 @@ TEST_F(IgnemSlaveTest, SlaveRestartDropsState) {
   build();
   slave_->handle_migrate_batch({command(1, 1)});
   sim_.run();
-  datanode_->fail();
-  slave_->reset();
+  datanode_->fail();  // resets the slave, its plug-in
   datanode_->restart();
   EXPECT_EQ(slave_->locked_bytes(), 0);
   EXPECT_FALSE(slave_->holds(BlockId(1)));

@@ -425,37 +425,47 @@ TEST(ReplicaAccounting, InvalidateThenReAddIsLegal) {
 }
 
 TEST(WriteChecksum, FreshlyWrittenBlockVerifiesClean) {
-  // Write-path regression: every replica created through add_block carries
-  // the content-addressed checksum, so a fresh write verifies clean, rot
-  // flips exactly that replica, and a repair re-write is clean again.
+  // Write-path regression: every replica created through add_block
+  // verifies clean, rot flips exactly that replica, and a repair re-write
+  // is clean again.
   Simulator sim;
   DataNode dn(sim, NodeId(0),
               profile_for(MediaType::kHdd), 1 * kGiB, Rng(7));
   dn.add_block(BlockId(1), 64 * kMiB);
+  dn.add_block(BlockId(2), 64 * kMiB);
   EXPECT_FALSE(dn.is_corrupt(BlockId(1)));
-  EXPECT_EQ(dn.stored_checksum(BlockId(1)),
-            DataNode::expected_checksum(BlockId(1), 64 * kMiB));
 
   dn.corrupt_block(BlockId(1));
   EXPECT_TRUE(dn.is_corrupt(BlockId(1)));
-  EXPECT_NE(dn.stored_checksum(BlockId(1)),
-            DataNode::expected_checksum(BlockId(1), 64 * kMiB));
+  EXPECT_FALSE(dn.is_corrupt(BlockId(2)));
 
   // Repair path: the invalidated copy is removed and re-written.
   dn.remove_block(BlockId(1));
+  EXPECT_FALSE(dn.is_corrupt(BlockId(1)));
   dn.add_block(BlockId(1), 64 * kMiB);
   EXPECT_FALSE(dn.is_corrupt(BlockId(1)));
+
+  // A re-write over a rotten replica is clean too.
+  dn.corrupt_block(BlockId(2));
+  dn.add_block(BlockId(2), 64 * kMiB);
+  EXPECT_FALSE(dn.is_corrupt(BlockId(2)));
 }
 
 TEST(WriteChecksum, ChecksumIsContentAddressed) {
-  // Every healthy replica of the same (block, size) agrees, regardless of
-  // which node holds it; different blocks and sizes disagree.
-  EXPECT_EQ(DataNode::expected_checksum(BlockId(3), 64 * kMiB),
-            DataNode::expected_checksum(BlockId(3), 64 * kMiB));
-  EXPECT_NE(DataNode::expected_checksum(BlockId(3), 64 * kMiB),
-            DataNode::expected_checksum(BlockId(4), 64 * kMiB));
-  EXPECT_NE(DataNode::expected_checksum(BlockId(3), 64 * kMiB),
-            DataNode::expected_checksum(BlockId(3), 32 * kMiB));
+  // Rot belongs to one stored replica, not to the block: every other
+  // node's replica of the same block still verifies clean.
+  Simulator sim;
+  DataNode a(sim, NodeId(0), profile_for(MediaType::kHdd), 1 * kGiB, Rng(7));
+  DataNode b(sim, NodeId(1), profile_for(MediaType::kHdd), 1 * kGiB, Rng(8));
+  a.add_block(BlockId(3), 64 * kMiB);
+  b.add_block(BlockId(3), 64 * kMiB);
+  a.corrupt_block(BlockId(3));
+  EXPECT_TRUE(a.is_corrupt(BlockId(3)));
+  EXPECT_FALSE(b.is_corrupt(BlockId(3)));
+  b.corrupt_block(BlockId(3));
+  a.remove_block(BlockId(3));
+  EXPECT_FALSE(a.is_corrupt(BlockId(3)));
+  EXPECT_TRUE(b.is_corrupt(BlockId(3)));
 }
 
 }  // namespace

@@ -362,6 +362,62 @@ TEST(SuspicionGrace, BeatInsideTheWindowClearsSuspicion) {
   EXPECT_EQ(testbed.failure_detector()->false_dead_total(), 0u);
 }
 
+TEST(SuspicionGrace, SuspectNodeKeepsItsContainers) {
+  // One judge: the RM follows the detector, so a silence past the timeout
+  // but inside the grace costs the suspect node neither its replicas nor
+  // its running task. A 10 s heartbeat delay on the node running a 32 s
+  // map is 13-16 s of silence with the wait for the first resumed beat:
+  // past the 12 s timeout, short of timeout + grace = 18 s.
+  TestbedConfig config = partition_config();
+  config.detector.suspicion_grace = Duration::seconds(6);
+  Testbed testbed(config);
+  JobSpec spec;
+  spec.name = "long-map";
+  spec.inputs = {testbed.create_file("/input", 64 * kMiB)};
+  spec.compute.map_cpu_secs_per_mib = 0.5;
+  spec.compute.reduce_tasks = 0;
+  bool done = false;
+  const JobId job = testbed.submit_job(
+      std::move(spec), [&](const JobRecord&) { done = true; })->id();
+  NodeId runner = NodeId::invalid();
+  const Duration window = Duration::seconds(10);
+  testbed.sim().schedule(Duration::seconds(8), [&] {
+    for (const TraceEvent& e : testbed.trace()->events()) {
+      if (e.type == TraceEventType::kContainerAllocate && e.job == job) {
+        runner = e.node;
+      }
+    }
+    ASSERT_TRUE(runner.valid()) << "the map is not running yet";
+    testbed.begin_heartbeat_delay(runner);
+    testbed.sim().schedule(window,
+                           [&] { testbed.end_heartbeat_delay(runner); });
+  });
+  testbed.run_until_jobs_done();
+  ASSERT_TRUE(done);
+
+  EXPECT_GE(count_events(testbed, TraceEventType::kNodeSuspect), 1u);
+  EXPECT_EQ(count_events(testbed, TraceEventType::kFaultDetectedDead), 0u);
+  EXPECT_FALSE(testbed.resource_manager().is_node_marked_dead(runner));
+  // The map held its one container to the end and released it there.
+  std::size_t grants = 0;
+  std::size_t releases = 0;
+  for (const TraceEvent& e : testbed.trace()->events()) {
+    if (e.type == TraceEventType::kContainerAllocate && e.job == job) {
+      ++grants;
+      EXPECT_EQ(e.node, runner);
+    }
+    if (e.type == TraceEventType::kContainerRelease) {
+      ++releases;
+      EXPECT_EQ(e.node, runner);
+      EXPECT_GT(e.time, SimTime::zero() + Duration::seconds(8) + window);
+    }
+  }
+  EXPECT_EQ(grants, 1u);
+  EXPECT_EQ(releases, 1u);
+  EXPECT_TRUE(testbed.invariant_checker()->ok())
+      << testbed.invariant_checker()->report();
+}
+
 // ---------------------------------------------------------------------------
 // Rejoin reconciliation + rack-aware repair
 

@@ -1,10 +1,8 @@
 #include "pin_scenarios.h"
 
 #include <algorithm>
-#include <bit>
 #include <iterator>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "common/fnv.h"
@@ -187,29 +185,6 @@ AnchorRun run_anchor(const AnchorCase& c) {
   return run;
 }
 
-std::uint64_t anchor_digest(std::vector<TraceEvent> events) {
-  const auto key = [](const TraceEvent& e) {
-    return std::make_tuple(e.time, e.type, e.node.value(), e.block.value(),
-                           e.job.value(), e.bytes, e.detail, e.value);
-  };
-  std::sort(events.begin(), events.end(),
-            [&](const TraceEvent& a, const TraceEvent& b) {
-              return key(a) < key(b);
-            });
-  std::uint64_t h = kFnvTraceOffset;
-  for (const TraceEvent& e : events) {
-    h = fnv1a_word(h, static_cast<std::uint64_t>(e.time.count_micros()));
-    h = fnv1a_byte(h, static_cast<std::uint8_t>(e.type));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(e.node.value()));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(e.block.value()));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(e.job.value()));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(e.bytes));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(e.detail));
-    h = fnv1a_word(h, std::bit_cast<std::uint64_t>(e.value));
-  }
-  return h;
-}
-
 std::vector<Scenario> all_scenarios() {
   std::vector<Scenario> out;
   for (const RunMode mode : kKernelSwimModes) {
@@ -243,12 +218,7 @@ std::vector<Scenario> all_scenarios() {
          [c] {
            AnchorRun anchor = run_anchor(c);
            Testbed& testbed = *anchor.testbed;
-           std::string pin =
-               "digest=" +
-               std::to_string(anchor_digest(testbed.trace()->events()));
-           if (!c.routed) {
-             pin += " hash=" + std::to_string(testbed.trace_hash());
-           }
+           std::string pin = "hash=" + std::to_string(testbed.trace_hash());
            if (!anchor.completed) pin += " WEDGED";
            return PinnedRun{std::move(anchor.testbed), pin, nullptr};
          }});

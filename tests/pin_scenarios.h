@@ -61,8 +61,7 @@ std::unique_ptr<TraceRecorder> golden_slice(const TraceRecorder& trace);
 // plane, each with suspicion grace 0 s and 6 s, times six fault seeds.
 // Each seed's plan is eight faults drawn by FaultPlan::random over
 // kLoudFaultKinds | kPartitionFaultKinds; seed 5 also cuts the control
-// node's own rack for 18 s mid-run. The pins are anchor_digest() and, on
-// the direct path, the trace hash.
+// node's own rack for 18 s mid-run. The pin is the trace hash.
 
 struct AnchorCase {
   bool routed;
@@ -82,13 +81,6 @@ struct AnchorRun {
 /// Runs the workload, then the simulator until every fault window has
 /// healed and detection and rejoin have settled.
 AnchorRun run_anchor(const AnchorCase& c);
-
-/// A digest of `events` sorted by (time, type, node, block, job, bytes,
-/// detail, value): the same events at the same times, whatever their order
-/// within one instant. On the routed path two monitors that hear the same
-/// beat can readmit a node in either order at one instant, so only this
-/// digest is pinned there.
-std::uint64_t anchor_digest(std::vector<TraceEvent> events);
 
 // ---------------------------------------------------------------------------
 // Every pinned scenario, for tests/pin_dump.cc.

@@ -18,7 +18,6 @@ namespace {
 class ReplicationManagerTest : public ::testing::Test {
  protected:
   void build(std::size_t nodes, int replication) {
-    replication_ = replication;
     namenode_ = std::make_unique<NameNode>(Rng(1), replication);
     DeviceProfile profile = hdd_profile();
     profile.access_jitter = 0.0;
@@ -37,7 +36,6 @@ class ReplicationManagerTest : public ::testing::Test {
     return namenode_->live_locations(block).size();
   }
 
-  int replication_ = 3;
   Simulator sim_;
   std::vector<std::unique_ptr<DataNode>> datanodes_;
   std::unique_ptr<NameNode> namenode_;
@@ -48,7 +46,7 @@ class ReplicationManagerTest : public ::testing::Test {
 TEST_F(ReplicationManagerTest, RestoresReplicationAfterNodeLoss) {
   build(6, 3);
   const FileId file = namenode_->create_file("/a", 640 * kMiB);  // 10 blocks
-  manager_->handle_node_failure(NodeId(0), replication_);
+  manager_->handle_node_failure(NodeId(0));
   sim_.run();
   EXPECT_GT(manager_->stats().blocks_scheduled, 0u);
   EXPECT_EQ(manager_->stats().blocks_repaired,
@@ -74,7 +72,7 @@ TEST_F(ReplicationManagerTest, UntouchedBlocksNotScheduled) {
     }
   }
   ASSERT_TRUE(spare.valid());
-  manager_->handle_node_failure(spare, replication_);
+  manager_->handle_node_failure(spare);
   sim_.run();
   EXPECT_EQ(manager_->stats().blocks_scheduled, 0u);
 }
@@ -82,7 +80,7 @@ TEST_F(ReplicationManagerTest, UntouchedBlocksNotScheduled) {
 TEST_F(ReplicationManagerTest, ThrottlesConcurrentRepairs) {
   build(6, 3);
   namenode_->create_file("/a", 64 * 20 * kMiB);  // 20 blocks
-  manager_->handle_node_failure(NodeId(0), replication_);
+  manager_->handle_node_failure(NodeId(0));
   EXPECT_LE(manager_->in_flight(), 2);
   sim_.run();
   EXPECT_EQ(manager_->in_flight(), 0);
@@ -94,7 +92,7 @@ TEST_F(ReplicationManagerTest, TotalDataLossIsReported) {
   const FileId file = namenode_->create_file("/a", 64 * kMiB);
   const NodeId holder = namenode_->block(namenode_->file(file).blocks[0])
                             .replicas[0];
-  manager_->handle_node_failure(holder, 1);
+  manager_->handle_node_failure(holder);
   sim_.run();
   EXPECT_EQ(manager_->stats().blocks_unrepairable, 1u);
   EXPECT_EQ(manager_->stats().blocks_repaired, 0u);
@@ -103,7 +101,7 @@ TEST_F(ReplicationManagerTest, TotalDataLossIsReported) {
 TEST_F(ReplicationManagerTest, FullClusterReplicationUnrepairable) {
   build(3, 3);  // replicas everywhere: no spare target after a failure
   namenode_->create_file("/a", 64 * kMiB);
-  manager_->handle_node_failure(NodeId(1), 3);
+  manager_->handle_node_failure(NodeId(1));
   sim_.run();
   EXPECT_EQ(manager_->stats().blocks_unrepairable, 1u);
 }
@@ -111,9 +109,9 @@ TEST_F(ReplicationManagerTest, FullClusterReplicationUnrepairable) {
 TEST_F(ReplicationManagerTest, CascadingFailuresStillConverge) {
   build(8, 3);
   const FileId file = namenode_->create_file("/a", 640 * kMiB);
-  manager_->handle_node_failure(NodeId(0), replication_);
+  manager_->handle_node_failure(NodeId(0));
   sim_.schedule(Duration::seconds(2), [&] {
-    manager_->handle_node_failure(NodeId(1), replication_);
+    manager_->handle_node_failure(NodeId(1));
   });
   sim_.run();
   for (const BlockId block : namenode_->file(file).blocks) {
@@ -133,8 +131,8 @@ TEST_F(ReplicationManagerTest, UnrepairableBlocksDoNotStallOtherRepairs) {
   // Both processes crash before either is declared dead, so neither can
   // serve as the other's repair source.
   for (const NodeId holder : holders) namenode_->datanode(holder)->fail();
-  manager_->handle_node_failure(holders[0], replication_);
-  manager_->handle_node_failure(holders[1], replication_);
+  manager_->handle_node_failure(holders[0]);
+  manager_->handle_node_failure(holders[1]);
   sim_.run();
   EXPECT_GE(manager_->stats().blocks_unrepairable, 1u);
   EXPECT_EQ(manager_->in_flight(), 0);
@@ -332,7 +330,7 @@ TEST(ReplicationManager, NodeWalkMatchesNamespaceScanModel) {
     const BlockId plug =
         namenode.file(namenode.create_file("/plug", kBlock)).blocks.at(0);
     namenode.mark_replica_corrupt(plug, namenode.block(plug).replicas.at(0));
-    manager.handle_corrupt_replica(plug, target);
+    manager.handle_corrupt_replica(plug);
     ASSERT_EQ(manager.in_flight(), 1);
     ASSERT_TRUE(manager.queue().empty());
     std::set<BlockId> queued = {plug};
@@ -374,7 +372,7 @@ TEST(ReplicationManager, NodeWalkMatchesNamespaceScanModel) {
       const std::set<BlockId> expected =
           scan_failure(namenode, node, target, queued, coverage);
       const std::size_t before = manager.queue().size();
-      manager.handle_node_failure(node, target);
+      manager.handle_node_failure(node);
       const std::vector<BlockId> walked(
           manager.queue().begin() + static_cast<std::ptrdiff_t>(before),
           manager.queue().end());
@@ -436,7 +434,7 @@ TEST(ReplicationManager, NodeWalkMatchesNamespaceScanModel) {
         namenode.set_node_alive(node, true);
         const auto expected = scan_rejoin(namenode, node, target, coverage);
         const std::size_t from = trace.size();
-        manager.handle_node_rejoin(node, target);
+        manager.handle_node_rejoin(node);
         std::vector<std::pair<BlockId, NodeId>> victims;
         for (std::size_t i = from; i < trace.size(); ++i) {
           const TraceEvent& event = trace.events()[i];

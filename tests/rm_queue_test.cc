@@ -8,7 +8,9 @@
 // seeded streams in two simulators: requests preferring 0-3 nodes (drawn
 // with replacement, so some name a node twice, and some name halted or
 // dead nodes), releases (some of them repeated or of purged grants),
-// heartbeat halts and resumes with check_liveness deaths and rejoins, one
+// heartbeat halts and resumes with the deaths and rejoins that follow (the
+// harness judges liveness from the beats it hears, as the failure detector
+// does, and hands its verdicts to declare_node_dead and readmit_node), one
 // node halted for 600 s, and, on half the shapes, grants delivered over an
 // RpcRouter whose links to some nodes are cut for a while. Both runs stop
 // after every heartbeat, where every trace event (each grant's node and
@@ -58,7 +60,6 @@ struct ScanBranches {
   std::uint64_t budget_out_locality = 0;    // location-free, budget spent
   std::uint64_t budget_out_delay = 0;
   std::uint64_t slots_out_mid_pass = 0;     // a pass ended with requests unseen
-  std::uint64_t rejoins = 0;
 
   void add(const ScanBranches& o) {
     node_list_grants += o.node_list_grants;
@@ -68,7 +69,6 @@ struct ScanBranches {
     budget_out_locality += o.budget_out_locality;
     budget_out_delay += o.budget_out_delay;
     slots_out_mid_pass += o.slots_out_mid_pass;
-    rejoins += o.rejoins;
   }
 };
 
@@ -82,7 +82,6 @@ class FifoScanModel {
     IGNEM_CHECK(config_.node_count > 0);
     nodes_.reserve(config_.node_count);
     heartbeats_.reserve(config_.node_count);
-    last_beat_.resize(config_.node_count, SimTime::zero());
     for (std::size_t i = 0; i < config_.node_count; ++i) {
       const NodeId id(static_cast<std::int64_t>(i));
       nodes_.push_back(
@@ -112,14 +111,29 @@ class FifoScanModel {
     }
   }
 
-  void check_liveness() {
-    const SimTime now = sim_.now();
-    for (std::size_t i = 0; i < last_beat_.size(); ++i) {
-      if (!nodes_[i]->alive()) continue;
-      if (now - last_beat_[i] > kLivenessTimeout) {
-        declare_node_dead(NodeId(static_cast<std::int64_t>(i)));
+  void declare_node_dead(NodeId node) {
+    NodeManager& manager = node_manager(node);
+    manager.set_alive(false);
+    manager.reset_slots();
+    std::vector<std::function<void()>> lost;
+    for (auto it = active_.begin(); it != active_.end();) {
+      if (it->second.node == node) {
+        if (it->second.on_lost != nullptr) {
+          lost.push_back(std::move(it->second.on_lost));
+        }
+        it = active_.erase(it);
+      } else {
+        ++it;
       }
     }
+    for (auto& cb : lost) cb();
+  }
+
+  void readmit_node(NodeId node) {
+    NodeManager& manager = node_manager(node);
+    IGNEM_CHECK(!manager.alive());
+    manager.set_alive(true);
+    manager.reset_slots();
   }
 
   void set_heartbeat_listener(std::function<void(NodeId)> listener) {
@@ -172,28 +186,6 @@ class FifoScanModel {
     if (on_lost != nullptr) on_lost();
   }
 
-  void declare_node_dead(NodeId node) {
-    NodeManager& manager = node_manager(node);
-    manager.set_alive(false);
-    manager.reset_slots();
-    if (trace_ != nullptr) {
-      trace_->emit(TraceEventType::kFaultDetectedDead, node,
-                   BlockId::invalid(), JobId::invalid(), 0, /*detail=*/1);
-    }
-    std::vector<std::function<void()>> lost;
-    for (auto it = active_.begin(); it != active_.end();) {
-      if (it->second.node == node) {
-        if (it->second.on_lost != nullptr) {
-          lost.push_back(std::move(it->second.on_lost));
-        }
-        it = active_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto& cb : lost) cb();
-  }
-
   NodeManager& node_manager(NodeId node) {
     return *nodes_[static_cast<std::size_t>(node.value())];
   }
@@ -208,17 +200,7 @@ class FifoScanModel {
     if (heartbeat_listener_ != nullptr) heartbeat_listener_(node);
     ++heartbeat_count_;
     queue_length_accum_ += queue_.size();
-    last_beat_[static_cast<std::size_t>(node.value())] = sim_.now();
     NodeManager& manager = node_manager(node);
-    if (!manager.alive()) {
-      ++branches_.rejoins;
-      manager.set_alive(true);
-      manager.reset_slots();
-      if (trace_ != nullptr) {
-        trace_->emit(TraceEventType::kRecoverNodeRejoin, node,
-                     BlockId::invalid(), JobId::invalid(), 0, /*detail=*/1);
-      }
-    }
 
     std::size_t unpreferred_budget = std::max<std::size_t>(
         1, (queue_.size() + config_.node_count - 1) / config_.node_count);
@@ -297,7 +279,6 @@ class FifoScanModel {
   };
   std::map<std::uint64_t, ActiveContainer> active_;
   std::uint64_t next_container_ = 1;
-  std::vector<SimTime> last_beat_;
 
   std::uint64_t heartbeat_count_ = 0;
   std::uint64_t queue_length_accum_ = 0;
@@ -342,8 +323,10 @@ class Harness {
         rm_(sim_, cluster(shape)),
         rng_(seed),
         halted_(shape.nodes, false),
+        last_heard_(shape.nodes, SimTime::zero()),
+        dead_(shape.nodes, false),
         liveness_(sim_, kLivenessCheckInterval, [this] {
-          rm_.check_liveness();
+          check_liveness();
           verify_attempts("liveness scan");
         }) {
     trace_.set_clock([this] { return sim_.now(); });
@@ -355,6 +338,13 @@ class Harness {
     rm_.set_heartbeat_listener([this](NodeId node) {
       last_beat_ = node;
       beat_ = true;
+      const auto i = static_cast<std::size_t>(node.value());
+      last_heard_[i] = sim_.now();
+      if (dead_[i]) {
+        dead_[i] = false;
+        ++rejoins_;
+        rm_.readmit_node(node);
+      }
     });
     sim_.schedule(Duration::zero(), [this] { arrive(); });
     sim_.schedule(Duration::seconds(5.0), [this] { fault(); });
@@ -410,6 +400,8 @@ class Harness {
   const std::vector<std::uint64_t>& lost() const { return lost_; }
   const RpcStats& rpc() const { return router_.stats(); }
   std::uint64_t long_halt_resumed() const { return long_halt_resumed_; }
+  std::uint64_t deaths() const { return deaths_; }
+  std::uint64_t rejoins() const { return rejoins_; }
 
  private:
   static ClusterConfig cluster(const Shape& shape) {
@@ -420,6 +412,19 @@ class Harness {
     c.locality_delay = shape.locality_delay;
     c.container_launch = shape.container_launch;
     return c;
+  }
+
+  /// The failure detector's judgement, with no grace: a node silent past
+  /// kLivenessTimeout is declared dead; its next beat readmits it.
+  void check_liveness() {
+    for (std::size_t i = 0; i < last_heard_.size(); ++i) {
+      if (dead_[i] || sim_.now() - last_heard_[i] <= kLivenessTimeout) {
+        continue;
+      }
+      dead_[i] = true;
+      ++deaths_;
+      rm_.declare_node_dead(NodeId(static_cast<std::int64_t>(i)));
+    }
   }
 
   /// Delays on a grid of half a heartbeat stagger, so arrivals, beats and
@@ -526,12 +531,16 @@ class Harness {
   Rm rm_;
   Rng rng_;
   std::vector<bool> halted_;
+  std::vector<SimTime> last_heard_;  // index == node
+  std::vector<bool> dead_;           // declared dead, not yet readmitted
   PeriodicTask liveness_;
   std::uint64_t next_tag_ = 1;
   std::vector<Launch> launches_;
   NodeId last_beat_;
   std::vector<std::uint64_t> lost_;
   std::uint64_t long_halt_resumed_ = 0;
+  std::uint64_t deaths_ = 0;
+  std::uint64_t rejoins_ = 0;
   bool beat_ = false;
 
   // The attempt-epoch model.
@@ -568,6 +577,7 @@ struct StreamTotals {
   std::uint64_t heartbeats = 0;
   std::uint64_t grants = 0;
   std::uint64_t deaths = 0;
+  std::uint64_t rejoins = 0;
   std::uint64_t lost = 0;
   std::uint64_t rpc_failures = 0;
   std::uint64_t long_halts_resumed = 0;
@@ -638,7 +648,10 @@ void run_stream(const Shape& shape, std::uint64_t seed, StreamTotals& totals) {
         [type](const TraceEvent& e) { return e.type == type; }));
   };
   totals.grants += count(TraceEventType::kContainerAllocate);
-  totals.deaths += count(TraceEventType::kFaultDetectedDead);
+  ASSERT_EQ(real.deaths(), model.deaths());
+  ASSERT_EQ(real.rejoins(), model.rejoins());
+  totals.deaths += model.deaths();
+  totals.rejoins += model.rejoins();
   totals.lost += model.lost().size();
   totals.rpc_failures += model.rpc().timeouts + model.rpc().unreachable;
   totals.long_halts_resumed += model.long_halt_resumed();
@@ -682,7 +695,7 @@ TEST(ResourceManagerQueue, MatchesFifoScanModel) {
               << "), budget spent " << b.budget_out_locality << " + "
               << b.budget_out_delay << ", slots out mid-pass "
               << b.slots_out_mid_pass << ", deaths " << totals->deaths
-              << ", rejoins " << b.rejoins << ", lost " << totals->lost
+              << ", rejoins " << totals->rejoins << ", lost " << totals->lost
               << " (" << totals->lost_launched << " launched)"
               << ", rpc failures " << totals->rpc_failures << ", max pending "
               << totals->max_pending << ", holds checks "
@@ -697,7 +710,7 @@ TEST(ResourceManagerQueue, MatchesFifoScanModel) {
     EXPECT_GT(b.budget_out_locality, 0u);
     EXPECT_GT(b.budget_out_delay, 0u);
     EXPECT_GT(b.slots_out_mid_pass, 0u);
-    EXPECT_GT(b.rejoins, 0u);
+    EXPECT_GT(totals->rejoins, 0u);
     EXPECT_GT(totals->deaths, 0u);
     EXPECT_GT(totals->lost, 0u);
     EXPECT_EQ(totals->long_halts_resumed, 12u);
